@@ -113,8 +113,7 @@ def toy_graph() -> ASGraph:
     return build_toy_graph()
 
 
-@pytest.fixture(scope="session")
-def small_config() -> TopologyConfig:
+def small_topology_config() -> TopologyConfig:
     """Small generated-Internet configuration shared by many tests."""
     return TopologyConfig(
         seed=7,
@@ -144,6 +143,11 @@ def small_config() -> TopologyConfig:
 
 
 @pytest.fixture(scope="session")
+def small_config() -> TopologyConfig:
+    return small_topology_config()
+
+
+@pytest.fixture(scope="session")
 def small_internet(small_config) -> Internet:
     """A small generated Internet (treat as read-only)."""
     return build_internet(small_config)
@@ -151,7 +155,11 @@ def small_internet(small_config) -> Internet:
 
 @pytest.fixture(scope="session")
 def small_prefixes(small_internet):
+    return small_client_prefixes(small_internet)
+
+
+def small_client_prefixes(internet: Internet) -> list:
     """Client prefixes with LDNS assignments over the small Internet."""
-    prefixes = generate_client_prefixes(small_internet, 60, seed=11)
-    prefixes, _resolvers = assign_ldns(prefixes, small_internet, seed=11)
+    prefixes = generate_client_prefixes(internet, 60, seed=11)
+    prefixes, _resolvers = assign_ldns(prefixes, internet, seed=11)
     return prefixes
