@@ -1,8 +1,16 @@
-"""Performance baseline for the vectorized measurement fast lanes.
+"""Paired kernel timings at three scales.
 
-Times every scalar/fast lane pair at three scales and writes the
-results to ``BENCH_perf.json`` (schema below).  The committed baseline
-is produced by the full tier::
+Each kernel times two ways of doing the same work and writes both to
+``BENCH_perf.json`` (schema below).  The schema names the two sides
+``scalar_s`` and ``fast_s``; what they are differs per kernel:
+
+* ``netmodel.event_delay`` — per-key calls vs one batched call;
+* ``bgp.dynamics`` — the event-driven engine vs static propagation of
+  the same stable states (a fidelity price, not a speedup);
+* ``stream.ingest`` — P² sketches vs centroid sketches;
+* ``obs.emit`` — tracing enabled vs disabled (the tracer's overhead).
+
+The committed baseline is produced by the full tier::
 
     PYTHONPATH=src python benchmarks/perf.py --tier full --out BENCH_perf.json
 
@@ -27,8 +35,8 @@ Schema (version 1)::
             {
               "scale": "small" | "medium" | "large",
               "params": {str: scalar},
-              "scalar_s": float > 0,  # best-of-N wall time, scalar lane
-              "fast_s": float > 0,    # best-of-N wall time, fast lane
+              "scalar_s": float > 0,  # best-of-N wall time, first side
+              "fast_s": float > 0,    # best-of-N wall time, second side
               "speedup": float > 0,   # scalar_s / fast_s
               "repeats": int >= 1
             }
@@ -50,28 +58,17 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.cdn import CdnDeployment
-from repro.cdn.dns_redirection import train_redirection_policy
-from repro.cdn.measurement import BeaconConfig, run_beacon_campaign
-from repro.cloudtiers import (
-    CampaignConfig,
-    CloudDeployment,
-    SpeedcheckerPlatform,
-    run_campaign,
-)
-from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.sampler import (
     MeasurementConfig,
     MeasurementPlan,
     plan_measurement,
-    synthesize_dataset,
 )
 from repro.bgp import propagate
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.stream import IngestConfig, SessionIngestor, stream_sessions
 from repro.topology import TopologyConfig, build_internet
 from repro.topology.generator import DEFAULT_POP_CITIES
-from repro.workloads import assign_ldns, generate_client_prefixes
+from repro.workloads import generate_client_prefixes
 
 SCHEMA_VERSION = 1
 SCALES = ("small", "medium", "large")
@@ -119,7 +116,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def _measure(name: str, scale: str, params, scalar_fn, fast_fn, repeats: int):
-    """Time a scalar/fast lane pair under obs spans; one schema entry."""
+    """Time a kernel's two sides under obs spans; one schema entry."""
     with obs.span("bench.kernel", kernel=name, scale=scale, lane="scalar", repeats=repeats):
         scalar_s = _best_of(scalar_fn, repeats)
     with obs.span("bench.kernel", kernel=name, scale=scale, lane="fast", repeats=repeats):
@@ -144,82 +141,6 @@ def _scales_for(tier: str):
 
 
 # --- kernels ----------------------------------------------------------------
-
-
-def bench_edgefabric_synthesize(internet, tier: str, repeats: int):
-    """Dataset synthesis: the tentpole kernel (medium must clear 5x)."""
-    prefixes = generate_client_prefixes(internet, 4600, seed=11)
-    config = MeasurementConfig(days=1.0, seed=0)
-    full_plan = plan_measurement(internet, prefixes, config)
-    sizes = {"small": 300, "medium": 2000, "large": 4000}
-    # Warm congestion models shared by both lanes: event generation is
-    # campaign state, not per-synthesis work, so it is excluded from the
-    # lane comparison (each lane re-reads the same caches).
-    congestion = CongestionModel(config.seed, config.congestion_config())
-    dest = CongestionModel(config.seed, config.dest_congestion_config())
-    entries = []
-    for scale in _scales_for(tier):
-        n = min(sizes[scale], len(full_plan.pairs))
-        plan = MeasurementPlan(
-            pairs=full_plan.pairs[:n], prefixes=full_plan.prefixes[:n]
-        )
-        for lane in (False, True):  # warm caches for both lanes
-            synthesize_dataset(
-                plan, config, fast=lane, congestion=congestion, dest_congestion=dest
-            )
-        entries.append(
-            _measure(
-                "edgefabric.synthesize",
-                scale,
-                {"pairs": n, "days": config.days},
-                lambda: synthesize_dataset(
-                    plan,
-                    config,
-                    fast=False,
-                    congestion=congestion,
-                    dest_congestion=dest,
-                ),
-                lambda: synthesize_dataset(
-                    plan,
-                    config,
-                    fast=True,
-                    congestion=congestion,
-                    dest_congestion=dest,
-                ),
-                repeats,
-            )
-        )
-    return {"name": "edgefabric.synthesize", "scales": entries}
-
-
-def bench_edgefabric_episodes(internet, tier: str, repeats: int):
-    """Episode extraction over synthesized datasets."""
-    prefixes = generate_client_prefixes(internet, 4600, seed=11)
-    config = MeasurementConfig(days=2.0, seed=0)
-    full_plan = plan_measurement(internet, prefixes, config)
-    sizes = {"small": 300, "medium": 2000, "large": 4000}
-    congestion = CongestionModel(config.seed, config.congestion_config())
-    dest = CongestionModel(config.seed, config.dest_congestion_config())
-    entries = []
-    for scale in _scales_for(tier):
-        n = min(sizes[scale], len(full_plan.pairs))
-        plan = MeasurementPlan(
-            pairs=full_plan.pairs[:n], prefixes=full_plan.prefixes[:n]
-        )
-        dataset = synthesize_dataset(
-            plan, config, congestion=congestion, dest_congestion=dest
-        )
-        entries.append(
-            _measure(
-                "edgefabric.episodes",
-                scale,
-                {"pairs": n, "windows": int(dataset.n_windows)},
-                lambda: extract_episodes(dataset, fast=False),
-                lambda: extract_episodes(dataset, fast=True),
-                repeats,
-            )
-        )
-    return {"name": "edgefabric.episodes", "scales": entries}
 
 
 def bench_event_delay(tier: str, repeats: int):
@@ -251,53 +172,15 @@ def bench_event_delay(tier: str, repeats: int):
     return {"name": "netmodel.event_delay", "scales": entries}
 
 
-def bench_bgp_propagate(tier: str, repeats: int):
-    """Gao-Rexford propagation: per-AS heap lane vs batched array lane.
-
-    The PR-8 tentpole kernel: the fast lane runs the CSR frontier
-    sweep (``propagate_state``) and must clear 5x at medium scale.
-    Each lane propagates the same deterministic origin sample over one
-    pre-built graph; graph construction is setup, not subject
-    (:func:`bench_topology_generate` times that), and the CSR cache is
-    warmed before measurement so the fast lane times propagation, not
-    adjacency building.
-    """
-    sizes = {"small": (16, 64), "medium": (100, 800), "large": (160, 1280)}
-    entries = []
-    for scale in _scales_for(tier):
-        n_transit, n_eyeball = sizes[scale]
-        graph = build_internet(
-            TopologyConfig(
-                seed=7, n_tier1=5, n_transit=n_transit, n_eyeball=n_eyeball
-            ),
-            fast=True,
-        ).graph
-        asns = graph.csr().arrays()["asns"]
-        rng = np.random.default_rng(0)
-        origins = sorted(int(a) for a in rng.choice(asns, size=4, replace=False))
-        propagate(graph, origins[0], fast=True)  # warm the CSR cache
-        entries.append(
-            _measure(
-                "bgp.propagate",
-                scale,
-                {"ases": int(asns.size), "origins": len(origins)},
-                lambda: [propagate(graph, o, fast=False) for o in origins],
-                lambda: [propagate(graph, o, fast=True) for o in origins],
-                repeats,
-            )
-        )
-    return {"name": "bgp.propagate", "scales": entries}
-
-
 def bench_bgp_dynamics(tier: str, repeats: int):
-    """Event-driven convergence vs the static fast lane, same fixpoint.
+    """Event-driven convergence vs static propagation, same fixpoint.
 
-    The scalar lane replays one announcement per sampled origin through
+    The first side replays one announcement per sampled origin through
     the discrete-event engine — UPDATE deliveries, MRAI timers,
-    per-session jitter — until quiescence; the fast lane computes the
+    per-session jitter — until quiescence; the second computes the
     identical stable states with the static CSR sweep (bit-equality is
     the lane-agreement contract in ``tests/test_lane_agreement.py``).
-    Both lanes batch over the same origins so neither measurement is a
+    Both sides batch over the same origins so neither measurement is a
     sub-millisecond blip; the ratio prices event-level fidelity — what
     a scenario run costs over a snapshot.
     """
@@ -310,12 +193,11 @@ def bench_bgp_dynamics(tier: str, repeats: int):
         graph = build_internet(
             TopologyConfig(
                 seed=7, n_tier1=5, n_transit=n_transit, n_eyeball=n_eyeball
-            ),
-            fast=True,
+            )
         ).graph
         asns = [asys.asn for asys in graph.ases()]
         origins = asns[:: max(1, len(asns) // 8)][:8]
-        propagate(graph, origins[0], fast=True)  # warm the CSR cache
+        propagate(graph, origins[0])  # warm the CSR cache
 
         def scalar():
             total = 0
@@ -328,7 +210,7 @@ def bench_bgp_dynamics(tier: str, repeats: int):
 
         def fast():
             for origin in origins:
-                propagate(graph, origin, fast=True)
+                propagate(graph, origin)
 
         events = scalar()
         entries.append(
@@ -348,107 +230,13 @@ def bench_bgp_dynamics(tier: str, repeats: int):
     return {"name": "bgp.dynamics", "scales": entries}
 
 
-def bench_topology_generate(tier: str, repeats: int):
-    """Internet generation: scalar haversines vs the memoized fast lane.
-
-    Both lanes build the identical Internet (the lane-agreement tests
-    pin full-dump equality); the fast lane's win is the pair-distance
-    cache plus per-region candidate-ranking memos, so the speedup grows
-    with AS count — near break-even at the small scale is expected.
-    """
-    sizes = {"small": (16, 64), "medium": (100, 800), "large": (160, 1280)}
-    entries = []
-    for scale in _scales_for(tier):
-        n_transit, n_eyeball = sizes[scale]
-        config = TopologyConfig(
-            seed=7, n_tier1=5, n_transit=n_transit, n_eyeball=n_eyeball
-        )
-        entries.append(
-            _measure(
-                "topology.generate",
-                scale,
-                {"n_transit": n_transit, "n_eyeball": n_eyeball},
-                lambda: build_internet(config),
-                lambda: build_internet(config, fast=True),
-                repeats,
-            )
-        )
-    return {"name": "topology.generate", "scales": entries}
-
-
-def bench_cdn_redirection(internet, tier: str, repeats: int):
-    """DNS-redirection policy training over beacon datasets."""
-    deployment = CdnDeployment(internet)
-    sizes = {"small": 100, "medium": 300, "large": 600}
-    entries = []
-    for scale in _scales_for(tier):
-        n = sizes[scale]
-        prefixes = generate_client_prefixes(internet, n, seed=11)
-        prefixes, _ = assign_ldns(prefixes, internet, seed=11)
-        dataset = run_beacon_campaign(deployment, prefixes, BeaconConfig(seed=3))
-        # Train with ECS enabled for every resolver: the per-prefix
-        # decision loop is the part the fast lane batch-medians away.
-        resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        entries.append(
-            _measure(
-                "cdn.train_redirection",
-                scale,
-                {"prefixes": n, "requests": int(dataset.n_requests)},
-                lambda: train_redirection_policy(
-                    dataset, ecs_resolvers=resolvers, fast=False
-                ),
-                lambda: train_redirection_policy(
-                    dataset, ecs_resolvers=resolvers, fast=True
-                ),
-                repeats,
-            )
-        )
-    return {"name": "cdn.train_redirection", "scales": entries}
-
-
-def bench_cloudtiers_campaign(internet, tier: str, repeats: int):
-    """End-to-end tier-comparison campaign (ping bursts vs per-round)."""
-    deployment = CloudDeployment(internet)
-    sizes = {
-        "small": (2, 20),
-        "medium": (3, 40),
-        "large": (4, 60),
-    }
-    entries = []
-    for scale in _scales_for(tier):
-        days, vps = sizes[scale]
-        cfg = CampaignConfig(days=days, vps_per_day=vps, rounds_per_day=6, seed=4)
-
-        # Each run needs a fresh platform: the campaign consumes the
-        # platform's noise stream (that is what makes the lanes
-        # bit-identical).  Construction cost is shared by both lanes.
-        def scalar():
-            run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg, fast=False)
-
-        def fast():
-            run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg, fast=True)
-
-        entries.append(
-            _measure(
-                "cloudtiers.campaign",
-                scale,
-                {"days": days, "vps_per_day": vps},
-                scalar,
-                fast,
-                repeats,
-            )
-        )
-    return {"name": "cloudtiers.campaign", "scales": entries}
-
-
 def bench_stream_ingest(internet, tier: str, repeats: int):
     """Session-stream ingest: sessions/sec through the sketch plane.
 
-    The session batches are materialized once outside the timed region —
-    synthesis is :func:`bench_edgefabric_synthesize`'s subject — so both
-    lanes time pure ingest: windowing plus sketch updates.  The scalar
-    lane feeds P² sketches (per-value Python marker updates); the fast
-    lane feeds centroid sketches (one vectorized merge per key/window
+    The session batches are materialized once outside the timed region,
+    so both sides time pure ingest: windowing plus sketch updates.  The
+    first side feeds P² sketches (per-value Python marker updates); the
+    second feeds centroid sketches (one vectorized merge per key/window
     group), which is what ``repro-bgp ingest`` runs in production.
     """
     prefixes = generate_client_prefixes(internet, 1200, seed=11)
@@ -626,16 +414,14 @@ def validate_payload(payload) -> None:
 def run(tier: str, repeats: int) -> dict:
     """Run every kernel at the tier's scales; return the payload."""
     internet = build_internet(_TOPOLOGY)
+    # The sub-millisecond event-delay timings read slower in a cold
+    # process, so a heavy kernel runs first, as when the baselines
+    # were recorded.
+    ingest = bench_stream_ingest(internet, tier, repeats)
     kernels = [
-        bench_edgefabric_synthesize(internet, tier, repeats),
-        bench_edgefabric_episodes(internet, tier, repeats),
         bench_event_delay(tier, repeats),
-        bench_bgp_propagate(tier, repeats),
         bench_bgp_dynamics(tier, repeats),
-        bench_topology_generate(tier, repeats),
-        bench_cdn_redirection(internet, tier, repeats),
-        bench_cloudtiers_campaign(internet, tier, max(1, repeats - 1)),
-        bench_stream_ingest(internet, tier, repeats),
+        ingest,
         bench_obs_emit(tier, repeats),
     ]
     payload = {

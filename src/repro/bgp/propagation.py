@@ -7,19 +7,14 @@ is honoured.  The result is the unique stable state for the standard
 preference order customer > peer > provider, shortest advertised path,
 lowest next-hop ASN.
 
-Two lanes compute that state:
-
-* the **scalar lane** (``fast=False``, the default) — the reference
-  implementation below, a heap/dict construction over per-route Python
-  objects; and
-* the **fast lane** (``fast=True``) — the same three phases run as
-  batched frontier expansions over the graph's cached
-  :class:`~repro.topology.asgraph.CsrAdjacency` arrays.  Each phase is
-  a bucket queue over integer advertised lengths; per-level winners are
-  picked with one ``lexsort`` so the selection order — shortest
-  advertised, then lowest next-hop ASN — reproduces the scalar heap's
-  pop order exactly.  The lanes produce identical tables (same best
-  route per AS, bit for bit), pinned by ``tests/test_lane_agreement.py``.
+The three phases run as batched frontier expansions over the graph's
+cached :class:`~repro.topology.asgraph.CsrAdjacency` arrays.  Each
+phase is a bucket queue over integer advertised lengths; per-level
+winners are picked with one ``lexsort`` so the selection order —
+shortest advertised, then lowest next-hop ASN — is exactly a heap's pop
+order.  ``tests/bgp_oracle.py`` keeps the heap/dict construction as a
+test oracle; the property and lane-agreement tests pin the two to
+identical tables (same best route per AS, bit for bit).
 
 :func:`propagate_many` batches several origins (or full
 :class:`PropagationRequest` grooming variants) over one shared CSR
@@ -29,7 +24,6 @@ compute all their tables in one call.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -223,7 +217,6 @@ def propagate(
     origin_cities: Optional[FrozenSet[City]] = None,
     prepends: Optional[Mapping[int, int]] = None,
     suppressed: Optional[FrozenSet[int]] = None,
-    fast: bool = False,
 ) -> RoutingTable:
     """Propagate one prefix from ``origin`` to a stable state.
 
@@ -236,8 +229,6 @@ def propagate(
             origination (grooming by prepending).
         suppressed: Neighbors the origin withholds the announcement from
             entirely (grooming with a no-announce community).
-        fast: Run the batched CSR lane instead of the scalar reference
-            lane.  Both produce the identical stable table.
 
     Returns:
         The stable :class:`RoutingTable`.
@@ -258,10 +249,7 @@ def propagate(
         prepends=prepends,
         suppressed=suppressed,
     )
-    if fast:
-        _propagate_fast(table)
-    else:
-        _propagate_scalar(table)
+    _propagate_csr(table)
     return table
 
 
@@ -278,22 +266,19 @@ class PropagationRequest:
 def propagate_many(
     graph: ASGraph,
     requests: Sequence[Union[int, PropagationRequest]],
-    fast: bool = True,
 ) -> List[RoutingTable]:
     """Propagate many prefixes over one topology, in request order.
 
-    Bare ints are origins with no grooming.  The fast lane (the
-    default — the lanes are identical, see ``tests/test_lane_agreement``)
-    shares a single cached CSR build across all requests, which is where
-    the batch entry point earns its keep over per-origin calls.
+    Bare ints are origins with no grooming.  All requests share a single
+    cached CSR build, which is where the batch entry point earns its
+    keep over per-origin calls.
     """
     normalized = [
         req if isinstance(req, PropagationRequest) else PropagationRequest(int(req))
         for req in requests
     ]
-    with span("bgp.propagate_many", n_requests=len(normalized), fast=fast):
-        if fast:
-            graph.csr()  # build once, outside the per-request loop
+    with span("bgp.propagate_many", n_requests=len(normalized)):
+        graph.csr()  # build once, outside the per-request loop
         return [
             propagate(
                 graph,
@@ -301,105 +286,12 @@ def propagate_many(
                 origin_cities=req.origin_cities,
                 prepends=req.prepends,
                 suppressed=req.suppressed,
-                fast=fast,
             )
             for req in normalized
         ]
 
 
-# --- scalar lane --------------------------------------------------------
-
-
-def _propagate_scalar(table: RoutingTable) -> None:
-    """Fill ``table._routes`` with the reference heap/dict construction."""
-    graph = table.graph
-    origin = table.origin
-    prepends = table.prepends
-    routes = table._routes
-    routes[origin] = Route(path=(origin,), pref=RoutePref.ORIGIN, advertised_length=0)
-
-    def origin_allowed(neighbor: int) -> bool:
-        return table._origin_export_allowed(graph.link(origin, neighbor))
-
-    def origin_extra(neighbor: int) -> int:
-        return int(prepends.get(neighbor, 0))
-
-    # --- Phase 1: customer routes, origin upward through providers. -----
-    heap: List[Tuple[int, int, int, Route]] = []
-
-    def push_to_providers(asn: int, route: Route) -> None:
-        for provider in graph.providers(asn):
-            if provider in route.path:
-                continue
-            if asn == origin and not origin_allowed(provider):
-                continue
-            extra = origin_extra(provider) if asn == origin else 0
-            offered = route.extended_to(provider, RoutePref.CUSTOMER, extra)
-            heapq.heappush(
-                heap, (offered.advertised_length, asn, provider, offered)
-            )
-
-    push_to_providers(origin, routes[origin])
-    while heap:
-        _, _, asn, offered = heapq.heappop(heap)
-        if asn in routes:
-            continue  # already holds an equal-or-better customer route
-        routes[asn] = offered
-        push_to_providers(asn, offered)
-
-    # --- Phase 2: one round of peer routes. ------------------------------
-    phase1_holders = list(routes)
-    peer_offers: Dict[int, Route] = {}
-    for asn in phase1_holders:
-        route = routes[asn]
-        for peer in graph.peers(asn):
-            if peer in routes or peer in route.path:
-                continue
-            if asn == origin and not origin_allowed(peer):
-                continue
-            extra = origin_extra(peer) if asn == origin else 0
-            offered = route.extended_to(peer, RoutePref.PEER, extra)
-            incumbent = peer_offers.get(peer)
-            if incumbent is None or _offer_key(offered) < _offer_key(incumbent):
-                peer_offers[peer] = offered
-    routes.update(peer_offers)
-
-    # --- Phase 3: provider routes, downward through customers. ----------
-    # Dijkstra over customer edges, seeded by every AS that already holds
-    # a route.  Only routeless ASes adopt provider routes (lower pref than
-    # anything assigned in phases 1-2), and they re-export downward.
-    frontier: List[Tuple[int, int, int, Route]] = []
-    for asn, route in list(routes.items()):
-        for customer in graph.customers(asn):
-            if customer in routes or customer in route.path:
-                continue
-            if asn == origin and not origin_allowed(customer):
-                continue
-            extra = origin_extra(customer) if asn == origin else 0
-            offered = route.extended_to(customer, RoutePref.PROVIDER, extra)
-            heapq.heappush(
-                frontier, (offered.advertised_length, asn, customer, offered)
-            )
-    while frontier:
-        _, _, asn, offered = heapq.heappop(frontier)
-        if asn in routes:
-            continue  # already adopted an equal-or-better offer
-        routes[asn] = offered
-        for customer in graph.customers(asn):
-            if customer in routes or customer in offered.path:
-                continue
-            nxt = offered.extended_to(customer, RoutePref.PROVIDER)
-            heapq.heappush(
-                frontier, (nxt.advertised_length, asn, customer, nxt)
-            )
-
-
-def _offer_key(route: Route) -> Tuple[int, int]:
-    """Ordering key among same-preference offers: shortest, lowest hop."""
-    return (route.advertised_length, route.next_hop)
-
-
-# --- fast lane ----------------------------------------------------------
+# --- CSR construction ---------------------------------------------------
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 
@@ -453,7 +345,7 @@ def propagate_state(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the three Gao-Rexford phases over CSR arrays alone.
 
-    This is the array core of the fast lane, usable without an
+    This is the array core of :func:`propagate`, usable without an
     :class:`~repro.topology.ASGraph` at all — e.g. by campaign workers
     that reconstruct the CSR view from shared memory.
 
@@ -592,7 +484,7 @@ def propagate_state(
     return parent, pref, adv
 
 
-def _propagate_fast(table: RoutingTable) -> None:
+def _propagate_csr(table: RoutingTable) -> None:
     """Fill ``table._routes`` via the array core + path reconstruction."""
     graph = table.graph
     origin = table.origin
@@ -627,7 +519,7 @@ def _routes_from_state(
     """Materialize :class:`Route` objects from the array state.
 
     Works over plain Python lists (per-element numpy scalar indexing is
-    the single biggest cost of the fast lane otherwise) and visits nodes
+    the single biggest cost of propagation otherwise) and visits nodes
     in ascending advertised length, so every node's parent path already
     exists when the node is reached — a winning offer is always one hop
     longer than its sender's own advertised length.
@@ -669,10 +561,10 @@ def _trusted_route(
 ) -> Route:
     """Build a :class:`Route` whose invariants hold by construction.
 
-    Skips the frozen-dataclass ``__init__``/``__post_init__`` — the fast
-    lane's parent forest already guarantees a loop-free path and an
-    advertised length no shorter than the hop count, and the scalar
-    lane's equality pin (``tests/test_lane_agreement.py``) would catch
+    Skips the frozen-dataclass ``__init__``/``__post_init__`` — the
+    parent forest already guarantees a loop-free path and an advertised
+    length no shorter than the hop count, and the equality pin against
+    the validated-route oracle in ``tests/bgp_oracle.py`` would catch
     any construction that breaks them.
     """
     route = _new(Route)

@@ -413,6 +413,6 @@ def run_scenario(
         from repro.core.configs import cdn_topology
         from repro.topology import build_internet
 
-        internet = build_internet(cdn_topology(seed), fast=True)
+        internet = build_internet(cdn_topology(seed))
     config = config or DynamicsConfig(seed=seed)
     return SCENARIOS[name](internet.graph, internet.provider_asn, seed, config)

@@ -8,7 +8,7 @@ the runner's zero-copy plane: the orchestrator exports the graph's CSR
 arrays once via ``CampaignRunner(shared_inputs=...)`` and each worker
 maps them by name instead of unpickling a topology per job.
 
-The study runs the array-level fast lane
+The study runs the array-level propagation core
 (:func:`~repro.bgp.propagation.propagate_state`) directly on the
 shared arrays — no ``ASGraph`` object is ever rebuilt in the worker.
 """
@@ -74,7 +74,7 @@ class PropagationSweepStudy:
                 if isinstance(topology, Mapping):
                     # Job specs carry JSON documents, not dataclasses.
                     topology = TopologyConfig(**topology)
-                internet = build_internet(topology, fast=True)
+                internet = build_internet(topology)
                 csr = internet.graph.csr()
             n = len(csr)
             if self.n_origins < 1:

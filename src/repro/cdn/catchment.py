@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.analysis import format_table
-from repro.geo import great_circle_km, great_circle_km_matrix
+from repro.geo import great_circle_km_matrix
 from repro.workloads import ClientPrefix
 from repro.cdn.deployment import CdnDeployment
 
@@ -93,39 +93,15 @@ class CatchmentMap:
         )
 
 
-def _catchment_geometry_scalar(
+def _catchment_geometry(
     deployment: CdnDeployment, reached, catchments
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-prefix (km-to-catchment, misdirected) via the original loops."""
-    kms: List[float] = []
-    misdirected: List[bool] = []
-    for prefix, catchment in zip(reached, catchments):
-        km = great_circle_km(prefix.city.location, catchment.city.location)
-        nearest = min(
-            deployment.front_ends,
-            key=lambda p: (
-                great_circle_km(prefix.city.location, p.city.location),
-                p.code,
-            ),
-        )
-        kms.append(km)
-        misdirected.append(nearest.code != catchment.code)
-    return np.asarray(kms), np.asarray(misdirected, dtype=bool)
-
-
-def _catchment_geometry_fast(
-    deployment: CdnDeployment, reached, catchments
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized geometry: two distance matrices replace the per-prefix
-    great-circle loops.
+    """Per-prefix (km-to-catchment, misdirected), from two distance
+    matrices.
 
     Front-ends are pre-sorted by code so ``argmin``'s first-minimum rule
-    reproduces the scalar ``min(key=(km, code))`` tie-break for exact
-    distance ties (co-located sites produce bitwise-equal rows).  The
-    numpy haversine agrees with the scalar one only to round-off, so
-    *near*-equidistant front-end pairs may in principle resolve
-    differently; the agreement tests assert identity on the study
-    topologies.
+    breaks exact distance ties (co-located sites produce bitwise-equal
+    rows) toward the lowest code.
     """
     client_points = [p.city.location for p in reached]
     front_ends = sorted(deployment.front_ends, key=lambda p: p.code)
@@ -157,22 +133,17 @@ def _catchment_geometry_fast(
 def catchment_map(
     deployment: CdnDeployment,
     prefixes: Sequence[ClientPrefix],
-    fast: bool = True,
 ) -> CatchmentMap:
     """Compute the catchment breakdown for a client population.
 
     Args:
         deployment: The anycast deployment under study.
-        fast: Vectorize the geometry (default).  ``fast=False`` runs the
-            original per-prefix great-circle loops; both lanes share the
-            per-prefix anycast path resolution and the aggregation, and
-            agree except for floating-point round-off in the distance
-            kernels (see :func:`_catchment_geometry_fast`).
+        prefixes: The client population.
     """
     if not prefixes:
         raise AnalysisError("no client prefixes")
-    # Path resolution walks the routing graph per prefix; it is shared
-    # by both lanes (the fast lane vectorizes only the geometry).
+    # Path resolution walks the routing graph per prefix; only the
+    # geometry below is vectorized.
     unreachable = 0.0
     total = 0.0
     reached: List[ClientPrefix] = []
@@ -191,8 +162,7 @@ def catchment_map(
     if not reached:
         raise AnalysisError("no prefix can reach the anycast prefix")
 
-    geometry = _catchment_geometry_fast if fast else _catchment_geometry_scalar
-    km_arr, misdirected_arr = geometry(deployment, reached, catchments)
+    km_arr, misdirected_arr = _catchment_geometry(deployment, reached, catchments)
 
     per_pop: Dict[str, List[Tuple[float, float, bool]]] = {}
     all_km: List[float] = []

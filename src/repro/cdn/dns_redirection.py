@@ -103,13 +103,13 @@ def _train_streaming(
 ) -> RedirectionPolicy:
     """Streaming lane: per-resolver pooling through quantile sketches.
 
-    Mirrors the scalar lane's concatenate-then-median pooling, but each
-    pool is folded into a :class:`repro.stream.CentroidSketch` instead
-    of a stored sample array — the shape a production trainer consuming
-    a beacon stream would take.  The sparse training pools here are far
-    below the centroid budget, so sketch medians equal exact medians to
+    Pools the same samples as the batch lane, but each pool is folded
+    into a :class:`repro.stream.CentroidSketch` instead of a stored
+    sample array — the shape a production trainer consuming a beacon
+    stream would take.  The sparse training pools here are far below
+    the centroid budget, so sketch medians equal exact medians to
     interpolation precision and the trained policies match the batch
-    lanes exactly (asserted by the lane-agreement tests).
+    lane exactly (asserted by the lane-agreement tests).
     """
     # Imported lazily to keep repro.cdn importable while repro.stream
     # is still initializing (the facade imports edgefabric helpers).
@@ -178,7 +178,6 @@ def train_redirection_policy(
     margin_ms: float = 1.0,
     max_train_samples: int = 8,
     ecs_resolvers: Optional[AbstractSet[str]] = None,
-    fast: bool = True,
     streaming: bool = False,
 ) -> RedirectionPolicy:
     """Train the per-LDNS policy on the first part of the campaign.
@@ -199,17 +198,11 @@ def train_redirection_policy(
             per-LDNS ones.  The paper's measured world has essentially
             none; passing the public-resolver ids answers "what would
             ECS adoption buy?" (Section 3.2.1's counterfactual).
-        fast: Pool samples through one aligned array and take block
-            medians (default).  ``fast=False`` runs the original
-            per-code concatenation loops.  Both lanes compute medians
-            over identical sample multisets, so the trained policies
-            are identical bit for bit — which the agreement tests
-            assert.
         streaming: Pool each resolver's samples through
             :class:`repro.stream.CentroidSketch` quantile sketches
-            instead of stored arrays (takes precedence over ``fast``).
-            Training pools are far below the centroid budget, so the
-            trained policy matches the batch lanes exactly.
+            instead of one aligned sample array.  Training pools are
+            far below the centroid budget, so the trained policy
+            matches the batch lane exactly.
 
     Raises:
         AnalysisError: if prefixes lack LDNS assignments.
@@ -239,104 +232,44 @@ def train_redirection_policy(
         )
     choices: Dict[str, str] = {}
     prefix_choices: Dict[str, str] = {}
-    if fast:
-        codes, col_of, aligned = _aligned_training_rtts(dataset, sample_idx)
-        any_train = dataset.anycast_rtt[:, sample_idx]
-        with warnings.catch_warnings():
-            # All-NaN columns (a front-end no member can reach) are the
-            # "code skipped" case of the scalar lane, not an anomaly.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for ldns, members in by_ldns.items():
-                # Pooling all members' samples per code is one block
-                # median; a median depends only on the sample multiset,
-                # so this matches the scalar concatenation exactly.
-                pooled = aligned[members].reshape(-1, len(codes))
-                medians = np.nanmedian(pooled, axis=0)
-                # The scalar lane only considers the first member's code
-                # list (a deliberate LDNS-granularity artefact).
-                medians[col_of[members[0]] < 0] = np.nan
-                anycast_median = float(np.median(any_train[members]))
-                if np.isnan(medians).all():
-                    choices[ldns] = ANYCAST
-                    continue
-                # `codes` is sorted, so nanargmin's first-minimum rule is
-                # the scalar min(key=(median, code)) tie-break.
-                best = int(np.nanargmin(medians))
-                if float(medians[best]) + margin_ms < anycast_median:
-                    choices[ldns] = codes[best]
-                else:
-                    choices[ldns] = ANYCAST
-            if ecs_resolvers:
-                for ldns, members in by_ldns.items():
-                    if ldns not in ecs_resolvers:
-                        continue
-                    member_medians = np.nanmedian(aligned[members], axis=1)
-                    anycast_medians = np.median(any_train[members], axis=1)
-                    for row, m in enumerate(members):
-                        medians = member_medians[row]
-                        if np.isnan(medians).all():
-                            continue
-                        best = int(np.nanargmin(medians))
-                        if float(medians[best]) + margin_ms < float(
-                            anycast_medians[row]
-                        ):
-                            prefix_choices[dataset.prefixes[m].pid] = codes[best]
-        return RedirectionPolicy(
-            choices=choices, margin_ms=margin_ms, prefix_choices=prefix_choices
-        )
-
-    for ldns, members in by_ldns.items():
-        # Pool the resolver's clients: median anycast RTT and median RTT
-        # per front-end over the sampled training measurements of all
-        # members.
-        any_samples = dataset.anycast_rtt[members][:, sample_idx].ravel()
-        anycast_median = float(np.median(any_samples))
-        fe_medians: Dict[str, float] = {}
-        all_codes = dataset.fe_codes[members[0]]
-        for code in all_codes:
-            samples = []
-            for m in members:
-                col = dataset.column_of(m, code)
-                if col is None:
-                    continue
-                s = dataset.unicast_rtt[m, sample_idx, col]
-                s = s[~np.isnan(s)]
-                if s.size:
-                    samples.append(s)
-            if samples:
-                fe_medians[code] = float(np.median(np.concatenate(samples)))
-        if not fe_medians:
-            choices[ldns] = ANYCAST
-            continue
-        best_code = min(fe_medians, key=lambda c: (fe_medians[c], c))
-        if fe_medians[best_code] + margin_ms < anycast_median:
-            choices[ldns] = best_code
-        else:
-            choices[ldns] = ANYCAST
-
-    # ECS-capable resolvers: decide per client prefix, not per pool.
-    if ecs_resolvers:
+    codes, col_of, aligned = _aligned_training_rtts(dataset, sample_idx)
+    any_train = dataset.anycast_rtt[:, sample_idx]
+    with warnings.catch_warnings():
+        # All-NaN columns (a front-end no member can reach) are
+        # expected: such codes are skipped, not an anomaly.
+        warnings.simplefilter("ignore", RuntimeWarning)
         for ldns, members in by_ldns.items():
-            if ldns not in ecs_resolvers:
+            # Pooling all members' samples per code is one block
+            # median.
+            pooled = aligned[members].reshape(-1, len(codes))
+            medians = np.nanmedian(pooled, axis=0)
+            # Only the first member's code list counts (a deliberate
+            # LDNS-granularity artefact).
+            medians[col_of[members[0]] < 0] = np.nan
+            anycast_median = float(np.median(any_train[members]))
+            if np.isnan(medians).all():
+                choices[ldns] = ANYCAST
                 continue
-            for m in members:
-                anycast_median = float(
-                    np.median(dataset.anycast_rtt[m, sample_idx])
-                )
-                fe_medians = {}
-                for code in dataset.fe_codes[m]:
-                    col = dataset.column_of(m, code)
-                    if col is None:
-                        continue
-                    samples = dataset.unicast_rtt[m, sample_idx, col]
-                    samples = samples[~np.isnan(samples)]
-                    if samples.size:
-                        fe_medians[code] = float(np.median(samples))
-                if not fe_medians:
+            # `codes` is sorted, so nanargmin's first-minimum rule
+            # breaks median ties toward the lowest code.
+            best = int(np.nanargmin(medians))
+            if float(medians[best]) + margin_ms < anycast_median:
+                choices[ldns] = codes[best]
+            else:
+                choices[ldns] = ANYCAST
+        if ecs_resolvers:
+            for ldns, members in by_ldns.items():
+                if ldns not in ecs_resolvers:
                     continue
-                best_code = min(fe_medians, key=lambda c: (fe_medians[c], c))
-                if fe_medians[best_code] + margin_ms < anycast_median:
-                    prefix_choices[dataset.prefixes[m].pid] = best_code
+                member_medians = np.nanmedian(aligned[members], axis=1)
+                anycast_medians = np.median(any_train[members], axis=1)
+                for row, m in enumerate(members):
+                    medians = member_medians[row]
+                    if np.isnan(medians).all():
+                        continue
+                    best = int(np.nanargmin(medians))
+                    if float(medians[best]) + margin_ms < float(anycast_medians[row]):
+                        prefix_choices[dataset.prefixes[m].pid] = codes[best]
     return RedirectionPolicy(
         choices=choices, margin_ms=margin_ms, prefix_choices=prefix_choices
     )

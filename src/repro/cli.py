@@ -43,6 +43,7 @@ import time
 from typing import Callable, Dict
 
 from repro.analysis import format_table, text_choropleth
+from repro.errors import ReproError
 from repro.geo import COUNTRY_REGIONS
 
 # Pinned name (not __name__): running as ``python -m repro.cli`` makes
@@ -758,15 +759,10 @@ def cmd_trace_flame(args) -> None:
 
 def cmd_trace_critical(args) -> None:
     """Critical path, worker busy/idle, and platform split of a campaign."""
-    from repro.errors import ObsError
     from repro.obs import build_forest, critical_path, load_events
 
     forest = build_forest(load_events(args.file))
-    try:
-        report = critical_path(forest, anchor=args.anchor)
-    except ObsError as exc:
-        raise SystemExit(f"trace critical: {exc}")
-    print(report.render())
+    print(critical_path(forest, anchor=args.anchor).render())
 
 
 #: Names accepted by ``repro-bgp scenario --name`` (kept literal so the
@@ -784,7 +780,7 @@ def cmd_scenario(args) -> None:
     from repro.core import cdn_topology
     from repro.topology import build_internet
 
-    internet = build_internet(cdn_topology(args.seed), fast=True)
+    internet = build_internet(cdn_topology(args.seed))
     config = DynamicsConfig(seed=args.seed, mrai_s=args.mrai_s)
     result = run_scenario(
         args.name, seed=args.seed, config=config, internet=internet
@@ -888,7 +884,6 @@ def cmd_lint(args) -> None:
     from pathlib import Path
 
     from repro.lint import (
-        BaselineError,
         lint_paths,
         load_baseline,
         render_json,
@@ -921,10 +916,7 @@ def cmd_lint(args) -> None:
         return
     baseline = set()
     if baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            raise SystemExit(f"lint: {exc}")
+        baseline = load_baseline(baseline_path)
     elif args.baseline:
         raise SystemExit(f"lint: baseline {baseline_path} does not exist")
     fresh, grandfathered = split_baselined(findings, baseline)
@@ -1415,7 +1407,19 @@ def _write_trace(args, captured, wall_s: float) -> None:
     )
 
 
+def _command_label(args) -> str:
+    """The subcommand as typed, e.g. ``"trace critical"``."""
+    words = (args.command, getattr(args, "trace_command", None))
+    return " ".join(word for word in words if word)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; library failures exit 1 with a one-line message.
+
+    Any :class:`~repro.errors.ReproError` becomes ``<subcommand>:
+    <message>`` on stderr.  Degraded campaigns exit 3 and a closed
+    stdout pipe exits 141.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):
@@ -1439,6 +1443,8 @@ def main(argv=None) -> int:
             if captured is not None:
                 _write_trace(args, captured, time.perf_counter() - start)
         return 0
+    except ReproError as exc:
+        raise SystemExit(f"{_command_label(args)}: {exc}") from exc
     except BrokenPipeError:
         # Piping long output (e.g. `trace summarize ... | head`) closes
         # stdout early; swap in devnull so the interpreter's exit flush

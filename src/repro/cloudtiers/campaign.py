@@ -93,26 +93,22 @@ class TierDataset:
 def run_campaign(
     platform: SpeedcheckerPlatform,
     config: Optional[CampaignConfig] = None,
-    fast: bool = True,
     streaming: bool = False,
 ) -> TierDataset:
     """Run the tier-comparison campaign through the platform API.
 
+    Each VP-day's pings go out as one
+    :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
+    and their per-round medians come from one array reduction.
+
     Args:
-        fast: Issue each VP-day's pings as one
-            :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
-            and aggregate medians with one array reduction (default).
-            ``fast=False`` issues per-round :meth:`ping` calls.  The
-            burst consumes the same noise-stream positions, so the two
-            lanes produce bit-identical datasets — which the agreement
-            tests assert.
         streaming: Aggregate each VP-day's per-round medians through a
             :class:`repro.stream.CentroidSketch` instead of a stored
-            list (composes with ``fast``; the per-round medians are the
-            measurement device and stay as they are).  A day has
-            ``rounds_per_day`` rounds — far below the centroid budget —
-            so the day medians match the batch aggregation to
-            interpolation precision, which the agreement tests assert.
+            list (the per-round medians are the measurement device and
+            stay as they are).  A day has ``rounds_per_day`` rounds —
+            far below the centroid budget — so the day medians match
+            the batch aggregation to interpolation precision, which the
+            agreement tests assert.
     """
     cfg = config or CampaignConfig()
     deployment = platform.deployment
@@ -154,19 +150,11 @@ def run_campaign(
                     tr = platform.traceroute(vp, tier, float(round_times[0]))
                     if tr is not None:
                         traceroutes[(vp.vp_id, tier)] = tr
-                if fast:
-                    burst = platform.ping_burst(
-                        vp, tier, round_times, count=cfg.pings_per_round
-                    )
-                    if burst is not None:
-                        medians[tier] = list(np.median(burst, axis=1))
-                else:
-                    for t in round_times:
-                        result = platform.ping(
-                            vp, tier, float(t), count=cfg.pings_per_round
-                        )
-                        if result is not None:
-                            medians[tier].append(result.median_ms)
+                burst = platform.ping_burst(
+                    vp, tier, round_times, count=cfg.pings_per_round
+                )
+                if burst is not None:
+                    medians[tier] = list(np.median(burst, axis=1))
             if not medians[Tier.PREMIUM] or not medians[Tier.STANDARD]:
                 continue
             vps[vp.vp_id] = vp

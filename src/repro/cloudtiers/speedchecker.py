@@ -284,14 +284,13 @@ class SpeedcheckerPlatform:
     ) -> Optional[np.ndarray]:
         """Many ping rounds in one call: RTTs of shape ``(rounds, count)``.
 
-        The batched form of :meth:`ping` used by the campaign's fast
-        lane.  Credits for the whole burst are debited up front; the
-        noise draw consumes exactly the stream positions the equivalent
-        sequence of per-round :meth:`ping` calls would (one contiguous
-        block in round order), so every sample is bit-identical to the
-        scalar lane's.  Returns ``None`` if the VP has no route to the
-        VM — credits are spent, and no noise is drawn, matching the
-        per-round behaviour.
+        The batched form of :meth:`ping` used by the campaign.  Credits
+        for the whole burst are debited up front; the noise draw
+        consumes exactly the stream positions the equivalent sequence of
+        per-round :meth:`ping` calls would (one contiguous block in round
+        order), so every sample is bit-identical to theirs.  Returns
+        ``None`` if the VP has no route to the VM — credits are spent,
+        and no noise is drawn, matching the per-round behaviour.
         """
         if count < 1:
             raise MeasurementError("ping count must be >= 1")

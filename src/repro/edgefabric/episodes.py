@@ -12,7 +12,7 @@ episodes against improvement opportunities episode by episode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,42 +67,14 @@ class EpisodeStudyResult:
     threshold_ms: float
 
 
-def _runs(mask: np.ndarray, excess: np.ndarray, pair_index: int) -> List[Episode]:
-    episodes = []
-    start: Optional[int] = None
-    for w, active in enumerate(mask):
-        if active and start is None:
-            start = w
-        elif not active and start is not None:
-            episodes.append(
-                Episode(
-                    pair_index=pair_index,
-                    start=start,
-                    length=w - start,
-                    peak_ms=float(np.nanmax(excess[start:w])),
-                )
-            )
-            start = None
-    if start is not None:
-        episodes.append(
-            Episode(
-                pair_index=pair_index,
-                start=start,
-                length=mask.size - start,
-                peak_ms=float(np.nanmax(excess[start:])),
-            )
-        )
-    return episodes
-
-
 def _runs_batch(masks: np.ndarray, excess: np.ndarray) -> List[Episode]:
-    """All pairs' runs in one pass — the vectorized form of :func:`_runs`.
+    """Every row's maximal runs of ``True``, with each run's peak excess.
 
     Rows are flattened with a guard column of ``False`` between them so
     no run can straddle a row boundary; run starts/ends fall out of one
     ``diff`` over the flat mask, and per-run peaks out of one
-    ``maximum.reduceat``.  Episode order (row-major, then by start) and
-    every field are bit-identical to looping :func:`_runs` per row.
+    ``maximum.reduceat``.  Episodes come out row-major, then by start;
+    ``pair_index`` is the row.
     """
     n_pairs, n_windows = masks.shape
     guard = np.zeros((n_pairs, 1), dtype=bool)
@@ -134,7 +106,7 @@ def _runs_batch(masks: np.ndarray, excess: np.ndarray) -> List[Episode]:
 
 
 def extract_episodes(
-    dataset: EgressDataset, threshold_ms: float = 5.0, fast: bool = True
+    dataset: EgressDataset, threshold_ms: float = 5.0
 ) -> EpisodeStudyResult:
     """Extract degradation and opportunity episodes from a dataset.
 
@@ -145,10 +117,6 @@ def extract_episodes(
     Args:
         dataset: The windowed measurement dataset.
         threshold_ms: Excess threshold defining an episode.
-        fast: Use the vectorized run extraction (default); ``fast=False``
-            runs the original per-pair scan.  Outputs are bit-identical
-            — episode extraction is deterministic — which the agreement
-            tests assert.
     """
     if threshold_ms <= 0:
         raise AnalysisError("threshold must be positive")
@@ -167,75 +135,51 @@ def extract_episodes(
     opportunity_windows = 0
     total_windows = 0
     escapes = 0
-    if fast:
-        valid = ~np.isnan(bgp)
-        eligible = valid.sum(axis=1) >= 8
-        if eligible.any():
-            sub = np.flatnonzero(eligible)
-            series = bgp[sub]
-            sub_valid = valid[sub]
-            with np.errstate(invalid="ignore", all="ignore"):
-                baseline = np.nanmedian(series, axis=1)
-            excess = series - baseline[:, None]
-            degraded = sub_valid & (excess > threshold_ms)
-            improvement = series - best_alt[sub]
-            opportunity = (
-                sub_valid
-                & ~np.isnan(best_alt[sub])
-                & (improvement > threshold_ms)
-            )
-            total_windows = int(sub_valid.sum())
-            degraded_windows = int(degraded.sum())
-            opportunity_windows = int(opportunity.sum())
-            remap = {local: int(orig) for local, orig in enumerate(sub)}
+    valid = ~np.isnan(bgp)
+    eligible = valid.sum(axis=1) >= 8
+    if eligible.any():
+        sub = np.flatnonzero(eligible)
+        series = bgp[sub]
+        sub_valid = valid[sub]
+        with np.errstate(invalid="ignore", all="ignore"):
+            baseline = np.nanmedian(series, axis=1)
+        excess = series - baseline[:, None]
+        degraded = sub_valid & (excess > threshold_ms)
+        improvement = series - best_alt[sub]
+        opportunity = (
+            sub_valid & ~np.isnan(best_alt[sub]) & (improvement > threshold_ms)
+        )
+        total_windows = int(sub_valid.sum())
+        degraded_windows = int(degraded.sum())
+        opportunity_windows = int(opportunity.sum())
+        remap = {local: int(orig) for local, orig in enumerate(sub)}
 
-            def renumber(eps: List[Episode]) -> List[Episode]:
-                return [
-                    Episode(
-                        pair_index=remap[e.pair_index],
-                        start=e.start,
-                        length=e.length,
-                        peak_ms=e.peak_ms,
-                    )
-                    for e in eps
-                ]
+        def renumber(eps: List[Episode]) -> List[Episode]:
+            return [
+                Episode(
+                    pair_index=remap[e.pair_index],
+                    start=e.start,
+                    length=e.length,
+                    peak_ms=e.peak_ms,
+                )
+                for e in eps
+            ]
 
-            degradations = renumber(_runs_batch(degraded, excess))
-            opportunities = renumber(_runs_batch(opportunity, improvement))
-            # Escape test per degradation episode: fraction of its windows
-            # offering an alternate-route improvement, via one cumsum.
-            guard = np.zeros((opportunity.shape[0], 1), dtype=bool)
-            flat_opp = np.concatenate([opportunity, guard], axis=1).ravel()
-            cum = np.concatenate([[0], np.cumsum(flat_opp)])
-            width = opportunity.shape[1] + 1
-            inverse = {orig: local for local, orig in remap.items()}
-            for episode in degradations:
-                row = inverse[episode.pair_index]
-                lo = row * width + episode.start
-                hi = lo + episode.length
-                if (cum[hi] - cum[lo]) / episode.length >= 0.5:
-                    escapes += 1
-    else:
-        for i in range(dataset.n_pairs):
-            series = bgp[i]
-            valid = ~np.isnan(series)
-            if valid.sum() < 8:
-                continue
-            baseline = float(np.nanmedian(series))
-            excess = series - baseline
-            degraded = valid & (excess > threshold_ms)
-            improvement = series - best_alt[i]
-            opportunity = valid & ~np.isnan(best_alt[i]) & (improvement > threshold_ms)
-            total_windows += int(valid.sum())
-            degraded_windows += int(degraded.sum())
-            opportunity_windows += int(opportunity.sum())
-            pair_degradations = _runs(degraded, excess, i)
-            degradations.extend(pair_degradations)
-            opportunities.extend(_runs(opportunity, improvement, i))
-            for episode in pair_degradations:
-                window = slice(episode.start, episode.start + episode.length)
-                if opportunity[window].mean() >= 0.5:
-                    escapes += 1
+        degradations = renumber(_runs_batch(degraded, excess))
+        opportunities = renumber(_runs_batch(opportunity, improvement))
+        # Escape test per degradation episode: fraction of its windows
+        # offering an alternate-route improvement, via one cumsum.
+        guard = np.zeros((opportunity.shape[0], 1), dtype=bool)
+        flat_opp = np.concatenate([opportunity, guard], axis=1).ravel()
+        cum = np.concatenate([[0], np.cumsum(flat_opp)])
+        width = opportunity.shape[1] + 1
+        inverse = {orig: local for local, orig in remap.items()}
+        for episode in degradations:
+            row = inverse[episode.pair_index]
+            lo = row * width + episode.start
+            hi = lo + episode.length
+            if (cum[hi] - cum[lo]) / episode.length >= 0.5:
+                escapes += 1
     if total_windows == 0:
         raise AnalysisError("no pair has enough valid windows")
 

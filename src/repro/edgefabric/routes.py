@@ -127,16 +127,14 @@ def egress_routes_at_pop(
 
 
 def tables_for_destinations(
-    internet: Internet, asns: List[int], fast: bool = True
+    internet: Internet, asns: List[int]
 ) -> Dict[int, RoutingTable]:
     """Propagate one routing table per destination AS, deduplicated.
 
     All tables are computed in one :func:`~repro.bgp.propagate_many`
-    batch over the graph's cached CSR adjacency; ``fast=False`` selects
-    the scalar reference lane (the tables are identical either way —
-    see ``tests/test_lane_agreement.py``).
+    batch over the graph's cached CSR adjacency.
     """
     from repro.bgp import propagate_many
 
     unique = list(dict.fromkeys(asns))
-    return dict(zip(unique, propagate_many(internet.graph, unique, fast=fast)))
+    return dict(zip(unique, propagate_many(internet.graph, unique)))

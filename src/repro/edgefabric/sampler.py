@@ -31,7 +31,6 @@ from repro.faults.domain import ProbeLoss
 from repro.obs.trace import gauge, traced
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.netmodel.rtt import (
-    median_min_rtt,
     median_min_rtt_ci_halfwidth,
     sampled_median_matrix,
 )
@@ -234,47 +233,6 @@ def plan_measurement(
     return MeasurementPlan(pairs=tuple(pairs), prefixes=tuple(kept_prefixes))
 
 
-def _synthesize_scalar(
-    plan: MeasurementPlan,
-    times: np.ndarray,
-    sessions: np.ndarray,
-    cfg: MeasurementConfig,
-    rng: np.random.Generator,
-    congestion: CongestionModel,
-    dest_congestion: CongestionModel,
-    medians: np.ndarray,
-    ci_half: np.ndarray,
-) -> None:
-    """Reference lane: the original per-pair, per-route Python loop.
-
-    Takes the full plan like its siblings (PAR001: the dispatcher
-    forwards one argument tuple to whichever lane is selected, so the
-    shared signature prefix must agree across lanes).
-    """
-    pairs = plan.pairs
-    lo, hi = cfg.last_mile_ms_range
-    for i, pair in enumerate(pairs):
-        prefix = pair.prefix
-        last_mile = float(rng.uniform(lo, hi))
-        shared = dest_congestion.shared_delay(
-            f"dest:{prefix.pid}", prefix.city.location.lon, times
-        )
-        n = sessions[i]
-        sd = cfg.min_rtt_noise_ms / np.sqrt(n)
-        # Vectorized form of median_min_rtt_ci_halfwidth over the window
-        # axis: z * scale / sqrt(n).
-        halfwidth = median_min_rtt_ci_halfwidth(cfg.min_rtt_noise_ms, 1) / np.sqrt(n)
-        for j, route in enumerate(pair.routes):
-            base = 2.0 * route.base_one_way_ms + last_mile
-            specific = congestion.link_delay(route.link_key, times)
-            specific = specific + congestion.link_delay(route.interior_key, times)
-            floor = base + shared + specific
-            medians[i, :, j] = median_min_rtt(
-                floor, cfg.min_rtt_noise_ms
-            ) + rng.normal(0.0, sd)
-            ci_half[i, :, j] = halfwidth
-
-
 def _ci_half_grid(
     pair_of: np.ndarray,
     route_of: np.ndarray,
@@ -285,10 +243,9 @@ def _ci_half_grid(
     """Fill the CI half-width tensor; returns ``sqrt(sessions)``.
 
     CI half-widths are constant across a pair's routes, so a masked
-    broadcast replaces a per-route scatter.  Same expression as the
-    scalar lane (bit-identical): z·scale / sqrt(n), NaN where no route.
-    Shared by the fast and streaming lanes so their CI planes cannot
-    drift apart.
+    broadcast replaces a per-route scatter: z·scale / sqrt(n), NaN
+    where no route.  Shared by the batch and streaming lanes so their CI
+    planes cannot drift apart.
     """
     n_pairs, _, k = ci_half.shape
     root_n = np.sqrt(sessions)
@@ -316,11 +273,11 @@ def _synthesize_streaming(
     Draws every individual session MinRTT (floor + exponential
     residual) and aggregates window medians incrementally with
     :class:`repro.stream.SessionIngestor` — O(windows) state instead of
-    the batch lanes' O(pairs × windows × routes) analytic draw.  Window
+    the batch lane's O(pairs × windows × routes) analytic draw.  Window
     medians are *sketch estimates* of the session median; they agree
-    with the batch lanes statistically (see ``docs/streaming.md`` for
+    with the batch lane statistically (see ``docs/streaming.md`` for
     the tolerance), not bit-for-bit.  CI half-widths reuse the batch
-    lanes' analytic expression bit-identically.
+    lane's analytic expression bit-identically.
     """
     # Imported lazily: repro.stream imports this module for the session
     # synthesizer, so a top-level import would be circular.
@@ -364,15 +321,12 @@ def _synthesize_fast(
     medians: np.ndarray,
     ci_half: np.ndarray,
 ) -> None:
-    """Vectorized lane: one batched kernel call per latency term.
+    """Batch lane: one batched kernel call per latency term.
 
-    Same latency decomposition and the same analytic MinRTT
-    approximation as the scalar lane (via
-    :func:`repro.netmodel.rtt.sampled_median_matrix`), but all pairs and
-    routes at once.  The noise stream is drawn in a different order than
-    the scalar lane's interleaved per-pair draws, so individual cells
-    differ; the distributions are identical, which the agreement tests
-    pin down at the statistic level.
+    Each cell's floor is base RTT + last mile + destination-shared and
+    route-specific congestion, and its median comes from the analytic
+    MinRTT approximation (:func:`repro.netmodel.rtt.sampled_median_matrix`)
+    for all pairs and routes at once.
     """
     pairs = plan.pairs
     lo, hi = cfg.last_mile_ms_range
@@ -415,7 +369,6 @@ def _synthesize_fast(
 def synthesize_dataset(
     plan: MeasurementPlan,
     config: Optional[MeasurementConfig] = None,
-    fast: bool = True,
     congestion: Optional[CongestionModel] = None,
     dest_congestion: Optional[CongestionModel] = None,
     streaming: bool = False,
@@ -428,9 +381,6 @@ def synthesize_dataset(
         plan: Output of :func:`plan_measurement`.
         config: Campaign parameters (must match the planning config where
             they overlap, e.g. ``max_routes``).
-        fast: Use the vectorized lane (default).  ``fast=False`` runs
-            the original scalar loop — statistically identical output,
-            kept as the reference implementation and escape hatch.
         congestion: Optional pre-built route-specific congestion model.
             Passing a model reuses its event cache across synthesis
             calls (parameter sweeps, lane comparisons); it must have
@@ -439,10 +389,10 @@ def synthesize_dataset(
         dest_congestion: Same, for the destination-side model.
         streaming: Synthesize per-session MinRTTs and aggregate the
             window medians through :mod:`repro.stream` quantile
-            sketches instead of the batch lanes' analytic draw.  Takes
-            precedence over ``fast``.  Medians agree with the batch
-            lanes within the sketch tolerance (``docs/streaming.md``);
-            CI half-widths stay bit-identical.
+            sketches instead of the batch lane's analytic draw.
+            Medians agree with the batch lane within the sketch
+            tolerance (``docs/streaming.md``); CI half-widths stay
+            bit-identical.
         ingest_config: Optional :class:`repro.stream.IngestConfig` for
             the streaming lane (sketch kind, centroid budget); its
             window width must match the measurement window.
@@ -463,7 +413,7 @@ def synthesize_dataset(
         congestion = CongestionModel(cfg.seed, cfg.congestion_config())
     if dest_congestion is None:
         dest_congestion = CongestionModel(cfg.seed, cfg.dest_congestion_config())
-    lane_name = "streaming" if streaming else ("fast" if fast else "scalar")
+    lane_name = "streaming" if streaming else "batch"
     logger.info(
         "synthesizing %d pairs over %d windows (%s lane)",
         len(pairs),
@@ -500,8 +450,7 @@ def synthesize_dataset(
             chunk_windows,
         )
     else:
-        lane = _synthesize_fast if fast else _synthesize_scalar
-        lane(
+        _synthesize_fast(
             plan,
             times,
             sessions,
@@ -515,8 +464,8 @@ def synthesize_dataset(
 
     if cfg.probe_loss is not None:
         # Post-lane so losses only blank cells: the measurement streams
-        # under every surviving cell are untouched, keeping the two
-        # lanes (and loss-free runs) bit-identical where data survives.
+        # under every surviving cell are untouched, keeping loss-free
+        # runs bit-identical where data survives.
         lost = cfg.probe_loss.lost_mask(
             [f"{p.pop_code}:{p.prefix.pid}" for p in pairs], n_windows, k
         )
@@ -539,19 +488,18 @@ def run_measurement(
     internet: Internet,
     prefixes: Sequence[ClientPrefix],
     config: Optional[MeasurementConfig] = None,
-    fast: bool = True,
     streaming: bool = False,
 ) -> EgressDataset:
     """Run the spray-and-measure campaign over a client population.
 
-    Composes :func:`plan_measurement` (route discovery, shared by all
+    Composes :func:`plan_measurement` (route discovery, shared by both
     lanes) with :func:`synthesize_dataset` (windowed-median synthesis,
-    vectorized by default; ``fast=False`` for the scalar reference
-    lane, ``streaming=True`` for per-session sketch aggregation).
+    batched by default; ``streaming=True`` for per-session sketch
+    aggregation).
 
     Returns:
         The windowed :class:`EgressDataset`.
     """
     cfg = config or MeasurementConfig()
     plan = plan_measurement(internet, prefixes, cfg)
-    return synthesize_dataset(plan, cfg, fast=fast, streaming=streaming)
+    return synthesize_dataset(plan, cfg, streaming=streaming)

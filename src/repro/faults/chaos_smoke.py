@@ -131,8 +131,7 @@ def _shm_arrays() -> Mapping[str, "np.ndarray"]:
     campaign fingerprint across all three.
     """
     internet = build_internet(
-        TopologyConfig(seed=7, n_tier1=4, n_transit=16, n_eyeball=48),
-        fast=True,
+        TopologyConfig(seed=7, n_tier1=4, n_transit=16, n_eyeball=48)
     )
     return propagation_shared_inputs(internet.graph)
 

@@ -70,8 +70,8 @@ def great_circle_km_matrix(
     """All pairwise great-circle distances, shape ``(len(a), len(b))``.
 
     The vectorized counterpart of :func:`great_circle_km` — same
-    haversine formula, same antipodal clamp — used by the fast analysis
-    lanes to replace per-pair Python loops.  Entries agree with the
+    haversine formula, same antipodal clamp — used by the batched
+    analyses to replace per-pair Python loops.  Entries agree with the
     scalar function to floating-point round-off (numpy trig vs
     ``math``); ties between nearly-equidistant points should therefore
     be broken by an explicit secondary key, never by raw equality.

@@ -1,8 +1,8 @@
 """repro.lint — AST-based invariant checker for the reproduction.
 
 The repo's headline claims rest on contracts tests can only
-spot-check: seeded RNGs threaded explicitly, fast/scalar lanes that
-agree, resume ≡ uninterrupted, crashes only where injected.  This
+spot-check: seeded RNGs threaded explicitly, batch/streaming lanes
+that agree, resume ≡ uninterrupted, crashes only where injected.  This
 package enforces them at the source level, the way large measurement
 platforms (Edge Fabric, Odin) encode operational rules as custom
 configuration checkers rather than after-the-fact audits:
@@ -12,10 +12,10 @@ configuration checkers rather than after-the-fact audits:
 * :mod:`repro.lint.rules` — the rule framework: file contexts,
   alias-aware import resolution, per-line suppression.
 * :mod:`repro.lint.checks` — the shipped rules: RNG discipline
-  (RNG001/RNG002), wall-clock purity (TIME001), lane-parity coverage
-  (LANE001), crash-call containment (CRASH001), exception taxonomy
-  (EXC001), serialization safety (SER001), static telemetry names
-  (OBS001), plus the whole-program graph rules: seed taint (DET001),
+  (RNG001/RNG002), wall-clock purity (TIME001), streaming lane-parity
+  coverage (LANE002), crash-call containment (CRASH001), exception
+  taxonomy (EXC001), serialization safety (SER001), static telemetry
+  names (OBS001), plus the whole-program graph rules: seed taint (DET001),
   worker purity (FORK001), shm discipline (SHM001), and lane-signature
   drift (PAR001).
 * :mod:`repro.lint.graph` — the repo-wide symbol table and call graph

@@ -15,7 +15,7 @@ from typing import List
 
 from repro.lint.checks.crashcalls import CrashCallRule
 from repro.lint.checks.exceptions import SwallowedExceptionRule
-from repro.lint.checks.laneparity import LaneParityRule, StreamingLaneRule
+from repro.lint.checks.laneparity import StreamingLaneRule
 from repro.lint.checks.lanesignature import LaneSignatureRule
 from repro.lint.checks.rng import FreshGeneratorRule, LegacyRandomRule
 from repro.lint.checks.seedtaint import SeedTaintRule
@@ -33,7 +33,6 @@ ALL_RULE_CLASSES = (
     LegacyRandomRule,
     FreshGeneratorRule,
     WallClockRule,
-    LaneParityRule,
     StreamingLaneRule,
     LaneSignatureRule,
     CrashCallRule,
@@ -53,7 +52,6 @@ __all__ = [
     "ALL_RULE_CLASSES",
     "CrashCallRule",
     "FreshGeneratorRule",
-    "LaneParityRule",
     "LaneSignatureRule",
     "LegacyRandomRule",
     "PayloadFieldRule",

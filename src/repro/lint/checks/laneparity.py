@@ -1,17 +1,12 @@
-"""LANE001/LANE002 — every public lane entry point has a parity test.
+"""LANE002 — every public streaming lane entry point has a parity test.
 
-The vectorized fast lanes (PR 3) are only trustworthy because each one
-ships with a scalar reference lane and a test pinning their agreement
-— bit-identical or within a documented tolerance.  LANE001 closes the
-loop structurally: any public function exposing a ``fast=`` parameter
-must be referenced by name in the lane-agreement suite, so a new fast
-lane cannot merge without its parity contract.
-
-LANE002 extends the same discipline to the streaming measurement plane
-(:mod:`repro.stream`): any public function exposing a ``streaming=``
-parameter — a sketch-backed lane whose medians are *estimates* — must
-also be referenced from the lane-agreement suite, which bounds the
-sketch-vs-exact error.
+The streaming measurement plane (:mod:`repro.stream`) gives several
+pipelines a ``streaming=`` lane whose medians are sketch *estimates*
+of the batch lane's.  Those lanes are only trustworthy because a test
+bounds the sketch-vs-exact error.  LANE002 closes the loop
+structurally: any public function exposing a ``streaming=`` parameter
+must be referenced by name in the lane-agreement suite, so a new
+streaming lane cannot merge without its parity contract.
 
 The check is a cross-tree one: ``check_file`` collects lane
 definitions from library modules, ``finish`` scans the test file
@@ -36,21 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-class LaneParityRule(Rule):
-    """LANE001: public ``fast=`` functions need a lane-agreement test."""
+class StreamingLaneRule(Rule):
+    """LANE002: public ``streaming=`` lanes need a lane-agreement test."""
 
-    rule_id = "LANE001"
-    name = "lane-parity"
+    rule_id = "LANE002"
+    name = "streaming-lane-parity"
     description = (
-        "every public function with a fast= parameter must be referenced "
-        "in the lane-agreement test suite"
-    )
-    #: The lane-selecting parameter this rule polices.
-    lane_param = "fast"
-    #: What the missing test should pin down (used in the message).
-    remedy = (
-        "add a lane-agreement test pinning fast=True against the scalar "
-        "reference lane"
+        "every public function with a streaming= parameter must be "
+        "referenced in the lane-agreement test suite"
     )
 
     def __init__(self) -> None:
@@ -68,14 +56,16 @@ class LaneParityRule(Rule):
                 continue
             if node.name.startswith("_"):
                 continue
-            if self.lane_param not in function_parameters(node):
+            if "streaming" not in function_parameters(node):
                 continue
             test_name = self._lane_test.name if self._lane_test else "the lane suite"
             finding = ctx.finding(
                 self,
                 node,
-                f"public {self.lane_param}-lane function '{node.name}' has "
-                f"no reference in {test_name}; {self.remedy}",
+                f"public streaming-lane function '{node.name}' has no "
+                f"reference in {test_name}; add a lane-agreement test "
+                "bounding the sketch-backed streaming=True output against "
+                "a batch lane",
             )
             if not ctx.suppressed(finding):
                 self._pending.append((node.name, finding))
@@ -93,18 +83,3 @@ class LaneParityRule(Rule):
             if name not in referenced:
                 yield finding
 
-
-class StreamingLaneRule(LaneParityRule):
-    """LANE002: public ``streaming=`` lanes need a lane-agreement test."""
-
-    rule_id = "LANE002"
-    name = "streaming-lane-parity"
-    description = (
-        "every public function with a streaming= parameter must be "
-        "referenced in the lane-agreement test suite"
-    )
-    lane_param = "streaming"
-    remedy = (
-        "add a lane-agreement test bounding the sketch-backed "
-        "streaming=True output against a batch lane"
-    )

@@ -1,7 +1,7 @@
 """PAR001 — lane pairs keep their signatures in agreement.
 
-LANE001/LANE002 guarantee each ``fast=``/``streaming=`` lane *exists*
-and is *exercised* by the parity test.  Neither stops the signatures
+LANE002 guarantees each ``streaming=`` lane *exists* and is
+*exercised* by the parity test.  It does not stop the signatures
 from drifting apart: a fast lane that renames a parameter, or slips a
 new one in front of the shared ones, still imports, still passes its
 own tests — and the dispatcher, which forwards one argument tuple to

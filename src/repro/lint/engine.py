@@ -35,7 +35,7 @@ class LintConfig:
 
     Attributes:
         root: Repo root; finding paths are rendered relative to it.
-        lane_test: The lane-agreement test file LANE001 cross-checks.
+        lane_test: The lane-agreement test file LANE002 cross-checks.
     """
 
     root: Path

@@ -9,7 +9,7 @@ segment.  This module gives rules the structure those checks need:
 
 * :class:`FunctionInfo` / :class:`ClassInfo` — one symbol per
   ``def`` / ``class`` site, keyed by dotted qualname
-  (``repro.cdn.catchment._catchment_geometry_fast``).
+  (``repro.cdn.catchment._catchment_geometry``).
 * :class:`CallGraph` — call edges between dotted paths, built from the
   same :class:`~repro.lint.rules.ImportMap` resolution the file-local
   rules use, extended with local-variable construction tracking

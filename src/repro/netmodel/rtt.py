@@ -88,7 +88,7 @@ def sampled_median_matrix(
 ) -> np.ndarray:
     """Batched sampled-median estimates over a whole floor-latency array.
 
-    The fast measurement lanes hand this the full ``(pairs, windows,
+    The batch measurement lanes hand this the full ``(pairs, windows,
     routes)`` floor tensor and a broadcast-compatible session-count
     array; it applies the same analytic approximation as
     :func:`noisy_medians` — true median plus normal estimation noise

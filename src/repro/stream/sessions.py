@@ -12,8 +12,8 @@ O(sessions).
 
 Determinism notes:
 
-* The per-pair last-mile draw happens first, exactly like the fast
-  batch lane — so the latency *floors* under both lanes are
+* The per-pair last-mile draw happens first, exactly like the batch
+  lane — so the latency *floors* under both lanes are
   bit-identical; only the residual handling differs (real exponential
   samples here, analytic median + normal estimation noise there).
 * The residual stream draws one ``rng.exponential`` per window, so the
@@ -92,7 +92,7 @@ def stream_sessions(
     slot_index = np.arange(n_slots)
     half_window_h = 0.5 * cfg.window_minutes / 60.0
 
-    # Full-horizon model evaluation, identical to the fast batch lane's
+    # Full-horizon model evaluation, identical to the batch lane's
     # calls — chunks slice columns out of these, so the floors are
     # bit-identical for every chunk_windows setting.
     shared_full = dest_congestion.shared_delay_batch(dest_keys, lons, times)

@@ -209,8 +209,8 @@ class CsrAdjacency:
     """Read-only CSR (compressed sparse row) view of an :class:`ASGraph`.
 
     Nodes are indexed by *sorted ASN* — index order and ASN order agree,
-    so the BGP fast lane's lowest-index tie-break coincides with the
-    scalar lane's lowest-ASN tie-break.  The four core arrays are::
+    so propagation's lowest-index tie-break is the lowest-ASN
+    tie-break of BGP selection.  The four core arrays are::
 
         asns[i]                       ASN of node i (int32, ascending)
         indptr[i] : indptr[i + 1]     node i's slice of ``neighbors``

@@ -31,7 +31,6 @@ from repro.geo import (
     city_named,
     great_circle_km,
 )
-from repro.geo.coords import GeoPoint
 from repro.topology.asgraph import (
     ASGraph,
     ASRole,
@@ -435,21 +434,15 @@ def _regional_cities(region: Region) -> List[City]:
     return [c for c in WORLD_CITIES if c.region is region]
 
 
-def _scalar_km(a: City, b: City) -> float:
-    """Reference city-pair distance: one scalar haversine call."""
-    return great_circle_km(a.location, b.location)
-
-
 class _CityDistanceCache:
-    """Memoized city-pair distances for the generator's fast lane.
+    """Memoized city-pair distances for the generator.
 
     The generator asks for the same pair many times (every transit in a
     region re-ranks the same regional city list; every eyeball re-ranks
-    the same transit footprints).  The cache calls the *same* scalar
-    :func:`great_circle_km` exactly once per unique unordered pair, so
-    every returned value is bit-identical to the scalar lane by
-    construction — no vectorized trig, whose last-ulp differences would
-    flip distance-sorted tie-breaks.
+    the same transit footprints).  The cache calls the scalar
+    :func:`great_circle_km` exactly once per unique unordered pair — no
+    vectorized trig, whose last-ulp differences would flip
+    distance-sorted tie-breaks.
     """
 
     __slots__ = ("_cache",)
@@ -481,14 +474,14 @@ DistanceFn = Callable[[City, City], float]
 
 
 def _nearest_pop_cities(
-    home: City, pop_cities: Sequence[City], k: int, km: DistanceFn = _scalar_km
+    home: City, pop_cities: Sequence[City], k: int, km: DistanceFn
 ) -> List[City]:
     ranked = sorted(pop_cities, key=lambda c: km(home, c))
     return ranked[:k]
 
 
 def _nearest_mesh(
-    pops: Sequence[PointOfPresence], k: int = 3, km: DistanceFn = _scalar_km
+    pops: Sequence[PointOfPresence], km: DistanceFn, k: int = 3
 ) -> List[Tuple[str, str]]:
     """Fallback backbone for custom PoP sets: k-nearest plus a chain.
 
@@ -510,20 +503,20 @@ def _nearest_mesh(
 
 @traced("topology.build")
 def build_internet(
-    config: Optional[TopologyConfig] = None, fast: bool = False
+    config: Optional[TopologyConfig] = None, *, fast: bool = True
 ) -> Internet:
     """Build a synthetic Internet from ``config`` (defaults when omitted).
 
-    The result is deterministic for a given configuration.  ``fast=True``
-    memoizes city-pair distances and per-region intermediate lists (the
+    The result is deterministic for a given configuration.  City-pair
+    distances and per-region intermediate lists are memoized: the
     construction re-ranks the same small city universe thousands of
-    times); the output is bit-identical to the scalar lane — pinned in
-    ``tests/test_lane_agreement.py``.
+    times.  ``fast`` is accepted and ignored: the benchmark harness in
+    ``perfbench/`` still passes it.
     """
     cfg = config or TopologyConfig()
     rng = np.random.default_rng(cfg.seed)
     graph = ASGraph()
-    km: DistanceFn = _CityDistanceCache() if fast else _scalar_km
+    km: DistanceFn = _CityDistanceCache()
 
     pop_cities = [
         PointOfPresence(code, city_named(name)) for code, name in cfg.pop_cities
@@ -534,7 +527,7 @@ def build_internet(
     elif cfg.pop_cities == DEFAULT_POP_CITIES:
         backbone = list(DEFAULT_WAN_BACKBONE)
     else:
-        backbone = _nearest_mesh(pop_cities, km=km)
+        backbone = _nearest_mesh(pop_cities, km)
     wan = PrivateWan(pop_cities, backbone, inflation=cfg.wan_inflation)
 
     ixp_cities = tuple(city_named(n) for n in cfg.ixp_city_names)
@@ -597,8 +590,7 @@ def build_internet(
     transit_regions: Dict[int, Region] = {}
     region_cycle = [all_regions[i % len(all_regions)] for i in range(cfg.n_transit)]
     region_seen: Dict[Region, int] = {}
-    # Fast-lane memos: these are pure functions of (region) / (region,
-    # home) recomputed once per transit in the scalar lane.
+    # Memos: these are pure functions of (region) / (region, home).
     homes_memo: Dict[Region, List[City]] = {}
     ranked_memo: Dict[Tuple[Region, str], List[City]] = {}
     hubs_memo: Dict[Tuple[Region, str], List[City]] = {}
@@ -616,31 +608,24 @@ def build_internet(
         # would stack all of Asia's transits in its northeast).
         nth = region_seen.get(region, 0)
         region_seen[region] = nth + 1
-        if fast:
-            homes = homes_memo.get(region)
-            if homes is None:
-                homes = homes_memo[region] = _spread_homes(candidates, km=km)
-        else:
-            homes = _spread_homes(candidates, km=km)
+        homes = homes_memo.get(region)
+        if homes is None:
+            homes = homes_memo[region] = _spread_homes(candidates, km)
         home = homes[nth % len(homes)]
         take = min(len(candidates), int(rng.integers(3, 7)))
         memo_key = (region, home.name)
-        by_distance = ranked_memo.get(memo_key) if fast else None
+        by_distance = ranked_memo.get(memo_key)
         if by_distance is None:
-            by_distance = sorted(
+            by_distance = ranked_memo[memo_key] = sorted(
                 candidates, key=lambda c: (km(home, c), c.name)
             )
-            if fast:
-                ranked_memo[memo_key] = by_distance
         sampled = by_distance[:take]
-        nearest_hubs = hubs_memo.get(memo_key) if fast else None
+        nearest_hubs = hubs_memo.get(memo_key)
         if nearest_hubs is None:
             regional_hubs = [c for c in candidates if c in ixp_set]
-            nearest_hubs = sorted(
+            nearest_hubs = hubs_memo[memo_key] = sorted(
                 regional_hubs, key=lambda c: (km(home, c), c.name)
             )[:2]
-            if fast:
-                hubs_memo[memo_key] = nearest_hubs
         footprint = tuple(dict.fromkeys([home] + sampled + nearest_hubs))
         graph.add_as(
             AutonomousSystem(
@@ -708,7 +693,7 @@ def build_internet(
     }
     eyeball_asns: List[int] = []
     asn = EYEBALL_ASN_BASE
-    # Fast-lane memo: nearest regional transits per home city.  Transit
+    # Memo: nearest regional transits per home city.  Transit
     # footprints are fixed by now (the tier1-transit re-wire below only
     # touches tier1 links), and eyeballs in one country share home
     # cities, so the ranking is pure in the home city.
@@ -741,16 +726,14 @@ def build_internet(
             # Buy transit from 1-3 of the *nearest* transits in the same
             # region (regions are continent-sized; proximity matters).
             home = eyeball.home_city
-            regional = transit_rank_memo.get(id(home)) if fast else None
+            regional = transit_rank_memo.get(id(home))
             if regional is None:
-                regional = sorted(
+                regional = transit_rank_memo[id(home)] = sorted(
                     (t for t in transit_asns if transit_regions[t] is region),
                     key=lambda t: min(
                         km(home, c) for c in graph.get(t).cities
                     ),
                 )[:3]
-                if fast:
-                    transit_rank_memo[id(home)] = regional
             if regional:
                 n_up = int(rng.integers(1, min(3, len(regional)) + 1))
                 ups = rng.choice(len(regional), size=n_up, replace=False)
@@ -845,8 +828,8 @@ def build_internet(
         eyeball_asns, key=lambda a: graph.get(a).user_weight, reverse=True
     )
     n_pni = int(round(cfg.pni_fraction * len(by_weight)))
-    # Fast-lane memo: nearest PoP per eyeball city (eyeball footprints
-    # overlap heavily within a country).
+    # Memo: nearest PoP per eyeball city (eyeball footprints overlap
+    # heavily within a country).
     nearest_pop_memo: Dict[int, List[City]] = {}
     for eb in by_weight[:n_pni]:
         # PNIs at the PoP nearest each of the eyeball's cities: big
@@ -854,11 +837,11 @@ def build_internet(
         # share, not just at their headquarters.
         sites: List[City] = []
         for eb_city in graph.get(eb).cities:
-            nearest = nearest_pop_memo.get(id(eb_city)) if fast else None
+            nearest = nearest_pop_memo.get(id(eb_city))
             if nearest is None:
-                nearest = _nearest_pop_cities(eb_city, pop_city_set, k=1, km=km)
-                if fast:
-                    nearest_pop_memo[id(eb_city)] = nearest
+                nearest = nearest_pop_memo[id(eb_city)] = _nearest_pop_cities(
+                    eb_city, pop_city_set, 1, km
+                )
             if nearest and nearest[0] not in sites:
                 sites.append(nearest[0])
         graph.add_link(
@@ -900,7 +883,7 @@ def build_internet(
                 # No colocated exchange: buy remote peering into the
                 # nearest one.
                 home = graph.get(eb).home_city
-                shared_ixps = _nearest_pop_cities(home, exchange_cities, k=1, km=km)
+                shared_ixps = _nearest_pop_cities(home, exchange_cities, 1, km)
         graph.add_link(
             link_between(
                 PROVIDER_ASN,
@@ -962,9 +945,7 @@ def build_internet(
 
 
 def _spread_homes(
-    candidates: List[City],
-    min_km: float = 1200.0,
-    km: DistanceFn = _scalar_km,
+    candidates: List[City], km: DistanceFn, min_km: float = 1200.0
 ) -> List[City]:
     """Greedy big-market-first home selection with geographic spacing.
 
@@ -991,8 +972,8 @@ def _shared_cities(
     y: int,
     rng: np.random.Generator,
     fallback: int,
+    km: DistanceFn,
     cap: Optional[int] = 3,
-    km: DistanceFn = _scalar_km,
 ) -> List[City]:
     """Interconnect cities for a new link between ``x`` and ``y``.
 

@@ -90,12 +90,14 @@ def _wan_edges(internet: Internet) -> List:
     from repro.topology.generator import (
         DEFAULT_POP_CITIES,
         DEFAULT_WAN_BACKBONE,
+        _CityDistanceCache,
         _nearest_mesh,
     )
 
     if cfg.pop_cities == DEFAULT_POP_CITIES:
         return [tuple(e) for e in DEFAULT_WAN_BACKBONE]
-    return [tuple(e) for e in _nearest_mesh(internet.wan.pops)]
+    edges = _nearest_mesh(internet.wan.pops, _CityDistanceCache())
+    return [tuple(e) for e in edges]
 
 
 def internet_from_dict(data: Dict) -> Internet:

@@ -11,6 +11,7 @@ from repro.errors import RoutingError
 from repro.geo import city_named
 from repro.bgp import RoutePref, propagate
 
+from bgp_oracle import propagate_reference
 from conftest import E1, E2, PROVIDER, T1A, T1B, TR1, TR2
 
 
@@ -274,9 +275,9 @@ class TestGroomingValidation:
             propagate(toy_graph, PROVIDER, suppressed=frozenset({E2}))
 
     def test_both_lanes_reject_identically(self, toy_graph):
-        for lane in (False, True):
+        for lane in (propagate, propagate_reference):
             with pytest.raises(RoutingError):
-                propagate(toy_graph, PROVIDER, prepends={99999: 1}, fast=lane)
+                lane(toy_graph, PROVIDER, prepends={99999: 1})
 
     def test_valid_grooming_still_accepted(self, toy_graph):
         table = propagate(toy_graph, PROVIDER, prepends={T1A: 2})

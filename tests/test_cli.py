@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -530,3 +534,24 @@ class TestTraceProfiling:
         ) == 0
         err = capsys.readouterr().err
         assert "campaign 1/1 (100%)" in err
+
+
+class TestErrorBoundary:
+    """Library errors leave ``repro-bgp`` as one line and exit status 1."""
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled"])
+    @pytest.mark.parametrize("verb", ["summarize", "profile", "flame", "critical"])
+    def test_bad_trace_file_is_one_line(self, verb, damage, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        if damage == "garbled":
+            trace.write_text("not json {{{\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "trace", verb, str(trace)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith(f"trace {verb}: ")

@@ -1,5 +1,9 @@
 """Tests for the Speedchecker-like measurement platform."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import MeasurementError
@@ -139,6 +143,63 @@ class TestHttpGet:
         if premium and standard:
             ratio = premium.goodput_mbps / standard.goodput_mbps
             assert 0.5 < ratio < 2.0
+
+
+class TestPingBurst:
+    def test_burst_matches_per_round_pings(self, small_internet):
+        """A burst consumes the noise-stream positions that the
+        equivalent per-round pings would, sample for sample."""
+        deployment = CloudDeployment(small_internet)
+        bursting = SpeedcheckerPlatform(deployment, seed=4)
+        pinging = SpeedcheckerPlatform(deployment, seed=4)
+        vp = bursting.vantage_points[0]
+        times = [1.0, 7.5, 13.0, 20.25]
+        burst = bursting.ping_burst(vp, Tier.STANDARD, times, count=5)
+        rounds = [pinging.ping(vp, Tier.STANDARD, t, count=5) for t in times]
+        assert burst.tolist() == [list(r.rtts_ms) for r in rounds]
+        assert bursting.credits == pinging.credits
+
+
+_LAST_MILE_SCRIPT = """
+from repro.cloudtiers import CloudDeployment, SpeedcheckerPlatform
+from repro.topology import TopologyConfig, build_internet
+
+internet = build_internet(
+    TopologyConfig(seed=0, n_tier1=3, n_transit=8, n_eyeball=20)
+)
+platform = SpeedcheckerPlatform(CloudDeployment(internet), seed=4)
+print(repr(platform._vp_last_mile(platform.vantage_points[0])))
+"""
+
+
+def _last_mile_with_hash_seed(hash_seed: str) -> str:
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _LAST_MILE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return child.stdout
+
+
+class TestCrossProcessDeterminism:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "known defect: the last-mile draw is seeded from hash(vp_id), "
+            "and Python salts str hashes per process; a stable seed "
+            "changes Setting C's recorded outputs"
+        ),
+    )
+    def test_last_mile_independent_of_hash_seed(self):
+        assert _last_mile_with_hash_seed("1") == _last_mile_with_hash_seed("2")
 
 
 class TestNoiseModel:

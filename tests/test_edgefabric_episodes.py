@@ -9,7 +9,7 @@ from repro.edgefabric import (
     extract_episodes,
     run_measurement,
 )
-from repro.edgefabric.episodes import _runs
+from repro.edgefabric.episodes import _runs_batch
 from repro.workloads import generate_client_prefixes
 
 
@@ -23,9 +23,11 @@ def dataset(small_internet):
 
 class TestRuns:
     def test_single_run(self):
-        mask = np.array([False, True, True, False])
-        excess = np.array([0.0, 2.0, 5.0, 0.0])
-        runs = _runs(mask, excess, pair_index=7)
+        masks = np.zeros((8, 4), dtype=bool)
+        excess = np.zeros((8, 4))
+        masks[7] = [False, True, True, False]
+        excess[7] = [0.0, 2.0, 5.0, 0.0]
+        runs = _runs_batch(masks, excess)
         assert len(runs) == 1
         episode = runs[0]
         assert (episode.start, episode.length) == (1, 2)
@@ -33,13 +35,19 @@ class TestRuns:
         assert episode.pair_index == 7
 
     def test_run_to_end(self):
-        mask = np.array([True, False, True, True])
-        excess = np.array([1.0, 0.0, 2.0, 3.0])
-        runs = _runs(mask, excess, pair_index=0)
-        assert [(r.start, r.length) for r in runs] == [(0, 1), (2, 2)]
+        """A run touching the last window ends there, not in the next row."""
+        masks = np.array([[True, False, True, True], [True, False, False, False]])
+        excess = np.array([[1.0, 0.0, 2.0, 3.0], [4.0, 0.0, 0.0, 0.0]])
+        runs = _runs_batch(masks, excess)
+        assert [(r.pair_index, r.start, r.length) for r in runs] == [
+            (0, 0, 1),
+            (0, 2, 2),
+            (1, 0, 1),
+        ]
+        assert [r.peak_ms for r in runs] == [1.0, 3.0, 4.0]
 
     def test_empty(self):
-        assert _runs(np.zeros(5, dtype=bool), np.zeros(5), 0) == []
+        assert _runs_batch(np.zeros((3, 5), dtype=bool), np.zeros((3, 5))) == []
 
 
 class TestExtractEpisodes:

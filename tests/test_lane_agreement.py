@@ -1,26 +1,24 @@
-"""Scalar-vs-vectorized lane agreement across the measurement pipelines.
+"""Agreement between the implementations that compute the same state.
 
-Every fast lane ships with an escape hatch (``fast=False``) running the
-original scalar code; these tests pin down the agreement contract of
-each pair:
+* **Streaming vs batch** (LANE002): the sketch-backed ``streaming=True``
+  lanes against the batch lanes — deterministic structure
+  bit-identical, sketch medians within the documented tolerance.
+* **CSR propagation vs the heap oracle** (``tests/bgp_oracle.py``):
+  identical tables, route for route.
+* **Event-driven dynamics vs static propagation**: the converged
+  end-state equals the three-phase construction.
 
-* **Bit-identical** where the computation is deterministic or consumes
-  the same RNG stream positions: episode extraction, CDN redirection
-  training, the cloudtiers campaign, edgefabric CI half-widths.
-* **Documented tolerance** where the fast lane reorders floating-point
-  work (catchment distances: numpy vs ``math`` trig round-off) or
-  batches RNG draws (edgefabric medians: same noise distribution,
-  different draw order — statistics agree, individual samples do not).
+The batch outputs themselves are pinned by ``tests/test_golden_lock.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from bgp_oracle import propagate_reference
 
 from repro.bgp import propagate, propagate_many
 from repro.cdn import CdnDeployment
-from repro.cdn.catchment import catchment_map
 from repro.cdn.dns_redirection import train_redirection_policy
 from repro.cdn.measurement import BeaconConfig, run_beacon_campaign
 from repro.cloudtiers import (
@@ -30,7 +28,6 @@ from repro.cloudtiers import (
     run_campaign,
 )
 from repro.edgefabric.analysis import bgp_vs_best_alternate
-from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.routes import tables_for_destinations
 from repro.topology import TopologyConfig, build_internet
 from repro.edgefabric.sampler import (
@@ -49,131 +46,6 @@ def egress_plan(small_internet, small_prefixes):
     return plan_measurement(small_internet, small_prefixes, config)
 
 
-class TestEdgefabricLanes:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fig1_statistics_agree(self, egress_plan, seed):
-        """Fig-1 fractions agree between lanes at the statistic level.
-
-        The fast lane batches its noise draws, so individual medians
-        differ; the Figure 1 statistics — fractions over ~10k weighted
-        pair-windows — must agree within sampling noise.
-        """
-        config = MeasurementConfig(days=2.0, seed=seed)
-        slow = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=False)
-        )
-        fast = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=True)
-        )
-        assert fast.frac_alternate_better_5ms == pytest.approx(
-            slow.frac_alternate_better_5ms, abs=0.05
-        )
-        assert fast.frac_bgp_within_1ms == pytest.approx(
-            slow.frac_bgp_within_1ms, abs=0.05
-        )
-        assert fast.frac_bgp_strictly_better == pytest.approx(
-            slow.frac_bgp_strictly_better, abs=0.05
-        )
-
-    def test_structure_and_ci_bit_identical(self, egress_plan):
-        """Everything deterministic matches exactly between the lanes.
-
-        The NaN mask (which pair-window-route slots were measured) and
-        the CI half-widths depend only on the plan and session counts,
-        not on noise draws.
-        """
-        config = MeasurementConfig(days=2.0, seed=0)
-        slow = synthesize_dataset(egress_plan, config, fast=False)
-        fast = synthesize_dataset(egress_plan, config, fast=True)
-        assert np.array_equal(np.isnan(slow.medians), np.isnan(fast.medians))
-        assert np.array_equal(slow.ci_half, fast.ci_half, equal_nan=True)
-        assert np.array_equal(slow.volumes, fast.volumes)
-
-    def test_episode_extraction_bit_identical(self, egress_plan):
-        config = MeasurementConfig(days=2.0, seed=1)
-        dataset = synthesize_dataset(egress_plan, config)
-        assert extract_episodes(dataset, fast=True) == extract_episodes(
-            dataset, fast=False
-        )
-
-    def test_run_measurement_composes_both_lanes(
-        self, small_internet, small_prefixes
-    ):
-        """The end-to-end entry point inherits synthesize's contract.
-
-        ``run_measurement`` is plan + synthesis; the deterministic parts
-        of its output (measurement mask, CI half-widths, volumes) must
-        be bit-identical across lanes, exactly like
-        :meth:`test_structure_and_ci_bit_identical` but through the
-        public composition.
-        """
-        config = MeasurementConfig(days=1.0, seed=2)
-        slow = run_measurement(
-            small_internet, small_prefixes, config, fast=False
-        )
-        fast = run_measurement(
-            small_internet, small_prefixes, config, fast=True
-        )
-        assert np.array_equal(np.isnan(slow.medians), np.isnan(fast.medians))
-        assert np.array_equal(slow.ci_half, fast.ci_half, equal_nan=True)
-        assert np.array_equal(slow.volumes, fast.volumes)
-
-
-class TestCdnLanes:
-    @pytest.fixture(scope="class")
-    def deployment(self, small_internet):
-        return CdnDeployment(small_internet)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_catchment_fractions_agree(
-        self, deployment, small_prefixes, seed
-    ):
-        """Catchment shares/fractions exact; distances to round-off.
-
-        The seed perturbs prefix weights through rotation of the list,
-        exercising different per-PoP groupings from one topology.
-        """
-        rotated = small_prefixes[seed:] + small_prefixes[:seed]
-        slow = catchment_map(deployment, rotated, fast=False)
-        fast = catchment_map(deployment, rotated, fast=True)
-        assert fast.frac_unreachable == slow.frac_unreachable
-        assert fast.global_frac_misdirected == slow.global_frac_misdirected
-        assert fast.global_median_km == pytest.approx(
-            slow.global_median_km, rel=1e-9
-        )
-        assert len(fast.entries) == len(slow.entries)
-        for fe, se in zip(fast.entries, slow.entries):
-            assert fe.pop_code == se.pop_code
-            assert fe.traffic_share == se.traffic_share
-            assert fe.n_prefixes == se.n_prefixes
-            assert fe.frac_misdirected == se.frac_misdirected
-            assert fe.median_client_km == pytest.approx(
-                se.median_client_km, rel=1e-9
-            )
-            assert fe.p90_client_km == pytest.approx(
-                se.p90_client_km, rel=1e-9
-            )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_redirection_policy_bit_identical(
-        self, deployment, small_prefixes, seed
-    ):
-        """Both lanes pool the same sample multisets, so the trained
-        policy — every per-LDNS choice and ECS override — is identical."""
-        dataset = run_beacon_campaign(
-            deployment, small_prefixes, BeaconConfig(seed=seed)
-        )
-        resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        slow = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=False
-        )
-        fast = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=True
-        )
-        assert dict(fast.choices) == dict(slow.choices)
-        assert dict(fast.prefix_choices) == dict(slow.prefix_choices)
-
-
 class TestStreamingLanes:
     """Sketch-backed ``streaming=True`` lanes against their batch twins.
 
@@ -189,7 +61,7 @@ class TestStreamingLanes:
     def test_fig1_statistics_agree(self, egress_plan, seed):
         config = MeasurementConfig(days=2.0, seed=seed)
         batch = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=True)
+            synthesize_dataset(egress_plan, config)
         )
         streaming = bgp_vs_best_alternate(
             synthesize_dataset(egress_plan, config, streaming=True)
@@ -209,7 +81,7 @@ class TestStreamingLanes:
         drift between the batch and streaming lanes; the measurement
         mask and volumes are plan-determined."""
         config = MeasurementConfig(days=2.0, seed=0)
-        batch = synthesize_dataset(egress_plan, config, fast=True)
+        batch = synthesize_dataset(egress_plan, config)
         streaming = synthesize_dataset(egress_plan, config, streaming=True)
         assert np.array_equal(
             np.isnan(batch.medians), np.isnan(streaming.medians)
@@ -223,7 +95,7 @@ class TestStreamingLanes:
         same floor + ln2·scale median — well under a couple ms at the
         paper's session counts."""
         config = MeasurementConfig(days=2.0, seed=1)
-        batch = synthesize_dataset(egress_plan, config, fast=True)
+        batch = synthesize_dataset(egress_plan, config)
         streaming = synthesize_dataset(egress_plan, config, streaming=True)
         mask = ~np.isnan(batch.medians)
         diff = np.abs(batch.medians[mask] - streaming.medians[mask])
@@ -255,9 +127,7 @@ class TestStreamingLanes:
             deployment, small_prefixes, BeaconConfig(seed=seed)
         )
         resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        batch = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=True
-        )
+        batch = train_redirection_policy(dataset, ecs_resolvers=resolvers)
         streaming = train_redirection_policy(
             dataset, ecs_resolvers=resolvers, streaming=True
         )
@@ -281,39 +151,19 @@ class TestStreamingLanes:
                 assert b.median_ms[tier] == pytest.approx(value, abs=1e-9)
 
 
-class TestCloudtiersLanes:
-    def test_campaign_bit_identical(self, small_internet):
-        """Ping bursts consume the same noise-stream positions as the
-        per-round calls, so the datasets match sample for sample."""
-        deployment = CloudDeployment(small_internet)
-        cfg = CampaignConfig(days=2, vps_per_day=25, rounds_per_day=4, seed=4)
-        slow = run_campaign(
-            SpeedcheckerPlatform(deployment, seed=4), cfg, fast=False
-        )
-        fast = run_campaign(
-            SpeedcheckerPlatform(deployment, seed=4), cfg, fast=True
-        )
-        assert len(slow.records) == len(fast.records)
-        for a, b in zip(slow.records, fast.records):
-            assert a.vp_id == b.vp_id and a.day == b.day
-            assert a.median_ms == b.median_ms
-        assert slow.eligible == fast.eligible
-        assert set(slow.traceroutes) == set(fast.traceroutes)
-
-
 class TestBgpPropagationLanes:
-    """The propagation fast lane is *bit-identical* to the scalar lane:
-    same best route (path, pref, advertised length) at every AS, for
-    every origin and every grooming variant.  Randomized topologies are
-    covered by ``tests/test_properties_bgp.py``'s stability oracle,
-    which also runs both lanes."""
+    """CSR propagation is *bit-identical* to the heap oracle: same best
+    route (path, pref, advertised length) at every AS, for every origin
+    and every grooming variant.  Random valley-free worlds are covered
+    by ``tests/test_properties_bgp.py``'s stability oracle, which also
+    compares against the heap oracle."""
 
     def test_propagate_bit_identical_all_origins(self, small_internet):
         graph = small_internet.graph
         for asys in graph.ases():
-            scalar = propagate(graph, asys.asn, fast=False)
-            fast = propagate(graph, asys.asn, fast=True)
-            assert scalar._routes == fast._routes, f"origin {asys.asn}"
+            oracle = propagate_reference(graph, asys.asn)
+            table = propagate(graph, asys.asn)
+            assert oracle._routes == table._routes, f"origin {asys.asn}"
 
     def test_propagate_bit_identical_randomized(self):
         """Generator-randomized graphs across seeds and random origins."""
@@ -326,13 +176,13 @@ class TestBgpPropagationLanes:
             rng = np.random.default_rng(seed)
             for origin in rng.choice(asns, size=8, replace=False):
                 origin = int(origin)
-                scalar = propagate(graph, origin, fast=False)
-                fast = propagate(graph, origin, fast=True)
-                assert scalar._routes == fast._routes, f"origin {origin}"
+                oracle = propagate_reference(graph, origin)
+                table = propagate(graph, origin)
+                assert oracle._routes == table._routes, f"origin {origin}"
 
     def test_propagate_grooming_bit_identical(self, small_internet):
         """Prepends, suppression, and city scoping hit the same origin
-        edges in both lanes."""
+        edges in both implementations."""
         graph = small_internet.graph
         origin = small_internet.provider_asn
         neighbors = sorted(graph.neighbors(origin))
@@ -348,63 +198,31 @@ class TestBgpPropagationLanes:
             ),
         ]
         for kwargs in variants:
-            scalar = propagate(graph, origin, fast=False, **kwargs)
-            fast = propagate(graph, origin, fast=True, **kwargs)
-            assert scalar._routes == fast._routes, kwargs
+            oracle = propagate_reference(graph, origin, **kwargs)
+            table = propagate(graph, origin, **kwargs)
+            assert oracle._routes == table._routes, kwargs
 
     def test_propagate_many_matches_per_origin_calls(self, small_internet):
         graph = small_internet.graph
         origins = [asys.asn for asys in graph.ases()][:10]
-        batched = propagate_many(graph, origins, fast=True)
+        batched = propagate_many(graph, origins)
         for origin, table in zip(origins, batched):
             assert table.origin == origin
             assert table._routes == propagate(graph, origin)._routes
-        scalar_batch = propagate_many(graph, origins, fast=False)
-        for fast_table, scalar_table in zip(batched, scalar_batch):
-            assert fast_table._routes == scalar_table._routes
+            assert table._routes == propagate_reference(graph, origin)._routes
 
     def test_tables_for_destinations_lanes_agree(self, small_internet):
-        asns = [asys.asn for asys in small_internet.graph.ases()][:8]
-        fast = tables_for_destinations(small_internet, asns, fast=True)
-        scalar = tables_for_destinations(small_internet, asns, fast=False)
-        assert set(fast) == set(scalar)
-        for asn in fast:
-            assert fast[asn]._routes == scalar[asn]._routes
-
-
-class TestTopologyLanes:
-    """build_internet(fast=True) memoizes distances; output is
-    bit-identical (LANE001 pin)."""
-
-    def test_build_internet_bit_identical(self):
-        from repro.topology.serialization import internet_to_dict
-
-        for seed in SEEDS:
-            cfg = TopologyConfig(seed=seed, n_tier1=4, n_transit=16, n_eyeball=40)
-            scalar = build_internet(cfg, fast=False)
-            fast = build_internet(cfg, fast=True)
-            assert internet_to_dict(scalar) == internet_to_dict(fast), seed
-
-    def test_build_internet_custom_backbone_mesh(self):
-        """The nearest-mesh fallback path (custom PoP set) also agrees."""
-        from repro.topology.generator import DEFAULT_POP_CITIES
-        from repro.topology.serialization import internet_to_dict
-
-        cfg = TopologyConfig(
-            seed=1,
-            n_tier1=3,
-            n_transit=8,
-            n_eyeball=20,
-            pop_cities=DEFAULT_POP_CITIES[:12],
-            dc_pop_code=DEFAULT_POP_CITIES[0][0],
-        )
-        scalar = build_internet(cfg, fast=False)
-        fast = build_internet(cfg, fast=True)
-        assert internet_to_dict(scalar) == internet_to_dict(fast)
+        graph = small_internet.graph
+        asns = [asys.asn for asys in graph.ases()][:8]
+        tables = tables_for_destinations(small_internet, asns + asns[:3])
+        assert list(tables) == asns
+        for asn, table in tables.items():
+            assert table._routes == propagate_reference(graph, asn)._routes
 
 
 class TestBgpDynamicsLanes:
-    """LANE001 for the event-driven engine: once the event queue drains
+    """The event-driven engine against static propagation: once the
+    event queue drains
     after a lone announcement, the dynamics end-state is *bit-identical*
     to static ``propagate()`` on the same graph — the event-driven
     fixpoint and the three-phase construction are the same unique
@@ -421,7 +239,7 @@ class TestBgpDynamicsLanes:
             engine.schedule_announce(0.0, origin)
             engine.run()
             assert engine.converged
-            static = propagate(graph, origin, fast=True)
+            static = propagate(graph, origin)
             assert engine.routes() == static._routes, f"origin {origin}"
             assert engine.routing_table()._routes == static._routes
 
@@ -438,7 +256,7 @@ class TestBgpDynamicsLanes:
         engine = DynamicsEngine(graph, DynamicsConfig(seed=0))
         engine.schedule_announce(0.0, origin, **kwargs)
         engine.run()
-        static = propagate(graph, origin, fast=True, **kwargs)
+        static = propagate(graph, origin, **kwargs)
         assert engine.routes() == static._routes
 
     def test_dynamics_after_failure_matches_static_on_effective_graph(
@@ -455,5 +273,5 @@ class TestBgpDynamicsLanes:
         engine.schedule_link_down(engine.now + 1.0, origin, neighbor)
         engine.run()
         assert engine.converged
-        static = propagate(engine.effective_graph(), origin, fast=True)
+        static = propagate(engine.effective_graph(), origin)
         assert engine.routes() == static._routes

@@ -597,9 +597,9 @@ class TestLaneSignature:
         assert "PAR001" not in rules_of(findings)
 
     def test_sampler_lanes_stay_in_parity(self):
-        """Regression: the scalar lane drifted to a ``pairs`` head param
-        once; all three ``_synthesize_*`` lanes must share the plan-first
-        signature prefix."""
+        """Regression: a lane drifted to a ``pairs`` head param once;
+        the ``_synthesize_*`` lanes must share the plan-first signature
+        prefix."""
         graph = build_graph(
             [REPO_ROOT / "src" / "repro" / "edgefabric" / "sampler.py"],
             root=REPO_ROOT,
@@ -608,7 +608,7 @@ class TestLaneSignature:
         key = ("repro.edgefabric.sampler", "_synthesize")
         assert key in groups
         lanes = groups[key]
-        assert set(lanes) == {"scalar", "fast", "streaming"}
+        assert set(lanes) == {"fast", "streaming"}
         for info in lanes.values():
             assert info.params[0] == "plan"
         assert list(LaneSignatureRule().check_graph(graph)) == []

@@ -234,51 +234,6 @@ class TestTimePurity:
         assert rules_of(findings) == set()
 
 
-class TestLaneParity:
-    FAST_FN = """
-        def resample(values, fast=True):
-            return values
-        """
-
-    def test_unreferenced_fast_lane_flagged(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            self.FAST_FN,
-            rel="src/repro/cdn/resample.py",
-            lane_test="def test_other():\n    pass\n",
-        )
-        assert "LANE001" in rules_of(findings)
-
-    def test_missing_lane_suite_flags_everything(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, self.FAST_FN, rel="src/repro/cdn/resample.py"
-        )
-        assert "LANE001" in rules_of(findings)
-
-    def test_referenced_fast_lane_passes(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            self.FAST_FN,
-            rel="src/repro/cdn/resample.py",
-            lane_test="""
-            def test_resample_lanes_agree():
-                assert resample([1], fast=True) == resample([1], fast=False)
-            """,
-        )
-        assert rules_of(findings) == set()
-
-    def test_private_fast_helpers_exempt(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def _resample_impl(values, fast=True):
-                return values
-            """,
-            rel="src/repro/cdn/resample.py",
-        )
-        assert rules_of(findings) == set()
-
-
 class TestStreamingLaneParity:
     STREAMING_FN = """
         def aggregate(values, streaming=False):
@@ -291,6 +246,12 @@ class TestStreamingLaneParity:
             self.STREAMING_FN,
             rel="src/repro/stream/agg.py",
             lane_test="def test_other():\n    pass\n",
+        )
+        assert "LANE002" in rules_of(findings)
+
+    def test_missing_lane_suite_flags_everything(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path, self.STREAMING_FN, rel="src/repro/stream/agg.py"
         )
         assert "LANE002" in rules_of(findings)
 
@@ -327,7 +288,7 @@ class TestStreamingLaneParity:
             rel="src/repro/edgefabric/synth.py",
             lane_test="def test_other():\n    pass\n",
         )
-        assert {"LANE001", "LANE002"} <= rules_of(findings)
+        assert rules_of(findings) == {"LANE002"}
 
 
 class TestCrashContainment:
@@ -648,10 +609,10 @@ class TestSuppression:
         findings = lint_snippet(
             tmp_path,
             """
-            def resample(values, fast=True):  # repro-lint: disable=LANE001
+            def aggregate(values, streaming=False):  # repro-lint: disable=LANE002
                 return values
             """,
-            rel="src/repro/cdn/resample.py",
+            rel="src/repro/stream/agg.py",
         )
         assert rules_of(findings) == set()
 
@@ -712,9 +673,6 @@ VIOLATION_FILES = {
 
         def bail():
             os._exit(1)
-
-        def resample(values, fast=True):
-            return values
 
         def ingest(values, streaming=False):
             return values
