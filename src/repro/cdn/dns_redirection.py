@@ -94,91 +94,12 @@ def _aligned_training_rtts(
     return codes, col_of, aligned
 
 
-def _train_streaming(
-    dataset: BeaconDataset,
-    by_ldns: Dict[str, List[int]],
-    sample_idx: np.ndarray,
-    margin_ms: float,
-    ecs_resolvers: Optional[AbstractSet[str]],
-) -> RedirectionPolicy:
-    """Streaming lane: per-resolver pooling through quantile sketches.
-
-    Pools the same samples as the batch lane, but each pool is folded
-    into a :class:`repro.stream.CentroidSketch` instead of a stored
-    sample array — the shape a production trainer consuming a beacon
-    stream would take.  The sparse training pools here are far below
-    the centroid budget, so sketch medians equal exact medians to
-    interpolation precision and the trained policies match the batch
-    lane exactly (asserted by the lane-agreement tests).
-    """
-    # Imported lazily to keep repro.cdn importable while repro.stream
-    # is still initializing (the facade imports edgefabric helpers).
-    from repro.stream.sketch import CentroidSketch
-
-    choices: Dict[str, str] = {}
-    prefix_choices: Dict[str, str] = {}
-    for ldns, members in by_ldns.items():
-        pool = CentroidSketch()
-        pool.update_batch(dataset.anycast_rtt[members][:, sample_idx].ravel())
-        anycast_median = pool.quantile(0.5)
-        fe_medians: Dict[str, float] = {}
-        for code in dataset.fe_codes[members[0]]:
-            sketch = CentroidSketch()
-            for m in members:
-                col = dataset.column_of(m, code)
-                if col is None:
-                    continue
-                samples = dataset.unicast_rtt[m, sample_idx, col]
-                samples = samples[~np.isnan(samples)]
-                if samples.size:
-                    sketch.update_batch(samples)
-            if sketch.count:
-                fe_medians[code] = float(sketch.quantile(0.5))
-        if not fe_medians:
-            choices[ldns] = ANYCAST
-            continue
-        best_code = min(fe_medians, key=lambda c: (fe_medians[c], c))
-        if fe_medians[best_code] + margin_ms < anycast_median:
-            choices[ldns] = best_code
-        else:
-            choices[ldns] = ANYCAST
-
-    if ecs_resolvers:
-        for ldns, members in by_ldns.items():
-            if ldns not in ecs_resolvers:
-                continue
-            for m in members:
-                pool = CentroidSketch()
-                pool.update_batch(dataset.anycast_rtt[m, sample_idx])
-                anycast_median = pool.quantile(0.5)
-                fe_medians = {}
-                for code in dataset.fe_codes[m]:
-                    col = dataset.column_of(m, code)
-                    if col is None:
-                        continue
-                    samples = dataset.unicast_rtt[m, sample_idx, col]
-                    samples = samples[~np.isnan(samples)]
-                    if samples.size:
-                        sketch = CentroidSketch()
-                        sketch.update_batch(samples)
-                        fe_medians[code] = float(sketch.quantile(0.5))
-                if not fe_medians:
-                    continue
-                best_code = min(fe_medians, key=lambda c: (fe_medians[c], c))
-                if fe_medians[best_code] + margin_ms < anycast_median:
-                    prefix_choices[dataset.prefixes[m].pid] = best_code
-    return RedirectionPolicy(
-        choices=choices, margin_ms=margin_ms, prefix_choices=prefix_choices
-    )
-
-
 def train_redirection_policy(
     dataset: BeaconDataset,
     train_fraction: float = 0.5,
     margin_ms: float = 1.0,
     max_train_samples: int = 8,
     ecs_resolvers: Optional[AbstractSet[str]] = None,
-    streaming: bool = False,
 ) -> RedirectionPolicy:
     """Train the per-LDNS policy on the first part of the campaign.
 
@@ -198,11 +119,6 @@ def train_redirection_policy(
             per-LDNS ones.  The paper's measured world has essentially
             none; passing the public-resolver ids answers "what would
             ECS adoption buy?" (Section 3.2.1's counterfactual).
-        streaming: Pool each resolver's samples through
-            :class:`repro.stream.CentroidSketch` quantile sketches
-            instead of one aligned sample array.  Training pools are
-            far below the centroid budget, so the trained policy
-            matches the batch lane exactly.
 
     Raises:
         AnalysisError: if prefixes lack LDNS assignments.
@@ -226,10 +142,6 @@ def train_redirection_policy(
     sample_idx = np.unique(
         np.linspace(0, n_train - 1, n_train_used).round().astype(int)
     )
-    if streaming:
-        return _train_streaming(
-            dataset, by_ldns, sample_idx, margin_ms, ecs_resolvers
-        )
     choices: Dict[str, str] = {}
     prefix_choices: Dict[str, str] = {}
     codes, col_of, aligned = _aligned_training_rtts(dataset, sample_idx)

@@ -43,7 +43,7 @@ import time
 from typing import Callable, Dict
 
 from repro.analysis import format_table, text_choropleth
-from repro.errors import ReproError
+from repro.errors import ReproError, StreamError
 from repro.geo import COUNTRY_REGIONS
 
 # Pinned name (not __name__): running as ``python -m repro.cli`` makes
@@ -510,39 +510,33 @@ def cmd_ingest(args) -> None:
     """Service mode: replay a synthesized session stream through sketches.
 
     Streams every session batch through a
-    :class:`repro.stream.SessionIngestor` (O(windows) state), reports a
-    sustained sessions/sec rate, and emits the same Figure 1 statistics
-    table as the batch path — from sketch medians.  ``--compare-batch``
-    re-runs the batch lane and fails (exit 1) if the two reports
-    disagree beyond the documented tolerance; ``--shards N`` re-ingests
-    through N campaign jobs and asserts the merged snapshot is
-    byte-identical to an in-process merge of the same shards.
+    :class:`repro.stream.SessionIngestor` (O(windows) state) with
+    :func:`repro.stream.ingest_plan`, reports a sustained sessions/sec
+    rate, and emits the same Figure 1 statistics table as the batch
+    path — from sketch medians.  ``--compare-batch`` also runs batch
+    synthesis and fails (exit 1) if the two reports disagree beyond the
+    documented tolerance; ``--shards N`` re-ingests through N campaign
+    jobs and asserts the merged snapshot is byte-identical to an
+    in-process merge of the same shards.
     """
-    import numpy as np
+    if args.shards < 1:
+        raise StreamError(f"shards must be >= 1, got {args.shards}")
 
     from repro.core.configs import edgefabric_topology
     from repro.obs.trace import gauge, span
     from repro.topology import build_internet
-    from repro.workloads import (
-        diurnal_volume_matrix,
-        generate_client_prefixes,
-        sessions_matrix,
-        traffic_matrix,
-    )
+    from repro.workloads import generate_client_prefixes
     from repro.edgefabric import bgp_vs_best_alternate
-    from repro.edgefabric.dataset import EgressDataset, window_times
     from repro.edgefabric.sampler import (
         MeasurementConfig,
-        _ci_half_grid,
         plan_measurement,
         synthesize_dataset,
     )
     from repro.stream import (
         IngestConfig,
         IngestShardStudy,
-        SessionIngestor,
+        ingest_plan,
         merge_snapshot_artifacts,
-        stream_sessions,
     )
 
     cfg = MeasurementConfig(days=args.days, seed=args.seed + 2)
@@ -560,41 +554,15 @@ def cmd_ingest(args) -> None:
     with span("ingest.plan"):
         plan = plan_measurement(internet, prefixes, cfg)
 
-    ingestor = SessionIngestor(ingest_config)
     with span("ingest.stream", sketch=args.sketch):
-        start = time.perf_counter()
-        for batch in stream_sessions(
-            plan, cfg, chunk_windows=args.chunk_windows
-        ):
-            ingestor.feed(batch)
-        elapsed = time.perf_counter() - start
+        run = ingest_plan(plan, cfg, ingest_config, chunk_windows=args.chunk_windows)
+    ingestor = run.ingestor
+    elapsed = run.elapsed_s
     rate = ingestor.sessions / elapsed if elapsed > 0 else float("inf")
     gauge("ingest.sessions_per_sec", rate)
-    snapshot = ingestor.snapshot()
 
-    times = window_times(cfg.days, cfg.window_minutes)
-    cycle = diurnal_volume_matrix(
-        times, np.array([p.city.location.lon for p in plan.prefixes])
-    )
     with span("ingest.report"):
-        medians = snapshot.median_matrix(plan.pairs, times, cfg.max_routes)
-        sessions_grid = sessions_matrix(
-            plan.prefixes,
-            times,
-            sessions_at_peak=cfg.sessions_at_peak,
-            cycle=cycle,
-        )
-        ci_half = np.full_like(medians, np.nan)
-        slots = plan.slots()
-        _ci_half_grid(slots.pair_of, slots.route_of, sessions_grid, cfg, ci_half)
-        dataset = EgressDataset(
-            pairs=list(plan.pairs),
-            times_h=times,
-            medians=medians,
-            ci_half=ci_half,
-            volumes=traffic_matrix(plan.prefixes, times, cycle=cycle),
-            max_routes=cfg.max_routes,
-        )
+        dataset = run.dataset()
         fig1 = bgp_vs_best_alternate(dataset)
 
     print(
@@ -627,7 +595,7 @@ def cmd_ingest(args) -> None:
 
     if args.snapshot_out:
         with open(args.snapshot_out, "w", encoding="utf-8") as fh:
-            fh.write(snapshot.to_json())
+            fh.write(run.snapshot.to_json())
         logger.info("wrote snapshot to %s", args.snapshot_out)
     if args.rate_out:
         with open(args.rate_out, "w", encoding="utf-8") as fh:
@@ -1030,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario": "Event-driven routing scenario: hijack or withdrawal cascade",
         "trace": "Inspect recorded telemetry streams "
         "(trace summarize|profile|flame|critical FILE)",
-        "lint": "Invariant lint: RNG/time purity, lane parity, taxonomy",
+        "lint": "Invariant lint: RNG/time purity, worker purity, taxonomy",
     }
     for name, handler in COMMANDS.items():
         cmd = sub.add_parser(name, help=descriptions[name])
@@ -1283,8 +1251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         default=None,
         metavar="DIR",
-        help="repo root for relative paths, baseline discovery, and the "
-        "lane-agreement test (default: current directory)",
+        help="repo root for relative paths and baseline discovery "
+        "(default: current directory)",
     )
     _add_runtime_flags(lint_cmd, suppress=True)
     lint_cmd.set_defaults(handler=cmd_lint)

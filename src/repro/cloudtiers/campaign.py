@@ -93,41 +93,16 @@ class TierDataset:
 def run_campaign(
     platform: SpeedcheckerPlatform,
     config: Optional[CampaignConfig] = None,
-    streaming: bool = False,
 ) -> TierDataset:
     """Run the tier-comparison campaign through the platform API.
 
     Each VP-day's pings go out as one
     :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
     and their per-round medians come from one array reduction.
-
-    Args:
-        streaming: Aggregate each VP-day's per-round medians through a
-            :class:`repro.stream.CentroidSketch` instead of a stored
-            list (the per-round medians are the measurement device and
-            stay as they are).  A day has ``rounds_per_day`` rounds —
-            far below the centroid budget — so the day medians match
-            the batch aggregation to interpolation precision, which the
-            agreement tests assert.
     """
     cfg = config or CampaignConfig()
     deployment = platform.deployment
     rng = np.random.default_rng(cfg.seed)
-    if streaming:
-        # Imported here so repro.cloudtiers does not depend on the
-        # streaming subsystem unless the lane is actually used.
-        from repro.stream.sketch import CentroidSketch
-
-        def day_median(ms: List[float]) -> float:
-            sketch = CentroidSketch()
-            sketch.update_batch(np.asarray(ms))
-            return float(sketch.quantile(0.5))
-
-    else:
-
-        def day_median(ms: List[float]) -> float:
-            return float(np.median(ms))
-
     vps: Dict[str, VantagePoint] = {}
     records: List[VpDayRecord] = []
     traceroutes: Dict[Tuple[str, Tier], TracerouteResult] = {}
@@ -163,7 +138,7 @@ def run_campaign(
                     vp_id=vp.vp_id,
                     day=day,
                     median_ms={
-                        tier: day_median(ms) for tier, ms in medians.items()
+                        tier: float(np.median(ms)) for tier, ms in medians.items()
                     },
                 )
             )

@@ -1,8 +1,8 @@
 """repro.lint — AST-based invariant checker for the reproduction.
 
 The repo's headline claims rest on contracts tests can only
-spot-check: seeded RNGs threaded explicitly, batch/streaming lanes
-that agree, resume ≡ uninterrupted, crashes only where injected.  This
+spot-check: seeded RNGs threaded explicitly, side-effect-free
+workers, resume ≡ uninterrupted, crashes only where injected.  This
 package enforces them at the source level, the way large measurement
 platforms (Edge Fabric, Odin) encode operational rules as custom
 configuration checkers rather than after-the-fact audits:
@@ -12,12 +12,11 @@ configuration checkers rather than after-the-fact audits:
 * :mod:`repro.lint.rules` — the rule framework: file contexts,
   alias-aware import resolution, per-line suppression.
 * :mod:`repro.lint.checks` — the shipped rules: RNG discipline
-  (RNG001/RNG002), wall-clock purity (TIME001), streaming lane-parity
-  coverage (LANE002), crash-call containment (CRASH001), exception
-  taxonomy (EXC001), serialization safety (SER001), static telemetry
-  names (OBS001), plus the whole-program graph rules: seed taint (DET001),
-  worker purity (FORK001), shm discipline (SHM001), and lane-signature
-  drift (PAR001).
+  (RNG001/RNG002), wall-clock purity (TIME001), crash-call containment
+  (CRASH001), exception taxonomy (EXC001), serialization safety
+  (SER001), static telemetry names (OBS001), plus the whole-program
+  graph rules: seed taint (DET001), worker purity (FORK001), and shm
+  discipline (SHM001).
 * :mod:`repro.lint.graph` — the repo-wide symbol table and call graph
   (:func:`build_graph`, :class:`CallGraph`, :class:`GraphRule`) the
   cross-module rules traverse.
@@ -40,12 +39,7 @@ from repro.lint.baseline import (
     write_baseline,
 )
 from repro.lint.checks import ALL_RULE_CLASSES, build_rules
-from repro.lint.engine import (
-    LintConfig,
-    SUPPRESS_RULE_ID,
-    SYNTAX_RULE_ID,
-    lint_paths,
-)
+from repro.lint.engine import SUPPRESS_RULE_ID, SYNTAX_RULE_ID, lint_paths
 from repro.lint.findings import (
     ERROR,
     SEVERITIES,
@@ -67,7 +61,6 @@ __all__ = [
     "Finding",
     "GraphRule",
     "ImportMap",
-    "LintConfig",
     "Rule",
     "SEVERITIES",
     "SUPPRESS_RULE_ID",

@@ -1,12 +1,13 @@
 """The shipped rule set, one module per invariant family.
 
 ``build_rules()`` is the engine's default factory; it returns fresh
-instances because repo-level rules (lane parity) accumulate per-run
-state.  Rule ids are stable and never reused: documentation, disable
-comments, and baseline entries all refer to them.
+instances, so no rule can carry state from one run into the next.
+Rule ids are stable and never reused: documentation, disable
+comments, and baseline entries all refer to them (retired: LANE001,
+LANE002, PAR001).
 
 File-local rules judge one :class:`~repro.lint.rules.FileContext` at a
-time; the graph rules (DET001/FORK001/SHM001/PAR001) subclass
+time; the graph rules (DET001/FORK001/SHM001) subclass
 :class:`~repro.lint.graph.GraphRule` and are judged once against the
 whole-run call graph after every file pass.
 """
@@ -15,8 +16,6 @@ from typing import List
 
 from repro.lint.checks.crashcalls import CrashCallRule
 from repro.lint.checks.exceptions import SwallowedExceptionRule
-from repro.lint.checks.laneparity import StreamingLaneRule
-from repro.lint.checks.lanesignature import LaneSignatureRule
 from repro.lint.checks.rng import FreshGeneratorRule, LegacyRandomRule
 from repro.lint.checks.seedtaint import SeedTaintRule
 from repro.lint.checks.serialization import PayloadFieldRule
@@ -33,8 +32,6 @@ ALL_RULE_CLASSES = (
     LegacyRandomRule,
     FreshGeneratorRule,
     WallClockRule,
-    StreamingLaneRule,
-    LaneSignatureRule,
     CrashCallRule,
     SwallowedExceptionRule,
     PayloadFieldRule,
@@ -52,13 +49,11 @@ __all__ = [
     "ALL_RULE_CLASSES",
     "CrashCallRule",
     "FreshGeneratorRule",
-    "LaneSignatureRule",
     "LegacyRandomRule",
     "PayloadFieldRule",
     "SeedTaintRule",
     "ShmDisciplineRule",
     "SpanNameRule",
-    "StreamingLaneRule",
     "SwallowedExceptionRule",
     "WallClockRule",
     "WorkerPurityRule",

@@ -1,10 +1,9 @@
 """The lint engine: walk files, drive rules, collect findings.
 
-One run is ``begin`` → per-file ``check_file`` → whole-program
-``check_graph`` (for :class:`~repro.lint.graph.GraphRule` subclasses)
-→ ``finish`` over a fresh rule set (see
-:class:`repro.lint.rules.Rule`).  The engine owns everything rule code
-should not care about: file discovery, parse failures (reported as
+One run is per-file ``check_file`` → whole-program ``check_graph``
+(for :class:`~repro.lint.graph.GraphRule` subclasses) over a fresh
+rule set (see :class:`repro.lint.rules.Rule`).  The engine owns
+everything rule code should not care about: file discovery, parse failures (reported as
 ``SYNTAX`` findings, never crashes), suppression comments — including
 the stale-waiver check (``SUPPRESS001``) — and deterministic ordering
 of the output.
@@ -12,7 +11,6 @@ of the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
@@ -24,28 +22,6 @@ SYNTAX_RULE_ID = "SYNTAX"
 
 #: Pseudo-rule id for ``disable=`` comments that silence nothing.
 SUPPRESS_RULE_ID = "SUPPRESS001"
-
-#: Default location of the lane-agreement suite, relative to the root.
-DEFAULT_LANE_TEST = Path("tests") / "test_lane_agreement.py"
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Run-wide configuration handed to every rule's ``begin``.
-
-    Attributes:
-        root: Repo root; finding paths are rendered relative to it.
-        lane_test: The lane-agreement test file LANE002 cross-checks.
-    """
-
-    root: Path
-    lane_test: Path = field(default=DEFAULT_LANE_TEST)
-
-    @classmethod
-    def for_root(cls, root: Path, lane_test: Optional[Path] = None) -> "LintConfig":
-        """Config rooted at *root*, lane test resolved under it."""
-        resolved = lane_test if lane_test is not None else root / DEFAULT_LANE_TEST
-        return cls(root=root, lane_test=resolved)
 
 
 def iter_source_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -86,17 +62,15 @@ def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    lane_test: Optional[Path] = None,
 ) -> List[Finding]:
     """Lint every Python file under *paths* with the given rule set.
 
     Args:
         paths: Files or directories to scan.
-        root: Repo root for relative paths and lane-test discovery
-            (default: the current working directory).
+        root: Repo root for relative paths (default: the current
+            working directory).
         rules: Rule instances to run (default: the full shipped set).
             Instances are single-use; pass fresh ones per call.
-        lane_test: Override the lane-agreement test location.
 
     Returns:
         All findings, sorted by (path, line, col, rule), with per-line
@@ -106,13 +80,10 @@ def lint_paths(
     from repro.lint.graph import CallGraph, GraphRule
 
     resolved_root = root if root is not None else Path.cwd()
-    config = LintConfig.for_root(resolved_root, lane_test)
     if rules is None:
         from repro.lint.checks import build_rules
 
         rules = build_rules()
-    for rule in rules:
-        rule.begin(config)
     findings: List[Finding] = []
     contexts: List[FileContext] = []
     for path in iter_source_files(paths):
@@ -137,8 +108,6 @@ def lint_paths(
                 ctx_for = by_relpath.get(finding.path)
                 if ctx_for is None or not ctx_for.suppressed(finding):
                     findings.append(finding)
-    for rule in rules:
-        findings.extend(rule.finish())
     findings.extend(_stale_suppressions(contexts))
     return sorted(findings)
 

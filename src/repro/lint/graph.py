@@ -43,7 +43,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -56,9 +55,6 @@ from typing import (
 
 from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lint.engine import LintConfig
 
 #: Bumped whenever the JSON export below changes incompatibly.
 GRAPH_SCHEMA_VERSION = 1

@@ -10,9 +10,8 @@ things all of them need:
   canonical dotted path it refers to (``np.random.default_rng`` →
   ``numpy.random.default_rng``), following import aliases, so rules
   match semantics instead of spellings.
-* :class:`Rule` — the three-phase protocol (``begin`` / ``check_file``
-  / ``finish``) that lets repo-level rules like lane parity accumulate
-  state across files before judging.
+* :class:`Rule` — the per-file ``check_file`` protocol every rule
+  implements.
 
 Suppression is per line: ``# repro-lint: disable=RNG001`` (or
 ``disable=all``) on the offending line silences it.  Suppressions are
@@ -28,12 +27,9 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.findings import ERROR, Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lint.engine import LintConfig
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
@@ -265,11 +261,8 @@ class Rule:
     """Base class for one invariant check.
 
     Subclasses set the class attributes and implement
-    :meth:`check_file`; repo-level rules additionally implement
-    :meth:`finish` and accumulate state from ``check_file`` calls.
-    The engine guarantees ``begin`` → ``check_file``\\* → ``finish``
-    per run, and constructs a fresh rule set per run, so instance
-    state needs no reset logic.
+    :meth:`check_file`.  The engine constructs a fresh rule set per
+    run, so instance state needs no reset logic.
     """
 
     #: Stable identifier, e.g. ``RNG001``.  Never reuse a retired id.
@@ -281,15 +274,8 @@ class Rule:
     #: One-line statement of the invariant the rule protects.
     description: str = ""
 
-    def begin(self, config: "LintConfig") -> None:
-        """Receive run-wide configuration before any file is checked."""
-
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file."""
-        return iter(())
-
-    def finish(self) -> Iterator[Finding]:
-        """Yield repo-level findings after every file was checked."""
         return iter(())
 
 

@@ -15,7 +15,9 @@ Layering (see ``docs/streaming.md``):
 * :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot/merge``
   plus the O(sessions) ``ExactIngestor`` parity twin.
 * :mod:`repro.stream.sessions` — synthesizes the edge-fabric session
-  stream batch-by-batch for the ``repro-bgp ingest`` service mode.
+  stream batch-by-batch; :func:`ingest_plan` folds it into a
+  ``SessionIngestor``, the one streaming path behind ``repro-bgp
+  ingest`` and its shard jobs.
 * :mod:`repro.stream.shard` — ingest shards as campaign studies whose
   snapshots survive caching/checkpointing and merge byte-identically.
 """
@@ -40,7 +42,12 @@ from repro.stream.ingest import (
     SessionIngestor,
     merge_snapshots,
 )
-from repro.stream.sessions import stream_sessions, session_key_table
+from repro.stream.sessions import (
+    PlanIngest,
+    ingest_plan,
+    session_key_table,
+    stream_sessions,
+)
 from repro.stream.shard import (
     SNAPSHOT_ARTIFACT,
     IngestShardStudy,
@@ -65,6 +72,8 @@ __all__ = [
     "SessionBatch",
     "SessionIngestor",
     "merge_snapshots",
+    "PlanIngest",
+    "ingest_plan",
     "stream_sessions",
     "session_key_table",
     "SNAPSHOT_ARTIFACT",

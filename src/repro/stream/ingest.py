@@ -159,7 +159,7 @@ class IngestSnapshot:
     def median_matrix(
         self, pairs: Sequence[object], times_h: np.ndarray, max_routes: int
     ) -> np.ndarray:
-        """Render sketch medians into the batch lane's (P, W, K) layout.
+        """Render sketch medians into the ``EgressDataset`` (P, W, K) layout.
 
         ``pairs`` are :class:`~repro.edgefabric.dataset.PairKey`-like
         objects (``pop_code``/``prefix.pid`` attributes); cells with no

@@ -1,6 +1,6 @@
-"""Synthesize an edge-fabric session stream, one batch per window chunk.
+"""Synthesize an edge-fabric session stream and ingest it, one chunk at a time.
 
-The batch lane (:func:`repro.edgefabric.sampler.synthesize_dataset`)
+Batch synthesis (:func:`repro.edgefabric.sampler.synthesize_dataset`)
 materializes the full ⟨pairs × windows × routes⟩ floor tensor and applies
 an *analytic* approximation of the sampled median.  This module is the
 session-level view of the same model: it draws every individual session
@@ -8,14 +8,16 @@ MinRTT (floor plus an exponential residual, exactly
 :func:`repro.netmodel.rtt.sample_min_rtts`'s distribution) and yields
 them as :class:`~repro.stream.ingest.SessionBatch` slabs in time order,
 a chunk of windows at a time — so peak memory is O(chunk), never
-O(sessions).
+O(sessions).  :func:`ingest_plan` is the one streaming path: it folds
+a plan's stream into a :class:`~repro.stream.ingest.SessionIngestor`
+for ``repro-bgp ingest`` and its shard jobs.
 
 Determinism notes:
 
-* The per-pair last-mile draw happens first, exactly like the batch
-  lane — so the latency *floors* under both lanes are
-  bit-identical; only the residual handling differs (real exponential
-  samples here, analytic median + normal estimation noise there).
+* The per-pair last-mile draw happens first, exactly like batch
+  synthesis — so the latency *floors* under both are bit-identical;
+  only the residual handling differs (real exponential samples here,
+  analytic median + normal estimation noise there).
 * The residual stream draws one ``rng.exponential`` per window, so the
   generated sessions are independent of ``chunk_windows`` — resizing
   chunks reorders nothing.
@@ -28,6 +30,8 @@ Determinism notes:
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -35,10 +39,20 @@ import numpy as np
 from repro.errors import MeasurementError
 from repro.netmodel import CongestionModel
 from repro.obs.trace import counter, traced
-from repro.workloads import diurnal_volume_matrix, sessions_matrix
-from repro.edgefabric.dataset import window_times
-from repro.edgefabric.sampler import MeasurementConfig, MeasurementPlan
-from repro.stream.ingest import Key, SessionBatch
+from repro.edgefabric.dataset import EgressDataset, window_times
+from repro.edgefabric.sampler import (
+    MeasurementConfig,
+    MeasurementPlan,
+    dataset_from_medians,
+    window_grid,
+)
+from repro.stream.ingest import (
+    IngestConfig,
+    IngestSnapshot,
+    Key,
+    SessionBatch,
+    SessionIngestor,
+)
 
 
 @traced("stream.sessions")
@@ -53,11 +67,11 @@ def stream_sessions(
 
     Args:
         plan: Output of :func:`repro.edgefabric.sampler.plan_measurement`.
-        config: Campaign parameters (same object the batch lane takes).
+        config: Campaign parameters (same object batch synthesis takes).
         chunk_windows: Windows per yielded batch; bounds peak memory.
         congestion: Optional pre-built route-specific congestion model
-            (must match the config's seed/parameters, as in the batch
-            lane).
+            (must match the config's seed/parameters, as in batch
+            synthesis).
         dest_congestion: Same, for the destination-side model.
     """
     cfg = config or MeasurementConfig()
@@ -67,7 +81,7 @@ def stream_sessions(
     if not pairs:
         raise MeasurementError("empty measurement plan")
     rng = np.random.default_rng(cfg.seed)
-    times = window_times(cfg.days, cfg.window_minutes)
+    times, _, sessions = window_grid(plan, cfg)
     if congestion is None:
         congestion = CongestionModel(cfg.seed, cfg.congestion_config())
     if dest_congestion is None:
@@ -81,18 +95,12 @@ def stream_sessions(
 
     dest_keys = [f"dest:{p.prefix.pid}" for p in pairs]
     lons = np.array([p.prefix.city.location.lon for p in pairs])
-    cycle = diurnal_volume_matrix(
-        times, np.array([p.city.location.lon for p in plan.prefixes])
-    )
-    sessions = sessions_matrix(
-        plan.prefixes, times, sessions_at_peak=cfg.sessions_at_peak, cycle=cycle
-    )
 
     key_table = session_key_table(plan)
     slot_index = np.arange(n_slots)
     half_window_h = 0.5 * cfg.window_minutes / 60.0
 
-    # Full-horizon model evaluation, identical to the batch lane's
+    # Full-horizon model evaluation, identical to batch synthesis's
     # calls — chunks slice columns out of these, so the floors are
     # bit-identical for every chunk_windows setting.
     shared_full = dest_congestion.shared_delay_batch(dest_keys, lons, times)
@@ -143,3 +151,83 @@ def session_key_table(plan: MeasurementPlan) -> tuple:
         pair = pairs[slots.pair_of[s]]
         keys.append((pair.pop_code, pair.prefix.pid, int(slots.route_of[s])))
     return tuple(keys)
+
+
+@dataclass(frozen=True)
+class PlanIngest:
+    """A plan's session stream, folded through one :class:`SessionIngestor`.
+
+    Attributes:
+        plan: The measurement plan that was streamed.
+        config: Campaign parameters of the stream.
+        ingestor: The ingestor after the last batch (session, batch,
+            cell and late-data counters).
+        snapshot: The ingestor's final snapshot.
+        elapsed_s: Monotonic seconds spent synthesizing and feeding the
+            session batches.
+    """
+
+    plan: MeasurementPlan
+    config: MeasurementConfig
+    ingestor: SessionIngestor
+    snapshot: IngestSnapshot
+    elapsed_s: float
+
+    def dataset(self) -> EgressDataset:
+        """The streamed :class:`EgressDataset`: sketch medians per cell.
+
+        Built on demand, since shard jobs need only the snapshot.  CI
+        half-widths, volumes and the probe-loss mask come from the
+        sampler (:func:`repro.edgefabric.sampler.dataset_from_medians`),
+        so they equal :func:`~repro.edgefabric.sampler.synthesize_dataset`'s
+        bit for bit.
+        """
+        cfg = self.config
+        times = window_times(cfg.days, cfg.window_minutes)
+        medians = self.snapshot.median_matrix(self.plan.pairs, times, cfg.max_routes)
+        return dataset_from_medians(self.plan, medians, cfg)
+
+
+@traced("stream.ingest_plan")
+def ingest_plan(
+    plan: MeasurementPlan,
+    config: Optional[MeasurementConfig] = None,
+    ingest_config: Optional[IngestConfig] = None,
+    chunk_windows: int = 16,
+) -> PlanIngest:
+    """Stream a plan's sessions into a :class:`SessionIngestor`.
+
+    Args:
+        plan: Output of :func:`repro.edgefabric.sampler.plan_measurement`;
+            an empty plan (a shard with no pairs) streams nothing.
+        config: Campaign parameters (same object batch synthesis takes).
+        ingest_config: Sketch kind and centroid budget; its window
+            width must match the measurement window.
+        chunk_windows: Windows per session batch; the snapshot is
+            invariant to it.
+
+    Raises:
+        MeasurementError: if the ingest and measurement windows differ.
+    """
+    cfg = config or MeasurementConfig()
+    if ingest_config is None:
+        ingest_config = IngestConfig(window_minutes=cfg.window_minutes)
+    elif ingest_config.window_minutes != cfg.window_minutes:
+        raise MeasurementError(
+            "ingest_config.window_minutes "
+            f"({ingest_config.window_minutes}) must match the measurement "
+            f"window ({cfg.window_minutes})"
+        )
+    ingestor = SessionIngestor(ingest_config)
+    start = time.perf_counter()
+    if plan.pairs:
+        for batch in stream_sessions(plan, cfg, chunk_windows=chunk_windows):
+            ingestor.feed(batch)
+    elapsed_s = time.perf_counter() - start
+    return PlanIngest(
+        plan=plan,
+        config=cfg,
+        ingestor=ingestor,
+        snapshot=ingestor.snapshot(),
+        elapsed_s=elapsed_s,
+    )

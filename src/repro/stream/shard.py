@@ -27,12 +27,7 @@ from repro.errors import StreamError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.study import StudyResult
 from repro.obs.trace import span
-from repro.stream.ingest import (
-    IngestConfig,
-    IngestSnapshot,
-    SessionIngestor,
-    merge_snapshots,
-)
+from repro.stream.ingest import IngestConfig, IngestSnapshot, merge_snapshots
 
 #: Artifact key under which shard studies store their snapshot.
 SNAPSHOT_ARTIFACT = "ingest_snapshot"
@@ -83,7 +78,7 @@ class IngestShardStudy:
             MeasurementPlan,
             plan_measurement,
         )
-        from repro.stream.sessions import stream_sessions
+        from repro.stream.sessions import ingest_plan
 
         cfg = MeasurementConfig(days=self.days, seed=self.seed + 2)
         with span("study.ingest.topology", seed=self.seed, shard=self.shard):
@@ -103,20 +98,16 @@ class IngestShardStudy:
                 pairs=tuple(plan.pairs[i] for i in keep),
                 prefixes=tuple(plan.prefixes[i] for i in keep),
             )
-        ingestor = SessionIngestor(
-            IngestConfig(
-                window_minutes=cfg.window_minutes,
-                sketch=self.sketch,
-                max_centroids=self.max_centroids,
-            )
+        ingest_config = IngestConfig(
+            window_minutes=cfg.window_minutes,
+            sketch=self.sketch,
+            max_centroids=self.max_centroids,
         )
         with span("study.ingest.stream", shard=self.shard):
-            if shard_plan.pairs:
-                for batch in stream_sessions(
-                    shard_plan, cfg, chunk_windows=self.chunk_windows
-                ):
-                    ingestor.feed(batch)
-        snapshot = ingestor.snapshot()
+            run = ingest_plan(
+                shard_plan, cfg, ingest_config, chunk_windows=self.chunk_windows
+            )
+        ingestor = run.ingestor
         summary = {
             "n_pairs": float(len(shard_plan.pairs)),
             "sessions": float(ingestor.sessions),
@@ -128,7 +119,7 @@ class IngestShardStudy:
         return StudyResult(
             name=f"ingest-shard-{self.shard}-of-{self.n_shards}",
             summary=summary,
-            artifacts={SNAPSHOT_ARTIFACT: snapshot.to_dict()},
+            artifacts={SNAPSHOT_ARTIFACT: run.snapshot.to_dict()},
         )
 
 

@@ -38,7 +38,7 @@ from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
 def _synthesize_per_pair(
     plan, times, sessions, cfg, rng, congestion, dest_congestion, medians, ci_half
 ) -> None:
-    """The per-pair, per-route loop, with the batch lane's signature."""
+    """The per-pair, per-route loop, with ``_draw_medians``'s signature."""
     lo, hi = cfg.last_mile_ms_range
     for i, pair in enumerate(plan.pairs):
         prefix = pair.prefix
@@ -64,10 +64,10 @@ def per_pair_synthesis():
     """Inside the block, synthesis draws its medians pair by pair.
 
     The loop interleaves its noise draws per pair, so single medians
-    differ from the batch lane's while their distribution does not;
+    differ from the batched draw's while their distribution does not;
     the NaN mask, CI half-widths and volumes do not depend on the draws.
     """
-    return mock.patch.object(sampler_module, "_synthesize_fast", _synthesize_per_pair)
+    return mock.patch.object(sampler_module, "_draw_medians", _synthesize_per_pair)
 
 
 # --- edgefabric episodes ---------------------------------------------------

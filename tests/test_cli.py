@@ -539,19 +539,38 @@ class TestTraceProfiling:
 class TestErrorBoundary:
     """Library errors leave ``repro-bgp`` as one line and exit status 1."""
 
+    @staticmethod
+    def run_cli(*argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
     @pytest.mark.parametrize("damage", ["missing", "garbled"])
     @pytest.mark.parametrize("verb", ["summarize", "profile", "flame", "critical"])
     def test_bad_trace_file_is_one_line(self, verb, damage, tmp_path):
         trace = tmp_path / "trace.jsonl"
         if damage == "garbled":
             trace.write_text("not json {{{\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        child = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "trace", verb, str(trace)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        child = self.run_cli("trace", verb, str(trace))
         assert child.returncode == 1
         assert "Traceback" not in child.stderr
         assert child.stderr.startswith(f"trace {verb}: ")
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--shards", "0"], "shards must be >= 1, got 0"),
+            (["--chunk-windows", "0"], "chunk_windows must be >= 1"),
+            (["--max-centroids", "3"], "max_centroids must be >= 8, got 3"),
+        ],
+    )
+    def test_bad_ingest_option_is_one_line(self, option, message):
+        child = self.run_cli("ingest", "--scale", "25", "--days", "0.25", *option)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert child.stderr == f"ingest: {message}\n"
+        assert child.stdout == ""

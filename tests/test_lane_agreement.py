@@ -10,9 +10,10 @@
   round-off) or batches RNG draws (edgefabric medians: same noise
   distribution, different draw order — statistics agree, individual
   samples do not).
-* **Streaming vs batch** (LANE002): the sketch-backed ``streaming=True``
-  lanes against the batch lanes — deterministic structure
-  bit-identical, sketch medians within the documented tolerance.
+* **Streamed vs synthesized**: the session stream's sketch medians
+  (:func:`repro.stream.ingest_plan`) against batch synthesis —
+  deterministic structure bit-identical, sketch medians within the
+  documented tolerance.
 * **CSR propagation vs the heap oracle** (``tests/bgp_oracle.py``):
   identical tables, route for route.
 * **Event-driven dynamics vs static propagation**: the converged
@@ -56,6 +57,7 @@ from repro.edgefabric.sampler import (
     run_measurement,
     synthesize_dataset,
 )
+from repro.stream import ingest_plan
 
 SEEDS = (0, 1, 2)
 
@@ -174,14 +176,15 @@ class TestCdnLanes:
 
 
 class TestStreamingLanes:
-    """Sketch-backed ``streaming=True`` lanes against their batch twins.
+    """The session stream (:func:`repro.stream.ingest_plan`) against
+    batch synthesis.
 
-    The streaming lane replaces stored-sample medians with mergeable
-    quantile sketches (:mod:`repro.stream`).  Deterministic structure —
-    NaN masks, CI half-widths, volumes — must stay bit-identical; the
-    medians are estimates from an independent session-noise stream and
-    agree at the statistic level within the documented tolerance
-    (``docs/streaming.md``).
+    The stream replaces the analytic median draw with mergeable
+    quantile sketches over every session (:mod:`repro.stream`).
+    Deterministic structure — NaN masks, CI half-widths, volumes — must
+    stay bit-identical; the medians are estimates from an independent
+    session-noise stream and agree at the statistic level within the
+    documented tolerance (``docs/streaming.md``).
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -190,9 +193,7 @@ class TestStreamingLanes:
         batch = bgp_vs_best_alternate(
             synthesize_dataset(egress_plan, config)
         )
-        streaming = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, streaming=True)
-        )
+        streaming = bgp_vs_best_alternate(ingest_plan(egress_plan, config).dataset())
         assert streaming.frac_alternate_better_5ms == pytest.approx(
             batch.frac_alternate_better_5ms, abs=0.05
         )
@@ -205,11 +206,11 @@ class TestStreamingLanes:
 
     def test_structure_and_ci_bit_identical(self, egress_plan):
         """The CI plane is shared code (``_ci_half_grid``), so it cannot
-        drift between the batch and streaming lanes; the measurement
-        mask and volumes are plan-determined."""
+        drift between synthesized and streamed datasets; the
+        measurement mask and volumes are plan-determined."""
         config = MeasurementConfig(days=2.0, seed=0)
         batch = synthesize_dataset(egress_plan, config)
-        streaming = synthesize_dataset(egress_plan, config, streaming=True)
+        streaming = ingest_plan(egress_plan, config).dataset()
         assert np.array_equal(
             np.isnan(batch.medians), np.isnan(streaming.medians)
         )
@@ -223,59 +224,11 @@ class TestStreamingLanes:
         paper's session counts."""
         config = MeasurementConfig(days=2.0, seed=1)
         batch = synthesize_dataset(egress_plan, config)
-        streaming = synthesize_dataset(egress_plan, config, streaming=True)
+        streaming = ingest_plan(egress_plan, config).dataset()
         mask = ~np.isnan(batch.medians)
         diff = np.abs(batch.medians[mask] - streaming.medians[mask])
         assert float(np.median(diff)) < 1.0
         assert float(diff.max()) < 10.0
-
-    def test_run_measurement_composes_streaming_lane(
-        self, small_internet, small_prefixes
-    ):
-        config = MeasurementConfig(days=1.0, seed=2)
-        batch = run_measurement(small_internet, small_prefixes, config)
-        streaming = run_measurement(
-            small_internet, small_prefixes, config, streaming=True
-        )
-        assert np.array_equal(
-            np.isnan(batch.medians), np.isnan(streaming.medians)
-        )
-        assert np.array_equal(batch.ci_half, streaming.ci_half, equal_nan=True)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_redirection_policy_matches_batch(
-        self, small_internet, small_prefixes, seed
-    ):
-        """Training pools stay far below the centroid budget on this
-        fixture, where the sketch is exact up to interpolation — the
-        trained policy matches the batch lanes choice for choice."""
-        deployment = CdnDeployment(small_internet)
-        dataset = run_beacon_campaign(
-            deployment, small_prefixes, BeaconConfig(seed=seed)
-        )
-        resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        batch = train_redirection_policy(dataset, ecs_resolvers=resolvers)
-        streaming = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, streaming=True
-        )
-        assert dict(streaming.choices) == dict(batch.choices)
-        assert dict(streaming.prefix_choices) == dict(batch.prefix_choices)
-
-    def test_campaign_day_medians_match_batch(self, small_internet):
-        """A VP-day has ``rounds_per_day`` medians — far below the
-        centroid budget — so the streaming aggregation reproduces the
-        batch day medians to float precision."""
-        deployment = CloudDeployment(small_internet)
-        cfg = CampaignConfig(days=2, vps_per_day=20, rounds_per_day=4, seed=4)
-        batch = run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg)
-        streaming = run_campaign(
-            SpeedcheckerPlatform(deployment, seed=4), cfg, streaming=True
-        )
-        assert len(batch.records) == len(streaming.records)
-        for a, b in zip(batch.records, streaming.records):
-            assert a.vp_id == b.vp_id and a.day == b.day
-            for tier, value in a.median_ms.items():
-                assert b.median_ms[tier] == pytest.approx(value, abs=1e-9)
 
 
 class TestCloudtiersLanes:

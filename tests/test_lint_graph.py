@@ -5,9 +5,8 @@ strategies, re-export aliases), traversals, byte-stable export (pinned
 across repeated builds *and* shuffled discovery orders), relative
 imports in :class:`ImportMap`, the stale-suppression check
 (``SUPPRESS001``), one positive and one negative case per graph rule
-(DET001 / FORK001 / SHM001 / PAR001), the regression pinning the lane
-signature fix in ``repro.edgefabric.sampler``, and the CLI surfaces
-(``lint graph --out/--dot``, ``--format sarif``, ``--changed``).
+(DET001 / FORK001 / SHM001), and the CLI surfaces (``lint graph
+--out/--dot``, ``--format sarif``, ``--changed``).
 """
 
 import ast
@@ -27,12 +26,9 @@ from repro.lint import (
     lint_paths,
     render_sarif,
 )
-from repro.lint.checks.lanesignature import LaneSignatureRule, lane_groups
 from repro.lint.engine import SUPPRESS_RULE_ID
 from repro.lint.graph import CallGraph
 from repro.lint.rules import resolve_relative_base
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MINI_REPO = {
     "src/repro/mini/__init__.py": """
@@ -548,72 +544,6 @@ class TestShmDiscipline:
         assert "SHM001" not in rules_of(findings)
 
 
-class TestLaneSignature:
-    def lint(self, tmp_path, body):
-        write_tree(tmp_path, {"src/repro/cdn/lanes.py": body})
-        return lint_paths([tmp_path / "src"], root=tmp_path)
-
-    def test_head_extra_fires(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            def blend_scalar(values, weights):
-                return values
-
-            def blend_fast(plan, values, weights):
-                return values
-            """,
-        )
-        par = [f for f in findings if f.rule == "PAR001"]
-        assert len(par) == 1
-        assert "'plan'" in par[0].message
-
-    def test_order_flip_fires(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            def blend_scalar(values, weights):
-                return values
-
-            def blend_fast(weights, values):
-                return values
-            """,
-        )
-        par = [f for f in findings if f.rule == "PAR001"]
-        assert len(par) == 1
-        assert "crosswise" in par[0].message
-
-    def test_trailing_extras_are_clean(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            def blend_scalar(values, weights):
-                return values
-
-            def blend_streaming(values, weights, ingest_config, chunk_windows):
-                return values
-            """,
-        )
-        assert "PAR001" not in rules_of(findings)
-
-    def test_sampler_lanes_stay_in_parity(self):
-        """Regression: a lane drifted to a ``pairs`` head param once;
-        the ``_synthesize_*`` lanes must share the plan-first signature
-        prefix."""
-        graph = build_graph(
-            [REPO_ROOT / "src" / "repro" / "edgefabric" / "sampler.py"],
-            root=REPO_ROOT,
-        )
-        groups = lane_groups(graph)
-        key = ("repro.edgefabric.sampler", "_synthesize")
-        assert key in groups
-        lanes = groups[key]
-        assert set(lanes) == {"fast", "streaming"}
-        for info in lanes.values():
-            assert info.params[0] == "plan"
-        assert list(LaneSignatureRule().check_graph(graph)) == []
-
-
 class TestCliGraph:
     def test_out_is_byte_stable_and_counts_match(self, mini_repo, capsys):
         out1 = mini_repo / "graph1.json"
@@ -696,7 +626,8 @@ class TestCliSarif:
         assert document["version"] == "2.1.0"
         run = document["runs"][0]
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"DET001", "FORK001", "SHM001", "PAR001", "RNG001"} <= rule_ids
+        assert {"DET001", "FORK001", "SHM001", "RNG001"} <= rule_ids
+        assert not {"LANE001", "LANE002", "PAR001"} & rule_ids  # retired
         results = run["results"]
         assert results[0]["ruleId"] == "RNG001"
         location = results[0]["locations"][0]["physicalLocation"]

@@ -189,7 +189,7 @@ PUBLIC_API = {
         "Rule",
         "FileContext",
         "ImportMap",
-        "LintConfig",
+        "GraphRule",
         "build_rules",
         "lint_paths",
         "load_baseline",

@@ -12,13 +12,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import StreamError
+from repro.edgefabric.sampler import (
+    MeasurementConfig,
+    MeasurementPlan,
+    plan_measurement,
+)
+from repro.errors import MeasurementError, StreamError
 from repro.stream import (
     ExactIngestor,
     IngestConfig,
     IngestSnapshot,
     SessionBatch,
     SessionIngestor,
+    ingest_plan,
     merge_snapshots,
 )
 
@@ -235,3 +241,29 @@ class TestExactIngestor:
         exact.feed(batch_for(KEY_A, [5.0], [40.0]))
         exact.feed(batch_for(KEY_A, [0.1], [39.0]))
         assert (KEY_A, 0) in exact.medians()
+
+
+class TestIngestPlan:
+    """:func:`repro.stream.ingest_plan`, the one streaming path."""
+
+    CONFIG = MeasurementConfig(days=0.5, seed=3)
+
+    def test_snapshot_invariant_to_chunking(self, small_internet, small_prefixes):
+        plan = plan_measurement(small_internet, small_prefixes, self.CONFIG)
+        whole = ingest_plan(plan, self.CONFIG)
+        chunked = ingest_plan(plan, self.CONFIG, chunk_windows=5)
+        assert chunked.ingestor.batches > whole.ingestor.batches
+        assert chunked.snapshot.to_json() == whole.snapshot.to_json()
+
+    def test_empty_plan_streams_nothing(self):
+        run = ingest_plan(MeasurementPlan(pairs=(), prefixes=()), self.CONFIG)
+        assert run.ingestor.sessions == 0
+        assert run.snapshot.entries == ()
+
+    def test_window_mismatch_rejected(self):
+        with pytest.raises(MeasurementError, match="must match"):
+            ingest_plan(
+                MeasurementPlan(pairs=(), prefixes=()),
+                self.CONFIG,
+                IngestConfig(window_minutes=5.0),
+            )
