@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RoutingError
 from repro.bgp import Grooming, ScenarioResult
 from repro.topology.asgraph import ASGraph
 from repro.topology import Internet, PeeringKind, Relationship
@@ -79,7 +79,7 @@ def anycast_vs_dns_failover(
     for i, prefix in enumerate(prefixes):
         try:
             path = before.anycast_path(prefix)
-        except Exception:
+        except RoutingError:
             catchments_before.append(None)
             continue
         catchments_before.append(
@@ -104,7 +104,7 @@ def anycast_vs_dns_failover(
         shifted[i] = True
         try:
             path = after.anycast_path(prefix)
-        except Exception:
+        except RoutingError:
             unreachable[i] = True
             continue
         added[i] = 2.0 * path.one_way_ms - rtt_before[i]

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RoutingError
 from repro.analysis import format_table
 from repro.geo import great_circle_km_matrix
 from repro.workloads import ClientPrefix
@@ -152,7 +152,7 @@ def catchment_map(
         total += prefix.weight
         try:
             path = deployment.anycast_path(prefix)
-        except Exception:
+        except RoutingError:
             unreachable += prefix.weight
             continue
         reached.append(prefix)

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RoutingError
 from repro.bgp import Grooming
 from repro.topology import Internet, Relationship
 from repro.workloads import ClientPrefix
@@ -85,7 +85,7 @@ def _catchment_gaps(
     for i, prefix in enumerate(prefixes):
         try:
             anycast = 2.0 * deployment.anycast_path(prefix).one_way_ms
-        except Exception:
+        except RoutingError:
             gaps[i] = np.nan
             continue
         best = np.inf

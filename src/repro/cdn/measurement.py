@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, RoutingError
 from repro.faults.domain import FrontEndDrain
 from repro.obs.trace import traced
 from repro.geo import Region
@@ -163,7 +163,7 @@ def run_beacon_campaign(
     for prefix in prefixes:
         try:
             any_path = deployment.anycast_path(prefix)
-        except Exception:  # unreachable client; skip like a failed beacon
+        except RoutingError:  # unreachable client; skip like a failed beacon
             continue
         catchment = deployment.internet.wan.nearest_pop(
             any_path.ingress_city.location

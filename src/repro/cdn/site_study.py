@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RoutingError
 from repro.geo import great_circle_km
 from repro.topology import TopologyConfig, build_internet
 from repro.workloads import generate_client_prefixes
@@ -119,7 +119,7 @@ def site_count_study(
         for i, prefix in enumerate(prefixes):
             try:
                 path = deployment.anycast_path(prefix)
-            except Exception:
+            except RoutingError:
                 continue
             rtts[i] = 2.0 * path.one_way_ms
             catchment = internet.wan.nearest_pop(path.ingress_city.location)

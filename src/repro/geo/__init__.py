@@ -14,7 +14,13 @@ from repro.geo.coords import (
     EARTH_RADIUS_KM,
     FIBER_KM_PER_MS,
 )
-from repro.geo.cities import City, WORLD_CITIES, cities_by_country, city_named
+from repro.geo.cities import (
+    City,
+    CityDistanceCache,
+    WORLD_CITIES,
+    cities_by_country,
+    city_named,
+)
 from repro.geo.regions import (
     Region,
     region_of_country,
@@ -31,6 +37,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "FIBER_KM_PER_MS",
     "City",
+    "CityDistanceCache",
     "WORLD_CITIES",
     "cities_by_country",
     "city_named",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import GeoPoint, great_circle_km
 from repro.geo.regions import COUNTRY_REGIONS, Region
 
 
@@ -309,3 +309,35 @@ def cities_by_country(country: str) -> List[City]:
     rather than raising, so callers can iterate the full country list.
     """
     return list(_BY_COUNTRY.get(country.upper(), ()))
+
+
+class CityDistanceCache:
+    """Memoized great-circle distances between cities, ``km(a, b)``.
+
+    The owner asks for the same pair many times (the generator re-ranks
+    one small city universe thousands of times; forwarding traces cross
+    the same interconnects for every client).  The cache calls the
+    scalar :func:`great_circle_km` exactly once per unique unordered
+    pair — no vectorized trig, whose last-ulp differences would flip
+    distance-sorted tie-breaks.
+
+    Keys are city names, which are unique in :data:`WORLD_CITIES` and
+    whose string hashes Python caches, so a pickled or copied owner
+    carries keys that stay valid.  Haversine is bitwise symmetric
+    (``sin(-x)**2 == sin(x)**2`` and float multiplication commutes), so
+    one canonical key per unordered pair halves the cache.
+    """
+
+    __slots__ = ("_km",)
+
+    def __init__(self) -> None:
+        self._km: Dict[Tuple[str, str], float] = {}
+
+    def __call__(self, a: City, b: City) -> float:
+        x = a.name
+        y = b.name
+        key = (x, y) if x <= y else (y, x)
+        d = self._km.get(key)
+        if d is None:
+            d = self._km[key] = great_circle_km(a.location, b.location)
+        return d

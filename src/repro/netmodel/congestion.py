@@ -22,12 +22,20 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
 from repro.obs.trace import counter
+
+#: Slow baseline shifts (interdomain path churn): expected shifts per
+#: path per day, mean shift duration, and the log-normal magnitude's
+#: median and log-scale spread.
+SHIFT_RATE_PER_DAY = 0.12
+SHIFT_MEAN_DURATION_HOURS = 48.0
+SHIFT_MAGNITUDE_MEDIAN_MS = 8.0
+SHIFT_MAGNITUDE_SIGMA = 0.7
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,54 @@ class CongestionConfig:
             raise MeasurementError("event duration must be positive")
 
 
+class _EventSeries(NamedTuple):
+    """One key's events as arrays, sorted by (start, duration, extra).
+
+    ``end`` is ``start + duration``, added once here instead of on
+    every lookup.
+    """
+
+    start: np.ndarray
+    duration: np.ndarray
+    end: np.ndarray
+    magnitude: np.ndarray
+
+    def as_list(self) -> List[Tuple[float, float, float]]:
+        """The events as ``(start_h, duration_h, extra_ms)`` tuples."""
+        return list(
+            zip(
+                self.start.tolist(),
+                self.duration.tolist(),
+                self.magnitude.tolist(),
+            )
+        )
+
+
+def _series_delay(series: _EventSeries, times: np.ndarray) -> np.ndarray:
+    """Summed magnitude of the events active at each time.
+
+    An event is active on ``[start, end)``.  Events that start after the
+    latest time or end by the earliest are skipped: they are active at
+    no queried time.  The rest are visited in stored order, so each sum
+    takes the same ``+=`` steps as a scan of every event.  A NaN time
+    defeats the bounds, so then every event is visited.
+    """
+    delay = np.zeros_like(times)
+    if times.size == 0 or series.start.size == 0:
+        return delay
+    lo = times.min()
+    hi = times.max()
+    if np.isnan(hi):  # then lo is NaN too: some time is NaN
+        visit = np.arange(series.start.size)
+    else:
+        reach = int(np.searchsorted(series.start, hi, side="right"))
+        visit = np.flatnonzero(series.end[:reach] > lo)
+    start, end, magnitude = series.start, series.end, series.magnitude
+    for i in visit.tolist():
+        delay[(times >= start[i]) & (times < end[i])] += magnitude[i]
+    return delay
+
+
 class CongestionModel:
     """Deterministic congestion delay series for named entities.
 
@@ -75,7 +131,8 @@ class CongestionModel:
     def __init__(self, seed: int, config: CongestionConfig) -> None:
         self.seed = seed
         self.config = config
-        self._event_cache: Dict[str, List[Tuple[float, float, float]]] = {}
+        self._events: Dict[str, _EventSeries] = {}
+        self._shifts: Dict[str, _EventSeries] = {}
         self._flat_cache: Dict[tuple, tuple] = {}
         self._diurnal_cache: Dict[tuple, np.ndarray] = {}
 
@@ -84,56 +141,74 @@ class CongestionModel:
             [self.seed & 0xFFFFFFFF, zlib.crc32(key.encode("utf-8"))]
         )
 
+    def _draw_series(
+        self,
+        stream: str,
+        rate_per_day: float,
+        mean_duration_hours: float,
+        magnitude_median_ms: float,
+        magnitude_sigma: float,
+    ) -> _EventSeries:
+        """Poisson-many events over the horizon from one key's stream.
+
+        One array draw per attribute; the lexsort gives the order of
+        ``sorted(zip(starts, durations, magnitudes))``.
+        """
+        horizon = self.config.horizon_hours
+        rng = self._rng(stream)
+        count = int(rng.poisson(rate_per_day * horizon / 24.0))
+        starts = rng.uniform(0.0, horizon, size=count)
+        durations = rng.exponential(mean_duration_hours, size=count)
+        magnitudes = magnitude_median_ms * np.exp(
+            rng.normal(0.0, magnitude_sigma, size=count)
+        )
+        order = np.lexsort((magnitudes, durations, starts))
+        start = starts[order]
+        duration = durations[order]
+        return _EventSeries(start, duration, start + duration, magnitudes[order])
+
     # --- transient events -------------------------------------------------
+
+    def _event_series(self, key: str) -> _EventSeries:
+        series = self._events.get(key)
+        if series is None:
+            cfg = self.config
+            series = self._events[key] = self._draw_series(
+                "events:" + key,
+                cfg.event_rate_per_day,
+                cfg.event_mean_duration_hours,
+                cfg.event_magnitude_median_ms,
+                cfg.event_magnitude_sigma,
+            )
+            counter("netmodel.congestion.entities")
+            counter("netmodel.congestion.events", series.start.size)
+        return series
 
     def events(self, key: str) -> List[Tuple[float, float, float]]:
         """Transient events for an entity: (start_h, duration_h, extra_ms).
 
         Generated lazily and cached; identical for identical (seed, key).
         """
-        cached = self._event_cache.get(key)
-        if cached is not None:
-            return cached
-        cfg = self.config
-        rng = self._rng("events:" + key)
-        expected = cfg.event_rate_per_day * cfg.horizon_hours / 24.0
-        count = int(rng.poisson(expected))
-        # Batched draws: one array call per attribute instead of three
-        # scalar calls per event.  This is the entity-generation half of
-        # the vectorized measurement lanes — with thousands of entities
-        # the per-event Python loop used to dominate synthesis time.
-        starts = rng.uniform(0.0, cfg.horizon_hours, size=count)
-        durations = rng.exponential(cfg.event_mean_duration_hours, size=count)
-        magnitudes = cfg.event_magnitude_median_ms * np.exp(
-            rng.normal(0.0, cfg.event_magnitude_sigma, size=count)
-        )
-        events = sorted(
-            zip(starts.tolist(), durations.tolist(), magnitudes.tolist())
-        )
-        self._event_cache[key] = events
-        counter("netmodel.congestion.entities")
-        counter("netmodel.congestion.events", len(events))
-        return events
+        return self._event_series(key).as_list()
 
     def event_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Extra delay (ms) from transient events at each time, vectorized."""
-        times = np.asarray(times_h, dtype=float)
-        delay = np.zeros_like(times)
-        for start, duration, magnitude in self.events(key):
-            active = (times >= start) & (times < start + duration)
-            if active.any():
-                delay[active] += magnitude
-        return delay
+        """Extra delay (ms) from transient events at each time.
+
+        Costs one array pass per event that overlaps the span of
+        ``times_h``, not per event of the whole horizon.
+        """
+        series = self._event_series(key)
+        return _series_delay(series, np.asarray(times_h, dtype=float))
 
     def event_delay_batch(
         self, keys: Sequence[str], times_h: np.ndarray
     ) -> np.ndarray:
         """Event delay for many entities at once, shape ``(len(keys), T)``.
 
-        The batched kernel behind the vectorized measurement lanes: all
-        events of all keys are located on the (sorted, shared) time grid
-        with one ``searchsorted``, scattered into a per-row difference
-        array, and integrated with one ``cumsum`` — no per-key Python.
+        All events of all keys are located on the (sorted, shared) time
+        grid with one ``searchsorted``, scattered into a per-row
+        difference array, and integrated with one ``cumsum`` — no
+        per-key Python.
 
         Rows agree with :meth:`event_delay` per key up to floating-point
         summation order (overlapping events accumulate via the running
@@ -151,26 +226,20 @@ class CongestionModel:
         if times.size > 1 and np.any(np.diff(times) < 0):
             raise MeasurementError("event_delay_batch needs sorted times")
         # The flattened event arrays depend only on the key set, not the
-        # time grid; repeated synthesis over the same entities (lane
-        # comparisons, parameter sweeps) hits this cache.
+        # time grid; repeated synthesis over the same entities (several
+        # time grids, parameter sweeps) hits this cache.
         token = tuple(keys)
         flat = self._flat_cache.get(token)
         if flat is None:
-            rows: List[int] = []
-            starts: List[float] = []
-            ends: List[float] = []
-            magnitudes: List[float] = []
-            for row, key in enumerate(keys):
-                for start, duration, magnitude in self.events(key):
-                    rows.append(row)
-                    starts.append(start)
-                    ends.append(start + duration)
-                    magnitudes.append(magnitude)
+            series = [self._event_series(key) for key in keys]
             flat = (
-                np.asarray(rows, dtype=np.intp),
-                np.asarray(starts),
-                np.asarray(ends),
-                np.asarray(magnitudes),
+                np.repeat(
+                    np.arange(len(keys), dtype=np.intp),
+                    [s.start.size for s in series],
+                ),
+                np.concatenate([s.start for s in series]),
+                np.concatenate([s.end for s in series]),
+                np.concatenate([s.magnitude for s in series]),
             )
             self._flat_cache[token] = flat
         row_idx, starts_arr, ends_arr, mags_arr = flat
@@ -220,9 +289,10 @@ class CongestionModel:
         values are bit-identical to the scalar method.  The matrix is
         deterministic in ``(times, lons, peak_ms)`` and dominated by the
         trig evaluation, so it is cached per argument signature —
-        repeated synthesis over one grid (lane comparisons, multi-seed
-        sweeps) pays for the cosines once.  The returned array is
-        marked read-only; callers needing to mutate must copy.
+        repeated synthesis over one grid (the edgefabric plan and its
+        session stream, multi-seed sweeps) pays for the cosines once.
+        The returned array is marked read-only; callers needing to
+        mutate must copy.
         """
         cfg = self.config
         if peak_ms < 0:
@@ -279,45 +349,30 @@ class CongestionModel:
 
     # --- slow baseline shifts (interdomain path churn) ---------------------
 
-    def baseline_shifts(
-        self,
-        key: str,
-        shift_rate_per_day: float = 0.12,
-        mean_duration_hours: float = 48.0,
-        magnitude_median_ms: float = 8.0,
-        magnitude_sigma: float = 0.7,
-    ) -> List[Tuple[float, float, float]]:
+    def _shift_series(self, key: str) -> _EventSeries:
+        series = self._shifts.get(key)
+        if series is None:
+            series = self._shifts[key] = self._draw_series(
+                "shifts:" + key,
+                SHIFT_RATE_PER_DAY,
+                SHIFT_MEAN_DURATION_HOURS,
+                SHIFT_MAGNITUDE_MEDIAN_MS,
+                SHIFT_MAGNITUDE_SIGMA,
+            )
+        return series
+
+    def baseline_shifts(self, key: str) -> List[Tuple[float, float, float]]:
         """Slow level shifts for a path: (start_h, duration_h, extra_ms).
 
         Models interdomain path churn: a route changes and stays changed
         for days, unlike the transient queueing events above.  This is
         what makes measurement-driven predictions go stale (the Figure 4
-        scheme measures first and redirects later).
+        scheme measures first and redirects later).  The process
+        parameters are the module's ``SHIFT_*`` constants.
         """
-        cache_key = f"shiftseries:{key}"
-        cached = self._event_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        rng = self._rng("shifts:" + key)
-        expected = shift_rate_per_day * self.config.horizon_hours / 24.0
-        count = int(rng.poisson(expected))
-        starts = rng.uniform(0.0, self.config.horizon_hours, size=count)
-        durations = rng.exponential(mean_duration_hours, size=count)
-        magnitudes = magnitude_median_ms * np.exp(
-            rng.normal(0.0, magnitude_sigma, size=count)
-        )
-        shifts = sorted(
-            zip(starts.tolist(), durations.tolist(), magnitudes.tolist())
-        )
-        self._event_cache[cache_key] = shifts
-        return shifts
+        return self._shift_series(key).as_list()
 
     def baseline_shift_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
         """Extra delay (ms) from baseline shifts at each time."""
-        times = np.asarray(times_h, dtype=float)
-        delay = np.zeros_like(times)
-        for start, duration, magnitude in self.baseline_shifts(key):
-            active = (times >= start) & (times < start + duration)
-            if active.any():
-                delay[active] += magnitude
-        return delay
+        series = self._shift_series(key)
+        return _series_delay(series, np.asarray(times_h, dtype=float))

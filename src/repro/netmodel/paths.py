@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
-from repro.geo import City, GeoPoint, great_circle_km, propagation_one_way_ms
+from repro.geo import City, CityDistanceCache, propagation_one_way_ms
 from repro.topology import ASGraph, ExitPolicy, PrivateWan
 from repro.bgp.propagation import RoutingTable
 
@@ -85,18 +85,16 @@ class ForwardingPath:
 def _choose_exit(
     allowed: Sequence[City],
     policy: ExitPolicy,
-    entry: GeoPoint,
-    dest: Optional[GeoPoint],
+    entry: City,
+    dest: Optional[City],
+    km: CityDistanceCache,
 ) -> City:
     """Pick the interconnect city per the carrying AS's exit policy."""
     if policy is ExitPolicy.LATE and dest is not None:
         reference = dest
     else:
         reference = entry
-    return min(
-        allowed,
-        key=lambda c: (great_circle_km(reference, c.location), c.name),
-    )
+    return min(allowed, key=lambda c: (km(reference, c), c.name))
 
 
 def trace(
@@ -138,12 +136,12 @@ def trace(
             ``via_neighbor`` override does not export the prefix.
     """
     origin = table.origin
+    km = graph.city_distances()
     segments: List[Segment] = []
     as_path: List[int] = [src_asn]
     current_asn = src_asn
     current_city = src_city
     total_ms = 0.0
-    dest_point = dest_city.location if dest_city is not None else None
 
     steps = 0
     while current_asn != origin:
@@ -180,12 +178,12 @@ def trace(
             exit_city = first_exit_city
         else:
             exit_city = _choose_exit(
-                allowed, asys.exit_policy, current_city.location, dest_point
+                allowed, asys.exit_policy, current_city, dest_city, km
             )
-        km = great_circle_km(current_city.location, exit_city.location)
-        if km > 0.0:
-            ms = propagation_one_way_ms(km, asys.backbone_inflation)
-            segments.append(Segment(current_asn, current_city, exit_city, km, ms))
+        carry_km = km(current_city, exit_city)
+        if carry_km > 0.0:
+            ms = propagation_one_way_ms(carry_km, asys.backbone_inflation)
+            segments.append(Segment(current_asn, current_city, exit_city, carry_km, ms))
             total_ms += ms
         total_ms += hop_penalty_ms
         current_city = exit_city
@@ -199,27 +197,25 @@ def trace(
             dest_pop = wan.nearest_pop(dest_city.location)
             ms = wan.one_way_ms(ingress_pop.code, dest_pop.code)
             if ms > 0.0:
-                for a, b in zip(wan.path(ingress_pop.code, dest_pop.code)[:-1],
-                                wan.path(ingress_pop.code, dest_pop.code)[1:]):
-                    km = great_circle_km(a.city.location, b.city.location)
+                hops = wan.path(ingress_pop.code, dest_pop.code)
+                for a, b in zip(hops[:-1], hops[1:]):
+                    hop_km = km(a.city, b.city)
                     segments.append(
                         Segment(
                             origin,
                             a.city,
                             b.city,
-                            km,
-                            propagation_one_way_ms(km, wan.inflation),
+                            hop_km,
+                            propagation_one_way_ms(hop_km, wan.inflation),
                         )
                     )
                 total_ms += ms
         else:
-            km = great_circle_km(ingress_city.location, dest_city.location)
-            if km > 0.0:
+            final_km = km(ingress_city, dest_city)
+            if final_km > 0.0:
                 asys = graph.get(origin)
-                ms = propagation_one_way_ms(km, asys.backbone_inflation)
-                segments.append(
-                    Segment(origin, ingress_city, dest_city, km, ms)
-                )
+                ms = propagation_one_way_ms(final_km, asys.backbone_inflation)
+                segments.append(Segment(origin, ingress_city, dest_city, final_km, ms))
                 total_ms += ms
 
     return ForwardingPath(

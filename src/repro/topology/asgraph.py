@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geo import City
+from repro.geo import City, CityDistanceCache
 
 #: Relationship codes in a :class:`CsrAdjacency`, from the owning node's
 #: perspective: the neighbor is my customer / my peer / my provider.
@@ -308,6 +308,9 @@ class ASGraph:
     _csr: Optional[CsrAdjacency] = field(
         default=None, repr=False, compare=False
     )
+    _distances: CityDistanceCache = field(
+        default_factory=CityDistanceCache, repr=False, compare=False
+    )
 
     # --- construction -------------------------------------------------
 
@@ -424,6 +427,15 @@ class ASGraph:
         if self._csr is None:
             self._csr = self._build_csr()
         return self._csr
+
+    def city_distances(self) -> CityDistanceCache:
+        """The graph's city-pair distance memo, filled as it is used.
+
+        Forwarding traces take every geodesic distance from it.  City
+        distances do not depend on the links, so mutations leave it
+        valid.
+        """
+        return self._distances
 
     def _build_csr(self) -> CsrAdjacency:
         asns_sorted = sorted(self._ases)

@@ -26,10 +26,10 @@ from repro.errors import TopologyError
 from repro.obs.trace import gauge, traced
 from repro.geo import (
     City,
+    CityDistanceCache,
     Region,
     WORLD_CITIES,
     city_named,
-    great_circle_km,
 )
 from repro.topology.asgraph import (
     ASGraph,
@@ -360,6 +360,8 @@ class TopologyConfig:
     wan_inflation: float = 1.08
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise TopologyError(f"seed must be >= 0, got {self.seed}")
         if self.n_tier1 < 1:
             raise TopologyError("need at least one Tier-1")
         if self.n_transit < 1:
@@ -434,41 +436,6 @@ def _regional_cities(region: Region) -> List[City]:
     return [c for c in WORLD_CITIES if c.region is region]
 
 
-class _CityDistanceCache:
-    """Memoized city-pair distances for the generator.
-
-    The generator asks for the same pair many times (every transit in a
-    region re-ranks the same regional city list; every eyeball re-ranks
-    the same transit footprints).  The cache calls the scalar
-    :func:`great_circle_km` exactly once per unique unordered pair — no
-    vectorized trig, whose last-ulp differences would flip
-    distance-sorted tie-breaks.
-    """
-
-    __slots__ = ("_cache",)
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, int], float] = {}
-
-    def __call__(self, a: City, b: City) -> float:
-        # Keyed by object identity: the city universe is the interned
-        # WORLD_CITIES set, and hashing ints is far cheaper than hashing
-        # the dataclass fields (which would cost more than the haversine
-        # it saves).  An un-interned duplicate city merely misses the
-        # cache and recomputes — still bit-identical.  Haversine is
-        # bitwise symmetric (sin(-x)**2 == sin(x)**2 and float
-        # multiplication commutes), so one canonical key per unordered
-        # pair halves the cache.
-        ia = id(a)
-        ib = id(b)
-        key = (ia, ib) if ia <= ib else (ib, ia)
-        d = self._cache.get(key)
-        if d is None:
-            d = great_circle_km(a.location, b.location)
-            self._cache[key] = d
-        return d
-
-
 #: City-pair distance function threaded through the generator helpers.
 DistanceFn = Callable[[City, City], float]
 
@@ -516,7 +483,9 @@ def build_internet(
     cfg = config or TopologyConfig()
     rng = np.random.default_rng(cfg.seed)
     graph = ASGraph()
-    km: DistanceFn = _CityDistanceCache()
+    # A local memo, not the graph's: the generator's pairs are not the
+    # ones traces ask for, so handing them on would only hold memory.
+    km: DistanceFn = CityDistanceCache()
 
     pop_cities = [
         PointOfPresence(code, city_named(name)) for code, name in cfg.pop_cities

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.errors import TopologyError
-from repro.geo import city_named
+from repro.geo import CityDistanceCache, city_named
 from repro.topology.asgraph import (
     ASGraph,
     ASRole,
@@ -90,13 +90,12 @@ def _wan_edges(internet: Internet) -> List:
     from repro.topology.generator import (
         DEFAULT_POP_CITIES,
         DEFAULT_WAN_BACKBONE,
-        _CityDistanceCache,
         _nearest_mesh,
     )
 
     if cfg.pop_cities == DEFAULT_POP_CITIES:
         return [tuple(e) for e in DEFAULT_WAN_BACKBONE]
-    edges = _nearest_mesh(internet.wan.pops, _CityDistanceCache())
+    edges = _nearest_mesh(internet.wan.pops, CityDistanceCache())
     return [tuple(e) for e in edges]
 
 

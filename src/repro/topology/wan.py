@@ -102,6 +102,7 @@ class PrivateWan:
                     )
         self._dist = dist
         self._next = nxt
+        self._nearest: Dict[GeoPoint, PointOfPresence] = {}
 
     def _pop_index(self, code: str) -> int:
         try:
@@ -137,8 +138,12 @@ class PrivateWan:
         """Return the PoP geographically nearest to ``location``.
 
         Ties break toward the earlier-constructed PoP, deterministically.
+        The WAN never changes after construction, so each location's
+        answer is kept and later calls for it skip the scan.
         """
-        best: Optional[PointOfPresence] = None
+        best = self._nearest.get(location)
+        if best is not None:
+            return best
         best_km = float("inf")
         for code in self._codes:
             pop = self._pops[code]
@@ -147,6 +152,7 @@ class PrivateWan:
                 best_km = km
                 best = pop
         assert best is not None  # at least one PoP is guaranteed
+        self._nearest[location] = best
         return best
 
     def one_way_ms(self, a: str, b: str) -> float:

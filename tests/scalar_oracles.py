@@ -1,17 +1,19 @@
 """The original scalar loops, kept as test oracles.
 
 Synthesis, episode extraction, catchment geometry, redirection
-training, the cloudtiers campaign and topology generation each run one
-batched or memoised implementation.  This module keeps the per-item
+training, the cloudtiers campaign, congestion-delay lookups,
+nearest-PoP lookups and city-pair distances each run one batched,
+pruned or memoised implementation.  This module keeps the per-item
 loops they replaced, so ``tests/test_lane_agreement.py`` can check each
 against an independent implementation of the same computation, as
 :mod:`bgp_oracle` does for propagation.
 
 Where the batched code is one step inside a public entry point (the
-synthesis lane, the catchment geometry, the generator's distance
-cache), the oracle is a context manager that swaps only that step, so
-everything around it — planning, aggregation, the RNG streams — is the
-same code on both sides of the comparison.
+synthesis lane, the catchment geometry, the event-delay kernel, the
+nearest-PoP memo, the distance memos), the oracle is a context manager
+that swaps only that step, so everything around it — planning,
+aggregation, the RNG streams — is the same code on both sides of the
+comparison.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ import numpy as np
 
 import repro.cdn.catchment as catchment_module
 import repro.edgefabric.sampler as sampler_module
-import repro.topology.generator as generator_module
+import repro.netmodel.congestion as congestion_module
 from repro.cdn.deployment import CdnDeployment
 from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
 from repro.cdn.measurement import BeaconDataset
 from repro.cloudtiers import SpeedcheckerPlatform
 from repro.edgefabric.episodes import Episode, EpisodeStudyResult
-from repro.geo import City, great_circle_km
+from repro.geo import City, CityDistanceCache, GeoPoint, great_circle_km
 from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
+from repro.topology import PointOfPresence, PrivateWan
 
 # --- edgefabric synthesis --------------------------------------------------
 
@@ -275,14 +278,63 @@ class PerRoundPingPlatform(SpeedcheckerPlatform):
         return np.array([r.rtts_ms for r in rounds])
 
 
-# --- topology generation ---------------------------------------------------
+# --- congestion delay lookups ----------------------------------------------
 
 
-def _scalar_km(a: City, b: City) -> float:
+def scan_events(events, times_h) -> np.ndarray:
+    """Extra delay at each time from a ``(start_h, duration_h, extra_ms)``
+    list, visiting every event of the horizon in list order."""
+    times = np.asarray(times_h, dtype=float)
+    delay = np.zeros_like(times)
+    for start, duration, magnitude in events:
+        active = (times >= start) & (times < start + duration)
+        if active.any():
+            delay[active] += magnitude
+    return delay
+
+
+def full_event_scans():
+    """Inside the block, ``event_delay`` and ``baseline_shift_delay``
+    scan every event of the key's series instead of only the events
+    near the queried times."""
+    return mock.patch.object(
+        congestion_module,
+        "_series_delay",
+        lambda series, times: scan_events(series.as_list(), times),
+    )
+
+
+# --- nearest PoP -----------------------------------------------------------
+
+
+def nearest_pop_scan(wan: PrivateWan, location: GeoPoint) -> PointOfPresence:
+    """The PoP nearest ``location`` by a fresh scan in construction
+    order; a tie keeps the earlier PoP."""
+    best: Optional[PointOfPresence] = None
+    best_km = float("inf")
+    for pop in wan.pops:
+        km = great_circle_km(location, pop.city.location)
+        if km < best_km:
+            best_km = km
+            best = pop
+    assert best is not None
+    return best
+
+
+def unmemoised_nearest_pops():
+    """Inside the block, every ``PrivateWan.nearest_pop`` call scans."""
+    return mock.patch.object(PrivateWan, "nearest_pop", nearest_pop_scan)
+
+
+# --- city-pair distances ---------------------------------------------------
+
+
+def _scalar_km(memo: CityDistanceCache, a: City, b: City) -> float:
     return great_circle_km(a.location, b.location)
 
 
 def uncached_distances():
-    """Inside the block, the generator computes every city-pair distance
-    afresh instead of reading ``_CityDistanceCache``."""
-    return mock.patch.object(generator_module, "_CityDistanceCache", lambda: _scalar_km)
+    """Inside the block, every :class:`~repro.geo.CityDistanceCache` —
+    the generator's and each graph's — computes every city-pair
+    distance afresh, in the caller's argument order."""
+    return mock.patch.object(CityDistanceCache, "__call__", _scalar_km)

@@ -1,9 +1,11 @@
 """Tests for the beacon measurement campaign."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, RoutingError
 from repro.cdn import BeaconConfig, CdnDeployment, run_beacon_campaign
 
 
@@ -104,3 +106,30 @@ class TestMeasurementSemantics:
     def test_requires_prefixes(self, deployment):
         with pytest.raises(MeasurementError):
             run_beacon_campaign(deployment, [])
+
+
+class TestUnreachableClients:
+    """Only a routing failure marks a client unreachable; any other
+    error from the path trace is a bug and must surface."""
+
+    def test_routing_error_skips_the_client(self, deployment, small_prefixes):
+        cfg = BeaconConfig(days=0.5, requests_per_prefix=4, seed=2)
+        real = deployment.anycast_path
+        dropped = small_prefixes[0]
+
+        def anycast_path(prefix):
+            if prefix is dropped:
+                raise RoutingError("no route")
+            return real(prefix)
+
+        with mock.patch.object(deployment, "anycast_path", anycast_path):
+            dataset = run_beacon_campaign(deployment, small_prefixes, cfg)
+        assert dropped not in dataset.prefixes
+        assert dataset.n_prefixes == len(small_prefixes) - 1
+
+    def test_other_errors_propagate(self, deployment, small_prefixes):
+        cfg = BeaconConfig(days=0.5, requests_per_prefix=4, seed=2)
+        boom = mock.Mock(side_effect=KeyError("memo"))
+        with mock.patch.object(deployment, "anycast_path", boom):
+            with pytest.raises(KeyError, match="memo"):
+                run_beacon_campaign(deployment, small_prefixes, cfg)

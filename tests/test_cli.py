@@ -574,3 +574,9 @@ class TestErrorBoundary:
         assert "Traceback" not in child.stderr
         assert child.stderr == f"ingest: {message}\n"
         assert child.stdout == ""
+
+    def test_negative_seed_is_one_line(self):
+        child = self.run_cli("scenario", "--name", "hijack", "--seed", "-1")
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert child.stderr == "scenario: seed must be >= 0, got -1\n"

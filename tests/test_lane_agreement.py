@@ -4,7 +4,9 @@
   original per-item loops, kept in tests.  **Bit-identical** where the
   computation is deterministic or consumes the same RNG stream
   positions: episode extraction, CDN redirection training, the
-  cloudtiers campaign, edgefabric CI half-widths, topology generation.
+  cloudtiers campaign, edgefabric CI half-widths, topology generation,
+  congestion-delay lookups, and the beacon and cloudtiers campaigns
+  with every event scanned and no geometry memoised.
   **Documented tolerance** where the batched code reorders
   floating-point work (catchment distances: numpy vs ``math`` trig
   round-off) or batches RNG draws (edgefabric medians: same noise
@@ -24,16 +26,25 @@ The batch outputs themselves are pinned by ``tests/test_golden_lock.py``.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from bgp_oracle import propagate_reference
+from conftest import small_client_prefixes, small_topology_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_oracles import (
     PerRoundPingPlatform,
     extract_episodes_reference,
+    full_event_scans,
     per_pair_synthesis,
     per_prefix_catchment_geometry,
+    scan_events,
     train_redirection_reference,
     uncached_distances,
+    unmemoised_nearest_pops,
 )
 
 from repro.bgp import propagate, propagate_many
@@ -48,6 +59,7 @@ from repro.cloudtiers import (
     run_campaign,
 )
 from repro.edgefabric.analysis import bgp_vs_best_alternate
+from repro.netmodel import CongestionConfig, CongestionModel
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.routes import tables_for_destinations
 from repro.topology import TopologyConfig, build_internet
@@ -247,6 +259,146 @@ class TestCloudtiersLanes:
         assert set(slow.traceroutes) == set(fast.traceroutes)
 
 
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+#: Long enough for several baseline shifts per key (0.12 a day, 48 h
+#: each), with frequent, long transient events so many overlap.
+SCAN_CONFIG = CongestionConfig(
+    horizon_hours=2400.0, event_rate_per_day=2.0, event_mean_duration_hours=6.0
+)
+
+
+def _edges(events):
+    return sorted(
+        {t for start, duration, _ in events for t in (start, start + duration)}
+    )
+
+
+class TestCongestionLookupLanes:
+    """``event_delay`` and ``baseline_shift_delay`` visit only the
+    events that overlap the queried times; scanning every event of the
+    horizon, in order, must give the same bits."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        key=st.text(alphabet="abcdef:0123456789", min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookups_equal_full_scan(self, seed, key, data):
+        model = CongestionModel(seed, SCAN_CONFIG)
+        events = model.events(key)
+        shifts = model.baseline_shifts(key)
+        special = st.sampled_from(
+            [np.nan, np.inf, -np.inf, 0.0, SCAN_CONFIG.horizon_hours]
+        )
+        point = st.one_of(st.floats(min_value=-100.0, max_value=2500.0), special)
+        edges = _edges(events + shifts)
+        if edges:
+            point = st.one_of(point, st.sampled_from(edges))
+        times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        if data.draw(st.booleans()):
+            times = np.concatenate([times, times[::-1]])
+        assert_same_bits(model.event_delay(key, times), scan_events(events, times))
+        assert_same_bits(
+            model.baseline_shift_delay(key, times), scan_events(shifts, times)
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "empty",
+            "edges",
+            "latest-on-a-start",
+            "earliest-on-an-end",
+            "edges-reversed",
+            "outside-horizon",
+            "nan",
+            "infinities",
+            "one-burst",
+            "scalar",
+        ],
+    )
+    def test_corner_cases_equal_full_scan(self, case):
+        model = CongestionModel(3, SCAN_CONFIG)
+        key = "tierpath:vp-1:premium"
+        events = model.events(key)
+        shifts = model.baseline_shifts(key)
+        assert events and shifts
+        edges = np.array(_edges(events + shifts))
+        start, duration, _ = events[len(events) // 2]
+        times = {
+            "empty": np.array([]),
+            "edges": edges,
+            "latest-on-a-start": np.array([start - 1.0, start]),
+            "earliest-on-an-end": np.array([start + duration + 1.0, start + duration]),
+            "edges-reversed": np.repeat(edges[::-1], 2),
+            "outside-horizon": np.array([-48.0, -1e-9, 2400.0, 2400.5, 1e6]),
+            "nan": np.concatenate([edges[:20], [np.nan], edges[20:40]]),
+            "infinities": np.array([np.inf, -np.inf, edges[3], np.inf]),
+            "one-burst": np.repeat(100.0 + np.arange(0.0, 24.0, 2.5), 5),
+            "scalar": np.asarray(edges[5]),
+        }[case]
+        assert_same_bits(model.event_delay(key, times), scan_events(events, times))
+        assert_same_bits(
+            model.baseline_shift_delay(key, times), scan_events(shifts, times)
+        )
+
+
+@contextlib.contextmanager
+def reference_lookups():
+    """Every event scanned, every nearest PoP scanned, every city-pair
+    distance computed afresh."""
+    with full_event_scans(), unmemoised_nearest_pops(), uncached_distances():
+        yield
+
+
+def _world(seed):
+    """A fresh small Internet and its clients: cold memos on each side."""
+    internet = build_internet(dataclasses.replace(small_topology_config(), seed=seed))
+    return internet, small_client_prefixes(internet)
+
+
+class TestProbePricingLanes:
+    """The Setting B and C campaigns with the reference lookups patched
+    in must give exactly the output of the pruned, memoised code."""
+
+    @pytest.mark.parametrize("seed", (7, 8))
+    def test_beacon_campaign_bit_identical(self, seed):
+        cfg = BeaconConfig(days=3.0, requests_per_prefix=16, seed=seed)
+        with reference_lookups():
+            internet, prefixes = _world(seed)
+            reference = run_beacon_campaign(CdnDeployment(internet), prefixes, cfg)
+        internet, prefixes = _world(seed)
+        memoised = run_beacon_campaign(CdnDeployment(internet), prefixes, cfg)
+        assert memoised.prefixes == reference.prefixes
+        assert memoised.catchments == reference.catchments
+        assert memoised.fe_codes == reference.fe_codes
+        for name in ("times_h", "anycast_rtt", "unicast_rtt"):
+            assert np.array_equal(
+                getattr(memoised, name), getattr(reference, name), equal_nan=True
+            ), name
+
+    @pytest.mark.parametrize("seed", (7, 8))
+    def test_cloudtiers_campaign_bit_identical(self, seed):
+        cfg = CampaignConfig(days=3, vps_per_day=30, rounds_per_day=6, seed=seed)
+        with reference_lookups():
+            internet, _ = _world(seed)
+            platform = SpeedcheckerPlatform(CloudDeployment(internet), seed=seed)
+            reference = run_campaign(platform, cfg)
+        internet, _ = _world(seed)
+        platform = SpeedcheckerPlatform(CloudDeployment(internet), seed=seed)
+        memoised = run_campaign(platform, cfg)
+        assert memoised.records == reference.records
+        assert memoised.eligible == reference.eligible
+        assert memoised.traceroutes == reference.traceroutes
+        assert memoised.vps == reference.vps
+
+
 class TestBgpPropagationLanes:
     """CSR propagation is *bit-identical* to the heap oracle: same best
     route (path, pref, advertised length) at every AS, for every origin
@@ -317,11 +469,11 @@ class TestBgpPropagationLanes:
 
 
 class TestTopologyLanes:
-    """build_internet memoizes city-pair distances in
-    ``_CityDistanceCache``; a build that computes every distance afresh
-    with the scalar haversine must be bit-identical.  (The per-region
-    memos are not switched off here; the golden lock pins their
-    output.)"""
+    """build_internet memoizes city-pair distances in a
+    ``repro.geo.CityDistanceCache``; a build that computes every
+    distance afresh with the scalar haversine must be bit-identical.
+    (The per-region memos are not switched off here; the golden lock
+    pins their output.)"""
 
     def test_build_internet_bit_identical(self):
         from repro.topology.serialization import internet_to_dict

@@ -31,6 +31,10 @@ class TestConfigValidation:
         with pytest.raises(TopologyError):
             TopologyConfig(pni_fraction=1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TopologyError, match="seed must be >= 0, got -1"):
+            TopologyConfig(seed=-1)
+
     def test_positive_counts(self):
         with pytest.raises(TopologyError):
             TopologyConfig(n_eyeball=0)

@@ -1,9 +1,15 @@
 """Tests for the private WAN backbone graph."""
 
 import pytest
+from scalar_oracles import nearest_pop_scan
 
 from repro.errors import TopologyError
-from repro.geo import city_named, great_circle_km, propagation_one_way_ms
+from repro.geo import (
+    WORLD_CITIES,
+    city_named,
+    great_circle_km,
+    propagation_one_way_ms,
+)
 from repro.topology import PointOfPresence, PrivateWan
 
 
@@ -112,6 +118,24 @@ class TestLookups:
         # Madrid is nearest to Paris among {London, Paris, Tokyo}... it is
         # actually closer to Paris than London.
         assert wan.nearest_pop(city_named("Madrid").location).code == "par"
+
+    def test_nearest_pop_equals_scan_everywhere(self, small_internet):
+        # Asked twice: the first answer is scanned, the second memoised.
+        wan = small_internet.wan
+        for _ in range(2):
+            for city in WORLD_CITIES:
+                expected = nearest_pop_scan(wan, city.location)
+                assert wan.nearest_pop(city.location) is expected, city.name
+
+    def test_nearest_pop_tie_keeps_earlier_pop(self):
+        london = city_named("London")
+        for first, second in (("aaa", "bbb"), ("bbb", "aaa")):
+            wan = PrivateWan(
+                [PointOfPresence(first, london), PointOfPresence(second, london)],
+                [("aaa", "bbb")],
+            )
+            for city in ("London", "Tokyo", "London"):
+                assert wan.nearest_pop(city_named(city).location).code == first
 
     def test_pops_order_preserved(self, wan):
         assert wan.pop_codes == ["lon", "par", "tok"]
