@@ -25,8 +25,9 @@ instead of trusted.
 
 A fifth phase repeats the kill/resume cycle for a campaign carrying
 shared-memory inputs (``CampaignRunner(shared_inputs=...)``): the
-SIGKILL takes the victim's whole process group — resource tracker
-included — so its segments survive the crash, and the phase asserts
+SIGKILL lands once every segment the victim's manifest names exists,
+and takes the victim's whole process group — resource tracker
+included — so its segments survive the crash; the phase asserts
 that the resume's ``reclaim_stale`` pass releases every journaled
 segment (no ``/dev/shm`` leak) while still producing a report
 identical to an uninterrupted shared-input reference run.
@@ -47,7 +48,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import numpy as np
@@ -223,32 +224,46 @@ def _kill_group(victim: subprocess.Popen) -> None:
     victim.wait()
 
 
+def _mid_run(workdir: Path) -> bool:
+    """Some but not all scenario jobs are checkpointed.
+
+    Resume then has jobs to restore and jobs left to run.
+    """
+    return 0 < _checkpoint_entries(workdir) < N_JOBS
+
+
+def _segments_live(workdir: Path) -> bool:
+    """Every segment the victim's shm manifest names exists.
+
+    The shared-input victim can checkpoint all of its jobs within one
+    poll, so checkpoint progress is no kill signal for it; its segments
+    exist from before the first job until the run ends.
+    """
+    names = _manifest_segments(workdir)
+    return bool(names) and all(segment_exists(name) for name in names)
+
+
 def crash_phase(
     workdir: Path,
+    ready: Callable[[Path], bool],
     flag: str = "--victim",
     specs: Optional[List[JobSpec]] = None,
-    n_jobs: int = N_JOBS,
 ) -> int:
-    """Run the campaign in a subprocess, SIGKILL it mid-run.
+    """Run the campaign in a subprocess, SIGKILL it once *ready* holds.
 
-    Returns how many jobs the dead campaign had checkpointed.  Waits
-    for at least one checkpointed job (so resume has something to
-    restore) but kills before the victim can finish everything.
+    Returns how many jobs the dead campaign had checkpointed.
     """
     victim = _spawn_victim(workdir, flag)
     deadline = time.monotonic() + KILL_DEADLINE_S
     try:
         while time.monotonic() < deadline:
-            completed = _checkpoint_entries(workdir, specs)
-            if 0 < completed < n_jobs:
+            if ready(workdir):
                 _kill_group(victim)
-                return completed
+                return _checkpoint_entries(workdir, specs)
             if victim.poll() is not None:
-                # The victim finished before we could land the kill —
-                # rare on a fast machine.  Scrub and retry once slower;
-                # if it keeps outrunning us the campaign is so fast the
-                # crash window is meaningless, so treat a full run as
-                # "crashed after everything" (resume then restores all).
+                # The victim finished before the kill landed: count the
+                # full run as crashed after everything, so resume
+                # restores every job.
                 return _checkpoint_entries(workdir, specs)
             time.sleep(0.05)
     finally:
@@ -305,7 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"chaos: reference complete ({reference.n_ran} ran)")
 
     # Phase 2: SIGKILL mid-run.
-    completed_before_kill = crash_phase(crash_dir)
+    completed_before_kill = crash_phase(crash_dir, _mid_run)
     print(f"chaos: victim killed with {completed_before_kill} jobs checkpointed")
 
     # Phase 3: resume and compare.
@@ -355,8 +370,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     shm_completed = crash_phase(
-        shm_crash_dir, flag="--shm-victim",
-        specs=shm_checkpoint_specs(), n_jobs=N_SHM_JOBS,
+        shm_crash_dir, _segments_live, flag="--shm-victim",
+        specs=shm_checkpoint_specs(),
     )
     leaked = _manifest_segments(shm_crash_dir)
     assert leaked, "killed shared-input campaign must leave a manifest behind"

@@ -38,7 +38,6 @@ from repro.runner.campaign import (
     CampaignRunner,
     DegradedJob,
     JobMetrics,
-    run_campaign,
 )
 from repro.runner.shm import (
     SharedArrayRef,
@@ -62,7 +61,6 @@ __all__ = [
     "CampaignRunner",
     "DegradedJob",
     "JobMetrics",
-    "run_campaign",
     "SharedArrayRef",
     "SharedInputSet",
     "attach_shared",

@@ -5,9 +5,11 @@ A :class:`CampaignRunner` takes a sequence of
 :class:`CampaignReport`.  Cache hits (via an optional
 :class:`~repro.runner.store.ResultStore`) never re-simulate; misses run
 either inline (``jobs=1``, today's serial behavior) or across a
-``ProcessPoolExecutor`` with per-job timeout and bounded retry with
-exponential backoff.  Results always merge in *spec order*, regardless
-of completion order, so ``jobs=4`` and ``jobs=1`` are interchangeable.
+``ProcessPoolExecutor`` with a per-job timeout.  Both backends share one
+attempt loop — bounded retry with exponential backoff, the circuit
+breaker, degradation — and differ only in how an attempt starts.
+Results always merge in *spec order*, regardless of completion order,
+so ``jobs=4`` and ``jobs=1`` are interchangeable.
 
 Results are uniformly "slim" — summary statistics and hypothesis
 verdicts, no figure objects — whether they come from the cache, a
@@ -44,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -71,6 +73,10 @@ from repro.runner.store import ResultStore, payload_to_result, result_to_payload
 logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
+
+#: Attempts a platform must accumulate before its failure rate can trip
+#: the circuit breaker.
+BREAKER_MIN_ATTEMPTS = 4
 
 
 def _run_job(
@@ -120,23 +126,6 @@ def _run_job(
         events = []
     elapsed_s = time.perf_counter() - start
     return result_to_payload(result), elapsed_s, events
-
-
-def _run_job_batch(
-    specs: Sequence[JobSpec],
-    trace: bool = False,
-    run_id=None,
-    fault_plan: Optional[FaultPlan] = None,
-    attempt: int = 1,
-):
-    """Worker entry point for a spec batch: one :func:`_run_job` each.
-
-    Batched submission amortizes process-pool dispatch and study-import
-    overhead across several small jobs; results come back as one triple
-    per spec, in order, so the orchestrator still records (and caches)
-    every spec individually.
-    """
-    return [_run_job(spec, trace, run_id, fault_plan, attempt) for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -316,9 +305,7 @@ class _RunState:
         "results",
         "metrics",
         "degraded",
-        "pending",
         "checkpoint",
-        "completed_since_write",
         "budget_left",
         "platform_attempts",
         "platform_failures",
@@ -330,13 +317,162 @@ class _RunState:
         self.results: List[Optional[object]] = [None] * len(specs)
         self.metrics: List[Optional[JobMetrics]] = [None] * len(specs)
         self.degraded: Dict[int, DegradedJob] = {}
-        self.pending: List[int] = []
         self.checkpoint: Optional[CampaignCheckpoint] = None
-        self.completed_since_write = 0
         self.budget_left = budget
         self.platform_attempts: Dict[str, int] = {}
         self.platform_failures: Dict[str, int] = {}
         self.open_platforms: Set[str] = set()
+
+
+class _Job:
+    """Attempt bookkeeping for one pending job."""
+
+    __slots__ = (
+        "index",
+        "spec",
+        "attempts",
+        "attempt_s",
+        "timeouts",
+        "started",
+        "attempt_started",
+        "future",
+    )
+
+    def __init__(self, index: int, spec: JobSpec):
+        self.index = index
+        self.spec = spec
+        #: Attempts charged so far; the one in flight is ``attempts + 1``.
+        self.attempts = 0
+        self.attempt_s: List[float] = []
+        self.timeouts = 0
+        #: When the first attempt started: at submission in a pool, at
+        #: dispatch inline.
+        self.started: Optional[float] = None
+        self.attempt_started = 0.0
+        #: The attempt in flight in a pool; never set inline.
+        self.future: Optional[Future] = None
+
+    def charge(self) -> None:
+        """Count the attempt in flight and stop its clock."""
+        self.attempt_s.append(time.perf_counter() - self.attempt_started)
+        self.attempts += 1
+
+    def has_result(self) -> bool:
+        """Whether the attempt in flight already finished successfully."""
+        future = self.future
+        return (
+            future is not None
+            and future.done()
+            and not future.cancelled()
+            and future.exception() is None
+        )
+
+
+class _AttemptTimeout(RunnerError):
+    """A pool attempt ran past the per-job ``timeout_s``."""
+
+
+class _Backend:
+    """Where attempts run: a process pool, or this process.
+
+    The two differ only in how an attempt starts.  A pool submits it to
+    a worker at once, so later jobs keep executing while earlier ones
+    are awaited; inline, it runs here when the attempt loop awaits it.
+    The per-job timeout and pool rebuilds exist only in the pool: an
+    inline job can be neither preempted nor orphaned.
+    """
+
+    def __init__(self, runner: CampaignRunner, jobs: List[_Job]):
+        self.jobs = jobs
+        self.timeout_s = runner.timeout_s
+        self.fault_plan = runner.fault_plan
+        self.tracing = obs.is_enabled()
+        self.run_id = obs.current_run_id()
+        self.workers = min(runner.jobs, len(jobs))
+        self.pool: Optional[ProcessPoolExecutor] = None
+        if self.workers > 1:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+
+    def _args(self, job: _Job) -> tuple:
+        return (
+            job.spec,
+            self.tracing,
+            self.run_id,
+            self.fault_plan,
+            job.attempts + 1,
+        )
+
+    def start(self, job: _Job) -> None:
+        """Start the job's next attempt; a pool submits it right away."""
+        job.attempt_started = time.perf_counter()
+        if job.started is None:
+            job.started = job.attempt_started
+        if self.pool is not None:
+            try:
+                job.future = self.pool.submit(_run_job, *self._args(job))
+            except BrokenProcessPool as exc:
+                # A worker died since the last await.  The attempt dies
+                # with the pool, and the loop meets the crash when it
+                # awaits the attempt.
+                job.future = Future()
+                job.future.set_exception(exc)
+
+    def wait(self, job: _Job):
+        """The attempt's ``(payload, job_s, events)``, or its failure.
+
+        Raises:
+            _AttemptTimeout: The pool attempt ran past ``timeout_s``.
+            BrokenProcessPool: A worker died and took the pool with it.
+            Exception: Whatever the job itself raised.
+        """
+        if self.pool is None:
+            return _run_job(*self._args(job))
+        try:
+            return job.future.result(timeout=self.timeout_s)
+        except FutureTimeoutError:
+            job.future.cancel()
+            job.timeouts += 1
+            # A running worker cannot be preempted, so the hung process
+            # would keep its slot for as long as the job hangs —
+            # starving the retry (and every queued job) behind it.
+            # Only the timed-out job is charged an attempt.
+            self._rebuild(job, charge_others=False)
+            raise _AttemptTimeout(f"timed out after {self.timeout_s}s") from None
+        except BrokenProcessPool:
+            # A hard worker crash poisons the whole pool, and every job
+            # in flight died with it, so each resubmission is a new
+            # attempt for accounting and fault decisions — otherwise a
+            # deterministic crash fault in one job would replay forever
+            # while another job absorbs the blame.
+            self._rebuild(job, charge_others=True)
+            raise
+
+    def _rebuild(self, job: _Job, charge_others: bool) -> None:
+        """Replace the pool and resubmit the jobs after *job*.
+
+        The loop settles jobs in spec order, so every job after *job*
+        is still unsettled.  Without *charge_others*, one whose result
+        is already in hand keeps it.
+        """
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        for other in self.jobs:
+            if other.index <= job.index:
+                continue
+            if charge_others:
+                other.charge()
+            elif other.has_result():
+                continue
+            self.start(other)
+
+    def close(self, completed: bool) -> None:
+        """Release the pool.
+
+        On clean completion every future is done, so waiting is
+        instant; on failure, abandon workers (one may be hung).
+        """
+        if self.pool is not None:
+            self.pool.shutdown(wait=completed, cancel_futures=True)
 
 
 class CampaignRunner:
@@ -350,37 +486,30 @@ class CampaignRunner:
             updated after every successful run.  Corrupted entries are
             quarantined and recomputed (see
             :class:`~repro.runner.store.ResultStore`).
-        timeout_s: Per-job wall-time limit, enforced in pool mode only
-            (an inline job cannot be preempted).  ``None`` disables.
+        timeout_s: Per-job wall-time limit in seconds, > 0, enforced in
+            pool mode only (an inline job cannot be preempted).
+            ``None`` disables.
         retries: Extra attempts after a failed or timed-out job before
             the job is given up on.
         backoff_s: Base of the exponential backoff between attempts
             (``backoff_s * 2**(attempt-1)`` seconds).
-        batch_size: Pending specs grouped per worker submission (pool
-            mode only).  Batches amortize dispatch overhead for
-            campaigns of many small jobs; each spec still gets its own
-            cache entry and metrics row.  The per-job ``timeout_s``
-            scales to ``timeout_s * len(batch)`` for a batch, and a
-            failure retries the whole batch.
         fault_plan: Optional seeded :class:`~repro.faults.FaultPlan`;
             every job attempt consults it (and may time out, crash,
             fail, or slow down), and cache entries written for
             ``corrupt``-marked specs are garbled after the fact.
-        checkpoint_dir: When given, completed jobs are journaled there
-            (one checkpoint file per campaign fingerprint) so a killed
-            campaign can resume.  Conventionally the cache directory.
-        checkpoint_every: Completed jobs between checkpoint writes
-            (1 — the default — journals after every job).
+        checkpoint_dir: When given, every completed job is journaled
+            there (one checkpoint file per campaign fingerprint) so a
+            killed campaign can resume.  Conventionally the cache
+            directory.
         resume: Restore completed jobs from this campaign's checkpoint
             before dispatching anything.  Requires ``checkpoint_dir``.
         retry_budget: Campaign-wide cap on total retries (``None`` =
             unlimited).  When spent, further failures degrade (or
             abort, without ``allow_partial``) instead of retrying.
         breaker_threshold: Per-platform failure-rate threshold in
-            ``(0, 1]`` that opens the circuit breaker: jobs for an
-            open platform stop being dispatched.  ``None`` disables.
-        breaker_min_attempts: Attempts a platform must accumulate
-            before its failure rate can trip the breaker.
+            ``(0, 1]`` that opens the circuit breaker once the platform
+            has :data:`BREAKER_MIN_ATTEMPTS` attempts: jobs for an open
+            platform stop being dispatched.  ``None`` disables.
         allow_partial: Finish with ``partial=True`` and a ``degraded``
             section instead of raising when jobs are given up on.
         progress: Optional :class:`~repro.obs.progress.ProgressTracker`
@@ -406,28 +535,21 @@ class CampaignRunner:
         timeout_s: Optional[float] = None,
         retries: int = 2,
         backoff_s: float = 0.5,
-        batch_size: int = 1,
         fault_plan: Optional[FaultPlan] = None,
         checkpoint_dir: Optional[PathLike] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         retry_budget: Optional[int] = None,
         breaker_threshold: Optional[float] = None,
-        breaker_min_attempts: int = 4,
         allow_partial: bool = False,
         progress: Optional[ProgressTracker] = None,
         shared_inputs: Optional[Mapping[str, np.ndarray]] = None,
     ):
         if jobs < 1:
             raise RunnerError(f"jobs must be >= 1, got {jobs}")
+        if timeout_s is not None and timeout_s <= 0:
+            raise RunnerError(f"timeout_s must be > 0, got {timeout_s}")
         if retries < 0:
             raise RunnerError(f"retries must be >= 0, got {retries}")
-        if batch_size < 1:
-            raise RunnerError(f"batch_size must be >= 1, got {batch_size}")
-        if checkpoint_every < 1:
-            raise RunnerError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         if resume and checkpoint_dir is None:
             raise RunnerError("resume=True requires a checkpoint_dir")
         if retry_budget is not None and retry_budget < 0:
@@ -438,25 +560,18 @@ class CampaignRunner:
             raise RunnerError(
                 f"breaker_threshold must be in (0, 1], got {breaker_threshold}"
             )
-        if breaker_min_attempts < 1:
-            raise RunnerError(
-                f"breaker_min_attempts must be >= 1, got {breaker_min_attempts}"
-            )
         self.jobs = int(jobs)
         self.store = store
         self.timeout_s = timeout_s
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
-        self.batch_size = int(batch_size)
         self.fault_plan = fault_plan
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self.checkpoint_every = int(checkpoint_every)
         self.resume = bool(resume)
         self.retry_budget = retry_budget
         self.breaker_threshold = breaker_threshold
-        self.breaker_min_attempts = int(breaker_min_attempts)
         self.allow_partial = bool(allow_partial)
         self.progress = progress
         self.shared_inputs = shared_inputs
@@ -516,6 +631,7 @@ class CampaignRunner:
                 "runner.campaign", jobs=self.jobs, n_specs=len(state.specs)
             ):
                 restored = self._restore_from_checkpoint(state)
+                pending: List[_Job] = []
                 for index in restored:
                     self._progress_done("ran")
                 for index, spec in enumerate(state.specs):
@@ -557,12 +673,9 @@ class CampaignRunner:
                     else:
                         if self.store is not None:
                             obs.counter("runner.cache.misses")
-                        state.pending.append(index)
-                if state.pending:
-                    if self.jobs == 1 or len(state.pending) == 1:
-                        self._run_inline(state)
-                    else:
-                        self._run_pool(state)
+                        pending.append(_Job(index, spec))
+                if pending:
+                    self._run_pending(state, pending)
                 return self._finish(state)
         finally:
             if self.progress is not None:
@@ -623,7 +736,7 @@ class CampaignRunner:
     def _checkpoint_success(
         self, state: _RunState, index: int, payload, elapsed_s: float
     ) -> None:
-        """Journal one completed job; flush every ``checkpoint_every``."""
+        """Journal one completed job and flush the checkpoint."""
         if state.checkpoint is None:
             return
         metrics = dataclasses.asdict(state.metrics[index])
@@ -636,11 +749,8 @@ class CampaignRunner:
                 metrics=metrics,
             )
         )
-        state.completed_since_write += 1
-        if state.completed_since_write >= self.checkpoint_every:
-            state.checkpoint.write()
-            state.completed_since_write = 0
-            obs.counter("runner.checkpoint.write")
+        state.checkpoint.write()
+        obs.counter("runner.checkpoint.write")
 
     def _finish(self, state: _RunState) -> CampaignReport:
         """Assemble the report; retire or persist the checkpoint."""
@@ -681,7 +791,7 @@ class CampaignRunner:
         attempts = state.platform_attempts[platform]
         failures = state.platform_failures.get(platform, 0)
         if (
-            attempts >= self.breaker_min_attempts
+            attempts >= BREAKER_MIN_ATTEMPTS
             and failures / attempts >= self.breaker_threshold
         ):
             state.open_platforms.add(platform)
@@ -698,12 +808,6 @@ class CampaignRunner:
                 failures,
                 attempts,
             )
-
-    def _breaker_blocks(self, state: _RunState, specs: Sequence[JobSpec]):
-        """Whether every spec in a (batch of) jobs hits an open breaker."""
-        if not state.open_platforms:
-            return False
-        return all(spec.platform in state.open_platforms for spec in specs)
 
     def _can_retry(self, state: _RunState, attempts: int) -> bool:
         """Whether one more attempt is allowed (per-job and budget)."""
@@ -723,15 +827,12 @@ class CampaignRunner:
     def _fail_job(
         self,
         state: _RunState,
-        index: int,
+        job: _Job,
         reason: str,
-        attempts: int,
         error: Optional[BaseException],
-        attempt_s: Sequence[float] = (),
-        timeouts: int = 0,
     ) -> None:
         """Give up on one job: degrade it, or abort the campaign."""
-        spec = state.specs[index]
+        index, spec, attempts = job.index, job.spec, job.attempts
         if not self.allow_partial:
             if error is None:
                 raise RunnerError(
@@ -758,9 +859,9 @@ class CampaignRunner:
             spec_hash=spec.content_hash,
             status="failed",
             attempts=attempts,
-            elapsed_s=float(sum(attempt_s)),
-            attempt_s=tuple(attempt_s),
-            timeouts=timeouts,
+            elapsed_s=float(sum(job.attempt_s)),
+            attempt_s=tuple(job.attempt_s),
+            timeouts=job.timeouts,
         )
         self._progress_done("failed")
         obs.counter("runner.job.degraded")
@@ -784,22 +885,91 @@ class CampaignRunner:
             return "retry-budget-exhausted"
         return "retries-exhausted"
 
-    # -- execution backends -------------------------------------------------
+    # -- the attempt loop ---------------------------------------------------
+
+    def _run_pending(self, state: _RunState, jobs: List[_Job]) -> None:
+        """Run the cache misses, in a pool or inline, merging in spec order."""
+        backend = _Backend(self, jobs)
+        completed = False
+        try:
+            if backend.pool is not None:
+                # Every first attempt up front: later jobs keep
+                # executing while earlier ones are awaited.
+                for job in jobs:
+                    backend.start(job)
+            for job in jobs:
+                self._settle(state, backend, job)
+            completed = True
+        finally:
+            backend.close(completed)
+
+    def _settle(self, state: _RunState, backend: _Backend, job: _Job) -> None:
+        """The attempt loop: await one job until it succeeds or is given up."""
+        platform = job.spec.platform
+        if platform in state.open_platforms and not job.has_result():
+            # The breaker opened before this job's first await; a result
+            # already in hand is kept, anything else is not waited on.
+            if job.future is not None:
+                job.future.cancel()
+            self._fail_job(state, job, f"breaker-open:{platform}", None)
+            return
+        # Dispatch span: submit-to-result at the orchestrator, retries,
+        # backoff and pool rebuilds included.  The critical-path
+        # analyzer matches it to the worker's runner.job span by spec
+        # hash; the difference is queueing/overhead, not compute.
+        with obs.span(
+            "runner.dispatch", platform=platform, spec=job.spec.content_hash[:12]
+        ):
+            if job.started is None:  # inline: the first attempt starts here
+                backend.start(job)
+            while True:
+                try:
+                    payload, job_s, events = backend.wait(job)
+                except (_AttemptTimeout, BrokenProcessPool) as exc:
+                    # Pool faults; the backend has rebuilt the pool.
+                    error: BaseException = exc
+                except Exception as exc:
+                    # Broad on purpose: any job exception is a failed
+                    # attempt to be retried, broken, or degraded — but
+                    # it is never silent (EXC001).
+                    obs.counter("runner.job.attempt_error")
+                    error = exc
+                else:
+                    job.charge()
+                    self._note_attempt(state, job.spec, failed=False)
+                    self._record_success(
+                        state,
+                        job,
+                        payload,
+                        job_s,
+                        events,
+                        merge_events=backend.pool is not None,
+                    )
+                    return
+                job.charge()
+                self._note_attempt(state, job.spec, failed=True)
+                if platform in state.open_platforms:
+                    reason = f"breaker-open:{platform}"
+                elif not self._can_retry(state, job.attempts):
+                    reason = self._exhaustion_reason(state, job.attempts)
+                else:
+                    self._consume_retry(state)
+                    self._sleep_before_retry(job.attempts)
+                    backend.start(job)
+                    continue
+                self._fail_job(state, job, reason, error)
+                return
 
     def _record_success(
         self,
         state: _RunState,
-        index,
+        job: _Job,
         payload,
         job_s,
-        wall_s,
-        attempts,
-        events=(),
-        attempt_s=(),
-        timeouts=0,
-        merge_events=False,
-    ):
-        spec = state.specs[index]
+        events,
+        merge_events: bool,
+    ) -> None:
+        index, spec = job.index, job.spec
         result = payload_to_result(payload)
         state.results[index] = result
         state.metrics[index] = JobMetrics(
@@ -808,10 +978,10 @@ class CampaignRunner:
             seed=spec.seed,
             spec_hash=spec.content_hash,
             status="ran",
-            attempts=attempts,
-            elapsed_s=wall_s,
-            attempt_s=tuple(attempt_s),
-            timeouts=timeouts,
+            attempts=job.attempts,
+            elapsed_s=time.perf_counter() - job.started,
+            attempt_s=tuple(job.attempt_s),
+            timeouts=job.timeouts,
         )
         obs.histogram("runner.job.latency_s", job_s)
         self._progress_done("ran")
@@ -846,301 +1016,3 @@ class CampaignRunner:
             obs.histogram("runner.retry.backoff_s", delay)
             with obs.span("runner.retry.backoff"):
                 time.sleep(delay)
-
-    def _run_inline(self, state: _RunState) -> None:
-        for index in state.pending:
-            spec = state.specs[index]
-            if self._breaker_blocks(state, [spec]):
-                self._fail_job(
-                    state, index, f"breaker-open:{spec.platform}", 0, None
-                )
-                continue
-            # Dispatch span: submit-to-result at the orchestrator,
-            # retries and backoff included.  The critical-path analyzer
-            # matches it to the worker's runner.job span by spec hash;
-            # the difference is queueing/overhead, not compute.
-            with obs.span(
-                "runner.dispatch",
-                platform=spec.platform,
-                spec=spec.content_hash[:12],
-            ):
-                self._dispatch_inline(state, index, spec)
-
-    def _dispatch_inline(
-        self, state: _RunState, index: int, spec: JobSpec
-    ) -> None:
-        """Attempt loop for one inline job (retries and backoff inside)."""
-        tracing = obs.is_enabled()
-        run_id = obs.current_run_id()
-        attempts = 0
-        attempt_s: List[float] = []
-        start = time.perf_counter()
-        while True:
-            attempts += 1
-            attempt_start = time.perf_counter()
-            try:
-                payload, job_s, events = _run_job(
-                    spec, tracing, run_id, self.fault_plan, attempts
-                )
-            except Exception as exc:
-                # Broad on purpose: any worker exception is a failed
-                # attempt to be retried, broken, or degraded — but it
-                # is never silent (EXC001).
-                obs.counter("runner.job.attempt_error")
-                attempt_s.append(time.perf_counter() - attempt_start)
-                self._note_attempt(state, spec, failed=True)
-                if self._breaker_blocks(state, [spec]):
-                    self._fail_job(
-                        state,
-                        index,
-                        f"breaker-open:{spec.platform}",
-                        attempts,
-                        exc,
-                        attempt_s=attempt_s,
-                    )
-                    break
-                if not self._can_retry(state, attempts):
-                    self._fail_job(
-                        state,
-                        index,
-                        self._exhaustion_reason(state, attempts),
-                        attempts,
-                        exc,
-                        attempt_s=attempt_s,
-                    )
-                    break
-                self._consume_retry(state)
-                self._sleep_before_retry(attempts)
-                continue
-            attempt_s.append(time.perf_counter() - attempt_start)
-            self._note_attempt(state, spec, failed=False)
-            wall_s = time.perf_counter() - start
-            self._record_success(
-                state,
-                index,
-                payload,
-                job_s,
-                wall_s,
-                attempts,
-                events=events,
-                attempt_s=attempt_s,
-            )
-            break
-
-    def _run_pool(self, state: _RunState) -> None:
-        tracing = obs.is_enabled()
-        run_id = obs.current_run_id()
-        specs = state.specs
-        pending = state.pending
-        # Batches of size 1 reduce to the original per-spec submission.
-        chunks: List[List[int]] = [
-            pending[i : i + self.batch_size]
-            for i in range(0, len(pending), self.batch_size)
-        ]
-        order = range(len(chunks))
-        attempts: Dict[int, int] = {c: 0 for c in order}
-        attempt_s: Dict[int, List[float]] = {c: [] for c in order}
-        timeouts: Dict[int, int] = {c: 0 for c in order}
-        started = {c: time.perf_counter() for c in order}
-        attempt_started = dict(started)
-        done: set = set()
-        completed = False
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)))
-
-        def submit(c: int):
-            batch = [specs[i] for i in chunks[c]]
-            return pool.submit(
-                _run_job_batch,
-                batch,
-                tracing,
-                run_id,
-                self.fault_plan,
-                attempts[c] + 1,
-            )
-
-        def fail_chunk(c: int, reason: str, error) -> None:
-            share = [a / len(chunks[c]) for a in attempt_s[c]]
-            for index in chunks[c]:
-                self._fail_job(
-                    state,
-                    index,
-                    reason,
-                    attempts[c],
-                    error,
-                    attempt_s=share,
-                    timeouts=timeouts[c],
-                )
-            done.add(c)
-
-        try:
-            futures = {c: submit(c) for c in order}
-            # Collect in deterministic spec order; later jobs keep
-            # executing while earlier ones are awaited.
-            for c, chunk in enumerate(chunks):
-                batch_specs = [specs[i] for i in chunk]
-                limit = (
-                    None if self.timeout_s is None else self.timeout_s * len(chunk)
-                )
-                # Dispatch span: covers the wait for this chunk's
-                # result at the orchestrator — queueing behind other
-                # chunks, retries, and pool rebuilds included.
-                _attrs = {"platform": batch_specs[0].platform}
-                if len(chunk) == 1:
-                    _attrs["spec"] = batch_specs[0].content_hash[:12]
-                else:
-                    _attrs["n_specs"] = len(chunk)
-                with obs.span("runner.dispatch", **_attrs):
-                    while True:
-                        if self._breaker_blocks(state, batch_specs):
-                            future = futures[c]
-                            if not (
-                                future.done()
-                                and not future.cancelled()
-                                and future.exception() is None
-                            ):
-                                # Not (successfully) finished: stop waiting
-                                # on a platform the breaker gave up on.
-                                future.cancel()
-                                fail_chunk(
-                                    c,
-                                    f"breaker-open:"
-                                    f"{batch_specs[0].platform}",
-                                    None,
-                                )
-                                break
-                            # Completed before the breaker opened — a
-                            # result in hand is a result kept.
-                        try:
-                            outputs = futures[c].result(timeout=limit)
-                        except FutureTimeoutError:
-                            futures[c].cancel()
-                            timeouts[c] += 1
-                            error: BaseException = RunnerError(
-                                f"timed out after {limit}s"
-                            )
-                            # A running worker cannot be preempted, so the
-                            # hung process would keep its slot for as long
-                            # as the job hangs — starving the retry (and
-                            # every queued chunk) behind it.  Rebuild the
-                            # pool and resubmit whatever the rebuild
-                            # orphaned; only the timed-out chunk is charged
-                            # an attempt.
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = ProcessPoolExecutor(
-                                max_workers=min(self.jobs, len(chunks))
-                            )
-                            for other in order:
-                                if other in done or other == c:
-                                    continue
-                                future = futures[other]
-                                if (
-                                    future.done()
-                                    and not future.cancelled()
-                                    and future.exception() is None
-                                ):
-                                    continue
-                                futures[other] = submit(other)
-                                attempt_started[other] = time.perf_counter()
-                        except BrokenProcessPool as exc:
-                            # A hard worker crash poisons the whole pool:
-                            # rebuild it and resubmit every unfinished
-                            # batch.  Every in-flight batch died with the
-                            # pool, so each resubmission is a genuinely new
-                            # attempt for accounting and fault decisions —
-                            # otherwise a deterministic crash fault in one
-                            # batch would replay forever while another
-                            # batch absorbs the blame.
-                            error = exc
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = ProcessPoolExecutor(
-                                max_workers=min(self.jobs, len(chunks))
-                            )
-                            for other in order:
-                                if other not in done and other != c:
-                                    attempts[other] += 1
-                                    attempt_s[other].append(
-                                        time.perf_counter()
-                                        - attempt_started[other]
-                                    )
-                                    futures[other] = submit(other)
-                                    attempt_started[other] = time.perf_counter()
-                        except Exception as exc:
-                            # Recorded, never swallowed: the retry loop below
-                            # turns `error` into a new attempt or a typed
-                            # failure (EXC001).
-                            obs.counter("runner.job.attempt_error")
-                            error = exc
-                        else:
-                            attempt_s[c].append(
-                                time.perf_counter() - attempt_started[c]
-                            )
-                            for spec in batch_specs:
-                                self._note_attempt(state, spec, failed=False)
-                            wall_s = time.perf_counter() - started[c]
-                            for (payload, job_s, events), index in zip(
-                                outputs, chunk
-                            ):
-                                # Single-spec batches keep the measured wall
-                                # time; inside larger batches each spec is
-                                # attributed its own worker-side run time.
-                                self._record_success(
-                                    state,
-                                    index,
-                                    payload,
-                                    job_s,
-                                    wall_s if len(chunk) == 1 else job_s,
-                                    attempts[c] + 1,
-                                    events=events,
-                                    attempt_s=(
-                                        attempt_s[c]
-                                        if len(chunk) == 1
-                                        else (job_s,)
-                                    ),
-                                    timeouts=timeouts[c],
-                                    merge_events=True,
-                                )
-                            done.add(c)
-                            break
-                        attempt_s[c].append(
-                            time.perf_counter() - attempt_started[c]
-                        )
-                        attempts[c] += 1
-                        for spec in batch_specs:
-                            self._note_attempt(state, spec, failed=True)
-                        if not self._can_retry(state, attempts[c]):
-                            fail_chunk(
-                                c, self._exhaustion_reason(state, attempts[c]), error
-                            )
-                            break
-                        self._consume_retry(state)
-                        self._sleep_before_retry(attempts[c])
-                        futures[c] = submit(c)
-                        attempt_started[c] = time.perf_counter()
-            completed = True
-        finally:
-            # On clean completion every future is done, so waiting is
-            # instant; on failure, abandon workers (one may be hung).
-            pool.shutdown(wait=completed, cancel_futures=True)
-
-
-def run_campaign(
-    studies: Sequence[object],
-    jobs: int = 1,
-    cache_dir=None,
-    **runner_kwargs,
-) -> CampaignReport:
-    """Convenience wrapper: specs from study instances, one campaign.
-
-    Args:
-        studies: Configured dataclass study instances (anything
-            :meth:`JobSpec.from_study` accepts).
-        jobs: Worker processes (1 = inline serial).
-        cache_dir: When given, a :class:`ResultStore` rooted there.
-        **runner_kwargs: Passed through to :class:`CampaignRunner`
-            (``timeout_s``, ``retries``, ``backoff_s``, ``batch_size``,
-            ``fault_plan``, ``checkpoint_dir``, ``resume``,
-            ``retry_budget``, ``breaker_threshold``, ``allow_partial``).
-    """
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    runner = CampaignRunner(jobs=jobs, store=store, **runner_kwargs)
-    return runner.run([JobSpec.from_study(study) for study in studies])

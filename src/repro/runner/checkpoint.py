@@ -197,8 +197,3 @@ class CampaignCheckpoint:
             self.path.unlink()
         except FileNotFoundError:
             pass
-
-    @staticmethod
-    def discard(directory: PathLike, fingerprint: str) -> None:
-        """Remove a (possibly damaged) checkpoint without loading it."""
-        CampaignCheckpoint(directory, fingerprint).clear()

@@ -145,7 +145,9 @@ class JobSpec:
             The class must be constructible with ``config`` as keyword
             arguments (plus ``seed`` when it accepts one) and expose
             ``run() -> StudyResult``.
-        seed: Master randomness seed for the job.
+        seed: Master randomness seed for the job, ``>= 0``.  A negative
+            seed raises :class:`~repro.errors.RunnerError` here, before
+            any job is dispatched.
         config: Remaining constructor kwargs.  Values must be
             picklable (they cross the process boundary as-is) and
             canonicalizable (they enter the content hash).
@@ -162,6 +164,10 @@ class JobSpec:
     seed: int = 0
     config: Mapping[str, Any] = field(default_factory=dict)
     shared: Mapping[str, SharedArrayRef] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise RunnerError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_study(cls, study: Any) -> "JobSpec":

@@ -147,18 +147,18 @@ class CachedResult:
 class ResultStore:
     """Content-addressed cache of study results under one directory.
 
+    Opening a store removes orphaned ``.tmpPID`` files older than
+    :data:`STALE_TMP_AGE_S` (a crash between writing the temp file and
+    the atomic rename leaves one behind forever otherwise).  Recent
+    temp files are left alone — they may belong to a concurrent live
+    writer.
+
     Args:
         root: Cache directory; created lazily on the first write.
-        stale_tmp_age_s: Orphaned ``.tmpPID`` files older than this are
-            removed when the store opens (a crash between writing the
-            temp file and the atomic rename leaves one behind forever
-            otherwise).  Recent temp files are left alone — they may
-            belong to a concurrent live writer.
     """
 
-    def __init__(self, root: PathLike, stale_tmp_age_s: float = STALE_TMP_AGE_S):
+    def __init__(self, root: PathLike):
         self.root = Path(root)
-        self.stale_tmp_age_s = float(stale_tmp_age_s)
         self.sweep_stale_tmp()
 
     def sweep_stale_tmp(self) -> int:
@@ -169,7 +169,7 @@ class ResultStore:
         """
         if not self.root.is_dir():
             return 0
-        cutoff = time.time() - self.stale_tmp_age_s
+        cutoff = time.time() - STALE_TMP_AGE_S
         removed = 0
         for tmp in self.root.glob("*/*.json.tmp*"):
             try:

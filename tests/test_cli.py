@@ -576,7 +576,19 @@ class TestErrorBoundary:
         assert child.stdout == ""
 
     def test_negative_seed_is_one_line(self):
-        child = self.run_cli("scenario", "--name", "hijack", "--seed", "-1")
+        # report and campaign fail on the spec, before any job runs.
+        for argv in (
+            ["scenario", "--name", "hijack", "--seed", "-1"],
+            ["report", "--seed", "-1"],
+            ["campaign", "--study", "pop", "--seeds", "0,-1"],
+        ):
+            child = self.run_cli(*argv)
+            assert child.returncode == 1, argv
+            assert "Traceback" not in child.stderr, argv
+            assert child.stderr == f"{argv[0]}: seed must be >= 0, got -1\n"
+
+    def test_nonpositive_timeout_is_one_line(self):
+        child = self.run_cli("campaign", "--timeout", "0")
         assert child.returncode == 1
         assert "Traceback" not in child.stderr
-        assert child.stderr == "scenario: seed must be >= 0, got -1\n"
+        assert child.stderr == "campaign: timeout_s must be > 0, got 0.0\n"

@@ -131,7 +131,6 @@ PUBLIC_API = {
         "CampaignRunner",
         "CampaignReport",
         "JobMetrics",
-        "run_campaign",
     ],
     "repro.obs": [
         "SCHEMA_VERSION",

@@ -16,7 +16,8 @@ import pytest
 from repro import obs
 from repro.errors import RunnerError
 from repro.core.study import StudyResult
-from repro.runner import CampaignRunner, JobSpec, ResultStore, run_campaign
+from repro.runner import CampaignRunner, JobSpec, ResultStore
+import repro.runner.campaign as campaign_module
 
 
 @pytest.fixture(autouse=True)
@@ -63,15 +64,17 @@ class FlakyStudy:
 
 @dataclasses.dataclass
 class CrashOnceStudy:
-    """Hard-kills its worker process once, then succeeds."""
+    """Hard-kills its worker process once (after *delay_s*), then succeeds."""
 
     seed: int = 0
     sentinel: str = ""
+    delay_s: float = 0.0
 
     def run(self) -> StudyResult:
         path = Path(self.sentinel)
         if not path.exists():
             path.touch()
+            time.sleep(self.delay_s)
             os._exit(1)
         return StudyResult(name="crash-once", summary={"ok": 1.0})
 
@@ -143,49 +146,9 @@ class TestExecution:
             CampaignRunner(jobs=0)
         with pytest.raises(RunnerError):
             CampaignRunner(retries=-1)
-        with pytest.raises(RunnerError):
-            CampaignRunner(batch_size=0)
-
-    def test_batched_matches_serial(self, tmp_path):
-        specs, _ = _specs(tmp_path, range(7))
-        serial = CampaignRunner(jobs=1).run(specs)
-        batched = CampaignRunner(jobs=2, batch_size=3).run(specs)
-        assert [r.summary for r in batched.results] == [
-            r.summary for r in serial.results
-        ]
-        assert batched.n_ran == 7
-        assert [m.index for m in batched.metrics] == list(range(7))
-
-    def test_batched_preserves_per_spec_cache_entries(self, tmp_path):
-        specs, _ = _specs(tmp_path, range(5))
-        store = ResultStore(tmp_path / "cache")
-        first = CampaignRunner(jobs=2, batch_size=2, store=store).run(specs)
-        assert first.n_ran == 5
-        # Every spec got its own cache entry despite batched submission:
-        # a serial re-run hits for all of them.
-        again = CampaignRunner(jobs=1, store=ResultStore(tmp_path / "cache")).run(
-            specs
-        )
-        assert again.n_hits == 5 and again.n_ran == 0
-
-    def test_batch_larger_than_pending(self, tmp_path):
-        specs, _ = _specs(tmp_path, range(3))
-        report = CampaignRunner(jobs=2, batch_size=10).run(specs)
-        assert [r.summary["seed"] for r in report.results] == [0.0, 1.0, 2.0]
-
-    def test_run_campaign_wrapper(self, tmp_path):
-        report = run_campaign(
-            [AddStudy(seed=1), AddStudy(seed=2)],
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-        )
-        assert report.n_ran == 2
-        again = run_campaign(
-            [AddStudy(seed=1), AddStudy(seed=2)],
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-        )
-        assert again.n_hits == 2 and again.n_ran == 0
+        for timeout_s in (0, -1):
+            with pytest.raises(RunnerError, match="timeout_s must be > 0"):
+                CampaignRunner(timeout_s=timeout_s)
 
 
 class TestCaching:
@@ -256,6 +219,18 @@ class TestRetry:
         ]
         report = CampaignRunner(jobs=2, retries=3, backoff_s=0.0).run(specs)
         assert all(r.summary == {"ok": 1.0} for r in report.results)
+
+    def test_pool_broken_during_backoff_recovers(self, tmp_path):
+        # The crash lands while job 0 sleeps its backoff, so its retry
+        # is submitted to a pool that is already broken.
+        specs = [
+            JobSpec.from_study(FlakyStudy(sentinel=str(tmp_path / "flaky"))),
+            JobSpec.from_study(
+                CrashOnceStudy(sentinel=str(tmp_path / "crash"), delay_s=0.2)
+            ),
+        ]
+        report = CampaignRunner(jobs=2, retries=2, backoff_s=0.6).run(specs)
+        assert [r.summary for r in report.results] == [{"ok": 1.0}] * 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retry_budget_exhausted_raises(self, jobs):
@@ -440,14 +415,14 @@ class TestDegradedJobs:
 class TestCircuitBreaker:
     """A platform failing consistently is dropped, not hammered."""
 
-    def test_breaker_opens_and_degrades_remaining_jobs(self, tmp_path):
+    def test_breaker_opens_and_degrades_remaining_jobs(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "BREAKER_MIN_ATTEMPTS", 2)
         specs = [JobSpec.from_study(AlwaysFailsStudy(seed=s)) for s in range(5)]
         report = CampaignRunner(
             retries=0,
             backoff_s=0.0,
             allow_partial=True,
             breaker_threshold=1.0,
-            breaker_min_attempts=2,
         ).run(specs)
         assert report.n_degraded == 5
         reasons = [d.reason for d in report.degraded]
@@ -459,7 +434,8 @@ class TestCircuitBreaker:
         # Jobs behind the open breaker were never even dispatched.
         assert all(d.attempts == 0 for d in report.degraded[2:])
 
-    def test_breaker_counts_recovered_attempts(self, tmp_path):
+    def test_breaker_counts_recovered_attempts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(campaign_module, "BREAKER_MIN_ATTEMPTS", 4)
         # Flaky jobs fail once each; enough first-attempt failures push
         # the platform's rate over the threshold even though every job
         # eventually succeeded — the breaker then blocks the remainder.
@@ -473,23 +449,25 @@ class TestCircuitBreaker:
             backoff_s=0.0,
             allow_partial=True,
             breaker_threshold=0.5,
-            breaker_min_attempts=4,
         ).run(specs)
         blocked = [d for d in report.degraded if d.reason.startswith("breaker-open")]
         assert blocked, report.render()
 
-    def test_breaker_without_allow_partial_raises_not_dispatched(self):
+    def test_breaker_without_allow_partial_raises_not_dispatched(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(campaign_module, "BREAKER_MIN_ATTEMPTS", 2)
         specs = [JobSpec.from_study(AlwaysFailsStudy(seed=s)) for s in range(4)]
         runner = CampaignRunner(
             retries=1,
             backoff_s=0.0,
             breaker_threshold=1.0,
-            breaker_min_attempts=2,
         )
         with pytest.raises(RunnerError, match="after 2 attempt"):
             runner.run(specs)
 
-    def test_breaker_in_pool_mode(self, tmp_path):
+    def test_breaker_in_pool_mode(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "BREAKER_MIN_ATTEMPTS", 2)
         specs = [JobSpec.from_study(AlwaysFailsStudy(seed=s)) for s in range(6)]
         report = CampaignRunner(
             jobs=2,
@@ -497,44 +475,30 @@ class TestCircuitBreaker:
             backoff_s=0.0,
             allow_partial=True,
             breaker_threshold=1.0,
-            breaker_min_attempts=2,
         ).run(specs)
         assert report.n_degraded == 6
         assert any(
             d.reason.startswith("breaker-open") for d in report.degraded
         ), report.render()
 
-
-class TestBatchFailurePaths:
-    def test_worker_killed_mid_batch_retries_and_completes(self, tmp_path):
-        specs, _ = _specs(tmp_path, range(3))
-        specs.insert(
-            1,
-            JobSpec.from_study(
-                CrashOnceStudy(sentinel=str(tmp_path / "batch-crash"))
-            ),
-        )
-        report = CampaignRunner(
-            jobs=2, batch_size=2, retries=3, backoff_s=0.0
-        ).run(specs)
-        assert report.n_ran == 4
-        assert report.results[1].summary == {"ok": 1.0}
-        # The crash charged an attempt to the batch that died.
-        assert report.metrics[1].attempts >= 2
-
-    def test_exhausted_batch_degrades_every_member(self, tmp_path):
-        specs, _ = _specs(tmp_path, [0])
-        specs.append(JobSpec.from_study(AlwaysFailsStudy()))
+    def test_pool_job_that_opens_breaker_degrades_at_once(self, monkeypatch):
+        # As inline: the job whose own failure opens the breaker keeps
+        # its error and spends no further retry.
+        monkeypatch.setattr(campaign_module, "BREAKER_MIN_ATTEMPTS", 2)
+        specs = [JobSpec.from_study(AlwaysFailsStudy(seed=s)) for s in range(4)]
         report = CampaignRunner(
             jobs=2,
-            batch_size=2,
-            retries=0,
+            retries=2,
             backoff_s=0.0,
             allow_partial=True,
+            breaker_threshold=1.0,
         ).run(specs)
-        # One bad apple fails its whole batch: both specs degraded.
-        assert report.n_degraded == 2
-        assert {d.index for d in report.degraded} == {0, 1}
+        first = report.degraded[0]
+        assert first.index == 0
+        assert first.reason == f"breaker-open:{specs[0].platform}"
+        assert first.attempts == 2
+        assert "permanent failure" in first.error
+        assert report.n_retries == 1
 
 
 class TestFaultPlanIntegration:
@@ -543,20 +507,36 @@ class TestFaultPlanIntegration:
 
         plan = FaultPlan(seed=11, p_error=0.4, max_faulty_attempts=1)
         specs, _ = _specs(tmp_path, range(6))
-        first = CampaignRunner(
-            fault_plan=plan, retries=2, backoff_s=0.0
-        ).run(specs)
-        second = CampaignRunner(
-            fault_plan=plan, retries=2, backoff_s=0.0
-        ).run(specs)
-        assert [r.summary for r in first.results] == [
-            r.summary for r in second.results
+        specs.append(JobSpec.from_study(AlwaysFailsStudy()))
+
+        def run(jobs):
+            return CampaignRunner(
+                jobs=jobs,
+                fault_plan=plan,
+                retries=2,
+                backoff_s=0.0,
+                allow_partial=True,
+            ).run(specs)
+
+        def outcome(report):
+            return (
+                [m.status for m in report.metrics],
+                [m.attempts for m in report.metrics],
+                [(d.index, d.reason, d.attempts, d.error) for d in report.degraded],
+                report.n_retries,
+            )
+
+        first, second = run(1), run(1)
+        assert [r and r.summary for r in first.results] == [
+            r and r.summary for r in second.results
         ]
         assert [m.attempts for m in first.metrics] == [
             m.attempts for m in second.metrics
         ]
-        assert any(m.attempts > 1 for m in first.metrics)  # faults landed
-        assert all(m.status == "ran" for m in first.metrics)
+        assert any(m.attempts > 1 for m in first.metrics[:-1])  # faults landed
+        assert all(m.status == "ran" for m in first.metrics[:-1])
+        assert first.degraded[0].index == 6
+        assert outcome(run(2)) == outcome(first)
 
     def test_corrupt_marked_entries_are_garbled_after_put(self, tmp_path):
         from repro.errors import CacheCorruptionError

@@ -213,15 +213,6 @@ class TestCampaignResume:
         assert [m.status for m in report.metrics] == ["ran"] * 3
         assert not checkpoint.path.exists()
 
-    def test_checkpoint_every_batches_writes(self, tmp_path, monkeypatch):
-        specs, _ = _specs(tmp_path, [0, 1, 2, 3, 4])
-        monkeypatch.setattr(campaign_module, "_run_job", _CrashAfter(3))
-        with pytest.raises(KeyboardInterrupt):
-            CampaignRunner(checkpoint_dir=tmp_path, checkpoint_every=2).run(specs)
-        checkpoint = CampaignCheckpoint(tmp_path, campaign_fingerprint(specs))
-        # Three jobs completed but only the first two flushes landed.
-        assert checkpoint.load() == 2
-
     def test_restored_metrics_keep_original_rows(self, tmp_path, monkeypatch):
         specs, _ = _specs(tmp_path, [0, 1])
         monkeypatch.setattr(campaign_module, "_run_job", _CrashAfter(1))

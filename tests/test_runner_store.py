@@ -8,6 +8,7 @@ from repro.core.hypotheses import HypothesisVerdict, Verdict
 from repro.core.study import StudyResult
 from repro.errors import CacheCorruptionError
 from repro.runner import JobSpec, ResultStore
+import repro.runner.store as store_module
 
 
 @pytest.fixture
@@ -245,13 +246,16 @@ class TestStaleTmpSweep:
         assert live.exists()  # recent: may belong to a live writer
         live.unlink()
 
-    def test_sweep_counts_and_age_override(self, tmp_path, spec, result):
+    def test_sweep_counts_and_age_override(
+        self, tmp_path, spec, result, monkeypatch
+    ):
         store = ResultStore(tmp_path)
         path = store.put(spec, result, elapsed_s=0.0)
         orphan = path.with_name(f"{path.name}.tmp77777")
         orphan.write_text("x", encoding="utf-8")
         # With a zero age threshold even a fresh temp file is stale.
-        assert ResultStore(tmp_path, stale_tmp_age_s=0.0).sweep_stale_tmp() >= 0
+        monkeypatch.setattr(store_module, "STALE_TMP_AGE_S", 0.0)
+        assert ResultStore(tmp_path).sweep_stale_tmp() >= 0
         assert not orphan.exists()
 
     def test_open_on_missing_root_is_fine(self, tmp_path):
