@@ -122,7 +122,7 @@ class DynamicsConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.mrai_s < 0 or self.link_delay_s <= 0:
+        if not (self.mrai_s >= 0 and self.link_delay_s > 0):
             raise RoutingError(
                 "mrai_s must be >= 0 and link_delay_s must be positive"
             )

@@ -25,11 +25,15 @@ A campaign that finishes degraded (``--allow-partial``) exits with
 status 3, distinguishing "partial results printed" from success (0)
 and usage errors (2).
 
-Every subcommand takes the runtime flags ``--log-level``, ``-v``,
-``-q``, ``--log-json``, and ``--trace-out FILE``; they are also
-accepted before the subcommand name.  ``--trace-out`` records a JSONL
-telemetry stream (see :mod:`repro.obs`) plus a ``<FILE>.manifest.json``
-provenance record alongside it.
+Each study command takes only the shared options (``--seed``,
+``--scale``, ``--days``, ``--csv``, ``--jobs``, ``--cache-dir``) its
+run reads; :data:`COMMANDS` names them, and ``repro-bgp <command>
+--help`` lists them.  Every subcommand takes the runtime flags
+``--log-level``, ``-v``, ``-q``, ``--log-json``, and ``--trace-out
+FILE``; they are also accepted before the subcommand name.
+``--trace-out`` records a JSONL telemetry stream (see
+:mod:`repro.obs`) plus a ``<FILE>.manifest.json`` provenance record
+alongside it.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis import format_table, text_choropleth
 from repro.errors import ReproError, StreamError
@@ -152,17 +157,13 @@ def _run_campaign(args, studies, **runner_kwargs):
     """Run study instances through a campaign with the CLI's flags."""
     from repro.runner import CampaignRunner, JobSpec, ResultStore
 
-    store = None
-    if getattr(args, "cache_dir", None):
-        store = ResultStore(args.cache_dir)
-    runner = CampaignRunner(
-        jobs=getattr(args, "jobs", 1), store=store, **runner_kwargs
-    )
+    store = ResultStore(args.cache_dir) if args.cache_dir else None
+    runner = CampaignRunner(jobs=args.jobs, store=store, **runner_kwargs)
     return runner.run([JobSpec.from_study(study) for study in studies])
 
 
 def _campaign_flags_used(args) -> bool:
-    return getattr(args, "jobs", 1) > 1 or bool(getattr(args, "cache_dir", None))
+    return args.jobs > 1 or bool(args.cache_dir)
 
 
 def _pop_study(args):
@@ -190,7 +191,7 @@ def cmd_fig1(args) -> None:
             x_range=(-10.0, 10.0),
         )
     )
-    if getattr(args, "csv", None):
+    if args.csv:
         from repro.io import write_cdf_csv
 
         write_cdf_csv(fig1.cdf, args.csv, label="bgp_minus_alternate_ms")
@@ -245,7 +246,7 @@ def cmd_fig3(args) -> None:
             x_range=(0.0, 150.0),
         )
     )
-    if getattr(args, "csv", None):
+    if args.csv:
         from repro.io import write_cdf_csv
 
         write_cdf_csv(fig3.ccdfs["world"], args.csv, label="anycast_minus_best_ms")
@@ -282,7 +283,7 @@ def cmd_fig5(args) -> None:
     result = _cloud_study(args)
     fig5 = result.figures["fig5"]
     print(text_choropleth(fig5.country_diff_ms, COUNTRY_REGIONS))
-    if getattr(args, "csv", None):
+    if args.csv:
         from repro.io import write_country_csv
 
         write_country_csv(fig5.country_diff_ms, args.csv)
@@ -312,7 +313,7 @@ SETTING_KINDS = {
 def cmd_report(args) -> None:
     from repro.core import render_report
 
-    kinds = SETTING_KINDS[getattr(args, "setting", "all")]
+    kinds = SETTING_KINDS[args.setting]
     studies = [_build_study(kind, args) for kind in kinds]
     report = _run_campaign(args, studies)
     print(render_report(report.results))
@@ -349,32 +350,28 @@ def cmd_peering(args) -> None:
 def _campaign_runner_kwargs(args) -> dict:
     """Map the campaign subcommand's resilience flags to runner kwargs."""
     kwargs = dict(timeout_s=args.timeout, retries=args.retries)
-    if getattr(args, "faults", None):
+    if args.faults:
         from repro.errors import FaultError
         from repro.faults import parse_fault_spec
 
         try:
-            kwargs["fault_plan"] = parse_fault_spec(
-                args.faults, seed=getattr(args, "fault_seed", 0)
-            )
+            kwargs["fault_plan"] = parse_fault_spec(args.faults, seed=args.fault_seed)
         except FaultError as exc:
             raise SystemExit(f"--faults: {exc}")
-    checkpoint_dir = getattr(args, "checkpoint_dir", None) or getattr(
-        args, "cache_dir", None
-    )
+    checkpoint_dir = args.checkpoint_dir or args.cache_dir
     if checkpoint_dir:
         kwargs["checkpoint_dir"] = checkpoint_dir
-    if getattr(args, "resume", False):
+    if args.resume:
         if not checkpoint_dir:
             raise SystemExit("--resume requires --checkpoint-dir or --cache-dir")
         kwargs["resume"] = True
-    if getattr(args, "retry_budget", None) is not None:
+    if args.retry_budget is not None:
         kwargs["retry_budget"] = args.retry_budget
-    if getattr(args, "breaker_threshold", None) is not None:
+    if args.breaker_threshold is not None:
         kwargs["breaker_threshold"] = args.breaker_threshold
-    if getattr(args, "allow_partial", False):
+    if args.allow_partial:
         kwargs["allow_partial"] = True
-    if getattr(args, "progress", False):
+    if args.progress:
         from repro.obs.progress import ProgressTracker
 
         kwargs["progress"] = ProgressTracker(stream=sys.stderr)
@@ -695,32 +692,25 @@ def cmd_trace_profile(args) -> None:
     """Self-time-ranked span profile of a recorded stream."""
     from repro.obs import load_events, profile_events
 
-    profile = profile_events(
-        load_events(args.file),
-        include_replay=getattr(args, "include_replay", False),
-    )
-    print(profile.render(limit=getattr(args, "limit", 0)))
+    profile = profile_events(load_events(args.file), include_replay=args.include_replay)
+    print(profile.render(limit=args.limit))
 
 
 def cmd_trace_flame(args) -> None:
     """Collapsed-stack flamegraph export (flamegraph.pl / speedscope)."""
     from repro.obs import build_forest, collapsed_stacks, load_events
 
-    forest = build_forest(
-        load_events(args.file),
-        include_replay=getattr(args, "include_replay", False),
-    )
+    forest = build_forest(load_events(args.file), include_replay=args.include_replay)
     lines = collapsed_stacks(forest)
     if not lines:
         raise SystemExit(
             f"trace flame: {args.file} has no closed spans with self-time"
         )
     text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        logger.info("wrote %d stack(s) to %s", len(lines), out)
+        logger.info("wrote %d stack(s) to %s", len(lines), args.out)
     else:
         sys.stdout.write(text)
 
@@ -786,140 +776,138 @@ def cmd_scenario(args) -> None:
         raise SystemExit(1)
 
 
-def _git_changed_files(root) -> set[str]:
-    """Repo-root-relative POSIX paths of files changed vs HEAD.
-
-    Union of tracked modifications (``git diff --name-only HEAD``) and
-    untracked files (``git ls-files --others --exclude-standard``),
-    remapped from the git toplevel onto *root*.
-    """
-    import subprocess
-    from pathlib import Path
-
-    def run(*argv: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", "-C", str(root), *argv],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise SystemExit(
-                "lint: --changed requires a git checkout "
-                f"(git {argv[0]} failed: {proc.stderr.strip()})"
-            )
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    toplevel = Path(run("rev-parse", "--show-toplevel")[0])
-    names = run("diff", "--name-only", "HEAD") + run(
-        "ls-files", "--others", "--exclude-standard"
-    )
-    resolved_root = Path(root).resolve()
-    changed = set()
-    for name in names:
-        absolute = (toplevel / name).resolve()
-        try:
-            changed.add(absolute.relative_to(resolved_root).as_posix())
-        except ValueError:
-            continue  # changed outside --root; not lintable here
-    return changed
-
-
-def _cmd_lint_graph(args, root, paths) -> None:
-    """``repro-bgp lint graph``: export the call graph, no findings."""
-    from pathlib import Path
-
-    from repro.lint import build_graph
-
-    graph = build_graph(paths, root=root)
-    payload = graph.to_json()
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        document = graph.to_document()
-        counts = document["counts"]
-        print(
-            f"wrote {args.out}: {counts['functions']} function(s), "
-            f"{counts['classes']} class(es), {counts['edges']} edge(s) "
-            f"over {counts['files']} file(s)"
-        )
-    else:
-        print(payload, end="")
-    if args.dot:
-        Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
-        print(f"wrote {args.dot}")
-
-
 def cmd_lint(args) -> None:
     from pathlib import Path
 
-    from repro.lint import (
-        lint_paths,
-        load_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        split_baselined,
-        write_baseline,
-    )
+    from repro.lint import lint_paths, render_json, render_text
 
-    root = Path(args.root) if getattr(args, "root", None) else Path.cwd()
-    raw_paths = list(args.paths)
-    graph_mode = bool(raw_paths) and raw_paths[0] == "graph"
-    if graph_mode:
-        raw_paths = raw_paths[1:]
-    paths = [Path(p) for p in raw_paths] if raw_paths else [root / "src"]
+    root = Path(args.root) if args.root else Path.cwd()
+    paths = [Path(p) for p in args.paths] if args.paths else [root / "src"]
     missing = [p for p in paths if not p.exists()]
     if missing:
         raise SystemExit(f"lint: no such path: {', '.join(map(str, missing))}")
-    if graph_mode:
-        _cmd_lint_graph(args, root, paths)
-        return
-    changed = _git_changed_files(root) if args.changed else None
     findings = lint_paths(paths, root=root)
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / "lint-baseline.json"
-    )
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return
-    baseline = set()
-    if baseline_path.exists():
-        baseline = load_baseline(baseline_path)
-    elif args.baseline:
-        raise SystemExit(f"lint: baseline {baseline_path} does not exist")
-    fresh, grandfathered = split_baselined(findings, baseline)
-    if changed is not None:
-        # Whole-tree rules already ran (graph context intact); only the
-        # *reporting* narrows to files touched since HEAD.
-        fresh = [f for f in fresh if f.path in changed]
-    if args.format == "sarif":
-        print(render_sarif(fresh), end="")
-    else:
-        renderer = render_json if args.format == "json" else render_text
-        print(renderer(fresh, baselined=len(grandfathered)))
-    if fresh:
+    print((render_json if args.format == "json" else render_text)(findings))
+    if findings:
         # Exit 1, distinct from argparse usage errors (2) and degraded
         # campaigns (3): "the tree violates an invariant".
         raise SystemExit(1)
 
 
-COMMANDS: Dict[str, Callable] = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "fig5": cmd_fig5,
-    "report": cmd_report,
-    "campaign": cmd_campaign,
-    "peering": cmd_peering,
-    "grooming": cmd_grooming,
-    "sites": cmd_sites,
-    "topo": cmd_topo,
-    "catchments": cmd_catchments,
-    "validate": cmd_validate,
-    "ingest": cmd_ingest,
-    "scenario": cmd_scenario,
+def _scale(text: str) -> int:
+    """``--scale``: an integer >= 1, else an argparse usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def _days(text: str) -> float:
+    """``--days``: a finite float > 0, else an argparse usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+#: Options several study commands share, by flag.  A command takes
+#: only those its :data:`COMMANDS` entry names.
+SHARED_OPTIONS: Dict[str, dict] = {
+    "--seed": dict(type=int, default=0, help="randomness seed"),
+    "--scale": dict(
+        type=_scale,
+        default=150,
+        help="population size (prefixes or daily vantage points)",
+    ),
+    "--days": dict(type=_days, default=3.0, help="campaign length in days"),
+    "--csv": dict(
+        default=None, metavar="PATH", help="also write the figure's series as CSV"
+    ),
+    "--jobs": dict(
+        type=int, default=1, help="worker processes for the campaign (1 = serial)"
+    ),
+    "--cache-dir": dict(
+        default=None,
+        metavar="PATH",
+        help="content-addressed result cache; unchanged jobs are "
+        "served from disk instead of re-simulating",
+    ),
 }
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, help line and shared options."""
+
+    handler: Optional[Callable]
+    help: str
+    options: Tuple[str, ...] = ()
+
+
+_SEED = ("--seed",)
+_POPULATION = (*_SEED, "--scale")
+_STUDY = (*_POPULATION, "--days")
+_FIGURE = (*_STUDY, "--csv")
+_CAMPAIGN = (*_STUDY, "--jobs", "--cache-dir")
+
+#: Every subcommand, in ``repro-bgp list`` order.  Each takes exactly
+#: the shared options its entry names, because its run reads each of
+#: them; ``trace`` is a group whose verbs have their own handlers.
+COMMANDS: Dict[str, Command] = {
+    "fig1": Command(cmd_fig1, "Figure 1: BGP vs best alternate egress route", _FIGURE),
+    "fig2": Command(cmd_fig2, "Figure 2: peer vs transit, private vs public", _STUDY),
+    "fig3": Command(cmd_fig3, "Figure 3: anycast vs best unicast CCDF", _FIGURE),
+    "fig4": Command(cmd_fig4, "Figure 4: DNS redirection vs anycast", _STUDY),
+    "fig5": Command(cmd_fig5, "Figure 5: Standard - Premium per country", _FIGURE),
+    "report": Command(cmd_report, "All three studies + hypothesis verdicts", _CAMPAIGN),
+    "campaign": Command(
+        cmd_campaign, "Managed multi-seed campaign: parallel + cached", _CAMPAIGN
+    ),
+    "peering": Command(
+        cmd_peering,
+        "Section 3.1.3: peering-reduction emulation",
+        (*_POPULATION, "--jobs", "--cache-dir"),
+    ),
+    "grooming": Command(
+        cmd_grooming, "Section 3.2.2: iterative anycast grooming", _POPULATION
+    ),
+    "sites": Command(cmd_sites, "Section 3.2.2: anycast site-count sweep", _POPULATION),
+    "topo": Command(cmd_topo, "Structural summary of the generated topology", _SEED),
+    "catchments": Command(
+        cmd_catchments, "Anycast catchment map (the operator's view)", _POPULATION
+    ),
+    "validate": Command(
+        cmd_validate, "Self-check: verify every headline claim", _POPULATION
+    ),
+    "ingest": Command(
+        cmd_ingest,
+        "Streaming service mode: session stream -> quantile sketches",
+        _CAMPAIGN,
+    ),
+    "scenario": Command(
+        cmd_scenario,
+        "Event-driven routing scenario: hijack or withdrawal cascade",
+        _SEED,
+    ),
+    "trace": Command(
+        None,
+        "Inspect recorded telemetry streams "
+        "(trace summarize|profile|flame|critical FILE)",
+    ),
+    "lint": Command(
+        cmd_lint, "Invariant lint: RNG/time purity, worker purity, taxonomy"
+    ),
+}
+
+
+def cmd_list(args) -> None:
+    for name, command in COMMANDS.items():
+        print(f"{name:10s} {command.help}")
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -980,60 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runtime_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command")
-    descriptions = {
-        "fig1": "Figure 1: BGP vs best alternate egress route",
-        "fig2": "Figure 2: peer vs transit, private vs public",
-        "fig3": "Figure 3: anycast vs best unicast CCDF",
-        "fig4": "Figure 4: DNS redirection vs anycast",
-        "fig5": "Figure 5: Standard - Premium per country",
-        "report": "All three studies + hypothesis verdicts",
-        "campaign": "Managed multi-seed campaign: parallel + cached",
-        "peering": "Section 3.1.3: peering-reduction emulation",
-        "grooming": "Section 3.2.2: iterative anycast grooming",
-        "sites": "Section 3.2.2: anycast site-count sweep",
-        "topo": "Structural summary of the generated topology",
-        "catchments": "Anycast catchment map (the operator's view)",
-        "validate": "Self-check: verify every headline claim",
-        "ingest": "Streaming service mode: session stream -> quantile sketches",
-        "scenario": "Event-driven routing scenario: hijack or withdrawal cascade",
-        "trace": "Inspect recorded telemetry streams "
-        "(trace summarize|profile|flame|critical FILE)",
-        "lint": "Invariant lint: RNG/time purity, worker purity, taxonomy",
-    }
-    for name, handler in COMMANDS.items():
-        cmd = sub.add_parser(name, help=descriptions[name])
-        cmd.add_argument("--seed", type=int, default=0, help="randomness seed")
-        cmd.add_argument(
-            "--scale",
-            type=int,
-            default=150,
-            help="population size (prefixes or daily vantage points)",
-        )
-        cmd.add_argument(
-            "--days", type=float, default=3.0, help="campaign length in days"
-        )
-        cmd.add_argument(
-            "--csv",
-            default=None,
-            metavar="PATH",
-            help="also write the figure's series as CSV (fig1/fig3/fig5)",
-        )
-        cmd.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for campaign-backed commands "
-            "(report/campaign/peering; 1 = serial)",
-        )
-        cmd.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="PATH",
-            help="content-addressed result cache; unchanged jobs are "
-            "served from disk instead of re-simulating",
-        )
-        _add_runtime_flags(cmd, suppress=True)
-        cmd.set_defaults(handler=handler)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag in command.options:
+            cmd.add_argument(flag, **SHARED_OPTIONS[flag])
+        if command.handler is not None:  # trace's verbs take these themselves
+            _add_runtime_flags(cmd, suppress=True)
+            cmd.set_defaults(handler=command.handler)
     ingest_cmd = sub.choices["ingest"]
     ingest_cmd.add_argument(
         "--shards",
@@ -1196,67 +1137,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="live status line on stderr (jobs done, rate, ETA); "
         "TTY-aware — on a pipe it degrades to throttled lines",
     )
-    lint_cmd = sub.add_parser("lint", help=descriptions["lint"])
+    lint_cmd = sub.choices["lint"]
     lint_cmd.add_argument(
         "paths",
         nargs="*",
         metavar="PATH",
-        help="files or directories to lint (default: <root>/src); the "
-        "reserved first token 'graph' switches to call-graph export "
-        "(see --out/--dot)",
+        help="files or directories to lint (default: <root>/src)",
     )
     lint_cmd.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default: text); sarif emits a SARIF 2.1.0 "
-        "document for CI annotation surfaces",
-    )
-    lint_cmd.add_argument(
-        "--changed",
-        action="store_true",
-        default=False,
-        help="report only findings in files changed vs git HEAD "
-        "(including untracked); rules still see the whole tree, so "
-        "cross-module findings in changed files are not missed",
-    )
-    lint_cmd.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="with 'lint graph': write the canonical byte-stable graph "
-        "JSON here (default: stdout)",
-    )
-    lint_cmd.add_argument(
-        "--dot",
-        default=None,
-        metavar="FILE",
-        help="with 'lint graph': also write a Graphviz rendering of the "
-        "internal call edges",
-    )
-    lint_cmd.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="grandfathered-findings file (default: <root>/lint-baseline.json "
-        "when present)",
-    )
-    lint_cmd.add_argument(
-        "--write-baseline",
-        action="store_true",
-        default=False,
-        help="record the current findings as the new baseline and exit 0",
+        help="report format (default: text)",
     )
     lint_cmd.add_argument(
         "--root",
         default=None,
         metavar="DIR",
-        help="repo root for relative paths and baseline discovery "
-        "(default: current directory)",
+        help="repo root for relative paths (default: current directory)",
     )
-    _add_runtime_flags(lint_cmd, suppress=True)
-    lint_cmd.set_defaults(handler=cmd_lint)
-    trace_cmd = sub.add_parser("trace", help=descriptions["trace"])
+    trace_cmd = sub.choices["trace"]
     trace_sub = trace_cmd.add_subparsers(dest="trace_command")
     summarize_cmd = trace_sub.add_parser(
         "summarize",
@@ -1330,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(critical_cmd, suppress=True)
     critical_cmd.set_defaults(handler=cmd_trace_critical)
     sub.add_parser("list", help="list available commands").set_defaults(
-        handler=lambda args: print("\n".join(f"{k:10s} {v}" for k, v in descriptions.items()))
+        handler=cmd_list
     )
     return parser
 

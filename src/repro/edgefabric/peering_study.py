@@ -25,7 +25,7 @@ from repro.errors import AnalysisError, MeasurementError
 from repro.analysis import weighted_quantile
 from repro.netmodel.queueing import queueing_delay_ms
 from repro.bgp import RouteClass
-from repro.topology import Internet, Relationship, build_internet
+from repro.topology import Internet, Relationship
 from repro.workloads import ClientPrefix
 from repro.edgefabric.routes import (
     egress_routes_at_pop,
@@ -224,13 +224,3 @@ def _depeer(internet: Internet, retention: float) -> None:
     by_size = sorted(peer_links, key=lambda l: (l.capacity_gbps, l.a, l.b))
     for link in by_size[: len(peer_links) - keep]:
         internet.graph.remove_link(link.a, link.b)
-
-
-def default_internet_factory(seed: int = 0):
-    """Convenience factory for the default topology at a given seed."""
-    from repro.topology import TopologyConfig
-
-    def factory() -> Internet:
-        return build_internet(TopologyConfig(seed=seed))
-
-    return factory

@@ -18,26 +18,16 @@ configuration checkers rather than after-the-fact audits:
   graph rules: seed taint (DET001), worker purity (FORK001), and shm
   discipline (SHM001).
 * :mod:`repro.lint.graph` — the repo-wide symbol table and call graph
-  (:func:`build_graph`, :class:`CallGraph`, :class:`GraphRule`) the
-  cross-module rules traverse.
+  (:class:`CallGraph`, :class:`GraphRule`) the cross-module rules
+  traverse.
 * :mod:`repro.lint.engine` — :func:`lint_paths`, the driver; also the
   stale-waiver check (``SUPPRESS001``).
-* :mod:`repro.lint.sarif` — SARIF 2.1.0 rendering for CI annotations.
-* :mod:`repro.lint.baseline` — grandfathered findings, committed as
-  ``lint-baseline.json``.
 
-Run it as ``repro-bgp lint [--format json|sarif] [--baseline FILE]
-[--changed]`` or export the graph with ``repro-bgp lint graph --out
-graph.json``; see ``docs/static-analysis.md`` for each rule's
-rationale and the suppression / baseline workflow.
+Run it as ``repro-bgp lint [PATH ...] [--format text|json] [--root
+DIR]``; it exits 1 on any finding.  See ``docs/static-analysis.md``
+for each rule's rationale and the per-line suppression comment.
 """
 
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
 from repro.lint.checks import ALL_RULE_CLASSES, build_rules
 from repro.lint.engine import SUPPRESS_RULE_ID, SYNTAX_RULE_ID, lint_paths
 from repro.lint.findings import (
@@ -48,13 +38,11 @@ from repro.lint.findings import (
     render_json,
     render_text,
 )
-from repro.lint.graph import CallGraph, GraphRule, build_graph
+from repro.lint.graph import CallGraph, GraphRule
 from repro.lint.rules import FileContext, ImportMap, Rule
-from repro.lint.sarif import render_sarif
 
 __all__ = [
     "ALL_RULE_CLASSES",
-    "BaselineError",
     "CallGraph",
     "ERROR",
     "FileContext",
@@ -66,13 +54,8 @@ __all__ = [
     "SUPPRESS_RULE_ID",
     "SYNTAX_RULE_ID",
     "WARNING",
-    "build_graph",
     "build_rules",
     "lint_paths",
-    "load_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
-    "split_baselined",
-    "write_baseline",
 ]

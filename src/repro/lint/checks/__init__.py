@@ -2,9 +2,8 @@
 
 ``build_rules()`` is the engine's default factory; it returns fresh
 instances, so no rule can carry state from one run into the next.
-Rule ids are stable and never reused: documentation, disable
-comments, and baseline entries all refer to them (retired: LANE001,
-LANE002, PAR001).
+Rule ids are stable and never reused: documentation and disable
+comments refer to them (retired: LANE001, LANE002, PAR001).
 
 File-local rules judge one :class:`~repro.lint.rules.FileContext` at a
 time; the graph rules (DET001/FORK001/SHM001) subclass

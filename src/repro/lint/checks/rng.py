@@ -52,8 +52,8 @@ SEED_BEARING_PARAMS: Set[str] = {
 DEFAULT_RNG = "numpy.random.default_rng"
 
 
-def _is_test_module(ctx: FileContext) -> bool:
-    parts = ctx.module.split(".")
+def _is_test_module(module: str) -> bool:
+    parts = module.split(".")
     return parts[0] in ("tests", "test") or any(
         part.startswith("test_") for part in parts
     )
@@ -71,7 +71,7 @@ class LegacyRandomRule(Rule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if _is_test_module(ctx):
+        if _is_test_module(ctx.module):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -111,7 +111,7 @@ class FreshGeneratorRule(Rule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if _is_test_module(ctx):
+        if _is_test_module(ctx.module):
             return
         for call, enclosing in _calls_with_enclosing_function(ctx.tree):
             if ctx.imports.resolve(call.func) != DEFAULT_RNG:

@@ -25,20 +25,17 @@ from typing import Iterator, List, Set
 
 from repro.lint.findings import Finding
 from repro.lint.graph import CallGraph, GraphRule
-from repro.lint.checks.rng import DEFAULT_RNG, SEED_BEARING_PARAMS
+from repro.lint.checks.rng import (
+    DEFAULT_RNG,
+    SEED_BEARING_PARAMS,
+    _is_test_module,
+)
 
 #: Class-name suffix marking a study (phase methods are entry points).
 STUDY_SUFFIX = "Study"
 
 #: Module whose worker-side functions dispatch campaign jobs.
 CAMPAIGN_MODULE = "repro.runner.campaign"
-
-
-def _is_test_module(module: str) -> bool:
-    parts = module.split(".")
-    return parts[0] in ("tests", "test") or any(
-        part.startswith("test_") for part in parts
-    )
 
 
 def seed_roots(graph: CallGraph) -> List[str]:

@@ -21,6 +21,7 @@ import ast
 from typing import Iterator, Set
 
 from repro.lint.findings import Finding
+from repro.lint.graph import _defines_run, _is_dataclass_decorated
 from repro.lint.rules import FileContext, Rule, annotation_identifiers
 
 #: Identifiers that mark a field as runtime state, not configuration.
@@ -42,24 +43,6 @@ FORBIDDEN_FIELD_TYPES: Set[str] = {
     "Popen",
     "socket",
 }
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return True
-    return False
-
-
-def _defines_run(node: ast.ClassDef) -> bool:
-    return any(
-        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and stmt.name == "run"
-        for stmt in node.body
-    )
 
 
 class PayloadFieldRule(Rule):

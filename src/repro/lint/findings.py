@@ -1,22 +1,19 @@
 """Lint findings: one diagnostic, with stable text and JSON renderings.
 
 A :class:`Finding` is the unit every rule produces and everything
-downstream consumes: the CLI sorts and prints them, the baseline file
-stores their identity triples, and the CI job parses the JSON form.
-The identity of a finding — what the baseline matches on — is the
-``(rule, path, line)`` triple, deliberately excluding the message so
-rewording a diagnostic never un-grandfathers old code.
+downstream consumes: the CLI sorts and prints them, and the CI job
+parses the JSON form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 #: Severity levels, in decreasing order of gravity.  ``error`` findings
-#: fail the build once they are not baselined; ``warning`` findings are
-#: reported with the same machinery but signal heuristic rules whose
+#: fail the build; ``warning`` findings are reported with the same
+#: machinery (and fail it too) but signal heuristic rules whose
 #: false-positive rate is non-zero.
 ERROR = "error"
 WARNING = "warning"
@@ -43,11 +40,6 @@ class Finding:
     severity: str
     message: str
 
-    @property
-    def key(self) -> Tuple[str, str, int]:
-        """Baseline identity: ``(rule, path, line)``."""
-        return (self.rule, self.path, self.line)
-
     def to_json(self) -> Dict[str, Any]:
         """A JSON-serializable dict, keys in reading order."""
         return {
@@ -67,21 +59,20 @@ class Finding:
         )
 
 
-def render_text(findings: Iterable[Finding], baselined: int = 0) -> str:
+def render_text(findings: Iterable[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary."""
     ordered = sorted(findings)
     lines = [finding.render() for finding in ordered]
-    suffix = f" ({baselined} baselined)" if baselined else ""
     if not ordered:
-        lines.append(f"repro-lint: clean{suffix}")
+        lines.append("repro-lint: clean")
     else:
         errors = sum(1 for f in ordered if f.severity == ERROR)
         warnings = len(ordered) - errors
-        lines.append(f"repro-lint: {errors} error(s), {warnings} warning(s){suffix}")
+        lines.append(f"repro-lint: {errors} error(s), {warnings} warning(s)")
     return "\n".join(lines)
 
 
-def render_json(findings: Iterable[Finding], baselined: int = 0) -> str:
+def render_json(findings: Iterable[Finding]) -> str:
     """Machine-readable report, schema version 1."""
     ordered = sorted(findings)
     counts: Dict[str, int] = {}
@@ -91,23 +82,6 @@ def render_json(findings: Iterable[Finding], baselined: int = 0) -> str:
         "version": 1,
         "findings": [finding.to_json() for finding in ordered],
         "counts": dict(sorted(counts.items())),
-        "baselined": baselined,
     }
     return json.dumps(document, indent=2, sort_keys=False)
 
-
-def from_json(payload: Dict[str, Any]) -> List[Finding]:
-    """Parse the :func:`render_json` document back into findings."""
-    findings: List[Finding] = []
-    for entry in payload.get("findings", []):
-        findings.append(
-            Finding(
-                path=str(entry["path"]),
-                line=int(entry["line"]),
-                col=int(entry.get("col", 0)),
-                rule=str(entry["rule"]),
-                severity=str(entry.get("severity", ERROR)),
-                message=str(entry.get("message", "")),
-            )
-        )
-    return findings

@@ -31,17 +31,15 @@ that an invisible edge can hide a true violation, which is the usual
 static-analysis trade and the reason the dynamic suites stay.
 
 Everything is deterministic: symbols and edges are keyed by dotted
-path, traversals visit in sorted order, and :meth:`CallGraph.to_json`
-is byte-stable across runs and file-discovery orders (pinned by
+path, traversals visit in sorted order, and the symbol tables and
+edges come out equal across runs and file-discovery orders (pinned by
 ``tests/test_lint_graph.py``).
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -56,9 +54,6 @@ from typing import (
 from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule
 
-#: Bumped whenever the JSON export below changes incompatibly.
-GRAPH_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -70,8 +65,6 @@ class FunctionInfo:
         relpath: Repo-relative POSIX path of the defining file.
         line: 1-based line of the ``def``.
         name: Bare function name.
-        cls: Qualname of the enclosing class, or ``None`` for
-            module-level functions.
         params: Parameter names in declaration order (``self``/``cls``
             included; rules strip them as needed).
         global_lines: Lines of ``global`` statements in the body — the
@@ -83,7 +76,6 @@ class FunctionInfo:
     relpath: str
     line: int
     name: str
-    cls: Optional[str]
     params: Tuple[str, ...]
     global_lines: Tuple[int, ...] = ()
 
@@ -104,7 +96,6 @@ class ClassInfo:
     """
 
     qualname: str
-    module: str
     relpath: str
     line: int
     name: str
@@ -215,7 +206,7 @@ class _ModuleWalker:
     # -- pass 1: symbols ---------------------------------------------------
 
     def collect_symbols(self) -> None:
-        self._walk_symbols(self.ctx.tree.body, scope=self.module, cls=None)
+        self._walk_symbols(self.ctx.tree.body, scope=self.module)
         # Every import alias doubles as a potential re-export: in a
         # package __init__, ``from repro.x.y import f`` makes
         # ``repro.x.f`` an alias of ``repro.x.y.f``.  Locally defined
@@ -223,9 +214,7 @@ class _ModuleWalker:
         for local, target in self.ctx.imports.aliases.items():
             self.graph._aliases.setdefault(f"{self.module}.{local}", target)
 
-    def _walk_symbols(
-        self, body: Sequence[ast.stmt], scope: str, cls: Optional[str]
-    ) -> None:
+    def _walk_symbols(self, body: Sequence[ast.stmt], scope: str) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{scope}.{stmt.name}"
@@ -242,12 +231,11 @@ class _ModuleWalker:
                     relpath=self.ctx.relpath,
                     line=stmt.lineno,
                     name=stmt.name,
-                    cls=cls,
                     params=_param_names(stmt),
                     global_lines=global_lines,
                 )
                 # Nested defs get symbols too (scoped under the parent).
-                self._walk_symbols(stmt.body, scope=qualname, cls=None)
+                self._walk_symbols(stmt.body, scope=qualname)
             elif isinstance(stmt, ast.ClassDef):
                 qualname = f"{scope}.{stmt.name}"
                 bases = tuple(
@@ -258,7 +246,6 @@ class _ModuleWalker:
                 )
                 self.graph.classes[qualname] = ClassInfo(
                     qualname=qualname,
-                    module=self.module,
                     relpath=self.ctx.relpath,
                     line=stmt.lineno,
                     name=stmt.name,
@@ -266,7 +253,7 @@ class _ModuleWalker:
                     is_dataclass=_is_dataclass_decorated(stmt),
                     defines_run=_defines_run(stmt),
                 )
-                self._walk_symbols(stmt.body, scope=qualname, cls=qualname)
+                self._walk_symbols(stmt.body, scope=qualname)
 
     def _resolve_type_expr(self, expr: ast.expr) -> Optional[str]:
         """Dotted path a base-class / annotation expression names."""
@@ -606,88 +593,3 @@ class CallGraph:
                     return list(reversed(chain))
                 queue.append(nxt)
         return []
-
-    # -- export ------------------------------------------------------------
-
-    def to_document(self) -> Dict[str, object]:
-        """The canonical JSON document (plain data, fully sorted)."""
-        functions = [
-            {
-                "qualname": info.qualname,
-                "module": info.module,
-                "path": info.relpath,
-                "line": info.line,
-                "class": info.cls,
-                "params": list(info.params),
-                "global_lines": list(info.global_lines),
-            }
-            for _, info in sorted(self.functions.items())
-        ]
-        classes = [
-            {
-                "qualname": info.qualname,
-                "module": info.module,
-                "path": info.relpath,
-                "line": info.line,
-                "bases": list(info.bases),
-                "dataclass": info.is_dataclass,
-                "defines_run": info.defines_run,
-                "field_types": dict(sorted(info.field_types.items())),
-            }
-            for _, info in sorted(self.classes.items())
-        ]
-        edges = sorted(
-            [caller, callee, line]
-            for caller, callees in self.edges.items()
-            for callee, line in callees.items()
-        )
-        return {
-            "version": GRAPH_SCHEMA_VERSION,
-            "counts": {
-                "files": len(self.contexts),
-                "functions": len(self.functions),
-                "classes": len(self.classes),
-                "edges": len(edges),
-            },
-            "functions": functions,
-            "classes": classes,
-            "edges": edges,
-        }
-
-    def to_json(self) -> str:
-        """Byte-stable JSON rendering (sorted keys, fixed separators)."""
-        return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
-
-    def to_dot(self) -> str:
-        """Graphviz export of the internal call edges."""
-        lines = ["digraph repro_calls {", "  rankdir=LR;", "  node [shape=box];"]
-        internal = set(self.functions) | set(self.classes)
-        for qualname in sorted(internal):
-            lines.append(f'  "{qualname}";')
-        for caller, callee, _line in sorted(
-            (c, t, ln)
-            for c, callees in self.edges.items()
-            for t, ln in callees.items()
-            if c in internal and t in internal
-        ):
-            lines.append(f'  "{caller}" -> "{callee}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def build_graph(paths: Sequence[Path], root: Optional[Path] = None) -> CallGraph:
-    """Parse every Python file under *paths* and build the call graph.
-
-    Files that fail to parse are skipped (the lint engine reports them
-    as ``SYNTAX`` findings on its own run).
-    """
-    from repro.lint.engine import iter_source_files
-
-    resolved_root = root if root is not None else Path.cwd()
-    contexts: List[FileContext] = []
-    for path in iter_source_files(list(paths)):
-        try:
-            contexts.append(FileContext.parse(path, resolved_root))
-        except (SyntaxError, ValueError, OSError):
-            continue
-    return CallGraph.build(contexts)

@@ -12,8 +12,7 @@ Layering (see ``docs/streaming.md``):
   canonical JSON.
 * :mod:`repro.stream.window` — keyed tumbling windows with
   watermark-based closing and late-data accounting.
-* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot/merge``
-  plus the O(sessions) ``ExactIngestor`` parity twin.
+* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot/merge``.
 * :mod:`repro.stream.sessions` — synthesizes the edge-fabric session
   stream batch-by-batch; :func:`ingest_plan` folds it into a
   ``SessionIngestor``, the one streaming path behind ``repro-bgp
@@ -34,7 +33,6 @@ from repro.stream.sketch import (
 )
 from repro.stream.window import WindowSpec, WindowedAggregator
 from repro.stream.ingest import (
-    ExactIngestor,
     IngestConfig,
     IngestSnapshot,
     Key,
@@ -65,7 +63,6 @@ __all__ = [
     "sketch_from_json",
     "WindowSpec",
     "WindowedAggregator",
-    "ExactIngestor",
     "IngestConfig",
     "IngestSnapshot",
     "Key",

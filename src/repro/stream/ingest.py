@@ -15,14 +15,12 @@ Determinism contract: feeding the same batches in the same order always
 yields byte-identical snapshots, and merging shard snapshots whose key
 sets are disjoint is byte-identical to one ingestor having seen all the
 shards' batches (each key's samples arrive in the same order either
-way).  An :class:`ExactIngestor` twin retains raw samples (O(sessions)
-memory — the thing this subsystem exists to avoid) so tests can bound
-sketch error against ground truth.
+way).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -343,46 +341,6 @@ class SessionIngestor:
             late_dropped=self.late_dropped,
             entries=tuple(entries),
         )
-
-
-@dataclass
-class ExactIngestor:
-    """O(sessions)-memory reference twin retaining every raw sample.
-
-    Same ``feed``/``merge`` surface as :class:`SessionIngestor` so lane
-    tests can run both over one stream and compare medians.  Keeps no
-    watermark: every sample is retained, late or not (documented
-    asymmetry — exactness is the point of this lane).
-    """
-
-    window_minutes: float = 15.0
-    _cells: Dict[Tuple[Key, int], List[float]] = field(default_factory=dict)
-    sessions: int = 0
-
-    def feed(self, batch: SessionBatch) -> None:
-        spec = WindowSpec(self.window_minutes)
-        widx = spec.index_of(batch.times_h)
-        for kid, w, rtt in zip(batch.key_ids, widx, batch.rtt_ms):
-            cell = (batch.key_table[int(kid)], int(w))
-            self._cells.setdefault(cell, []).append(float(rtt))
-        self.sessions += batch.n_sessions
-
-    def merge(self, other: "ExactIngestor") -> "ExactIngestor":
-        if other.window_minutes != self.window_minutes:
-            raise StreamError(
-                "cannot merge exact ingestors with different windows: "
-                f"{self.window_minutes} vs {other.window_minutes}"
-            )
-        for cell, samples in other._cells.items():
-            self._cells.setdefault(cell, []).extend(samples)
-        self.sessions += other.sessions
-        return self
-
-    def medians(self) -> Dict[Tuple[Key, int], float]:
-        return {
-            cell: float(np.median(samples))
-            for cell, samples in self._cells.items()
-        }
 
 
 def merge_snapshots(snapshots: Sequence[IngestSnapshot]) -> IngestSnapshot:

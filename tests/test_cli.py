@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -27,6 +28,64 @@ class TestParser:
         assert main([]) == 2
         out = capsys.readouterr().out
         assert "repro-bgp" in out
+
+
+def recording_namespace(reads: set) -> argparse.Namespace:
+    """A namespace that adds the name of every attribute read to *reads*."""
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return object.__getattribute__(self, name)
+
+    return Recorder()
+
+
+class TestCommandTable:
+    """Each command takes exactly the shared options its run reads."""
+
+    #: Smoke-scale values, and the options that select a small run.
+    SMOKE = {"--seed": "0", "--scale": "25", "--days": "0.25"}
+    EXTRA = {
+        "report": ["--setting", "A"],
+        "campaign": ["--study", "pop"],
+        "ingest": ["--shards", "2"],
+        "scenario": ["--name", "hijack"],
+    }
+
+    @pytest.mark.parametrize(
+        "name", [name for name, command in COMMANDS.items() if command.options]
+    )
+    def test_command_reads_every_shared_option(self, name, capsys):
+        options = COMMANDS[name].options
+        argv = [name, *self.EXTRA.get(name, [])]
+        for flag in options:
+            if flag in self.SMOKE:
+                argv += [flag, self.SMOKE[flag]]
+        reads = set()
+        args = build_parser().parse_args(argv, namespace=recording_namespace(reads))
+        handler = args.handler
+        reads.clear()
+        handler(args)
+        unread = {flag[2:].replace("-", "_") for flag in options} - reads
+        assert not unread, f"{name} declares options it never reads: {unread}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topo", "--scale", "3"],
+            ["fig1", "--jobs", "2"],
+            ["scenario", "--name", "hijack", "--days", "1"],
+            ["validate", "--days", "1"],
+            ["fig2", "--csv", "x"],
+            ["peering", "--days", "1"],
+        ],
+    )
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -592,3 +651,31 @@ class TestErrorBoundary:
         assert child.returncode == 1
         assert "Traceback" not in child.stderr
         assert child.stderr == "campaign: timeout_s must be > 0, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--days", "nan"],
+            ["fig3", "--days", "nan"],
+            ["fig5", "--days", "nan"],
+            ["fig5", "--days", "inf"],
+            ["fig5", "--days", "0"],
+            ["report", "--scale", "0"],
+            ["report", "--days", "-1"],
+            ["peering", "--scale", "0"],
+        ],
+    )
+    def test_bad_scale_or_days_is_usage_error(self, argv):
+        child = self.run_cli(*argv)
+        assert child.returncode == 2
+        assert "Traceback" not in child.stderr
+        assert child.stdout == ""
+        assert f"argument {argv[1]}: " in child.stderr.splitlines()[-1]
+
+    def test_nan_mrai_is_one_line(self):
+        child = self.run_cli("scenario", "--name", "hijack", "--mrai-s", "nan")
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr == (
+            "scenario: mrai_s must be >= 0 and link_delay_s must be positive\n"
+        )

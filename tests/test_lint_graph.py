@@ -1,31 +1,21 @@
 """The call-graph layer and the cross-module rules built on it.
 
 Covers, in order: graph construction (symbols, edge resolution
-strategies, re-export aliases), traversals, byte-stable export (pinned
-across repeated builds *and* shuffled discovery orders), relative
-imports in :class:`ImportMap`, the stale-suppression check
-(``SUPPRESS001``), one positive and one negative case per graph rule
-(DET001 / FORK001 / SHM001), and the CLI surfaces (``lint graph
---out/--dot``, ``--format sarif``, ``--changed``).
+strategies, re-export aliases), traversals, determinism (equal symbol
+tables and edges across repeated builds *and* shuffled discovery
+orders), relative imports in :class:`ImportMap`, the stale-suppression
+check (``SUPPRESS001``), and one positive and one negative case per
+graph rule (DET001 / FORK001 / SHM001).
 """
 
 import ast
-import json
 import random
-import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.lint import (
-    FileContext,
-    ImportMap,
-    build_graph,
-    lint_paths,
-    render_sarif,
-)
+from repro.lint import FileContext, ImportMap, lint_paths
 from repro.lint.engine import SUPPRESS_RULE_ID
 from repro.lint.graph import CallGraph
 from repro.lint.rules import resolve_relative_base
@@ -85,8 +75,16 @@ def mini_repo(tmp_path):
     return tmp_path
 
 
+def parse_tree(repo: Path):
+    return [FileContext.parse(p, repo) for p in sorted((repo / "src").rglob("*.py"))]
+
+
 def mini_graph(repo: Path) -> CallGraph:
-    return build_graph([repo / "src"], root=repo)
+    return CallGraph.build(parse_tree(repo))
+
+
+def graph_state(graph: CallGraph):
+    return graph.functions, graph.classes, graph.edges
 
 
 class TestGraphConstruction:
@@ -154,18 +152,17 @@ class TestTraversal:
 
 class TestDeterminism:
     def test_json_is_byte_stable_across_builds(self, mini_repo):
-        first = mini_graph(mini_repo).to_json()
-        second = mini_graph(mini_repo).to_json()
+        first = graph_state(mini_graph(mini_repo))
+        second = graph_state(mini_graph(mini_repo))
         assert first == second
 
     def test_json_is_stable_under_shuffled_context_order(self, mini_repo):
-        paths = sorted((mini_repo / "src").rglob("*.py"))
-        contexts = [FileContext.parse(p, mini_repo) for p in paths]
-        reference = CallGraph.build(contexts).to_json()
+        contexts = parse_tree(mini_repo)
+        reference = graph_state(CallGraph.build(contexts))
         for seed in range(3):
             shuffled = list(contexts)
             random.Random(seed).shuffle(shuffled)
-            assert CallGraph.build(shuffled).to_json() == reference
+            assert graph_state(CallGraph.build(shuffled)) == reference
 
     def test_findings_stable_under_shuffled_path_order(self, tmp_path):
         write_tree(
@@ -542,202 +539,3 @@ class TestShmDiscipline:
             """,
         )
         assert "SHM001" not in rules_of(findings)
-
-
-class TestCliGraph:
-    def test_out_is_byte_stable_and_counts_match(self, mini_repo, capsys):
-        out1 = mini_repo / "graph1.json"
-        out2 = mini_repo / "graph2.json"
-        for out in (out1, out2):
-            assert (
-                main(
-                    [
-                        "lint",
-                        "graph",
-                        str(mini_repo / "src"),
-                        "--root",
-                        str(mini_repo),
-                        "--out",
-                        str(out),
-                    ]
-                )
-                == 0
-            )
-        first = out1.read_bytes()
-        assert first == out2.read_bytes()
-        document = json.loads(first)
-        assert document["version"] == 1
-        assert document["counts"]["functions"] == len(document["functions"])
-        assert document["counts"]["edges"] == len(document["edges"])
-        graph = mini_graph(mini_repo)
-        assert graph.to_json().encode("utf-8") == first
-
-    def test_stdout_and_dot_export(self, mini_repo, capsys):
-        dot = mini_repo / "graph.dot"
-        assert (
-            main(
-                [
-                    "lint",
-                    "graph",
-                    str(mini_repo / "src"),
-                    "--root",
-                    str(mini_repo),
-                    "--dot",
-                    str(dot),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert '"version": 1' in out
-        rendered = dot.read_text(encoding="utf-8")
-        assert rendered.startswith("digraph repro_calls {")
-        assert (
-            '"repro.mini.core.helper" -> "repro.mini.util.leaf";' in rendered
-        )
-
-
-class TestCliSarif:
-    def test_sarif_document_shape(self, tmp_path, capsys):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/x.py": """
-                    import random
-
-                    def jitter():
-                        return random.random()
-                    """
-            },
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "src"),
-                    "--root",
-                    str(tmp_path),
-                    "--format",
-                    "sarif",
-                ]
-            )
-        assert excinfo.value.code == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"DET001", "FORK001", "SHM001", "RNG001"} <= rule_ids
-        assert not {"LANE001", "LANE002", "PAR001"} & rule_ids  # retired
-        results = run["results"]
-        assert results[0]["ruleId"] == "RNG001"
-        location = results[0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/x.py"
-        assert location["region"]["startLine"] >= 1
-
-    def test_sarif_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"src/repro/x.py": "def ok():\n    return 1\n"})
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "src"),
-                    "--root",
-                    str(tmp_path),
-                    "--format",
-                    "sarif",
-                ]
-            )
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"] == []
-
-
-def git(repo: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", "-C", str(repo), *argv],
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(repo),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-class TestCliChanged:
-    def test_changed_filters_to_touched_files(self, tmp_path, capsys):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/old.py": """
-                    import random
-
-                    def committed_violation():
-                        return random.random()
-                    """
-            },
-        )
-        git(tmp_path, "init", "-q")
-        git(tmp_path, "add", "-A")
-        git(tmp_path, "commit", "-q", "-m", "seed")
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/cdn/new.py": """
-                    import time
-
-                    def fresh_violation():
-                        return time.time()
-                    """
-            },
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "src"),
-                    "--root",
-                    str(tmp_path),
-                    "--changed",
-                    "--format",
-                    "json",
-                ]
-            )
-        assert excinfo.value.code == 1
-        payload = json.loads(capsys.readouterr().out)
-        paths = {f["path"] for f in payload["findings"]}
-        assert paths == {"src/repro/cdn/new.py"}
-
-    def test_changed_clean_when_no_touched_findings(self, tmp_path, capsys):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/old.py": """
-                    import random
-
-                    def committed_violation():
-                        return random.random()
-                    """
-            },
-        )
-        git(tmp_path, "init", "-q")
-        git(tmp_path, "add", "-A")
-        git(tmp_path, "commit", "-q", "-m", "seed")
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "src"),
-                    "--root",
-                    str(tmp_path),
-                    "--changed",
-                ]
-            )
-            == 0
-        )
-        assert "clean" in capsys.readouterr().out

@@ -1,11 +1,10 @@
-"""Tests for repro.lint: per-rule snippets, baseline, CLI, self-check.
+"""Tests for repro.lint: per-rule snippets, CLI, self-check.
 
 Each rule gets a positive snippet (the violation fires) and a negative
 snippet (the disciplined spelling passes), compiled from strings into
 a temporary repo layout so module-scoped rules see realistic dotted
 paths.  The suite ends with the self-check the CI gate relies on:
-``repro-bgp lint`` is clean against this repo's own ``src/`` with the
-committed baseline.
+``repro-bgp lint`` is clean against this repo's own ``src/``.
 """
 
 from __future__ import annotations
@@ -17,16 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import (
-    BaselineError,
-    Finding,
-    ImportMap,
-    build_rules,
-    lint_paths,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
+from repro.lint import ImportMap, build_rules, lint_paths
 from repro.lint.checks import ALL_RULE_CLASSES
 from repro.lint.rules import module_name, suppressed_rules
 
@@ -565,42 +555,6 @@ class TestSuppression:
         assert rules_of(findings) == set()
 
 
-class TestBaseline:
-    def test_round_trip_and_split(self, tmp_path):
-        finding = Finding(
-            path="src/repro/x.py",
-            line=3,
-            col=0,
-            rule="RNG001",
-            severity="error",
-            message="m",
-        )
-        other = Finding(
-            path="src/repro/y.py",
-            line=9,
-            col=4,
-            rule="TIME001",
-            severity="error",
-            message="n",
-        )
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, [finding])
-        keys = load_baseline(baseline_path)
-        assert keys == {("RNG001", "src/repro/x.py", 3)}
-        fresh, grandfathered = split_baselined([finding, other], keys)
-        assert fresh == [other]
-        assert grandfathered == [finding]
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-        bad.write_text("not json", encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-
 #: One violation of every rule, spread over a fake repo tree.
 VIOLATION_FILES = {
     "src/repro/cdn/bad.py": """
@@ -703,38 +657,10 @@ class TestCli:
         assert excinfo.value.code == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["counts"]) == ALL_RULE_IDS
+        assert {"DET001", "FORK001", "SHM001", "RNG001"} <= ALL_RULE_IDS
+        assert not {"LANE001", "LANE002", "PAR001"} & ALL_RULE_IDS  # retired
         assert payload["version"] == 1
         assert all(f["path"].startswith("src/") for f in payload["findings"])
-
-    def test_write_baseline_then_clean(self, violation_repo, capsys):
-        assert (
-            main(
-                [
-                    "lint",
-                    str(violation_repo / "src"),
-                    "--root",
-                    str(violation_repo),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert (violation_repo / "lint-baseline.json").exists()
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "lint",
-                    str(violation_repo / "src"),
-                    "--root",
-                    str(violation_repo),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "clean" in out
-        assert "baselined" in out
 
     def test_text_format_is_clickable(self, violation_repo, capsys):
         with pytest.raises(SystemExit):
@@ -755,39 +681,13 @@ class TestCli:
             main(["lint", str(tmp_path / "nope"), "--root", str(tmp_path)])
         assert "no such path" in str(excinfo.value)
 
-    def test_missing_explicit_baseline_errors(self, violation_repo):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "lint",
-                    str(violation_repo / "src"),
-                    "--root",
-                    str(violation_repo),
-                    "--baseline",
-                    str(violation_repo / "absent.json"),
-                ]
-            )
-        assert "does not exist" in str(excinfo.value)
-
 
 class TestSelfCheck:
     """The gate CI enforces: this repo passes its own invariant lint."""
 
     def test_src_is_clean_with_committed_baseline(self):
         findings = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-        fresh, _ = split_baselined(findings, baseline)
-        assert fresh == [], "\n".join(f.render() for f in fresh)
-
-    def test_committed_baseline_is_empty(self):
-        """Grandfathering is for emergencies; keep the debt at zero.
-
-        If this test fails you added a finding to the baseline instead
-        of fixing it — docs/static-analysis.md explains when that is
-        acceptable (and says to update this test's expectation in the
-        same PR).
-        """
-        assert load_baseline(REPO_ROOT / "lint-baseline.json") == set()
+        assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_cli_self_check(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

@@ -191,12 +191,8 @@ PUBLIC_API = {
         "GraphRule",
         "build_rules",
         "lint_paths",
-        "load_baseline",
-        "write_baseline",
-        "split_baselined",
         "render_text",
         "render_json",
-        "BaselineError",
     ],
     "repro.io": [
         "save_egress_dataset",

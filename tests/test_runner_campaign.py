@@ -502,11 +502,13 @@ class TestCircuitBreaker:
 
 
 class TestFaultPlanIntegration:
-    def test_injected_faults_are_retried_deterministically(self, tmp_path):
+    def test_injected_faults_are_retried_deterministically(self):
         from repro.faults import FaultPlan
 
         plan = FaultPlan(seed=11, p_error=0.4, max_faulty_attempts=1)
-        specs, _ = _specs(tmp_path, range(6))
+        # No tmp path in the configs: the plan's decisions key on the
+        # spec hashes, which must not change from one session to the next.
+        specs = [JobSpec.from_study(AddStudy(seed=s)) for s in range(6)]
         specs.append(JobSpec.from_study(AlwaysFailsStudy()))
 
         def run(jobs):

@@ -19,7 +19,6 @@ from repro.edgefabric.sampler import (
 )
 from repro.errors import MeasurementError, StreamError
 from repro.stream import (
-    ExactIngestor,
     IngestConfig,
     IngestSnapshot,
     SessionBatch,
@@ -210,37 +209,6 @@ class TestSnapshotSerialization:
         assert np.isnan(out[0, 3, 0])  # nothing landed in window 3
         assert np.isnan(out[0, :, 1]).all()  # route 1 never fed
         assert np.isnan(out[1]).all()  # unknown pair stays NaN
-
-
-class TestExactIngestor:
-    def test_matches_numpy_median_per_cell(self):
-        exact = ExactIngestor()
-        rng = np.random.default_rng(13)
-        times = rng.uniform(0.0, 0.25, 30)
-        rtts = rng.exponential(1.5, 30)
-        exact.feed(batch_for(KEY_A, times, rtts))
-        assert exact.medians()[(KEY_A, 0)] == float(np.median(rtts))
-
-    def test_merge_extends_cells(self):
-        a, b = ExactIngestor(), ExactIngestor()
-        a.feed(batch_for(KEY_A, [0.1], [40.0]))
-        b.feed(batch_for(KEY_A, [0.2], [42.0]))
-        a.merge(b)
-        assert a.medians()[(KEY_A, 0)] == 41.0
-        assert a.sessions == 2
-
-    def test_merge_requires_matching_window(self):
-        with pytest.raises(StreamError, match="windows"):
-            ExactIngestor(window_minutes=15.0).merge(
-                ExactIngestor(window_minutes=5.0)
-            )
-
-    def test_retains_late_samples(self):
-        """Documented asymmetry: the exact lane has no watermark."""
-        exact = ExactIngestor()
-        exact.feed(batch_for(KEY_A, [5.0], [40.0]))
-        exact.feed(batch_for(KEY_A, [0.1], [39.0]))
-        assert (KEY_A, 0) in exact.medians()
 
 
 class TestIngestPlan:
