@@ -2,7 +2,8 @@
 
 Topology generation, propagation, episode extraction, catchment
 geometry, redirection training, the cloudtiers campaign, edgefabric
-synthesis and the session-stream ingest each have one implementation.
+synthesis, the session-stream ingest and the event-driven routing
+scenarios each have one implementation.
 This module pins their output on small fixed worlds against a
 recording in ``tests/data/golden_lock.json``, so a refactor that
 changes any of it fails tier-1 and names what moved.
@@ -19,7 +20,9 @@ The synthesis tensors are too large to store: their NaN masks stay in
 the exact part, and their CI half-widths and volumes are locked through
 per-pair and per-window sums.  Streamed datasets and ingest snapshots
 add their sketch medians the same way; a snapshot's exact part (cells,
-counts, sketch shapes) is locked by one digest.
+counts, sketch shapes) is locked by one digest.  A routing scenario's
+exact part is the sha256 of its ``to_json()`` bytes, next to its
+summary, whose floats are compared one by one.
 
 The entries are computed in a child process with ``PYTHONHASHSEED=0``.
 The cloudtiers last-mile draw seeds from ``hash(vp_id)`` (a known
@@ -47,7 +50,8 @@ import numpy as np
 import pytest
 from conftest import small_client_prefixes, small_topology_config
 
-from repro.bgp import PropagationRequest, propagate_many
+from repro.bgp import SCENARIOS, PropagationRequest, propagate_many, run_scenario
+from repro.bgp.dynamics import DynamicsConfig
 from repro.cdn import CdnDeployment
 from repro.cdn.catchment import catchment_map
 from repro.cdn.dns_redirection import train_redirection_policy
@@ -58,7 +62,7 @@ from repro.cloudtiers import (
     SpeedcheckerPlatform,
     run_campaign,
 )
-from repro.core.configs import edgefabric_topology
+from repro.core.configs import cdn_topology, edgefabric_topology
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.sampler import (
     MeasurementConfig,
@@ -85,6 +89,7 @@ GROUPS = (
     "cloudtiers",
     "synthesis",
     "ingest",
+    "scenario",
 )
 
 SEEDS = (0, 1, 2)
@@ -274,6 +279,21 @@ def compute_outputs() -> Dict[str, Any]:
     out["cloudtiers/traceroutes"] = sorted(
         [vp_id, tier.value] for vp_id, tier in campaign.traceroutes
     )
+
+    # The scenarios as perfbench's scenario-sweep runs them.
+    for seed in SEEDS:
+        world = build_internet(cdn_topology(seed))
+        for name in sorted(SCENARIOS):
+            result = run_scenario(
+                name,
+                seed=seed,
+                config=DynamicsConfig(seed=seed, mrai_s=5.0),
+                internet=world,
+            )
+            out[f"scenario/{name}/seed-{seed}"] = {
+                "to-json-sha256": hashlib.sha256(result.to_json().encode()).hexdigest(),
+                "summary": result.summary(),
+            }
     return out
 
 
@@ -301,9 +321,11 @@ def _outputs_in_pinned_process() -> Dict[str, Any]:
 
 def _differences(name: str, recorded: Dict[str, Any], value: Any) -> List[str]:
     digest, floats = _fingerprint(value)
-    if digest != recorded["exact"]:
-        return [f"{name}: exact fields changed (structure, ints, strings or NaNs)"]
     problems = []
+    if digest != recorded["exact"]:
+        problems.append(f"{name}: exact fields changed (structure, ints, strings or NaNs)")
+    # Floats are named even when the exact part moved too, so a drift
+    # points at the fields that carry it.
     for (path, now), then in zip(floats, recorded["floats"]):
         if not math.isclose(now, then, rel_tol=REL_TOL, abs_tol=0.0):
             problems.append(f"{name}{path}: recorded {then!r}, now {now!r}")

@@ -20,6 +20,9 @@
   identical tables, route for route.
 * **Event-driven dynamics vs static propagation**: the converged
   end-state equals the three-phase construction.
+* **Event-driven dynamics vs the per-hop engine**
+  (``tests/dynamics_oracle.py``): the curated scenarios write the same
+  ``to_json()`` bytes.
 
 The batch outputs themselves are pinned by ``tests/test_golden_lock.py``.
 """
@@ -33,6 +36,7 @@ import numpy as np
 import pytest
 from bgp_oracle import propagate_reference
 from conftest import small_client_prefixes, small_topology_config
+from dynamics_oracle import DynamicsEngine as OracleDynamicsEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracles import (
@@ -47,11 +51,13 @@ from scalar_oracles import (
     unmemoised_nearest_pops,
 )
 
-from repro.bgp import propagate, propagate_many
+from repro.bgp import SCENARIOS, propagate, propagate_many, run_scenario, scenarios
+from repro.bgp.dynamics import DynamicsConfig
 from repro.cdn import CdnDeployment
 from repro.cdn.catchment import catchment_map
 from repro.cdn.dns_redirection import train_redirection_policy
 from repro.cdn.measurement import BeaconConfig, run_beacon_campaign
+from repro.core.configs import cdn_topology
 from repro.cloudtiers import (
     CampaignConfig,
     CloudDeployment,
@@ -559,3 +565,16 @@ class TestBgpDynamicsLanes:
         assert engine.converged
         static = propagate(engine.effective_graph(), origin)
         assert engine.routes() == static._routes
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scenarios_bit_identical_to_oracle_engine(self, seed, monkeypatch):
+        """Each curated scenario, run as perfbench's scenario-sweep runs
+        it, writes the same bytes as on the per-hop oracle engine."""
+        internet = build_internet(cdn_topology(seed))
+        config = DynamicsConfig(seed=seed, mrai_s=5.0)
+        for name in sorted(SCENARIOS):
+            fast = run_scenario(name, seed=seed, config=config, internet=internet)
+            with monkeypatch.context() as patch:
+                patch.setattr(scenarios, "DynamicsEngine", OracleDynamicsEngine)
+                oracle = run_scenario(name, seed=seed, config=config, internet=internet)
+            assert fast.to_json() == oracle.to_json(), name
