@@ -11,13 +11,14 @@ simulator over the same :class:`~repro.topology.ASGraph`:
   announce / withdraw / link-up / link-down external events plus the
   internal UPDATE-delivery and MRAI-expiry events they spawn;
 * per-``(sender, receiver)`` MRAI timers with seeded jitter — jitter is
-  a pure function of ``(seed, sender, receiver)`` via sha256, the same
-  no-hidden-RNG discipline as :class:`repro.faults.FaultPlan`, so one
-  seed fixes the entire timeline bit for bit;
-* the Gao-Rexford decision and export rules of the static lane, reused
-  verbatim: customer > peer > provider, shortest advertised path,
-  lowest next-hop ASN, valley-free exports, origin grooming (prepends,
-  suppression, city scoping);
+  a pure function of ``(seed, sender, receiver)`` via
+  :func:`repro.faults.plan.unit_draw`, the same no-hidden-RNG
+  discipline as :class:`repro.faults.FaultPlan`, so one seed fixes the
+  entire timeline bit for bit;
+* the Gao-Rexford decision and export rules of the static lane:
+  customer > peer > provider, shortest advertised path, lowest next-hop
+  ASN, valley-free exports, origin grooming (prepends, suppression,
+  city scoping);
 * convergence detection by quiescence, with
   :meth:`DynamicsEngine.routing_table` yielding a
   :class:`~repro.bgp.propagation.RoutingTable` snapshot at any event
@@ -34,12 +35,17 @@ what a prefix hijack *is* — and multiple prefixes share one event loop
 and one set of MRAI timers, which is how a more-specific hijack
 interleaves with the victim's own announcement.  Scenario drivers live
 in :mod:`repro.bgp.scenarios`.
+
+Inside the event loop routes are plain tuples (:data:`RouteTuple`) and
+each AS's sessions are rows built once per engine; :meth:`routes` and
+:meth:`routing_table` turn the tuples into validated
+:class:`~repro.bgp.routes.Route` objects at the boundary.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -54,14 +60,12 @@ from typing import (
 )
 
 from repro.errors import RoutingError
+from repro.faults.plan import unit_draw
 from repro.geo import City
 from repro.obs.trace import counter, histogram, span
-from repro.topology import ASGraph, Link, Relationship
-from repro.bgp.propagation import (
-    RoutingTable,
-    _pref_at_receiver,
-    _validate_grooming,
-)
+from repro.topology import ASGraph, Link
+from repro.topology.asgraph import REL_CUSTOMER, REL_PEER, REL_PROVIDER
+from repro.bgp.propagation import RoutingTable, _validate_grooming
 from repro.bgp.routes import Route, RoutePref
 
 #: Default prefix key when a scenario only needs one prefix.
@@ -75,15 +79,66 @@ SPAN_RUN = "bgp.dynamics.run"
 COUNTER_EVENTS = "bgp.dynamics.events"
 HIST_CONVERGENCE = "bgp.dynamics.convergence_s"
 
+# Event kinds of the heap entries ``(time, seq, kind, *payload)``,
+# named by ``_KIND_NAMES``.
+_ANNOUNCE, _WITHDRAW, _LINK_DOWN, _LINK_UP, _UPDATE, _MRAI = range(6)
+_KIND_NAMES = EXTERNAL_EVENT_KINDS + ("update", "mrai")
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in ``[0, 1)`` from hashed parts.
+#: A route inside the engine: ``(-pref, advertised_length, next_hop,
+#: path)``.  Tuple order is the decision order (customer > peer >
+#: provider, shortest advertised path, lowest next-hop ASN), so an AS's
+#: best offer is ``min()`` of its offers; each offer comes from a
+#: different neighbour, so paths are never compared.
+RouteTuple = Tuple[int, int, int, Tuple[int, ...]]
 
-    Same construction as :mod:`repro.faults.plan`: purity over RNG
-    objects, so timer jitter survives process boundaries and reruns.
+_ORIGIN = -int(RoutePref.ORIGIN)
+_CUSTOMER = -int(RoutePref.CUSTOMER)
+
+#: ``-pref`` a neighbour learns a route under, by the sender's CSR
+#: relationship code: my customer learns it from its provider, my peer
+#: from a peer, my provider from its customer.
+_LEARNED_PREF = {
+    REL_CUSTOMER: -int(RoutePref.PROVIDER),
+    REL_PEER: -int(RoutePref.PEER),
+    REL_PROVIDER: -int(RoutePref.CUSTOMER),
+}
+
+#: One session of an AS: ``(neighbor, exports_to_customer,
+#: -learned_pref)``.
+SessionRow = Tuple[int, bool, int]
+
+
+def _session_rows(graph: ASGraph) -> Dict[int, Dict[int, SessionRow]]:
+    """Every AS's session rows, keyed by neighbour in ASN order.
+
+    Read from the graph's CSR view, whose neighbour order is ASN order.
     """
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
+    csr = graph.csr()
+    asns = csr.asns.tolist()
+    indptr = csr.indptr.tolist()
+    neighbors = csr.neighbors.tolist()
+    rels = csr.rel.tolist()
+    rows: Dict[int, Dict[int, SessionRow]] = {}
+    for i, asn in enumerate(asns):
+        rows[asn] = {}
+        for k in range(indptr[i], indptr[i + 1]):
+            neighbor = asns[neighbors[k]]
+            rows[asn][neighbor] = (
+                neighbor,
+                rels[k] == REL_CUSTOMER,
+                _LEARNED_PREF[rels[k]],
+            )
+    return rows
+
+
+def _as_route(route: RouteTuple) -> Route:
+    """The validated :class:`Route` a caller sees for an engine route."""
+    neg_pref, advertised_length, _, path = route
+    return Route(
+        path=path,
+        pref=RoutePref(-neg_pref),
+        advertised_length=advertised_length,
+    )
 
 
 @dataclass(frozen=True)
@@ -130,6 +185,13 @@ class DynamicsConfig:
             raise RoutingError("mrai_jitter must be in [0, 1]")
         if self.link_delay_jitter_s < 0:
             raise RoutingError("link_delay_jitter_s must be non-negative")
+        if not all(
+            math.isfinite(value)
+            for value in (self.mrai_s, self.link_delay_s, self.link_delay_jitter_s)
+        ):
+            raise RoutingError(
+                "mrai_s, link_delay_s and link_delay_jitter_s must be finite"
+            )
         if self.max_events < 1:
             raise RoutingError("max_events must be positive")
 
@@ -151,18 +213,15 @@ class OriginSpec:
         return any(c in self.origin_cities for c in link.cities)
 
 
-def _selection_key(route: Route) -> Tuple[int, int, int]:
-    """Lower is better: the static lane's decision order."""
-    return (-int(route.pref), route.advertised_length, route.next_hop)
-
-
 class DynamicsEngine:
     """Deterministic event-driven BGP over one :class:`ASGraph`.
 
     The graph itself is never mutated: link failures are an overlay
     (:attr:`down` set) so the same graph object can keep serving the
     static lane, and :meth:`effective_graph` materializes the overlay
-    when a static comparison is wanted.
+    when a static comparison is wanted.  The engine reads the graph's
+    sessions once, when it is built, so the graph must not change while
+    the engine is in use.
 
     Typical use::
 
@@ -188,17 +247,19 @@ class DynamicsEngine:
         #: changes (and raw messages when ``record_messages``), each a
         #: JSON-ready dict.
         self.timeline: List[Dict[str, Any]] = []
-        self._queue: List[Tuple[float, int, str, tuple]] = []
+        self._queue: List[tuple] = []
         self._seq = 0
         # prefix -> asn -> neighbor -> route (as seen by asn).
-        self._adj_in: Dict[str, Dict[int, Dict[int, Route]]] = {}
+        self._adj_in: Dict[str, Dict[int, Dict[int, RouteTuple]]] = {}
         # prefix -> asn -> selected best route.
-        self._best: Dict[str, Dict[int, Route]] = {}
+        self._best: Dict[str, Dict[int, RouteTuple]] = {}
         # prefix -> origin asn -> grooming.
         self._origins: Dict[str, Dict[int, OriginSpec]] = {}
         # (sender, receiver) -> prefix -> last advertised route (None
         # once withdrawn; absent = never advertised).
-        self._advertised: Dict[Tuple[int, int], Dict[str, Optional[Route]]] = {}
+        self._advertised: Dict[
+            Tuple[int, int], Dict[str, Optional[RouteTuple]]
+        ] = {}
         self._mrai_until: Dict[Tuple[int, int], float] = {}
         self._pending: Dict[Tuple[int, int], Set[str]] = {}
         self._down: Set[Tuple[int, int]] = set()
@@ -206,16 +267,20 @@ class DynamicsEngine:
         # UPDATE from a previous session that was still in flight when
         # the link flapped must not be delivered into the new session.
         self._epoch: Dict[Tuple[int, int], int] = {}
+        self._rows = _session_rows(graph)
+        # Jitter memos: each draw is a pure function of (seed, pair).
+        self._delays: Dict[Tuple[int, int], float] = {}
+        self._mrai_intervals: Dict[Tuple[int, int], float] = {}
 
     # --- scheduling (the external API) --------------------------------
 
-    def _push(self, at_s: float, kind: str, payload: tuple) -> None:
+    def _push(self, at_s: float, kind: int, *payload: Any) -> None:
         if at_s < self.now:
             raise RoutingError(
-                f"cannot schedule {kind!r} at {at_s:.3f}s in the past "
-                f"(now {self.now:.3f}s)"
+                f"cannot schedule {_KIND_NAMES[kind]!r} at {at_s:.3f}s in "
+                f"the past (now {self.now:.3f}s)"
             )
-        heapq.heappush(self._queue, (at_s, self._seq, kind, payload))
+        heapq.heappush(self._queue, (at_s, self._seq, kind, *payload))
         self._seq += 1
 
     def schedule_announce(
@@ -242,7 +307,7 @@ class DynamicsEngine:
             prepends=prepends,
             suppressed=suppressed_set,
         )
-        self._push(at_s, "announce", (origin, prefix, spec))
+        self._push(at_s, _ANNOUNCE, origin, prefix, spec)
 
     def schedule_withdraw(
         self, at_s: float, origin: int, prefix: str = DEFAULT_PREFIX
@@ -250,19 +315,19 @@ class DynamicsEngine:
         """Origin stops announcing ``prefix`` at ``at_s`` seconds."""
         if origin not in self.graph:
             raise RoutingError(f"origin AS {origin} not in graph")
-        self._push(at_s, "withdraw", (origin, prefix))
+        self._push(at_s, _WITHDRAW, origin, prefix)
 
     def schedule_link_down(self, at_s: float, x: int, y: int) -> None:
         """The adjacency between ``x`` and ``y`` fails at ``at_s``."""
         if not self.graph.has_link(x, y):
             raise RoutingError(f"no link between {x} and {y}")
-        self._push(at_s, "link_down", (min(x, y), max(x, y)))
+        self._push(at_s, _LINK_DOWN, min(x, y), max(x, y))
 
     def schedule_link_up(self, at_s: float, x: int, y: int) -> None:
         """A previously failed adjacency recovers at ``at_s``."""
         if not self.graph.has_link(x, y):
             raise RoutingError(f"no link between {x} and {y}")
-        self._push(at_s, "link_up", (min(x, y), max(x, y)))
+        self._push(at_s, _LINK_UP, min(x, y), max(x, y))
 
     # --- the event loop ------------------------------------------------
 
@@ -276,21 +341,30 @@ class DynamicsEngine:
         processed = 0
         started_at = self.now
         change_before = self.last_change_s
+        queue = self._queue
+        max_events = self.config.max_events
         with span(SPAN_RUN, until=until):
-            while self._queue and (
-                until is None or self._queue[0][0] <= until
-            ):
-                at_s, _, kind, payload = heapq.heappop(self._queue)
-                self.now = at_s
-                self._dispatch(kind, payload)
-                processed += 1
-                self.events_processed += 1
-                if processed > self.config.max_events:
-                    raise RoutingError(
-                        f"no quiescence after {self.config.max_events} "
-                        "events — raise DynamicsConfig.max_events or "
-                        "check the schedule for an oscillation"
-                    )
+            try:
+                while queue and (until is None or queue[0][0] <= until):
+                    event = heapq.heappop(queue)
+                    self.now = event[0]
+                    kind = event[2]
+                    if kind == _UPDATE:
+                        self._on_update(*event[3:])
+                    elif kind == _MRAI:
+                        self._on_mrai(event[3], event[4])
+                    else:
+                        self._dispatch(kind, event[3:])
+                    processed += 1
+                    if processed > max_events:
+                        raise RoutingError(
+                            f"no quiescence after {max_events} "
+                            "events — raise DynamicsConfig.max_events or "
+                            "check the schedule for an oscillation"
+                        )
+            finally:
+                # A raising handler's event is not counted.
+                self.events_processed += processed
             if until is not None and until > self.now:
                 self.now = until
             counter(COUNTER_EVENTS, processed)
@@ -310,30 +384,26 @@ class DynamicsEngine:
         """
         if any(self._pending.values()):
             return False
-        return all(kind == "mrai" for _, _, kind, _ in self._queue)
+        return all(event[2] == _MRAI for event in self._queue)
 
-    def _dispatch(self, kind: str, payload: tuple) -> None:
-        if kind == "announce":
+    def _dispatch(self, kind: int, payload: tuple) -> None:
+        if kind == _ANNOUNCE:
             origin, prefix, spec = payload
             self._origins.setdefault(prefix, {})[origin] = spec
-            self._record(kind, asn=origin, prefix=prefix)
+            self._record("announce", asn=origin, prefix=prefix)
             self._redecide(origin, prefix)
-        elif kind == "withdraw":
+        elif kind == _WITHDRAW:
             origin, prefix = payload
             if self._origins.get(prefix, {}).pop(origin, None) is None:
                 raise RoutingError(
                     f"AS {origin} does not originate {prefix!r}"
                 )
-            self._record(kind, asn=origin, prefix=prefix)
+            self._record("withdraw", asn=origin, prefix=prefix)
             self._redecide(origin, prefix)
-        elif kind == "link_down":
+        elif kind == _LINK_DOWN:
             self._on_link_down(*payload)
-        elif kind == "link_up":
+        elif kind == _LINK_UP:
             self._on_link_up(*payload)
-        elif kind == "update":
-            self._on_update(*payload)
-        elif kind == "mrai":
-            self._on_mrai(*payload)
         else:  # pragma: no cover - internal invariant
             raise RoutingError(f"unknown event kind {kind!r}")
 
@@ -370,18 +440,21 @@ class DynamicsEngine:
         # _maybe_send treats the neighbor as fresh).
         prefixes = sorted(set(self._best) | set(self._origins))
         for sender, receiver in ((a, b), (b, a)):
+            row = self._rows[sender][receiver]
             for prefix in prefixes:
-                self._maybe_send(sender, receiver, prefix)
+                best = self._best.get(prefix, {}).get(sender)
+                export = self._export(best, sender, row, prefix)
+                self._maybe_send(sender, receiver, prefix, export)
 
     def _on_update(
         self,
         sender: int,
         receiver: int,
         prefix: str,
-        route: Optional[Route],
+        route: Optional[RouteTuple],
         epoch: int,
     ) -> None:
-        if self._is_down(sender, receiver):
+        if self._down and self._is_down(sender, receiver):
             return  # delivery raced a link failure: the message is lost
         if epoch != self._epoch.get((sender, receiver), 0):
             return  # sent before a flap: the old session's ghost
@@ -397,33 +470,31 @@ class DynamicsEngine:
         key = (sender, receiver)
         if self.now + 1e-12 < self._mrai_until.get(key, 0.0):
             return  # stale timer superseded by a later restart
-        pending = sorted(self._pending.pop(key, ()))
+        pending = self._pending.pop(key, None)
+        if not pending:
+            return
+        row = self._rows[sender][receiver]
         sent_announce = False
-        for prefix in pending:
-            if self._transmit_if_changed(sender, receiver, prefix):
+        for prefix in sorted(pending):
+            best = self._best.get(prefix, {}).get(sender)
+            export = self._export(best, sender, row, prefix)
+            advertised = self._advertised.get(key)
+            if export == (advertised.get(prefix) if advertised else None):
+                continue
+            if self._transmit(key, prefix, export):
                 sent_announce = True
         if sent_announce:
             self._restart_mrai(key)
 
     # --- decision process ----------------------------------------------
 
-    def _decide(self, asn: int, prefix: str) -> Optional[Route]:
-        if asn in self._origins.get(prefix, {}):
-            return Route(
-                path=(asn,), pref=RoutePref.ORIGIN, advertised_length=0
-            )
-        offers = self._adj_in.get(prefix, {}).get(asn)
-        if not offers:
-            return None
-        best: Optional[Route] = None
-        for neighbor in sorted(offers):
-            route = offers[neighbor]
-            if best is None or _selection_key(route) < _selection_key(best):
-                best = route
-        return best
-
     def _redecide(self, asn: int, prefix: str) -> None:
-        new = self._decide(asn, prefix)
+        origins = self._origins.get(prefix)
+        if origins and asn in origins:
+            new: Optional[RouteTuple] = (_ORIGIN, 0, -1, (asn,))
+        else:
+            offers = self._adj_in.get(prefix, {}).get(asn)
+            new = min(offers.values()) if offers else None
         holders = self._best.setdefault(prefix, {})
         old = holders.get(asn)
         if new == old:
@@ -437,104 +508,116 @@ class DynamicsEngine:
             "best_change",
             asn=asn,
             prefix=prefix,
-            origin=None if new is None else new.origin,
-            next_hop=(
-                None if new is None or new.as_hops == 0 else new.next_hop
-            ),
-            advertised_length=(
-                None if new is None else new.advertised_length
-            ),
+            origin=None if new is None else new[3][-1],
+            next_hop=None if new is None or len(new[3]) == 1 else new[2],
+            advertised_length=None if new is None else new[1],
         )
-        for neighbor in sorted(self.graph.neighbors(asn)):
-            if self._is_down(asn, neighbor):
+        down = self._down
+        for row in self._rows[asn].values():
+            neighbor = row[0]
+            if down and self._is_down(asn, neighbor):
                 continue
-            self._maybe_send(asn, neighbor, prefix)
+            export = self._export(new, asn, row, prefix)
+            self._maybe_send(asn, neighbor, prefix, export)
 
     def _export(
-        self, sender: int, receiver: int, prefix: str
-    ) -> Optional[Route]:
-        """What ``sender`` advertises to ``receiver`` right now.
+        self,
+        route: Optional[RouteTuple],
+        sender: int,
+        row: SessionRow,
+        prefix: str,
+    ) -> Optional[RouteTuple]:
+        """What ``sender``, holding ``route``, advertises over ``row``.
 
         Mirrors :meth:`RoutingTable.exported_route` — valley-free export
         filters, loop suppression, and origin grooming — against the
         engine's live state instead of a static table.
         """
-        route = self._best.get(prefix, {}).get(sender)
         if route is None:
             return None
-        if receiver in route.path:
+        receiver, exports_to_customer, learned_pref = row
+        neg_pref, advertised_length, _, path = route
+        if receiver in path:
             return None  # loop prevention
-        link = self.graph.link(sender, receiver)
-        extra = 0
-        if route.pref is RoutePref.ORIGIN:
+        if neg_pref == _ORIGIN:
             spec = self._origins.get(prefix, {}).get(sender)
             if spec is None:
                 return None  # withdrawal still settling
+            link = self.graph.link(sender, receiver)
             if not spec.export_allowed(link, receiver):
                 return None
-            extra = int(spec.prepends.get(receiver, 0))
-        exporting_to_customer = (
-            link.relationship is Relationship.CUSTOMER
-            and link.customer_asn == receiver
-        )
-        if not exporting_to_customer and route.pref not in (
-            RoutePref.CUSTOMER,
-            RoutePref.ORIGIN,
-        ):
+            advertised_length += int(spec.prepends.get(receiver, 0))
+        elif not exports_to_customer and neg_pref != _CUSTOMER:
             return None
-        learned_pref = _pref_at_receiver(link, receiver)
-        return route.extended_to(receiver, learned_pref, extra_length=extra)
+        return (learned_pref, advertised_length + 1, sender, (receiver,) + path)
 
     # --- the wire -------------------------------------------------------
 
     def _is_down(self, x: int, y: int) -> bool:
-        return (min(x, y), max(x, y)) in self._down
+        return ((x, y) if x < y else (y, x)) in self._down
 
     def _link_delay(self, x: int, y: int) -> float:
-        a, b = (x, y) if x < y else (y, x)
-        jitter = self.config.link_delay_jitter_s * _unit_draw(
-            self.config.seed, a, b, "delay"
-        )
-        return self.config.link_delay_s + jitter
+        delay = self._delays.get((x, y))
+        if delay is None:
+            a, b = (x, y) if x < y else (y, x)
+            jitter = self.config.link_delay_jitter_s * unit_draw(
+                self.config.seed, a, b, "delay"
+            )
+            delay = self.config.link_delay_s + jitter
+            self._delays[(a, b)] = self._delays[(b, a)] = delay
+        return delay
 
     def _mrai_interval(self, key: Tuple[int, int]) -> float:
-        spread = self.config.mrai_jitter * _unit_draw(
-            self.config.seed, key[0], key[1], "mrai"
-        )
-        return self.config.mrai_s * (1.0 - spread)
+        interval = self._mrai_intervals.get(key)
+        if interval is None:
+            spread = self.config.mrai_jitter * unit_draw(
+                self.config.seed, key[0], key[1], "mrai"
+            )
+            interval = self.config.mrai_s * (1.0 - spread)
+            self._mrai_intervals[key] = interval
+        return interval
 
     def _restart_mrai(self, key: Tuple[int, int]) -> None:
         if self.config.mrai_s <= 0:
             return
         until = self.now + self._mrai_interval(key)
         self._mrai_until[key] = until
-        self._push(until, "mrai", key)
+        heapq.heappush(self._queue, (until, self._seq, _MRAI, *key))
+        self._seq += 1
 
-    def _transmit_if_changed(
-        self, sender: int, receiver: int, prefix: str
+    def _transmit(
+        self,
+        key: Tuple[int, int],
+        prefix: str,
+        export: Optional[RouteTuple],
     ) -> bool:
-        """Send the current export if it differs from the last one sent.
+        """Send ``export``, which differs from the last one sent on ``key``.
 
         Returns True when an *announcement* (not a withdrawal) went out,
         which is what restarts the MRAI timer.
         """
-        export = self._export(sender, receiver, prefix)
-        advertised = self._advertised.setdefault((sender, receiver), {})
-        if export == advertised.get(prefix):
-            return False
+        sender, receiver = key
+        advertised = self._advertised.get(key)
+        if advertised is None:
+            advertised = self._advertised[key] = {}
         advertised[prefix] = export
-        self._pending.get((sender, receiver), set()).discard(prefix)
-        self._push(
-            self.now + self._link_delay(sender, receiver),
-            "update",
+        pending = self._pending.get(key)
+        if pending:
+            pending.discard(prefix)
+        heapq.heappush(
+            self._queue,
             (
+                self.now + self._link_delay(sender, receiver),
+                self._seq,
+                _UPDATE,
                 sender,
                 receiver,
                 prefix,
                 export,
-                self._epoch.get((sender, receiver), 0),
+                self._epoch.get(key, 0),
             ),
         )
+        self._seq += 1
         if export is None:
             self.withdrawals_sent += 1
         else:
@@ -549,16 +632,23 @@ class DynamicsEngine:
             )
         return export is not None
 
-    def _maybe_send(self, sender: int, receiver: int, prefix: str) -> None:
+    def _maybe_send(
+        self,
+        sender: int,
+        receiver: int,
+        prefix: str,
+        export: Optional[RouteTuple],
+    ) -> None:
         key = (sender, receiver)
-        export = self._export(sender, receiver, prefix)
-        if export == self._advertised.get(key, {}).get(prefix):
-            self._pending.get(key, set()).discard(prefix)
+        advertised = self._advertised.get(key)
+        if export == (advertised.get(prefix) if advertised else None):
+            pending = self._pending.get(key)
+            if pending:
+                pending.discard(prefix)
             return
         timer_open = self.now >= self._mrai_until.get(key, 0.0)
-        is_withdrawal = export is None
-        if timer_open or (is_withdrawal and not self.config.withdraw_mrai):
-            if self._transmit_if_changed(sender, receiver, prefix):
+        if timer_open or (export is None and not self.config.withdraw_mrai):
+            if self._transmit(key, prefix, export):
                 self._restart_mrai(key)
             return
         self._pending.setdefault(key, set()).add(prefix)
@@ -572,8 +662,15 @@ class DynamicsEngine:
         self.timeline.append(entry)
 
     def routes(self, prefix: str = DEFAULT_PREFIX) -> Dict[int, Route]:
-        """Best route per AS for ``prefix`` (a copy), origins included."""
-        return dict(self._best.get(prefix, {}))
+        """Best route per AS for ``prefix`` (a copy), origins included.
+
+        Each route is built by the validating :class:`Route`
+        constructor.
+        """
+        return {
+            asn: _as_route(route)
+            for asn, route in self._best.get(prefix, {}).items()
+        }
 
     def origins(self, prefix: str = DEFAULT_PREFIX) -> Tuple[int, ...]:
         """ASes currently originating ``prefix``, ascending."""
@@ -602,7 +699,7 @@ class DynamicsEngine:
             prepends=dict(spec.prepends),
             suppressed=spec.suppressed,
         )
-        table._routes.update(self._best.get(prefix, {}))
+        table._routes.update(self.routes(prefix))
         return table
 
     def effective_graph(self) -> ASGraph:

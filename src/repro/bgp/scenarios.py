@@ -38,7 +38,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import RoutingError
 from repro.topology import ASGraph, Internet
 from repro.faults.routing import RouteEvent, ScenarioFaultPlan
-from repro.bgp.dynamics import DynamicsConfig, DynamicsEngine, _unit_draw
+from repro.faults.plan import unit_draw
+from repro.bgp.dynamics import DynamicsConfig, DynamicsEngine
 
 #: The address space under attack, shared by every scenario.
 VICTIM_PREFIX = "203.0.113.0/24"
@@ -359,7 +360,7 @@ def pick_attacker(graph: ASGraph, victim: int, seed: int) -> int:
     )
     if not candidates:
         raise RoutingError(f"no AS eligible to attack {victim}")
-    return candidates[int(_unit_draw(seed, "attacker") * len(candidates))]
+    return candidates[int(unit_draw(seed, "attacker") * len(candidates))]
 
 
 def _run_hijack(

@@ -33,12 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import FaultError
-
-
-def _unit(seed: int, *parts: object) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` for a coordinate tuple."""
-    key = ":".join(str(p) for p in (seed, *parts)).encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") / float(1 << 64)
+from repro.faults.plan import unit_draw
 
 
 def _check_rate(rate: float, name: str) -> None:
@@ -66,7 +61,7 @@ class VantagePointChurn:
         """Whether a vantage point is reachable on a given day."""
         if self.daily_rate <= 0.0:
             return True
-        return _unit(self.seed, "vp-churn", day, vp_id) >= self.daily_rate
+        return unit_draw(self.seed, "vp-churn", day, vp_id) >= self.daily_rate
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,9 @@ class FrontEndDrain:
         if self.daily_rate <= 0.0 or times.size == 0:
             return mask
         for day in range(int(times.min() // 24.0), int(times.max() // 24.0) + 1):
-            if _unit(self.seed, "fe-drain", day, code) >= self.daily_rate:
+            if unit_draw(self.seed, "fe-drain", day, code) >= self.daily_rate:
                 continue
-            start = day * 24.0 + _unit(self.seed, "fe-drain-at", day, code) * (
+            start = day * 24.0 + unit_draw(self.seed, "fe-drain-at", day, code) * (
                 24.0 - self.drain_hours
             )
             mask |= (times >= start) & (times < start + self.drain_hours)

@@ -33,8 +33,14 @@ FAULT_KINDS = ("timeout", "crash", "error", "slow")
 CORRUPT_KIND = "corrupt"
 
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in ``[0, 1)`` from hashed parts."""
+def unit_draw(*parts: object) -> float:
+    """A deterministic uniform draw in ``[0, 1)`` from hashed parts.
+
+    The first 8 bytes of the sha256 of the parts joined by ``:``: no RNG
+    object, so a draw is the same in every process and on every rerun.
+    Fault plans, the domain fault models, the routing engine's timer
+    jitter and the scenario attacker choice all draw through it.
+    """
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
@@ -113,7 +119,7 @@ class FaultPlan:
             raise FaultError(f"attempt must be >= 1, got {attempt}")
         if self.max_faulty_attempts and attempt > self.max_faulty_attempts:
             return None
-        draw = _unit_draw(self.seed, spec_hash, attempt, "attempt")
+        draw = unit_draw(self.seed, spec_hash, attempt, "attempt")
         cumulative = 0.0
         for kind in FAULT_KINDS:
             cumulative += getattr(self, f"p_{kind}")
@@ -125,7 +131,7 @@ class FaultPlan:
         """Whether this spec's cache entry gets garbled after writing."""
         if self.p_corrupt <= 0.0:
             return False
-        return _unit_draw(self.seed, spec_hash, CORRUPT_KIND) < self.p_corrupt
+        return unit_draw(self.seed, spec_hash, CORRUPT_KIND) < self.p_corrupt
 
     def describe(self) -> str:
         """Short human-readable summary, e.g. for logs and reports."""

@@ -679,3 +679,14 @@ class TestErrorBoundary:
         assert child.stderr == (
             "scenario: mrai_s must be >= 0 and link_delay_s must be positive\n"
         )
+
+    def test_infinite_mrai_is_one_line(self):
+        """``inf`` passes the sign check but would print ``inf``/``nan``
+        times and write non-JSON ``Infinity`` tokens to the timeline."""
+        child = self.run_cli("scenario", "--name", "hijack", "--mrai-s", "inf")
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert "Traceback" not in child.stderr
+        assert child.stderr == (
+            "scenario: mrai_s, link_delay_s and link_delay_jitter_s must be finite\n"
+        )
