@@ -15,6 +15,7 @@ for a slice of clients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,12 +61,19 @@ class BeaconConfig:
     drain: Optional[FrontEndDrain] = None
 
     def __post_init__(self) -> None:
-        if self.days <= 0:
-            raise MeasurementError("days must be positive")
+        if not math.isfinite(self.days) or self.days <= 0:
+            raise MeasurementError(f"days must be positive and finite, got {self.days}")
         if self.requests_per_prefix < 2:
             raise MeasurementError("need at least two requests per prefix")
         if self.nearby_front_ends < 1:
             raise MeasurementError("need at least one unicast target")
+        if not math.isfinite(self.rtt_noise_ms) or self.rtt_noise_ms < 0:
+            raise MeasurementError(
+                f"rtt_noise_ms must be non-negative and finite, got {self.rtt_noise_ms}"
+            )
+        lo, hi = self.last_mile_ms_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo <= hi):
+            raise MeasurementError("invalid last_mile_ms_range")
 
     def congestion_config(self) -> CongestionConfig:
         """Effective congestion parameters."""
@@ -157,9 +165,10 @@ def run_beacon_campaign(
     kept: List[ClientPrefix] = []
     catchments: List[str] = []
     fe_codes: List[Tuple[str, ...]] = []
-    base_any: List[float] = []
-    base_uni: List[List[float]] = []
-    path_keys: List[Tuple[str, List[str]]] = []
+    # Per prefix: the path key and round-trip base of each row of its
+    # pricing block (the anycast target, then every reachable unicast
+    # target), and the unicast column of each unicast row.
+    blocks: List[Tuple[List[str], np.ndarray, List[int]]] = []
     for prefix in prefixes:
         try:
             any_path = deployment.anycast_path(prefix)
@@ -177,21 +186,19 @@ def run_beacon_campaign(
         codes = [catchment.code] + [
             p.code for p in ordered if p.code != catchment.code
         ]
-        uni_bases: List[float] = []
-        uni_keys: List[str] = []
-        for code in codes:
+        keys = [f"cdnpath:{prefix.pid}->anycast"]
+        bases = [2.0 * any_path.one_way_ms]
+        columns: List[int] = []
+        for j, code in enumerate(codes):
             path = deployment.unicast_path(prefix, code)
-            if path is None:
-                uni_bases.append(float("nan"))
-            else:
-                uni_bases.append(2.0 * path.one_way_ms)
-            uni_keys.append(f"cdnpath:{prefix.pid}->{code}")
+            if path is not None:  # an unreachable column stays NaN
+                keys.append(f"cdnpath:{prefix.pid}->{code}")
+                bases.append(2.0 * path.one_way_ms)
+                columns.append(j)
         kept.append(prefix)
         catchments.append(catchment.code)
         fe_codes.append(tuple(codes))
-        base_any.append(2.0 * any_path.one_way_ms)
-        base_uni.append(uni_bases)
-        path_keys.append((f"cdnpath:{prefix.pid}->anycast", uni_keys))
+        blocks.append((keys, np.array(bases), columns))
     if not kept:
         raise MeasurementError("no prefix could reach the anycast prefix")
 
@@ -206,30 +213,28 @@ def run_beacon_campaign(
         t = np.sort(rng.uniform(0.0, horizon, size=n_r))
         times[i] = t
         last_mile = float(rng.uniform(lo, hi))
+        keys, bases, columns = blocks[i]
+        events, shifts = congestion.event_and_shift_delays(
+            [f"dest:{prefix.pid}"] + keys, keys, t
+        )
+        # events[0] is the destination's own: with the diurnal load it
+        # is shared_delay, which every target of the request carries.
         shared = (
             last_mile
-            + congestion.shared_delay(f"dest:{prefix.pid}", prefix.city.location.lon, t)
+            + (congestion.diurnal_delay(t, prefix.city.location.lon) + events[0])
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
-        any_key, uni_keys = path_keys[i]
-        anycast_rtt[i] = (
-            base_any[i]
+        # Row by row, the noise takes the stream positions of one draw
+        # per target in row order.
+        rtt = (
+            bases[:, None]
             + shared
-            + congestion.link_delay(any_key, t)
-            + congestion.baseline_shift_delay(any_key, t)
-            + rng.exponential(cfg.rtt_noise_ms, size=n_r)
+            + events[1:]
+            + shifts
+            + rng.exponential(cfg.rtt_noise_ms, size=(len(keys), n_r))
         )
-        for j, code in enumerate(fe_codes[i]):
-            base = base_uni[i][j]
-            if np.isnan(base):
-                continue
-            unicast_rtt[i, :, j] = (
-                base
-                + shared
-                + congestion.link_delay(uni_keys[j], t)
-                + congestion.baseline_shift_delay(uni_keys[j], t)
-                + rng.exponential(cfg.rtt_noise_ms, size=n_r)
-            )
+        anycast_rtt[i] = rtt[0]
+        unicast_rtt[i][:, columns] = rtt[1:].T
     if cfg.drain is not None:
         # Applied after every noise draw, so the drain only removes
         # samples — it never shifts the random streams under the

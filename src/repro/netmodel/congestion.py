@@ -20,6 +20,8 @@ Every entity key gets its own deterministic random stream derived from
 
 from __future__ import annotations
 
+import functools
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -62,6 +64,18 @@ class CongestionConfig:
     event_magnitude_sigma: float = 0.6
 
     def __post_init__(self) -> None:
+        for name in (
+            "horizon_hours",
+            "diurnal_peak_ms",
+            "diurnal_peak_hour",
+            "event_rate_per_day",
+            "event_mean_duration_hours",
+            "event_magnitude_median_ms",
+            "event_magnitude_sigma",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MeasurementError(f"{name} must be finite, got {value}")
         if self.horizon_hours <= 0:
             raise MeasurementError("horizon_hours must be positive")
         if self.diurnal_peak_ms < 0 or self.event_magnitude_median_ms < 0:
@@ -70,6 +84,8 @@ class CongestionConfig:
             raise MeasurementError("event rate must be non-negative")
         if self.event_mean_duration_hours <= 0:
             raise MeasurementError("event duration must be positive")
+        if self.event_magnitude_sigma < 0:
+            raise MeasurementError("event_magnitude_sigma must be non-negative")
 
 
 class _EventSeries(NamedTuple):
@@ -95,29 +111,157 @@ class _EventSeries(NamedTuple):
         )
 
 
-def _series_delay(series: _EventSeries, times: np.ndarray) -> np.ndarray:
-    """Summed magnitude of the events active at each time.
+#: The empty series: a key whose Poisson count is 0 shares this one.
+_NO_EVENTS = _EventSeries(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
 
-    An event is active on ``[start, end)``.  Events that start after the
-    latest time or end by the earliest are skipped: they are active at
-    no queried time.  The rest are visited in stored order, so each sum
-    takes the same ``+=`` steps as a scan of every event.  A NaN time
-    defeats the bounds, so then every event is visited.
+
+def _series_delays(series: Sequence[_EventSeries], times: np.ndarray) -> np.ndarray:
+    """Summed magnitude of each series' active events, ``(len(series), T)``.
+
+    ``times`` is read flat, ``T = times.size``.  An event is active on
+    ``[start, end)``.  Events that start after the latest time or end by
+    the earliest are skipped: they are active at no queried time.  A
+    NaN time defeats the bounds, so then no event is skipped.
+
+    Every cell takes the ``+=`` steps of a scan of its series' events in
+    stored order.  A lone series visits its events one by one.  Many
+    series add the r-th surviving event of every row in pass r, with
+    ``+ 0.0`` where that event is inactive; adding ``0.0`` leaves a
+    non-negative sum's bits unchanged.
     """
-    delay = np.zeros_like(times)
-    if times.size == 0 or series.start.size == 0:
+    times = times.ravel()
+    delay = np.zeros((len(series), times.size))
+    if times.size == 0 or not series:
         return delay
     lo = times.min()
     hi = times.max()
-    if np.isnan(hi):  # then lo is NaN too: some time is NaN
-        visit = np.arange(series.start.size)
-    else:
-        reach = int(np.searchsorted(series.start, hi, side="right"))
-        visit = np.flatnonzero(series.end[:reach] > lo)
-    start, end, magnitude = series.start, series.end, series.magnitude
-    for i in visit.tolist():
-        delay[(times >= start[i]) & (times < end[i])] += magnitude[i]
+    scan_all = np.isnan(hi)  # then lo is NaN too: some time is NaN
+    if len(series) == 1:
+        (one,) = series
+        if one.start.size == 0:
+            return delay
+        if scan_all:
+            visit = np.arange(one.start.size)
+        else:
+            reach = int(np.searchsorted(one.start, hi, side="right"))
+            visit = np.flatnonzero(one.end[:reach] > lo)
+        row = delay[0]
+        start, end, magnitude = one.start, one.end, one.magnitude
+        for i in visit.tolist():
+            row[(times >= start[i]) & (times < end[i])] += magnitude[i]
+        return delay
+    counts = [s.start.size for s in series]
+    row_of = np.repeat(np.arange(len(series)), counts)
+    start = np.concatenate([s.start for s in series])
+    end = np.concatenate([s.end for s in series])
+    magnitude = np.concatenate([s.magnitude for s in series])
+    if not scan_all:
+        keep = (start <= hi) & (end > lo)
+        row_of, start, end, magnitude = (
+            row_of[keep],
+            start[keep],
+            end[keep],
+            magnitude[keep],
+        )
+    if row_of.size == 0:
+        return delay
+    added = np.where(
+        (times >= start[:, None]) & (times < end[:, None]), magnitude[:, None], 0.0
+    )
+    # Rank of each surviving event within its row; a stable sort by rank
+    # lays pass r out as one run that holds at most one event per row.
+    rank = np.arange(row_of.size) - np.searchsorted(row_of, row_of)
+    order = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank)).tolist()
+    first = 0
+    for last in bounds:
+        events = order[first:last]
+        delay[row_of[events]] += added[events]
+        first = last
     return delay
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """XOR and multiplier constants of ``count`` successive hashes.
+
+    numpy's hash XORs with its running constant, multiplies the constant
+    by ``mult`` and then multiplies by the new constant.  Returned as
+    ``(count, 1)`` uint32 columns, to broadcast over streams.
+    """
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    column = np.array(constants, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+#: The pool takes 4 hashes and the cross-mix 12; generate_state hashes
+#: out 8 words.
+_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One step of numpy's ``SeedSequence`` hash, broadcast over streams."""
+    hashed = (values ^ xor) * mult
+    return hashed ^ (hashed >> 16)
+
+
+def _seed_words(seed: int, crcs: np.ndarray) -> np.ndarray:
+    """Seed words of many streams, shape ``(len(crcs), 4)``.
+
+    Row *i* equals ``np.random.SeedSequence([seed & 0xFFFFFFFF,
+    crcs[i]]).generate_state(4, np.uint64)``: numpy's entropy mix run
+    on uint32 arrays, one column per stream.  The two entropy words and
+    two zero words hash into a 4-word pool.  Each pool word in turn is
+    hashed and mixed into the other three; those three are independent,
+    so they take one array step.  Then 8 words are hashed out of the
+    pool and read as 4 little-endian uint64.
+    """
+    pool = np.zeros((4, len(crcs)), dtype=np.uint32)
+    pool[0] = seed & _MASK32
+    pool[1] = crcs
+    pool = _hash(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        step = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hash(pool[src], _POOL_XOR[step], _POOL_MULT[step])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_seed_sequence() -> type:
+    """A ``SeedSequence`` that hands over given state words.
+
+    ``np.random.PCG64`` seeds itself from ``generate_state(4,
+    np.uint64)``; this one returns the words :func:`_seed_words` made
+    instead of hashing its own.  Defined on first use, because numpy
+    loads ``numpy.random`` lazily and a class statement at import would
+    load it then.
+    """
+
+    class PresetSeedSequence(np.random.SeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            # SeedSequence.__init__ is skipped: it would hash entropy.
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return PresetSeedSequence
 
 
 class CongestionModel:
@@ -136,14 +280,26 @@ class CongestionModel:
         self._flat_cache: Dict[tuple, tuple] = {}
         self._diurnal_cache: Dict[tuple, np.ndarray] = {}
 
-    def _rng(self, key: str) -> np.random.Generator:
-        return np.random.default_rng(
-            [self.seed & 0xFFFFFFFF, zlib.crc32(key.encode("utf-8"))]
-        )
+    def _rngs(self, streams: Sequence[str]) -> List[np.random.Generator]:
+        """One generator per stream, seeded from ``(seed, crc32(stream))``.
+
+        Each equals ``np.random.default_rng([seed & 0xFFFFFFFF, crc])``.
+        Many streams share one :func:`_seed_words` pass.  A lone stream
+        is seeded by ``default_rng`` itself, because the array pass
+        costs more than one numpy seeding.
+        """
+        crcs = [zlib.crc32(stream.encode("utf-8")) for stream in streams]
+        if len(crcs) == 1:
+            return [np.random.default_rng([self.seed & 0xFFFFFFFF, crcs[0]])]
+        preset = _preset_seed_sequence()
+        return [
+            np.random.Generator(np.random.PCG64(preset(words)))
+            for words in _seed_words(self.seed, np.array(crcs, dtype=np.uint32))
+        ]
 
     def _draw_series(
         self,
-        stream: str,
+        rng: np.random.Generator,
         rate_per_day: float,
         mean_duration_hours: float,
         magnitude_median_ms: float,
@@ -152,11 +308,14 @@ class CongestionModel:
         """Poisson-many events over the horizon from one key's stream.
 
         One array draw per attribute; the lexsort gives the order of
-        ``sorted(zip(starts, durations, magnitudes))``.
+        ``sorted(zip(starts, durations, magnitudes))``.  With no events
+        the key's stream is dropped after the count, so every empty
+        series is the shared :data:`_NO_EVENTS`.
         """
         horizon = self.config.horizon_hours
-        rng = self._rng(stream)
         count = int(rng.poisson(rate_per_day * horizon / 24.0))
+        if count == 0:
+            return _NO_EVENTS
         starts = rng.uniform(0.0, horizon, size=count)
         durations = rng.exponential(mean_duration_hours, size=count)
         magnitudes = magnitude_median_ms * np.exp(
@@ -167,14 +326,24 @@ class CongestionModel:
         duration = durations[order]
         return _EventSeries(start, duration, start + duration, magnitudes[order])
 
-    # --- transient events -------------------------------------------------
+    def _draw(self, event_keys: Sequence[str], shift_keys: Sequence[str]) -> None:
+        """Draw and cache the series of every key not drawn yet.
 
-    def _event_series(self, key: str) -> _EventSeries:
-        series = self._events.get(key)
-        if series is None:
-            cfg = self.config
+        The streams are seeded together (:meth:`_rngs`), but each key
+        draws from its own stream, so no series depends on the keys it
+        was drawn with.
+        """
+        events = [key for key in dict.fromkeys(event_keys) if key not in self._events]
+        shifts = [key for key in dict.fromkeys(shift_keys) if key not in self._shifts]
+        if not events and not shifts:
+            return
+        streams = ["events:" + key for key in events]
+        streams += ["shifts:" + key for key in shifts]
+        rngs = iter(self._rngs(streams))
+        cfg = self.config
+        for key in events:
             series = self._events[key] = self._draw_series(
-                "events:" + key,
+                next(rngs),
                 cfg.event_rate_per_day,
                 cfg.event_mean_duration_hours,
                 cfg.event_magnitude_median_ms,
@@ -182,6 +351,42 @@ class CongestionModel:
             )
             counter("netmodel.congestion.entities")
             counter("netmodel.congestion.events", series.start.size)
+        for key in shifts:
+            self._shifts[key] = self._draw_series(
+                next(rngs),
+                SHIFT_RATE_PER_DAY,
+                SHIFT_MEAN_DURATION_HOURS,
+                SHIFT_MAGNITUDE_MEDIAN_MS,
+                SHIFT_MAGNITUDE_SIGMA,
+            )
+
+    def event_and_shift_delays(
+        self,
+        event_keys: Sequence[str],
+        shift_keys: Sequence[str],
+        times_h: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Event and baseline-shift delay of many keys at shared times.
+
+        Returns ``(events, shifts)`` of shapes ``(len(event_keys), T)``
+        and ``(len(shift_keys), T)``, ``T = times_h.size``.  Each row is
+        bit for bit :meth:`event_delay` or :meth:`baseline_shift_delay`
+        of its key, flattened.  The series not drawn yet are drawn from
+        one batch of seed words.
+        """
+        self._draw(event_keys, shift_keys)
+        series = [self._events[key] for key in event_keys]
+        series += [self._shifts[key] for key in shift_keys]
+        delay = _series_delays(series, np.asarray(times_h, dtype=float))
+        return delay[: len(event_keys)], delay[len(event_keys) :]
+
+    # --- transient events -------------------------------------------------
+
+    def _event_series(self, key: str) -> _EventSeries:
+        series = self._events.get(key)
+        if series is None:
+            self._draw((key,), ())
+            series = self._events[key]
         return series
 
     def events(self, key: str) -> List[Tuple[float, float, float]]:
@@ -197,8 +402,9 @@ class CongestionModel:
         Costs one array pass per event that overlaps the span of
         ``times_h``, not per event of the whole horizon.
         """
-        series = self._event_series(key)
-        return _series_delay(series, np.asarray(times_h, dtype=float))
+        times = np.asarray(times_h, dtype=float)
+        delay = _series_delays([self._event_series(key)], times)
+        return delay[0].reshape(times.shape)
 
     def event_delay_batch(
         self, keys: Sequence[str], times_h: np.ndarray
@@ -207,8 +413,10 @@ class CongestionModel:
 
         All events of all keys are located on the (sorted, shared) time
         grid with one ``searchsorted``, scattered into a per-row
-        difference array, and integrated with one ``cumsum`` — no
-        per-key Python.
+        difference array, and integrated with one ``cumsum``.  Per-key
+        Python runs only when a key set is first seen: its uncached
+        series are drawn from one batch of seed words and its events
+        are flattened once, then cached.
 
         Rows agree with :meth:`event_delay` per key up to floating-point
         summation order (overlapping events accumulate via the running
@@ -231,7 +439,8 @@ class CongestionModel:
         token = tuple(keys)
         flat = self._flat_cache.get(token)
         if flat is None:
-            series = [self._event_series(key) for key in keys]
+            self._draw(keys, ())
+            series = [self._events[key] for key in keys]
             flat = (
                 np.repeat(
                     np.arange(len(keys), dtype=np.intp),
@@ -352,13 +561,8 @@ class CongestionModel:
     def _shift_series(self, key: str) -> _EventSeries:
         series = self._shifts.get(key)
         if series is None:
-            series = self._shifts[key] = self._draw_series(
-                "shifts:" + key,
-                SHIFT_RATE_PER_DAY,
-                SHIFT_MEAN_DURATION_HOURS,
-                SHIFT_MAGNITUDE_MEDIAN_MS,
-                SHIFT_MAGNITUDE_SIGMA,
-            )
+            self._draw((), (key,))
+            series = self._shifts[key]
         return series
 
     def baseline_shifts(self, key: str) -> List[Tuple[float, float, float]]:
@@ -374,5 +578,6 @@ class CongestionModel:
 
     def baseline_shift_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
         """Extra delay (ms) from baseline shifts at each time."""
-        series = self._shift_series(key)
-        return _series_delay(series, np.asarray(times_h, dtype=float))
+        times = np.asarray(times_h, dtype=float)
+        delay = _series_delays([self._shift_series(key)], times)
+        return delay[0].reshape(times.shape)

@@ -162,7 +162,10 @@ def trace(
         link = graph.link(current_asn, next_asn)
         allowed: Sequence[City] = link.cities
         if next_asn == origin and table.origin_cities is not None:
-            allowed = [c for c in link.cities if c in table.origin_cities]
+            # By name: names are unique among cities, and a name hashes
+            # far faster than a City.
+            names = {c.name for c in table.origin_cities}
+            allowed = [c for c in link.cities if c.name in names]
             if not allowed:
                 raise RoutingError(
                     f"link {current_asn}-{next_asn} has no interconnect at "

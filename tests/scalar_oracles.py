@@ -1,12 +1,12 @@
 """The original scalar loops, kept as test oracles.
 
 Synthesis, episode extraction, catchment geometry, redirection
-training, the cloudtiers campaign, congestion-delay lookups,
-nearest-PoP lookups and city-pair distances each run one batched,
-pruned or memoised implementation.  This module keeps the per-item
-loops they replaced, so ``tests/test_lane_agreement.py`` can check each
-against an independent implementation of the same computation, as
-:mod:`bgp_oracle` does for propagation.
+training, the beacon and cloudtiers campaigns, congestion-delay
+lookups, nearest-PoP lookups and city-pair distances each run one
+batched, pruned or memoised implementation.  This module keeps the
+per-item loops they replaced, so ``tests/test_lane_agreement.py`` can
+check each against an independent implementation of the same
+computation, as :mod:`bgp_oracle` does for propagation.
 
 Where the batched code is one step inside a public entry point (the
 synthesis lane, the catchment geometry, the event-delay kernel, the
@@ -28,12 +28,15 @@ import repro.edgefabric.sampler as sampler_module
 import repro.netmodel.congestion as congestion_module
 from repro.cdn.deployment import CdnDeployment
 from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
-from repro.cdn.measurement import BeaconDataset
+from repro.cdn.measurement import BeaconConfig, BeaconDataset
 from repro.cloudtiers import SpeedcheckerPlatform
 from repro.edgefabric.episodes import Episode, EpisodeStudyResult
+from repro.errors import MeasurementError, RoutingError
 from repro.geo import City, CityDistanceCache, GeoPoint, great_circle_km
+from repro.netmodel import CongestionModel
 from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
 from repro.topology import PointOfPresence, PrivateWan
+from repro.workloads import ClientPrefix
 
 # --- edgefabric synthesis --------------------------------------------------
 
@@ -278,6 +281,112 @@ class PerRoundPingPlatform(SpeedcheckerPlatform):
         return np.array([r.rtts_ms for r in rounds])
 
 
+# --- cdn beacon campaign ---------------------------------------------------
+
+
+def run_beacon_campaign_reference(
+    deployment: CdnDeployment,
+    prefixes: Sequence[ClientPrefix],
+    config: Optional[BeaconConfig] = None,
+) -> BeaconDataset:
+    """:func:`repro.cdn.measurement.run_beacon_campaign`, one target at a
+    time: every path key is seeded and priced on its own, and each
+    target draws its own noise."""
+    cfg = config or BeaconConfig()
+    if not prefixes:
+        raise MeasurementError("no client prefixes")
+    rng = np.random.default_rng(cfg.seed)
+    congestion = CongestionModel(cfg.seed, cfg.congestion_config())
+    horizon = cfg.days * 24.0
+
+    kept: List[ClientPrefix] = []
+    catchments: List[str] = []
+    fe_codes: List[Tuple[str, ...]] = []
+    base_any: List[float] = []
+    base_uni: List[List[float]] = []
+    path_keys: List[Tuple[str, List[str]]] = []
+    for prefix in prefixes:
+        try:
+            any_path = deployment.anycast_path(prefix)
+        except RoutingError:
+            continue
+        catchment = deployment.internet.wan.nearest_pop(
+            any_path.ingress_city.location
+        )
+        ordered = deployment.nearby_front_ends(prefix, len(deployment.front_ends))
+        codes = [catchment.code] + [
+            p.code for p in ordered if p.code != catchment.code
+        ]
+        uni_bases: List[float] = []
+        uni_keys: List[str] = []
+        for code in codes:
+            path = deployment.unicast_path(prefix, code)
+            if path is None:
+                uni_bases.append(float("nan"))
+            else:
+                uni_bases.append(2.0 * path.one_way_ms)
+            uni_keys.append(f"cdnpath:{prefix.pid}->{code}")
+        kept.append(prefix)
+        catchments.append(catchment.code)
+        fe_codes.append(tuple(codes))
+        base_any.append(2.0 * any_path.one_way_ms)
+        base_uni.append(uni_bases)
+        path_keys.append((f"cdnpath:{prefix.pid}->anycast", uni_keys))
+    if not kept:
+        raise MeasurementError("no prefix could reach the anycast prefix")
+
+    n_p = len(kept)
+    n_r = cfg.requests_per_prefix
+    k = len(deployment.front_ends)
+    times = np.empty((n_p, n_r))
+    anycast_rtt = np.empty((n_p, n_r))
+    unicast_rtt = np.full((n_p, n_r, k), np.nan)
+    lo, hi = cfg.last_mile_ms_range
+    for i, prefix in enumerate(kept):
+        t = np.sort(rng.uniform(0.0, horizon, size=n_r))
+        times[i] = t
+        last_mile = float(rng.uniform(lo, hi))
+        shared = (
+            last_mile
+            + congestion.shared_delay(f"dest:{prefix.pid}", prefix.city.location.lon, t)
+            + rng.exponential(cfg.rtt_noise_ms, size=n_r)
+        )
+        any_key, uni_keys = path_keys[i]
+        anycast_rtt[i] = (
+            base_any[i]
+            + shared
+            + congestion.link_delay(any_key, t)
+            + congestion.baseline_shift_delay(any_key, t)
+            + rng.exponential(cfg.rtt_noise_ms, size=n_r)
+        )
+        for j, code in enumerate(fe_codes[i]):
+            base = base_uni[i][j]
+            if np.isnan(base):
+                continue
+            unicast_rtt[i, :, j] = (
+                base
+                + shared
+                + congestion.link_delay(uni_keys[j], t)
+                + congestion.baseline_shift_delay(uni_keys[j], t)
+                + rng.exponential(cfg.rtt_noise_ms, size=n_r)
+            )
+    if cfg.drain is not None:
+        for i in range(n_p):
+            for j, code in enumerate(fe_codes[i]):
+                mask = cfg.drain.drained_mask(code, times[i])
+                if mask.any():
+                    unicast_rtt[i, mask, j] = np.nan
+    return BeaconDataset(
+        prefixes=kept,
+        catchments=catchments,
+        fe_codes=fe_codes,
+        times_h=times,
+        anycast_rtt=anycast_rtt,
+        unicast_rtt=unicast_rtt,
+        n_nearby=cfg.nearby_front_ends,
+    )
+
+
 # --- congestion delay lookups ----------------------------------------------
 
 
@@ -293,15 +402,21 @@ def scan_events(events, times_h) -> np.ndarray:
     return delay
 
 
+def _scan_series(series, times) -> np.ndarray:
+    """``_series_delays`` by one full :func:`scan_events` per row."""
+    flat = np.asarray(times, dtype=float).ravel()
+    delay = np.zeros((len(series), flat.size))
+    for row, one in zip(delay, series):
+        row[:] = scan_events(one.as_list(), flat)
+    return delay
+
+
 def full_event_scans():
-    """Inside the block, ``event_delay`` and ``baseline_shift_delay``
-    scan every event of the key's series instead of only the events
-    near the queried times."""
-    return mock.patch.object(
-        congestion_module,
-        "_series_delay",
-        lambda series, times: scan_events(series.as_list(), times),
-    )
+    """Inside the block, every event and baseline-shift lookup —
+    ``event_delay``, ``baseline_shift_delay`` and the rows of
+    ``event_and_shift_delays`` — scans every event of the key's series,
+    row by row, instead of only the events near the queried times."""
+    return mock.patch.object(congestion_module, "_series_delays", _scan_series)
 
 
 # --- nearest PoP -----------------------------------------------------------

@@ -35,6 +35,27 @@ class TestConfigValidation:
         with pytest.raises(MeasurementError):
             BeaconConfig(requests_per_prefix=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("days", float("nan")),
+            ("days", float("inf")),
+            ("rtt_noise_ms", -1.0),
+            ("rtt_noise_ms", float("nan")),
+            ("rtt_noise_ms", float("inf")),
+            ("last_mile_ms_range", (10.0, 2.0)),
+            ("last_mile_ms_range", (-1.0, 5.0)),
+            ("last_mile_ms_range", (float("nan"), 5.0)),
+            ("last_mile_ms_range", (2.0, float("inf"))),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(MeasurementError, match=field):
+            BeaconConfig(**{field: value})
+
+    def test_zero_noise_stays_legal(self):
+        BeaconConfig(rtt_noise_ms=0.0, last_mile_ms_range=(0.0, 0.0))
+
     def test_congestion_sized_to_horizon(self):
         cfg = BeaconConfig(days=2.5)
         assert cfg.congestion_config().horizon_hours == pytest.approx(60.0)

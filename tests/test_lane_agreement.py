@@ -5,8 +5,9 @@
   computation is deterministic or consumes the same RNG stream
   positions: episode extraction, CDN redirection training, the
   cloudtiers campaign, edgefabric CI half-widths, topology generation,
-  congestion-delay lookups, and the beacon and cloudtiers campaigns
-  with every event scanned and no geometry memoised.
+  congestion-delay lookups, the beacon campaign against its
+  per-target loop, and the beacon and cloudtiers campaigns with every
+  event scanned and no geometry memoised.
   **Documented tolerance** where the batched code reorders
   floating-point work (catchment distances: numpy vs ``math`` trig
   round-off) or batches RNG draws (edgefabric medians: same noise
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from scalar_oracles import (
     full_event_scans,
     per_pair_synthesis,
     per_prefix_catchment_geometry,
+    run_beacon_campaign_reference,
     scan_events,
     train_redirection_reference,
     uncached_distances,
@@ -65,6 +68,7 @@ from repro.cloudtiers import (
     run_campaign,
 )
 from repro.edgefabric.analysis import bgp_vs_best_alternate
+from repro.faults import FrontEndDrain
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.routes import tables_for_destinations
@@ -285,9 +289,10 @@ def _edges(events):
 
 
 class TestCongestionLookupLanes:
-    """``event_delay`` and ``baseline_shift_delay`` visit only the
-    events that overlap the queried times; scanning every event of the
-    horizon, in order, must give the same bits."""
+    """``event_delay``, ``baseline_shift_delay`` and the rows of
+    ``event_and_shift_delays`` visit only the events that overlap the
+    queried times; scanning every event of the horizon, in order, must
+    give the same bits."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -354,6 +359,41 @@ class TestCongestionLookupLanes:
             model.baseline_shift_delay(key, times), scan_events(shifts, times)
         )
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        horizon=st.sampled_from([24.0, 240.0, 2400.0]),
+        keys=st.lists(
+            st.text(alphabet="abcdef:0123456789", max_size=12),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_equal_full_scan(self, seed, horizon, keys, data):
+        """Every row of ``event_and_shift_delays`` is the full scan of
+        its key's series, drawn one key at a time; at a 24 h horizon
+        most shift series and some event series are empty."""
+        config = dataclasses.replace(SCAN_CONFIG, horizon_hours=horizon)
+        lone = CongestionModel(seed, config)
+        events = [lone.events(key) for key in keys]
+        shift_keys = data.draw(st.lists(st.sampled_from(keys), max_size=40))
+        shifts = [lone.baseline_shifts(key) for key in shift_keys]
+        special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, horizon])
+        point = st.one_of(st.floats(min_value=-100.0, max_value=horizon + 100), special)
+        edges = _edges([e for series in events + shifts for e in series])
+        if edges:
+            point = st.one_of(point, st.sampled_from(edges))
+        times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        block = CongestionModel(seed, config)
+        event_rows, shift_rows = block.event_and_shift_delays(keys, shift_keys, times)
+        assert event_rows.shape == (len(keys), times.size)
+        assert shift_rows.shape == (len(shift_keys), times.size)
+        for row, series in zip(event_rows, events):
+            assert_same_bits(row, scan_events(series, times))
+        for row, series in zip(shift_rows, shifts):
+            assert_same_bits(row, scan_events(series, times))
+
 
 @contextlib.contextmanager
 def reference_lookups():
@@ -367,6 +407,20 @@ def _world(seed):
     """A fresh small Internet and its clients: cold memos on each side."""
     internet = build_internet(dataclasses.replace(small_topology_config(), seed=seed))
     return internet, small_client_prefixes(internet)
+
+
+def _cut_unicast_paths(deployment: CdnDeployment, isolated_pid: str) -> None:
+    """Make a third of the (prefix, front-end) pairs, and every
+    front-end of one prefix, unreachable by unicast."""
+    unicast_path = deployment.unicast_path
+
+    def cut(prefix, code):
+        pair = f"{prefix.pid}->{code}".encode()
+        if prefix.pid == isolated_pid or zlib.crc32(pair) % 3 == 0:
+            return None
+        return unicast_path(prefix, code)
+
+    deployment.unicast_path = cut
 
 
 class TestProbePricingLanes:
@@ -388,6 +442,35 @@ class TestProbePricingLanes:
             assert np.array_equal(
                 getattr(memoised, name), getattr(reference, name), equal_nan=True
             ), name
+
+    @pytest.mark.parametrize("case", ["seed-7", "seed-8", "drain", "unreachable"])
+    def test_beacon_campaign_equals_per_target_oracle(self, case):
+        """The per-prefix blocks (batch-seeded streams, one pricing
+        kernel pass, one noise draw) give exactly the output of seeding,
+        pricing and drawing noise one target at a time."""
+        seed = 8 if case == "seed-8" else 7
+        cfg = BeaconConfig(days=3.0, requests_per_prefix=16, seed=seed)
+        if case == "drain":
+            cfg = dataclasses.replace(
+                cfg, drain=FrontEndDrain(daily_rate=0.5, seed=seed)
+            )
+        results = []
+        for campaign in (run_beacon_campaign_reference, run_beacon_campaign):
+            internet, prefixes = _world(seed)
+            deployment = CdnDeployment(internet)
+            if case == "unreachable":
+                _cut_unicast_paths(deployment, prefixes[0].pid)
+            results.append(campaign(deployment, prefixes, cfg))
+        reference, blocked = results
+        assert blocked.prefixes == reference.prefixes
+        assert blocked.catchments == reference.catchments
+        assert blocked.fe_codes == reference.fe_codes
+        for name in ("times_h", "anycast_rtt", "unicast_rtt"):
+            assert np.array_equal(
+                getattr(blocked, name), getattr(reference, name), equal_nan=True
+            ), name
+        if case in ("drain", "unreachable"):
+            assert np.isnan(blocked.unicast_rtt).any()
 
     @pytest.mark.parametrize("seed", (7, 8))
     def test_cloudtiers_campaign_bit_identical(self, seed):

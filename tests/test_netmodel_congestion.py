@@ -1,10 +1,18 @@
 """Tests for the congestion model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import MeasurementError
 from repro.netmodel import CongestionConfig, CongestionModel
+from repro.netmodel.congestion import _seed_words
+
+U32_MAX = 2**32 - 1
 
 
 @pytest.fixture
@@ -24,6 +32,34 @@ class TestConfigValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(MeasurementError):
             CongestionConfig(horizon_hours=24.0, event_rate_per_day=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon_hours", float("nan")),
+            ("horizon_hours", float("inf")),
+            ("diurnal_peak_ms", float("inf")),
+            ("diurnal_peak_hour", float("nan")),
+            ("event_rate_per_day", float("nan")),
+            ("event_rate_per_day", float("inf")),
+            ("event_mean_duration_hours", float("inf")),
+            ("event_magnitude_median_ms", float("nan")),
+            ("event_magnitude_sigma", -1.0),
+            ("event_magnitude_sigma", float("nan")),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(MeasurementError, match=field):
+            CongestionConfig(**{"horizon_hours": 24.0, field: value})
+
+    def test_zero_rates_and_spreads_stay_legal(self):
+        CongestionConfig(
+            horizon_hours=24.0,
+            diurnal_peak_ms=0.0,
+            event_rate_per_day=0.0,
+            event_magnitude_median_ms=0.0,
+            event_magnitude_sigma=0.0,
+        )
 
 
 class TestEvents:
@@ -184,3 +220,77 @@ class TestBatchKernels:
             np.testing.assert_allclose(
                 batch[row], model.link_delay(key, times), atol=1e-9
             )
+
+
+#: Keys whose utf-8 is empty after the stream prefix, or not ASCII.
+ODD_KEYS = ["", "café", "東京:リンク", "dest:p-1"]
+
+
+class TestBatchSeeding:
+    """Streams seeded in a batch are the ones ``default_rng`` seeds."""
+
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 1, U32_MAX, U32_MAX + 1, 2**40 + 3, -1, -(2**33)]),
+            st.integers(min_value=-(2**64), max_value=2**64),
+        ),
+        crcs=st.lists(
+            st.one_of(st.sampled_from([0, U32_MAX]), st.integers(0, U32_MAX)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_seed_words_equal_numpy(self, seed, crcs):
+        words = _seed_words(seed, np.array(crcs, dtype=np.uint32))
+        assert words.dtype == np.uint64
+        assert words.shape == (len(crcs), 4)
+        for row, crc in zip(words, crcs):
+            expected = np.random.SeedSequence([seed & U32_MAX, crc]).generate_state(
+                4, np.uint64
+            )
+            assert row.tobytes() == expected.tobytes()
+
+    @given(
+        seed=st.integers(min_value=-(2**40), max_value=2**40),
+        keys=st.lists(
+            st.one_of(st.sampled_from(ODD_KEYS), st.text(max_size=8)),
+            min_size=1,
+            max_size=10,
+        ),
+        lone_first=st.lists(st.sampled_from(ODD_KEYS + ["solo"]), max_size=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batch_draws_equal_lone_draws(self, seed, keys, lone_first):
+        """Each key's series is the same whether it is drawn alone or in
+        a batch, and whichever of the two draws it first."""
+        config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=2.0)
+        lone = CongestionModel(seed, config)
+        mixed = CongestionModel(seed, config)
+        for key in lone_first:
+            mixed.events(key)
+            mixed.baseline_shifts(key)
+        mixed.event_and_shift_delays(keys, keys[::-1], np.array([12.0]))
+        for key in keys + lone_first:
+            assert mixed.events(key) == lone.events(key)
+            assert mixed.baseline_shifts(key) == lone.baseline_shifts(key)
+
+    def test_counters_tally_drawn_event_keys(self):
+        model = CongestionModel(4, CongestionConfig(horizon_hours=72.0))
+        times = np.linspace(0.0, 72.0, 50)
+        paths = [f"cdnpath:p1->fe{i}" for i in range(20)]
+        with obs.capture() as captured:
+            model.event_and_shift_delays(["dest:p1"] + paths, paths, times)
+            model.event_and_shift_delays(["dest:p1", "x", "x"], paths[:3], times)
+            model.event_delay("lone", times)
+            model.event_delay_batch(["lone", "a", "b", "a"], times)
+            model.baseline_shift_delay("shift-only", times)
+        totals = Counter()
+        for event in captured.events:
+            if event["kind"] == "counter":
+                totals[event["name"]] += event["value"]
+        drawn = ["dest:p1", *paths, "x", "lone", "a", "b"]
+        assert totals["netmodel.congestion.entities"] == len(drawn)
+        assert totals["netmodel.congestion.events"] == sum(
+            len(model.events(key)) for key in drawn
+        )

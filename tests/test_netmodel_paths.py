@@ -1,5 +1,7 @@
 """Tests for geographic forwarding traces."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RoutingError
@@ -125,6 +127,14 @@ class TestAnycastSemantics:
         )
         path = trace(toy_graph, table, E1, CHI)
         assert path.ingress_city == LON
+
+    def test_last_link_without_announcement_city_raises(self, toy_graph):
+        # The route arrives over a New York/London link; Frankfurt is on
+        # neither end of it.
+        table = propagate(toy_graph, PROVIDER, origin_cities=frozenset({LON}))
+        elsewhere = dataclasses.replace(table, origin_cities=frozenset({FRA}))
+        with pytest.raises(RoutingError, match="announcement city"):
+            trace(toy_graph, elsewhere, E1, CHI)
 
 
 class TestWanTerminalSegment:
