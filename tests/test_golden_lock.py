@@ -4,9 +4,10 @@ Topology generation, propagation, episode extraction, catchment
 geometry, redirection training, the cloudtiers campaign, edgefabric
 synthesis, the session-stream ingest and the event-driven routing
 scenarios each have one implementation.
-This module pins their output on small fixed worlds against a
-recording in ``tests/data/golden_lock.json``, so a refactor that
-changes any of it fails tier-1 and names what moved.
+This module pins their output on small fixed worlds, plus two
+full-size topologies, against a recording in
+``tests/data/golden_lock.json``, so a refactor that changes any of it
+fails tier-1 and names what moved.
 
 Each recorded *entry* is one named piece of output, split in two:
 
@@ -62,7 +63,7 @@ from repro.cloudtiers import (
     SpeedcheckerPlatform,
     run_campaign,
 )
-from repro.core.configs import cdn_topology, edgefabric_topology
+from repro.core.configs import cdn_topology, cloud_topology, edgefabric_topology
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.sampler import (
     MeasurementConfig,
@@ -200,6 +201,19 @@ def compute_outputs() -> Dict[str, Any]:
         out[f"topology/{label}/ases"] = doc.pop("ases")
         out[f"topology/{label}/links"] = doc.pop("links")
         out[f"topology/{label}/network"] = doc
+    # Two full-size worlds as the studies build them.  internet_to_dict
+    # omits each AS's neighbour order, which neighbors(), customers() and
+    # the generator's re-wire step read, so it is locked on its own.
+    for label, config in (("cdn-0", cdn_topology(0)), ("cloud-0", cloud_topology(0))):
+        world = build_internet(config)
+        doc = internet_to_dict(world)
+        out[f"topology/{label}/ases"] = doc.pop("ases")
+        out[f"topology/{label}/links"] = doc.pop("links")
+        out[f"topology/{label}/network"] = doc
+        out[f"topology/{label}/adjacency"] = [
+            [asys.asn, world.graph.neighbors(asys.asn)]
+            for asys in world.graph.ases()
+        ]
 
     internet = build_internet(small_topology_config())
     prefixes = small_client_prefixes(internet)
