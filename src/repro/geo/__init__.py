@@ -15,6 +15,7 @@ from repro.geo.coords import (
     FIBER_KM_PER_MS,
 )
 from repro.geo.cities import (
+    CITY_DISTANCES,
     City,
     CityDistanceCache,
     WORLD_CITIES,
@@ -38,6 +39,7 @@ __all__ = [
     "FIBER_KM_PER_MS",
     "City",
     "CityDistanceCache",
+    "CITY_DISTANCES",
     "WORLD_CITIES",
     "cities_by_country",
     "city_named",

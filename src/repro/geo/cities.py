@@ -35,6 +35,12 @@ class City:
     location: GeoPoint
     population_m: float
 
+    def __hash__(self) -> int:
+        # Names are unique in the dataset (checked below), so equal
+        # cities hash alike; a str caches its hash, while the generated
+        # dataclass hash would rehash every field and the GeoPoint.
+        return hash(self.name)
+
     @property
     def region(self) -> Region:
         """Continental region of the city's country."""
@@ -322,10 +328,10 @@ class CityDistanceCache:
     distance-sorted tie-breaks.
 
     Keys are city names, which are unique in :data:`WORLD_CITIES` and
-    whose string hashes Python caches, so a pickled or copied owner
-    carries keys that stay valid.  Haversine is bitwise symmetric
+    whose string hashes Python caches.  Haversine is bitwise symmetric
     (``sin(-x)**2 == sin(x)**2`` and float multiplication commutes), so
-    one canonical key per unordered pair halves the cache.
+    one canonical key per unordered pair halves the cache, and the value
+    stored is the same whichever argument order asks first.
     """
 
     __slots__ = ("_km",)
@@ -341,3 +347,11 @@ class CityDistanceCache:
         if d is None:
             d = self._km[key] = great_circle_km(a.location, b.location)
         return d
+
+
+#: The process's one city-pair distance memo.  Distances depend only on
+#: the fixed dataset, so the generator, topology serialization and
+#: forwarding traces all share it.  It holds at most one entry per
+#: unordered pair of :data:`WORLD_CITIES`, a city with itself included:
+#: 23,653 for the 217 cities.
+CITY_DISTANCES = CityDistanceCache()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
-from repro.geo import City, CityDistanceCache, propagation_one_way_ms
+from repro.geo import CITY_DISTANCES, City, propagation_one_way_ms
 from repro.topology import ASGraph, ExitPolicy, PrivateWan
 from repro.bgp.propagation import RoutingTable
 
@@ -87,14 +87,13 @@ def _choose_exit(
     policy: ExitPolicy,
     entry: City,
     dest: Optional[City],
-    km: CityDistanceCache,
 ) -> City:
     """Pick the interconnect city per the carrying AS's exit policy."""
     if policy is ExitPolicy.LATE and dest is not None:
         reference = dest
     else:
         reference = entry
-    return min(allowed, key=lambda c: (km(reference, c), c.name))
+    return min(allowed, key=lambda c: (CITY_DISTANCES(reference, c), c.name))
 
 
 def trace(
@@ -136,7 +135,7 @@ def trace(
             ``via_neighbor`` override does not export the prefix.
     """
     origin = table.origin
-    km = graph.city_distances()
+    km = CITY_DISTANCES
     segments: List[Segment] = []
     as_path: List[int] = [src_asn]
     current_asn = src_asn
@@ -180,9 +179,7 @@ def trace(
                 )
             exit_city = first_exit_city
         else:
-            exit_city = _choose_exit(
-                allowed, asys.exit_policy, current_city, dest_city, km
-            )
+            exit_city = _choose_exit(allowed, asys.exit_policy, current_city, dest_city)
         carry_km = km(current_city, exit_city)
         if carry_km > 0.0:
             ms = propagation_one_way_ms(carry_km, asys.backbone_inflation)

@@ -14,13 +14,14 @@ geography is what turns an AS-level path into a latency.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geo import City, CityDistanceCache
+from repro.geo import City
 
 #: Relationship codes in a :class:`CsrAdjacency`, from the owning node's
 #: perspective: the neighbor is my customer / my peer / my provider.
@@ -96,9 +97,12 @@ class AutonomousSystem:
             raise TopologyError(f"ASN must be positive, got {self.asn}")
         if not self.cities:
             raise TopologyError(f"AS {self.asn} must have at least one city")
-        if self.backbone_inflation < 1.0:
+        if not (
+            math.isfinite(self.backbone_inflation) and self.backbone_inflation >= 1.0
+        ):
             raise TopologyError(
-                f"backbone_inflation must be >= 1, got {self.backbone_inflation}"
+                "backbone_inflation must be finite and >= 1, got "
+                f"{self.backbone_inflation}"
             )
         if self.user_weight < 0:
             raise TopologyError(
@@ -308,9 +312,6 @@ class ASGraph:
     _csr: Optional[CsrAdjacency] = field(
         default=None, repr=False, compare=False
     )
-    _distances: CityDistanceCache = field(
-        default_factory=CityDistanceCache, repr=False, compare=False
-    )
 
     # --- construction -------------------------------------------------
 
@@ -428,15 +429,6 @@ class ASGraph:
             self._csr = self._build_csr()
         return self._csr
 
-    def city_distances(self) -> CityDistanceCache:
-        """The graph's city-pair distance memo, filled as it is used.
-
-        Forwarding traces take every geodesic distance from it.  City
-        distances do not depend on the links, so mutations leave it
-        valid.
-        """
-        return self._distances
-
     def _build_csr(self) -> CsrAdjacency:
         asns_sorted = sorted(self._ases)
         index = {asn: i for i, asn in enumerate(asns_sorted)}
@@ -486,14 +478,24 @@ class ASGraph:
         transitively its own provider), which Gao-Rexford stability relies
         on.
         """
+        # One pass over the links gives each AS's provider count and its
+        # customers in neighbour order (links and adjacency lists share
+        # insertion order).
+        in_degree = dict.fromkeys(self._ases, 0)
+        customers: Dict[int, List[int]] = {asn: [] for asn in self._ases}
+        for link in self._links.values():
+            if link.relationship is Relationship.CUSTOMER:
+                customer = link.customer_asn
+                provider = link.b if customer == link.a else link.a
+                in_degree[customer] += 1
+                customers[provider].append(customer)
         # Kahn's algorithm on the provider -> customer DAG.
-        in_degree = {asn: len(self.providers(asn)) for asn in self._ases}
         queue = [asn for asn, deg in in_degree.items() if deg == 0]
         seen = 0
         while queue:
             current = queue.pop()
             seen += 1
-            for customer in self.customers(current):
+            for customer in customers[current]:
                 in_degree[customer] -= 1
                 if in_degree[customer] == 0:
                     queue.append(customer)

@@ -17,18 +17,21 @@ The construction is deterministic given the seed in
 from __future__ import annotations
 
 import logging
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.obs.trace import gauge, traced
 from repro.geo import (
+    CITY_DISTANCES,
     City,
-    CityDistanceCache,
     Region,
     WORLD_CITIES,
+    cities_by_country,
     city_named,
 )
 from repro.topology.asgraph import (
@@ -360,6 +363,20 @@ class TopologyConfig:
     wan_inflation: float = 1.08
 
     def __post_init__(self) -> None:
+        for name in (
+            "seed",
+            "n_tier1",
+            "n_transit",
+            "n_eyeball",
+            "provider_transit_count",
+        ):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TopologyError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.seed < 0:
             raise TopologyError(f"seed must be >= 0, got {self.seed}")
         if self.n_tier1 < 1:
@@ -368,6 +385,20 @@ class TopologyConfig:
             raise TopologyError("need at least one transit")
         if self.n_eyeball < 1:
             raise TopologyError("need at least one eyeball")
+        if self.provider_transit_count < 0:
+            raise TopologyError(
+                "provider_transit_count must be >= 0, got "
+                f"{self.provider_transit_count}"
+            )
+        for name in (
+            "tier1_inflation",
+            "transit_inflation",
+            "eyeball_inflation",
+            "wan_inflation",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise TopologyError(f"{name} must be finite and >= 1, got {value}")
         codes = [code for code, _ in self.pop_cities]
         if len(set(codes)) != len(codes):
             raise TopologyError("duplicate PoP codes in pop_cities")
@@ -432,24 +463,29 @@ class Internet:
         ]
 
 
-def _regional_cities(region: Region) -> List[City]:
-    return [c for c in WORLD_CITIES if c.region is region]
+# The generator's fixed city tables, built once from the dataset in its
+# order: every build draws its footprints from them.
+_REGION_CITIES: Dict[Region, Tuple[City, ...]] = {
+    region: tuple(c for c in WORLD_CITIES if c.region is region)
+    for region in Region
+}
+_COUNTRIES: List[str] = sorted({c.country for c in WORLD_CITIES})
+_COUNTRY_CITIES: Dict[str, List[City]] = {
+    country: cities_by_country(country) for country in _COUNTRIES
+}
+_COUNTRY_POP: Dict[str, float] = {
+    country: sum(c.population_m for c in _COUNTRY_CITIES[country])
+    for country in _COUNTRIES
+}
+_TOTAL_POP = sum(_COUNTRY_POP.values())
 
 
-#: City-pair distance function threaded through the generator helpers.
-DistanceFn = Callable[[City, City], float]
-
-
-def _nearest_pop_cities(
-    home: City, pop_cities: Sequence[City], k: int, km: DistanceFn
-) -> List[City]:
-    ranked = sorted(pop_cities, key=lambda c: km(home, c))
+def _nearest_pop_cities(home: City, pop_cities: Sequence[City], k: int) -> List[City]:
+    ranked = sorted(pop_cities, key=lambda c: CITY_DISTANCES(home, c))
     return ranked[:k]
 
 
-def _nearest_mesh(
-    pops: Sequence[PointOfPresence], km: DistanceFn, k: int = 3
-) -> List[Tuple[str, str]]:
+def _nearest_mesh(pops: Sequence[PointOfPresence], k: int = 3) -> List[Tuple[str, str]]:
     """Fallback backbone for custom PoP sets: k-nearest plus a chain.
 
     The chain (in construction order) guarantees connectivity; the
@@ -459,7 +495,7 @@ def _nearest_mesh(
     for i, pop in enumerate(pops):
         ranked = sorted(
             (p for p in pops if p.code != pop.code),
-            key=lambda p: km(pop.city, p.city),
+            key=lambda p: CITY_DISTANCES(pop.city, p.city),
         )
         for other in ranked[:k]:
             edges.add(tuple(sorted((pop.code, other.code))))
@@ -475,17 +511,18 @@ def build_internet(
     """Build a synthetic Internet from ``config`` (defaults when omitted).
 
     The result is deterministic for a given configuration.  City-pair
-    distances and per-region intermediate lists are memoized: the
-    construction re-ranks the same small city universe thousands of
-    times.  ``fast`` is accepted and ignored: the benchmark harness in
-    ``perfbench/`` still passes it.
+    distances come from the process's one memo
+    (:data:`repro.geo.CITY_DISTANCES`), and per-region intermediate
+    lists are memoized per build: the construction re-ranks the same
+    small city universe thousands of times.  ``fast`` is accepted and
+    ignored: the benchmark harness in ``perfbench/`` still passes it.
     """
     cfg = config or TopologyConfig()
     rng = np.random.default_rng(cfg.seed)
     graph = ASGraph()
-    # A local memo, not the graph's: the generator's pairs are not the
-    # ones traces ask for, so handing them on would only hold memory.
-    km: DistanceFn = CityDistanceCache()
+    km = CITY_DISTANCES
+    # Memo: each AS's footprint as a set, for _shared_cities.
+    city_sets: Dict[int, Set[City]] = {}
 
     pop_cities = [
         PointOfPresence(code, city_named(name)) for code, name in cfg.pop_cities
@@ -496,7 +533,7 @@ def build_internet(
     elif cfg.pop_cities == DEFAULT_POP_CITIES:
         backbone = list(DEFAULT_WAN_BACKBONE)
     else:
-        backbone = _nearest_mesh(pop_cities, km)
+        backbone = _nearest_mesh(pop_cities)
     wan = PrivateWan(pop_cities, backbone, inflation=cfg.wan_inflation)
 
     ixp_cities = tuple(city_named(n) for n in cfg.ixp_city_names)
@@ -523,7 +560,7 @@ def build_internet(
         # present in all major metros) plus a few extra cities per region.
         footprint: List[City] = list(ixp_cities)
         for region in all_regions:
-            candidates = _regional_cities(region)
+            candidates = _REGION_CITIES[region]
             take = min(len(candidates), int(rng.integers(2, 5)))
             picks = rng.choice(len(candidates), size=take, replace=False)
             footprint.extend(candidates[j] for j in sorted(picks))
@@ -542,7 +579,7 @@ def build_internet(
     for i, x in enumerate(tier1_asns):
         for y in tier1_asns[i + 1 :]:
             # Tier-1s interconnect at every shared hub worldwide.
-            shared = _shared_cities(graph, x, y, rng, fallback=3, cap=None, km=km)
+            shared = _shared_cities(graph, x, y, rng, city_sets, fallback=3, cap=None)
             graph.add_link(
                 link_between(
                     x,
@@ -566,7 +603,7 @@ def build_internet(
     for i in range(cfg.n_transit):
         asn = TRANSIT_ASN_BASE + i
         region = region_cycle[i]
-        candidates = _regional_cities(region)
+        candidates = _REGION_CITIES[region]
         # A transit is a geographically coherent cluster: a home city,
         # the nearest regional cities around it, and the nearest exchange
         # hubs.  Regions are continent-sized, so random sampling across a
@@ -579,7 +616,7 @@ def build_internet(
         region_seen[region] = nth + 1
         homes = homes_memo.get(region)
         if homes is None:
-            homes = homes_memo[region] = _spread_homes(candidates, km)
+            homes = homes_memo[region] = _spread_homes(candidates)
         home = homes[nth % len(homes)]
         take = min(len(candidates), int(rng.integers(3, 7)))
         memo_key = (region, home.name)
@@ -612,7 +649,7 @@ def build_internet(
         ups = rng.choice(len(tier1_asns), size=min(n_up, len(tier1_asns)), replace=False)
         for u in sorted(ups):
             t1 = tier1_asns[u]
-            shared = _shared_cities(graph, asn, t1, rng, fallback=2, cap=8, km=km)
+            shared = _shared_cities(graph, asn, t1, rng, city_sets, fallback=2, cap=8)
             graph.add_link(
                 link_between(
                     asn,
@@ -630,10 +667,9 @@ def build_internet(
                 continue
             if rng.random() >= cfg.transit_mesh_prob:
                 continue
+            y_cities = set(graph.get(y).cities)
             shared_ixps = [
-                c
-                for c in graph.get(x).cities
-                if c in ixp_set and c in set(graph.get(y).cities)
+                c for c in graph.get(x).cities if c in ixp_set and c in y_cities
             ]
             if not shared_ixps:
                 continue
@@ -649,16 +685,10 @@ def build_internet(
             )
 
     # --- eyeballs -----------------------------------------------------------
-    countries = sorted({c.country for c in WORLD_CITIES})
-    country_pop = {
-        country: sum(c.population_m for c in WORLD_CITIES if c.country == country)
-        for country in countries
-    }
-    total_pop = sum(country_pop.values())
     # Allocate eyeball counts per country proportionally, at least one each.
     alloc = {
-        country: max(1, round(cfg.n_eyeball * country_pop[country] / total_pop))
-        for country in countries
+        country: max(1, round(cfg.n_eyeball * _COUNTRY_POP[country] / _TOTAL_POP))
+        for country in _COUNTRIES
     }
     eyeball_asns: List[int] = []
     asn = EYEBALL_ASN_BASE
@@ -667,8 +697,8 @@ def build_internet(
     # touches tier1 links), and eyeballs in one country share home
     # cities, so the ranking is pure in the home city.
     transit_rank_memo: Dict[int, List[int]] = {}
-    for country in countries:
-        cities = [c for c in WORLD_CITIES if c.country == country]
+    for country in _COUNTRIES:
+        cities = _COUNTRY_CITIES[country]
         for j in range(alloc[country]):
             take = min(len(cities), int(rng.integers(1, 4)))
             picks = rng.choice(len(cities), size=take, replace=False)
@@ -677,7 +707,7 @@ def build_internet(
             # population (footprint size is about *where* the users are,
             # not how many there are), jittered log-normally.
             weight = (
-                country_pop[country]
+                _COUNTRY_POP[country]
                 / max(1, alloc[country])
                 * float(rng.lognormal(0.0, 0.4))
             )
@@ -809,7 +839,7 @@ def build_internet(
             nearest = nearest_pop_memo.get(id(eb_city))
             if nearest is None:
                 nearest = nearest_pop_memo[id(eb_city)] = _nearest_pop_cities(
-                    eb_city, pop_city_set, 1, km
+                    eb_city, pop_city_set, 1
                 )
             if nearest and nearest[0] not in sites:
                 sites.append(nearest[0])
@@ -832,6 +862,7 @@ def build_internet(
     n_public = int(round(cfg.public_peering_fraction * len(by_weight)))
     added_public = 0
     exchange_cities = [c for c in pop_city_set if c in ixp_set]
+    exchange_set = set(exchange_cities)
     for eb in remaining:
         if added_public >= n_public:
             break
@@ -843,16 +874,12 @@ def build_internet(
                 exchange_cities[int(rng.integers(0, len(exchange_cities)))]
             ]
         else:
-            shared_ixps = [
-                c
-                for c in graph.get(eb).cities
-                if c in ixp_set and c in set(pop_city_set)
-            ]
+            shared_ixps = [c for c in graph.get(eb).cities if c in exchange_set]
             if not shared_ixps:
                 # No colocated exchange: buy remote peering into the
                 # nearest one.
                 home = graph.get(eb).home_city
-                shared_ixps = _nearest_pop_cities(home, exchange_cities, 1, km)
+                shared_ixps = _nearest_pop_cities(home, exchange_cities, 1)
         graph.add_link(
             link_between(
                 PROVIDER_ASN,
@@ -868,11 +895,7 @@ def build_internet(
     for t in transit_asns:
         if rng.random() >= cfg.transit_public_peering_prob:
             continue
-        shared_ixps = [
-            c
-            for c in graph.get(t).cities
-            if c in ixp_set and c in set(pop_city_set)
-        ]
+        shared_ixps = [c for c in graph.get(t).cities if c in exchange_set]
         if not shared_ixps:
             continue
         graph.add_link(
@@ -913,9 +936,7 @@ def build_internet(
     )
 
 
-def _spread_homes(
-    candidates: List[City], km: DistanceFn, min_km: float = 1200.0
-) -> List[City]:
+def _spread_homes(candidates: Sequence[City], min_km: float = 1200.0) -> List[City]:
     """Greedy big-market-first home selection with geographic spacing.
 
     Walks cities in descending population, accepting each that is at
@@ -927,7 +948,7 @@ def _spread_homes(
     homes: List[City] = []
     skipped: List[City] = []
     for city in by_population:
-        near = any(km(city, h) < min_km for h in homes)
+        near = any(CITY_DISTANCES(city, h) < min_km for h in homes)
         if near:
             skipped.append(city)
         else:
@@ -940,8 +961,8 @@ def _shared_cities(
     x: int,
     y: int,
     rng: np.random.Generator,
+    city_sets: Dict[int, Set[City]],
     fallback: int,
-    km: DistanceFn,
     cap: Optional[int] = 3,
 ) -> List[City]:
     """Interconnect cities for a new link between ``x`` and ``y``.
@@ -949,10 +970,14 @@ def _shared_cities(
     Prefers cities in both footprints; when there are none, uses the
     ``fallback`` cities of the larger-footprint AS nearest to the other
     AS's home city (modelling one side hauling to the other's facility).
+    ``city_sets`` memoizes each AS's footprint as a set; footprints never
+    change once an AS is added.
     """
     xs = graph.get(x)
     ys = graph.get(y)
-    y_cities = set(ys.cities)
+    y_cities = city_sets.get(y)
+    if y_cities is None:
+        y_cities = city_sets[y] = set(ys.cities)
     shared = [c for c in xs.cities if c in y_cities]
     if shared:
         if cap is not None and len(shared) > cap:
@@ -960,7 +985,5 @@ def _shared_cities(
             shared = [shared[i] for i in sorted(picks)]
         return shared
     bigger, smaller = (xs, ys) if len(xs.cities) >= len(ys.cities) else (ys, xs)
-    ranked = sorted(
-        bigger.cities, key=lambda c: km(c, smaller.home_city)
-    )
+    ranked = sorted(bigger.cities, key=lambda c: CITY_DISTANCES(c, smaller.home_city))
     return list(ranked[:fallback])

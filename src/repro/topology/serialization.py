@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.errors import TopologyError
-from repro.geo import CityDistanceCache, city_named
+from repro.geo import city_named
 from repro.topology.asgraph import (
     ASGraph,
     ASRole,
@@ -95,7 +95,7 @@ def _wan_edges(internet: Internet) -> List:
 
     if cfg.pop_cities == DEFAULT_POP_CITIES:
         return [tuple(e) for e in DEFAULT_WAN_BACKBONE]
-    edges = _nearest_mesh(internet.wan.pops, CityDistanceCache())
+    edges = _nearest_mesh(internet.wan.pops)
     return [tuple(e) for e in edges]
 
 

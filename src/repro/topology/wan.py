@@ -11,6 +11,7 @@ small inflation factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,8 +49,8 @@ class PrivateWan:
         backbone_edges: Iterable[Tuple[str, str]],
         inflation: float = 1.08,
     ) -> None:
-        if inflation < 1.0:
-            raise TopologyError(f"inflation must be >= 1, got {inflation}")
+        if not (math.isfinite(inflation) and inflation >= 1.0):
+            raise TopologyError(f"inflation must be finite and >= 1, got {inflation}")
         self._pops: Dict[str, PointOfPresence] = {}
         for pop in pops:
             if pop.code in self._pops:

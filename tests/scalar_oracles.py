@@ -450,6 +450,7 @@ def _scalar_km(memo: CityDistanceCache, a: City, b: City) -> float:
 
 def uncached_distances():
     """Inside the block, every :class:`~repro.geo.CityDistanceCache` —
-    the generator's and each graph's — computes every city-pair
+    the process's one memo, :data:`~repro.geo.CITY_DISTANCES`, that the
+    generator, serialization and traces share — computes every city-pair
     distance afresh, in the caller's argument order."""
     return mock.patch.object(CityDistanceCache, "__call__", _scalar_km)

@@ -4,11 +4,13 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.geo import (
+    CITY_DISTANCES,
     COUNTRY_REGIONS,
     Region,
     WORLD_CITIES,
     cities_by_country,
     city_named,
+    great_circle_km,
 )
 
 
@@ -66,3 +68,29 @@ class TestLookups:
         paris = city_named("Paris")
         london = city_named("London")
         assert 300 < paris.distance_km(london) < 400
+
+
+class TestCityDistances:
+    def test_haversine_is_bitwise_symmetric(self):
+        """The process memo stores whichever argument order asks first,
+        so both orders must give the same bits for every pair."""
+        asymmetric = [
+            (a.name, b.name)
+            for i, a in enumerate(WORLD_CITIES)
+            for b in WORLD_CITIES[i + 1 :]
+            if great_circle_km(a.location, b.location)
+            != great_circle_km(b.location, a.location)
+        ]
+        assert asymmetric == []
+
+    def test_memo_matches_haversine_in_both_orders(self):
+        paris, tokyo = city_named("Paris"), city_named("Tokyo")
+        km = great_circle_km(paris.location, tokyo.location)
+        assert CITY_DISTANCES(tokyo, paris) == km
+        assert CITY_DISTANCES(paris, tokyo) == km
+
+    def test_city_hashes_by_name(self):
+        paris = city_named("Paris")
+        assert hash(paris) == hash("Paris")
+        assert paris in {city_named("Paris")}
+        assert paris not in {city_named("London")}

@@ -558,11 +558,12 @@ class TestBgpPropagationLanes:
 
 
 class TestTopologyLanes:
-    """build_internet memoizes city-pair distances in a
-    ``repro.geo.CityDistanceCache``; a build that computes every
-    distance afresh with the scalar haversine must be bit-identical.
-    (The per-region memos are not switched off here; the golden lock
-    pins their output.)"""
+    """build_internet takes city-pair distances from the process's one
+    memo, ``repro.geo.CITY_DISTANCES``, which earlier builds and traces
+    have filled; a build that computes every distance afresh with the
+    scalar haversine must be bit-identical.  (The per-build ranking
+    memos are not switched off here; the golden lock pins their
+    output.)"""
 
     def test_build_internet_bit_identical(self):
         from repro.topology.serialization import internet_to_dict

@@ -1,16 +1,42 @@
 """Tests for the synthetic Internet generator."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.geo import city_named
 from repro.topology import (
     ASRole,
+    AutonomousSystem,
     PeeringKind,
+    PointOfPresence,
+    PrivateWan,
     Relationship,
     TopologyConfig,
     build_internet,
 )
 from repro.topology.generator import EYEBALL_ASN_BASE, PROVIDER_ASN
+from repro.topology.serialization import internet_to_dict
+
+
+def _stub_as(inflation):
+    return AutonomousSystem(
+        asn=1,
+        name="stub",
+        role=ASRole.STUB,
+        cities=(city_named("London"),),
+        backbone_inflation=inflation,
+    )
+
+
+def _one_pop_wan(inflation):
+    return PrivateWan([PointOfPresence("lhr", city_named("London"))], [], inflation)
 
 
 class TestConfigValidation:
@@ -38,6 +64,67 @@ class TestConfigValidation:
     def test_positive_counts(self):
         with pytest.raises(TopologyError):
             TopologyConfig(n_eyeball=0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            pytest.param(
+                lambda: TopologyConfig(tier1_inflation=math.nan),
+                "tier1_inflation",
+                id="tier1-inflation-nan",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(transit_inflation=math.inf),
+                "transit_inflation",
+                id="transit-inflation-inf",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(eyeball_inflation=0.9),
+                "eyeball_inflation",
+                id="eyeball-inflation-below-1",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(wan_inflation=math.nan),
+                "wan_inflation",
+                id="wan-inflation-nan",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(provider_transit_count=-1),
+                "provider_transit_count",
+                id="negative-provider-transit-count",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(n_tier1=2.5), "n_tier1", id="fractional-n-tier1"
+            ),
+            pytest.param(
+                lambda: TopologyConfig(n_eyeball=math.nan),
+                "n_eyeball",
+                id="nan-n-eyeball",
+            ),
+            pytest.param(
+                lambda: TopologyConfig(seed=1.5), "seed", id="fractional-seed"
+            ),
+            pytest.param(
+                lambda: _stub_as(math.nan), "backbone_inflation", id="as-inflation-nan"
+            ),
+            pytest.param(
+                lambda: _stub_as(math.inf), "backbone_inflation", id="as-inflation-inf"
+            ),
+            pytest.param(lambda: _one_pop_wan(math.nan), "inflation", id="wan-nan"),
+            pytest.param(lambda: _one_pop_wan(math.inf), "inflation", id="wan-inf"),
+        ],
+    )
+    def test_bad_values_raise_topology_error(self, make, field):
+        with pytest.raises(TopologyError, match=field):
+            make()
+
+    def test_numpy_integers_stay_legal(self):
+        counts = dict(
+            seed=3, n_tier1=3, n_transit=8, n_eyeball=20, provider_transit_count=2
+        )
+        plain = build_internet(TopologyConfig(**counts))
+        numpy_ints = TopologyConfig(**{k: np.int64(v) for k, v in counts.items()})
+        assert internet_to_dict(build_internet(numpy_ints)) == internet_to_dict(plain)
 
 
 class TestGeneratedStructure:
@@ -173,3 +260,42 @@ class TestWanDefaults:
         t1 = small_internet.graph.providers(small_internet.provider_asn)[0]
         pops = small_internet.pops_with_link_to(t1)
         assert len(pops) == len(small_internet.wan.pops)
+
+
+_DUMP_LAST_BUILD = """
+import json, sys
+from repro.core import configs
+from repro.topology import build_internet
+from repro.topology.serialization import internet_to_dict
+
+for build in sys.argv[1:]:
+    setting, seed = build.split(":")
+    world = build_internet(getattr(configs, setting + "_topology")(int(seed)))
+doc = internet_to_dict(world)
+doc["adjacency"] = [[a.asn, world.graph.neighbors(a.asn)] for a in world.graph.ases()]
+json.dump(doc, sys.stdout)
+"""
+
+
+def _last_build_in_fresh_process(*builds):
+    """Run ``builds`` ("setting:seed") in order in a new interpreter and
+    return the last one's dump, with every AS's neighbour order."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    child = subprocess.run(
+        [sys.executable, "-c", _DUMP_LAST_BUILD, *builds],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(child.stdout)
+
+
+class TestSharedDistanceMemo:
+    """Every build in a process shares ``repro.geo.CITY_DISTANCES``, so
+    the memo a build finds depends on the builds before it."""
+
+    def test_build_order_does_not_matter(self):
+        warm = _last_build_in_fresh_process("cloud:0", "edgefabric:1", "cdn:3")
+        cold = _last_build_in_fresh_process("cdn:3")
+        assert warm == cold
