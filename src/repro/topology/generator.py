@@ -520,7 +520,6 @@ def build_internet(
     cfg = config or TopologyConfig()
     rng = np.random.default_rng(cfg.seed)
     graph = ASGraph()
-    km = CITY_DISTANCES
     # Memo: each AS's footprint as a set, for _shared_cities.
     city_sets: Dict[int, Set[City]] = {}
 
@@ -623,14 +622,14 @@ def build_internet(
         by_distance = ranked_memo.get(memo_key)
         if by_distance is None:
             by_distance = ranked_memo[memo_key] = sorted(
-                candidates, key=lambda c: (km(home, c), c.name)
+                candidates, key=lambda c: (CITY_DISTANCES(home, c), c.name)
             )
         sampled = by_distance[:take]
         nearest_hubs = hubs_memo.get(memo_key)
         if nearest_hubs is None:
             regional_hubs = [c for c in candidates if c in ixp_set]
             nearest_hubs = hubs_memo[memo_key] = sorted(
-                regional_hubs, key=lambda c: (km(home, c), c.name)
+                regional_hubs, key=lambda c: (CITY_DISTANCES(home, c), c.name)
             )[:2]
         footprint = tuple(dict.fromkeys([home] + sampled + nearest_hubs))
         graph.add_as(
@@ -730,7 +729,7 @@ def build_internet(
                 regional = transit_rank_memo[id(home)] = sorted(
                     (t for t in transit_asns if transit_regions[t] is region),
                     key=lambda t: min(
-                        km(home, c) for c in graph.get(t).cities
+                        CITY_DISTANCES(home, c) for c in graph.get(t).cities
                     ),
                 )[:3]
             if regional:
