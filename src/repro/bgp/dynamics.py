@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -148,7 +149,8 @@ class DynamicsConfig:
     Attributes:
         seed: Seed of every jitter draw (MRAI intervals, link delays).
             Two engines with equal seeds and equal schedules produce
-            bit-identical timelines.
+            bit-identical timelines.  An integer (a numpy integer is
+            stored as ``int``; a ``bool`` is refused).
         mrai_s: Base Min Route Advertisement Interval per
             ``(sender, receiver)`` session.  ``0`` disables pacing.
         mrai_jitter: Fraction of ``mrai_s`` randomized away per session
@@ -164,7 +166,8 @@ class DynamicsConfig:
             (off by default — message volume dwarfs decision churn).
         max_events: Hard cap on processed events per :meth:`run`; the
             guard that turns an unexpected oscillation into a loud
-            :class:`~repro.errors.RoutingError` instead of a hang.
+            :class:`~repro.errors.RoutingError` instead of a hang.  An
+            integer, like ``seed``.
     """
 
     seed: int = 0
@@ -177,6 +180,18 @@ class DynamicsConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self) -> None:
+        # Jitter draws hash ``str(seed)``, and a shared scenario baseline
+        # is keyed by config equality, under which ``4.0 == 4`` and
+        # ``True == 1``: so both fields are stored as plain ints.
+        for name in ("seed", "max_events"):
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, bool):
+                raise RoutingError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, number)
         if not (self.mrai_s >= 0 and self.link_delay_s > 0):
             raise RoutingError(
                 "mrai_s must be >= 0 and link_delay_s must be positive"
@@ -221,7 +236,7 @@ class DynamicsEngine:
     static lane, and :meth:`effective_graph` materializes the overlay
     when a static comparison is wanted.  The engine reads the graph's
     sessions once, when it is built, so the graph must not change while
-    the engine is in use.
+    the engine (or any :meth:`fork` of it) is in use.
 
     Typical use::
 
@@ -272,9 +287,64 @@ class DynamicsEngine:
         self._delays: Dict[Tuple[int, int], float] = {}
         self._mrai_intervals: Dict[Tuple[int, int], float] = {}
 
+    def fork(self) -> "DynamicsEngine":
+        """An independent engine in exactly this engine's state.
+
+        Running either engine afterwards leaves the other as it was, and
+        each continues exactly as this one would have.  The routing
+        state, the session timers, the link overlay, the event queue,
+        the clock and counters are copied; so is every timeline entry,
+        so a caller that edits one engine's timeline leaves the other's
+        alone.  The graph, the config and the session rows never change
+        and are shared, and so are the jitter memos: each draw is a pure
+        function of ``(config.seed, pair)``, so it does not matter which
+        engine fills an entry first.  A fork emits no telemetry.
+        """
+        twin = object.__new__(type(self))
+        twin.graph = self.graph
+        twin.config = self.config
+        twin.now = self.now
+        twin.last_change_s = self.last_change_s
+        twin.events_processed = self.events_processed
+        twin.updates_sent = self.updates_sent
+        twin.withdrawals_sent = self.withdrawals_sent
+        twin.mrai_deferrals = self.mrai_deferrals
+        twin.timeline = [dict(entry) for entry in self.timeline]
+        # Heap entries are immutable tuples: a list copy keeps the order.
+        twin._queue = list(self._queue)
+        twin._seq = self._seq
+        twin._adj_in = {
+            prefix: {asn: dict(offers) for asn, offers in holders.items()}
+            for prefix, holders in self._adj_in.items()
+        }
+        twin._best = {
+            prefix: dict(holders) for prefix, holders in self._best.items()
+        }
+        twin._origins = {
+            prefix: dict(origins) for prefix, origins in self._origins.items()
+        }
+        twin._advertised = {
+            key: dict(routes) for key, routes in self._advertised.items()
+        }
+        twin._mrai_until = dict(self._mrai_until)
+        twin._pending = {
+            key: set(prefixes) for key, prefixes in self._pending.items()
+        }
+        twin._down = set(self._down)
+        twin._epoch = dict(self._epoch)
+        twin._rows = self._rows
+        twin._delays = self._delays
+        twin._mrai_intervals = self._mrai_intervals
+        return twin
+
     # --- scheduling (the external API) --------------------------------
 
     def _push(self, at_s: float, kind: int, *payload: Any) -> None:
+        if not math.isfinite(at_s):
+            raise RoutingError(
+                f"cannot schedule {_KIND_NAMES[kind]!r} at a non-finite "
+                f"time ({at_s!r})"
+            )
         if at_s < self.now:
             raise RoutingError(
                 f"cannot schedule {_KIND_NAMES[kind]!r} at {at_s:.3f}s in "
@@ -334,10 +404,13 @@ class DynamicsEngine:
     def run(self, until: Optional[float] = None) -> int:
         """Process queued events (to quiescence, or through ``until``).
 
-        Returns the number of events processed.  With ``until`` given,
-        events at times ``<= until`` are processed and the clock is
-        advanced to ``until`` so a snapshot reflects that instant.
+        Returns the number of events processed.  With ``until`` given
+        (a finite time), events at times ``<= until`` are processed and
+        the clock is advanced to ``until`` so a snapshot reflects that
+        instant.
         """
+        if until is not None and not math.isfinite(until):
+            raise RoutingError(f"run until must be finite, got {until!r}")
         processed = 0
         started_at = self.now
         change_before = self.last_change_s

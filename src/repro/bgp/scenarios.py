@@ -22,10 +22,15 @@ in :mod:`repro.faults`) executed on a
   restores service; the result checks the recovered state is
   bit-identical to the pre-outage baseline and reports time-to-recover.
 
+Every scenario opens with the same phase: the victim announces
+:data:`VICTIM_PREFIX` at t = 0.  The scenarios run on one graph converge
+it once and run their later phases on forks of that engine.
+
 Determinism contract: one ``(scenario, topology seed, engine seed)``
 triple fixes the timeline bit for bit — ``to_json()`` output is
-byte-stable across reruns, which is what the ``scenario-smoke`` CI lane
-pins.  Time-to-recover analysis over these results lives in
+byte-stable across reruns, whichever scenarios ran on the graph before,
+which is what the ``scenario-smoke`` CI lane pins.  Time-to-recover
+analysis over these results lives in
 :func:`repro.availability.scenario_recovery`.
 """
 
@@ -118,12 +123,18 @@ class ScenarioResult:
 # --- fault-plan builders -------------------------------------------------
 
 
+def _opening_phase(victim: int) -> Tuple[RouteEvent, ...]:
+    """The phase every scenario opens with: the victim announces
+    :data:`VICTIM_PREFIX` at t = 0."""
+    return (RouteEvent("announce", 0.0, victim, prefix=VICTIM_PREFIX),)
+
+
 def hijack_plan(victim: int, attacker: int) -> ScenarioFaultPlan:
     """Exact-prefix hijack: attacker originates the victim's prefix."""
     return ScenarioFaultPlan(
         name="hijack",
         phases=(
-            (RouteEvent("announce", 0.0, victim, prefix=VICTIM_PREFIX),),
+            _opening_phase(victim),
             (
                 RouteEvent(
                     "announce", PHASE_GAP_S, attacker, prefix=VICTIM_PREFIX
@@ -138,7 +149,7 @@ def more_specific_hijack_plan(victim: int, attacker: int) -> ScenarioFaultPlan:
     return ScenarioFaultPlan(
         name="more-specific-hijack",
         phases=(
-            (RouteEvent("announce", 0.0, victim, prefix=VICTIM_PREFIX),),
+            _opening_phase(victim),
             (
                 RouteEvent(
                     "announce",
@@ -156,7 +167,7 @@ def withdrawal_cascade_plan(victim: int) -> ScenarioFaultPlan:
     return ScenarioFaultPlan(
         name="withdrawal-cascade",
         phases=(
-            (RouteEvent("announce", 0.0, victim, prefix=VICTIM_PREFIX),),
+            _opening_phase(victim),
             (RouteEvent("withdraw", PHASE_GAP_S, victim, prefix=VICTIM_PREFIX),),
             (RouteEvent("announce", PHASE_GAP_S, victim, prefix=VICTIM_PREFIX),),
         ),
@@ -174,6 +185,36 @@ def _apply_phase(
         name=f"{plan.name}[{index}]", phases=(plan.phases[index],)
     )
     return sub.apply(engine)[0]
+
+
+def _after_opening(
+    graph: ASGraph, plan: ScenarioFaultPlan, config: DynamicsConfig
+) -> Tuple[DynamicsEngine, float]:
+    """An engine that has run ``plan``'s opening phase on ``graph`` to
+    quiescence, and the phase's quiescence time.
+
+    Every scenario opens with the same phase, so the converged engine
+    is kept on the graph, keyed by the engine class (looked up when
+    called), the phase and ``config``, and each caller gets a
+    :meth:`~repro.bgp.dynamics.DynamicsEngine.fork` of it: the phase
+    runs, and emits its telemetry, once per key.  The graph drops what
+    it keeps on any mutation.  The kept engine holds no reference to the
+    graph, so a graph nothing else holds is freed at once rather than
+    by the cyclic collector; each fork gets the caller's graph.
+    """
+    key = (DynamicsEngine, plan.phases[0], config)
+    if graph._baselines is None:
+        graph._baselines = {}
+    opened = graph._baselines.get(key)
+    if opened is None:
+        engine = DynamicsEngine(graph, config)
+        _, setup_s = _apply_phase(engine, plan, 0)
+        engine.graph = None
+        opened = graph._baselines[key] = (engine, setup_s)
+    engine, setup_s = opened
+    twin = engine.fork()
+    twin.graph = graph
+    return twin, setup_s
 
 
 def _user_share(graph: ASGraph, ases: List[int]) -> float:
@@ -210,9 +251,8 @@ def prefix_hijack(
     if victim == attacker:
         raise RoutingError("attacker and victim must differ")
     config = config or DynamicsConfig()
-    engine = DynamicsEngine(graph, config)
     plan = hijack_plan(victim, attacker)
-    _, setup_s = _apply_phase(engine, plan, 0)
+    engine, setup_s = _after_opening(graph, plan, config)
     baseline = engine.routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _apply_phase(engine, plan, 1)
     routes = engine.routes(VICTIM_PREFIX)
@@ -263,9 +303,8 @@ def more_specific_hijack(
     if victim == attacker:
         raise RoutingError("attacker and victim must differ")
     config = config or DynamicsConfig()
-    engine = DynamicsEngine(graph, config)
     plan = more_specific_hijack_plan(victim, attacker)
-    _, setup_s = _apply_phase(engine, plan, 0)
+    engine, setup_s = _after_opening(graph, plan, config)
     covering = engine.routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _apply_phase(engine, plan, 1)
     specific = engine.routes(MORE_SPECIFIC_PREFIX)
@@ -312,9 +351,8 @@ def withdrawal_cascade(
     ``metrics["time_to_recover_s"]`` measures the re-announce phase.
     """
     config = config or DynamicsConfig()
-    engine = DynamicsEngine(graph, config)
     plan = withdrawal_cascade_plan(victim)
-    _, setup_s = _apply_phase(engine, plan, 0)
+    engine, setup_s = _after_opening(graph, plan, config)
     baseline = engine.routes(VICTIM_PREFIX)
     inject_s, blackout_s = _apply_phase(engine, plan, 1)
     stranded = engine.routes(VICTIM_PREFIX)

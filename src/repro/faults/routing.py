@@ -15,6 +15,8 @@ withdrawal "origin outage" cascade) in :mod:`repro.bgp.scenarios`.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -37,7 +39,9 @@ class RouteEvent:
         offset_s: Seconds after the phase starts (phase start is the
             quiescence instant of the previous phase).
         asn: The origin (announce/withdraw) or one link endpoint.
-        peer: The other link endpoint; required for link events.
+        peer: The other link endpoint; required for link events.  Both
+            are integers (a numpy integer is stored as ``int``; a
+            ``bool`` is refused).
         prefix: Prefix key the event applies to (ignored by link
             events, which affect every prefix crossing the adjacency).
     """
@@ -54,10 +58,26 @@ class RouteEvent:
                 f"unknown route event kind {self.kind!r}; "
                 f"expected one of {ROUTE_EVENT_KINDS}"
             )
-        if self.offset_s < 0:
-            raise FaultError("offset_s must be non-negative")
+        if not (math.isfinite(self.offset_s) and self.offset_s >= 0):
+            raise FaultError(
+                f"offset_s must be finite and non-negative, got {self.offset_s!r}"
+            )
         if self.kind in ("link_down", "link_up") and self.peer is None:
             raise FaultError(f"{self.kind} events need a peer endpoint")
+        # The timeline records these numbers as given, and scenarios
+        # share an opening phase by event equality, under which
+        # ``1.0 == 1`` and ``True == 1``: so both are stored as ints.
+        for name in ("asn", "peer"):
+            value = getattr(self, name)
+            if value is None and name == "peer":
+                continue
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, bool):
+                raise FaultError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True)

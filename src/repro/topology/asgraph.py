@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -312,6 +312,11 @@ class ASGraph:
     _csr: Optional[CsrAdjacency] = field(
         default=None, repr=False, compare=False
     )
+    # Converged opening phases of the routing scenarios, owned by
+    # repro.bgp.scenarios and dropped with the CSR view on any mutation.
+    _baselines: Optional[Dict[Any, Any]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # --- construction -------------------------------------------------
 
@@ -322,6 +327,7 @@ class ASGraph:
         self._ases[asys.asn] = asys
         self._adjacency[asys.asn] = []
         self._csr = None
+        self._baselines = None
 
     def add_link(self, link: Link) -> None:
         """Add a link; both endpoints must exist and not already be linked."""
@@ -334,6 +340,7 @@ class ASGraph:
         self._adjacency[link.a].append(link.b)
         self._adjacency[link.b].append(link.a)
         self._csr = None
+        self._baselines = None
 
     def remove_link(self, x: int, y: int) -> Link:
         """Remove and return the link between ``x`` and ``y``.
@@ -347,6 +354,7 @@ class ASGraph:
         self._adjacency[link.a].remove(link.b)
         self._adjacency[link.b].remove(link.a)
         self._csr = None
+        self._baselines = None
         return link
 
     # --- queries ------------------------------------------------------

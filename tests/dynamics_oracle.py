@@ -11,6 +11,7 @@ scenarios.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import (
     Any,
@@ -100,6 +101,15 @@ class DynamicsEngine:
         # UPDATE from a previous session that was still in flight when
         # the link flapped must not be delivered into the new session.
         self._epoch: Dict[Tuple[int, int], int] = {}
+
+    def fork(self) -> "DynamicsEngine":
+        """An independent engine in exactly this engine's state.
+
+        A deep copy of everything but the graph, which is shared: written
+        apart from the shipped engine's field-by-field copy, so the
+        scenario oracle test does not trust the code it checks.
+        """
+        return copy.deepcopy(self, {id(self.graph): self.graph})
 
     # --- scheduling (the external API) --------------------------------
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
+import numpy as np
 import pytest
 
-from conftest import E2, PROVIDER, build_toy_graph
+from conftest import E2, PROVIDER, build_toy_graph, small_topology_config
+from repro import obs
 from repro.availability import scenario_recovery
 from repro.bgp import (
     SCENARIOS,
@@ -16,14 +20,22 @@ from repro.bgp import (
     run_scenario,
     withdrawal_cascade,
 )
-from repro.bgp.dynamics import DynamicsConfig, DynamicsEngine
+from repro.bgp.dynamics import (
+    COUNTER_EVENTS,
+    HIST_CONVERGENCE,
+    SPAN_RUN,
+    DynamicsConfig,
+    DynamicsEngine,
+)
 from repro.bgp.scenarios import (
     MORE_SPECIFIC_PREFIX,
     VICTIM_PREFIX,
     pick_attacker,
 )
+from repro.core import cdn_topology
 from repro.errors import FaultError, RoutingError
 from repro.faults import ROUTE_EVENT_KINDS, RouteEvent, ScenarioFaultPlan
+from repro.topology import build_internet
 
 
 class TestRouteEvent:
@@ -46,6 +58,23 @@ class TestRouteEvent:
     def test_link_event_needs_peer(self):
         with pytest.raises(FaultError, match="peer endpoint"):
             RouteEvent("link_down", 0.0, PROVIDER)
+
+    @pytest.mark.parametrize(
+        "name, value", [("asn", 1.0), ("asn", True), ("asn", "1"), ("peer", 2.5)]
+    )
+    def test_non_integer_endpoint_rejected(self, name, value):
+        """A float ASN was written into the timeline as given (``1.0``),
+        and an opening phase shared by event equality would then give
+        one scenario the bytes of another run's ``1``."""
+        fields = {"asn": PROVIDER, "peer": E2, name: value}
+        with pytest.raises(FaultError) as caught:
+            RouteEvent("link_down", 0.0, fields["asn"], peer=fields["peer"])
+        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integer_endpoints_are_plain_ints(self):
+        event = RouteEvent("link_up", 0.0, np.int64(PROVIDER), peer=np.int32(E2))
+        assert type(event.asn) is int and type(event.peer) is int
+        assert event == RouteEvent("link_up", 0.0, PROVIDER, peer=E2)
 
 
 class TestScenarioFaultPlan:
@@ -196,3 +225,131 @@ class TestResultSerialization:
         assert payload["attacker"] == E2
         assert payload["timeline_entries"] == len(payload["timeline"])
         assert payload["metrics"]["captured_ases"] >= 1
+
+
+def _fresh(name, seed, config, edit=None):
+    """``to_json()`` of ``name`` on a freshly built ``cdn_topology(0)``,
+    after ``edit`` (if given) changed its graph."""
+    internet = build_internet(cdn_topology(0))
+    if edit is not None:
+        edit(internet.graph)
+    return run_scenario(name, seed=seed, config=config, internet=internet).to_json()
+
+
+class TestSharedBaseline:
+    """The scenarios run on one graph share its converged opening phase:
+    one engine per (engine class, phase, config), forked for each
+    scenario.  Every result must equal a run on a fresh build."""
+
+    CONFIG = DynamicsConfig(seed=0, mrai_s=5.0)
+
+    def test_reversed_order_matches_fresh_builds(self):
+        internet = build_internet(cdn_topology(0))
+        for name in sorted(SCENARIOS, reverse=True):
+            shared = run_scenario(name, seed=0, config=self.CONFIG, internet=internet)
+            assert shared.to_json() == _fresh(name, 0, self.CONFIG), name
+
+    def test_interleaved_seeds_match_fresh_builds(self):
+        internet = build_internet(cdn_topology(0))
+        for name in sorted(SCENARIOS):
+            for seed in (1, 0):
+                config = DynamicsConfig(seed=seed, mrai_s=5.0)
+                shared = run_scenario(name, seed=seed, config=config, internet=internet)
+                assert shared.to_json() == _fresh(name, seed, config), (name, seed)
+
+    def test_graph_edits_drop_the_baseline(self):
+        internet = build_internet(cdn_topology(0))
+        graph, victim = internet.graph, internet.provider_asn
+        neighbor = sorted(graph.neighbors(victim))[0]
+        name = "withdrawal-cascade"
+
+        def run():
+            return run_scenario(
+                name, seed=0, config=self.CONFIG, internet=internet
+            ).to_json()
+
+        def cut(g):
+            return g.remove_link(victim, neighbor)
+
+        before = run()
+        link = cut(graph)
+        after_cut = run()
+        assert after_cut != before
+        assert after_cut == _fresh(name, 0, self.CONFIG, cut)
+        graph.add_link(link)
+        restored = run()
+        assert restored == _fresh(name, 0, self.CONFIG, lambda g: g.add_link(cut(g)))
+        assert restored == before
+
+    def test_result_edits_do_not_reach_later_scenarios(self):
+        internet = build_internet(cdn_topology(0))
+        first = run_scenario("hijack", seed=0, config=self.CONFIG, internet=internet)
+        first.timeline[0]["t"] = -1.0
+        first.timeline[0]["kind"] = "edited"
+        del first.timeline[1]["asn"]
+        for name in ("more-specific-hijack", "hijack"):
+            later = run_scenario(name, seed=0, config=self.CONFIG, internet=internet)
+            assert later.to_json() == _fresh(name, 0, self.CONFIG), name
+
+    def test_configs_do_not_share_a_baseline(self):
+        internet = build_internet(cdn_topology(0))
+        setups = []
+        for mrai_s in (5.0, 30.0):
+            config = DynamicsConfig(seed=0, mrai_s=mrai_s)
+            result = run_scenario("hijack", seed=0, config=config, internet=internet)
+            assert result.to_json() == _fresh("hijack", 0, config), mrai_s
+            setups.append(result.setup_converged_s)
+        assert setups[0] != setups[1]
+
+    def test_errors_come_first_and_store_nothing(self):
+        graph = build_toy_graph()
+        with pytest.raises(RoutingError, match="must differ"):
+            prefix_hijack(graph, 999999, 999999)
+        with pytest.raises(RoutingError, match="must differ"):
+            more_specific_hijack(graph, 999999, 999999)
+        with pytest.raises(RoutingError, match="origin AS 999999 not in graph"):
+            withdrawal_cascade(graph, 999999)
+        with pytest.raises(RoutingError, match="origin AS 999999 not in graph"):
+            prefix_hijack(graph, 999999, PROVIDER)
+        assert not graph._baselines
+        assert withdrawal_cascade(graph, PROVIDER).to_json() == (
+            withdrawal_cascade(build_toy_graph(), PROVIDER).to_json()
+        )
+
+    def test_kept_engine_does_not_keep_its_graph_alive(self):
+        """A kept engine that referenced its graph would make a cycle,
+        and every dropped Internet would wait for the cyclic collector."""
+        internet = build_internet(small_topology_config())
+        run_scenario("hijack", seed=0, config=self.CONFIG, internet=internet)
+        graph = weakref.ref(internet.graph)
+        gc.disable()
+        try:
+            del internet
+            assert graph() is None
+        finally:
+            gc.enable()
+
+    def test_opening_phase_telemetry_emitted_once(self):
+        internet = build_internet(small_topology_config())
+        with obs.capture() as captured:
+            results = [
+                run_scenario(name, seed=0, config=self.CONFIG, internet=internet)
+                for name in sorted(SCENARIOS)
+            ]
+        runs = [
+            e for e in captured.events if e["kind"] == "span_end" and e["name"] == SPAN_RUN
+        ]
+        counts = [
+            e["value"]
+            for e in captured.events
+            if e["kind"] == "counter" and e["name"] == COUNTER_EVENTS
+        ]
+        (hist,) = [
+            e for e in captured.events if e["kind"] == "hist" and e["name"] == HIST_CONVERGENCE
+        ]
+        # The opening once, then the hijacks' one phase each and the
+        # cascade's two.
+        assert len(runs) == len(counts) == hist["sketch"]["count"] == 5
+        opening = counts[0]
+        simulated = sum(r.metrics["events_processed"] for r in results)
+        assert sum(counts) == simulated - 2 * opening

@@ -653,12 +653,27 @@ class TestBgpDynamicsLanes:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scenarios_bit_identical_to_oracle_engine(self, seed, monkeypatch):
         """Each curated scenario, run as perfbench's scenario-sweep runs
-        it, writes the same bytes as on the per-hop oracle engine."""
+        it, writes the same bytes as on the per-hop oracle engine.
+
+        The scenarios of one Internet share a converged opening phase
+        keyed by the engine class, so the oracle runs must build (and
+        then fork) their own: the spy proves that the oracle ran the
+        opening phase rather than forking the shipped engine's."""
+        built = []
+
+        class SpyOracleEngine(OracleDynamicsEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
         internet = build_internet(cdn_topology(seed))
         config = DynamicsConfig(seed=seed, mrai_s=5.0)
         for name in sorted(SCENARIOS):
             fast = run_scenario(name, seed=seed, config=config, internet=internet)
             with monkeypatch.context() as patch:
-                patch.setattr(scenarios, "DynamicsEngine", OracleDynamicsEngine)
+                patch.setattr(scenarios, "DynamicsEngine", SpyOracleEngine)
                 oracle = run_scenario(name, seed=seed, config=config, internet=internet)
             assert fast.to_json() == oracle.to_json(), name
+        (opened,) = built
+        assert opened.timeline[0]["kind"] == "announce"
+        assert opened.events_processed > 0
