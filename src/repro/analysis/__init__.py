@@ -6,13 +6,11 @@ from repro.analysis.stats import (
     weighted_ccdf,
     weighted_quantile,
     weighted_fraction_below,
-    bootstrap_ci,
 )
 from repro.analysis.compare import area_between, ks_distance, quantile_shift
 from repro.analysis.plot import ascii_cdf_figure, ascii_plot
 from repro.analysis.tables import (
     format_table,
-    text_histogram,
     text_cdf,
     text_choropleth,
 )
@@ -23,14 +21,12 @@ __all__ = [
     "weighted_ccdf",
     "weighted_quantile",
     "weighted_fraction_below",
-    "bootstrap_ci",
     "area_between",
     "ks_distance",
     "quantile_shift",
     "ascii_cdf_figure",
     "ascii_plot",
     "format_table",
-    "text_histogram",
     "text_cdf",
     "text_choropleth",
 ]

@@ -122,36 +122,3 @@ def weighted_fraction_below(
 ) -> float:
     """Fraction of weight with value <= threshold."""
     return weighted_cdf(values, weights).fraction_at_most(threshold)
-
-
-def bootstrap_ci(
-    values: ArrayLike,
-    statistic,
-    n_resamples: int = 500,
-    alpha: float = 0.05,
-    rng: Optional[np.random.Generator] = None,
-    weights: Optional[ArrayLike] = None,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for a statistic.
-
-    Args:
-        values: Sample values.
-        statistic: Callable mapping a 1-D array to a scalar.
-        n_resamples: Bootstrap resample count.
-        alpha: Two-sided miss probability (0.05 -> 95% CI).
-        rng: Random generator; a fixed default keeps results reproducible.
-        weights: Optional resampling weights (proportional inclusion).
-    """
-    v, w = _validate(values, weights)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if not 0.0 < alpha < 1.0:
-        raise AnalysisError(f"alpha must be in (0, 1), got {alpha}")
-    p = w / w.sum()
-    stats = np.empty(n_resamples)
-    n = len(v)
-    for i in range(n_resamples):
-        idx = rng.choice(n, size=n, replace=True, p=p)
-        stats[i] = statistic(v[idx])
-    lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)

@@ -6,7 +6,7 @@ helpers keep that output aligned and readable in a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -46,25 +46,6 @@ def format_table(
     ]
     for row in text_rows:
         lines.append("  ".join(row[i].rjust(widths[i]) for i in range(len(row))))
-    return "\n".join(lines)
-
-
-def text_histogram(
-    values: Sequence[float],
-    n_bins: int = 20,
-    width: int = 40,
-    weights: Optional[Sequence[float]] = None,
-) -> str:
-    """A quick horizontal-bar histogram."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise AnalysisError("no samples")
-    counts, edges = np.histogram(v, bins=n_bins, weights=weights)
-    top = counts.max() if counts.max() > 0 else 1
-    lines = []
-    for i, count in enumerate(counts):
-        bar = _BAR * int(round(width * count / top))
-        lines.append(f"[{edges[i]:9.2f}, {edges[i + 1]:9.2f})  {bar} {count:.3g}")
     return "\n".join(lines)
 
 

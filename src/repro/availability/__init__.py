@@ -17,13 +17,7 @@ section sketches:
   traffic at risk and its relationship to interconnect redundancy.
 """
 
-from repro.availability.failures import (
-    fail_pop_site,
-    fail_provider_link,
-    restore_link,
-    transient_pop_outage,
-    transient_provider_link_outage,
-)
+from repro.availability.failures import fail_pop_site
 from repro.availability.analysis import (
     FailoverResult,
     PeerRisk,
@@ -36,10 +30,6 @@ from repro.availability.analysis import (
 
 __all__ = [
     "fail_pop_site",
-    "fail_provider_link",
-    "restore_link",
-    "transient_pop_outage",
-    "transient_provider_link_outage",
     "FailoverResult",
     "PeerRisk",
     "PeeringRiskResult",

@@ -1,17 +1,11 @@
 """Failure injection on a generated Internet.
 
 Failures mutate the :class:`~repro.topology.generator.Internet` in
-place.  For a *permanent* failure study, inject into a fresh instance
-(rebuild via the topology config) rather than a shared fixture.  For a
-*transient* failure — down for a window, then back — use the
-:func:`transient_provider_link_outage` / :func:`transient_pop_outage`
-context managers, which record exactly the links they removed or
-rewrote and restore them on exit, so scenario plans can flap
-infrastructure without deep-copying the whole ``Internet``.  (Routing
-scenarios that only need an adjacency to disappear from the *BGP* view
-should prefer the non-mutating overlay in
-:class:`repro.bgp.dynamics.DynamicsEngine`, which never touches the
-graph at all.)
+place, so inject into a fresh instance (rebuild via the topology
+config) rather than a shared fixture.  (Routing scenarios that only
+need an adjacency to disappear from the *BGP* view use the
+non-mutating overlay in :class:`repro.bgp.dynamics.DynamicsEngine`,
+which never touches the graph at all.)
 
 A PoP *site* failure takes down the provider's presence at one city:
 every provider interconnect at that city disappears and the anycast/
@@ -22,35 +16,12 @@ not a cable cut.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List
+from typing import FrozenSet, List
 
 from repro.errors import TopologyError
 from repro.geo import City
-from repro.topology import Internet, Link
+from repro.topology import Internet
 from repro.topology.asgraph import link_between
-
-
-def fail_provider_link(internet: Internet, neighbor_asn: int) -> Link:
-    """Fail the provider's adjacency with one neighbor entirely.
-
-    Returns the removed link (for restoration bookkeeping).
-    """
-    return internet.graph.remove_link(internet.provider_asn, neighbor_asn)
-
-
-def restore_link(internet: Internet, link: Link) -> None:
-    """Re-attach a link previously returned by a failure call.
-
-    The inverse of :func:`fail_provider_link`: hand back the removed
-    link object and the adjacency is whole again (including cities,
-    kind, and capacity — everything the link carried).
-
-    Raises:
-        TopologyError: if an adjacency between the endpoints already
-            exists (the outage was already repaired, or replaced).
-    """
-    internet.graph.add_link(link)
 
 
 def fail_pop_site(internet: Internet, pop_code: str) -> FrozenSet[City]:
@@ -93,48 +64,3 @@ def fail_pop_site(internet: Internet, pop_code: str) -> FrozenSet[City]:
             )
         )
     return survivors
-
-
-@contextmanager
-def transient_provider_link_outage(
-    internet: Internet, neighbor_asn: int
-) -> Iterator[Link]:
-    """The provider's adjacency with ``neighbor_asn``, down for a window.
-
-    Yields the failed link; on exit the exact link object is
-    re-attached, so the post-window topology is bit-identical to the
-    pre-window one — no ``Internet`` copy needed.
-    """
-    link = fail_provider_link(internet, neighbor_asn)
-    try:
-        yield link
-    finally:
-        restore_link(internet, link)
-
-
-@contextmanager
-def transient_pop_outage(
-    internet: Internet, pop_code: str
-) -> Iterator[FrozenSet[City]]:
-    """The provider's site at ``pop_code``, offline for a window.
-
-    Yields the surviving announcement cities (same value as
-    :func:`fail_pop_site`).  On exit, every provider interconnect the
-    outage removed or rewrote is restored to its original link object.
-    """
-    graph = internet.graph
-    provider = internet.provider_asn
-    before: Dict[int, Link] = {
-        neighbor: graph.link(provider, neighbor)
-        for neighbor in graph.neighbors(provider)
-    }
-    survivors = fail_pop_site(internet, pop_code)
-    try:
-        yield survivors
-    finally:
-        for neighbor, link in before.items():
-            if graph.has_link(provider, neighbor):
-                if graph.link(provider, neighbor) is link:
-                    continue  # untouched by the outage
-                graph.remove_link(provider, neighbor)
-            graph.add_link(link)

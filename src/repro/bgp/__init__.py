@@ -29,14 +29,6 @@ from repro.bgp.propagation import (
 from repro.bgp.decision import EgressDecisionProcess, RouteClass, classify_route
 from repro.bgp.grooming import Grooming
 from repro.bgp.sweep_study import PropagationSweepStudy, propagation_shared_inputs
-from repro.bgp.ribdump import (
-    PathStatistics,
-    RibEntry,
-    dump_rib,
-    path_statistics,
-    route_visibility,
-    valley_free_violations,
-)
 from repro.bgp.dynamics import DynamicsConfig, DynamicsEngine, OriginSpec
 from repro.bgp.scenarios import (
     SCENARIOS,
@@ -62,12 +54,6 @@ __all__ = [
     "Grooming",
     "PropagationSweepStudy",
     "propagation_shared_inputs",
-    "PathStatistics",
-    "RibEntry",
-    "dump_rib",
-    "path_statistics",
-    "route_visibility",
-    "valley_free_violations",
     "DynamicsConfig",
     "DynamicsEngine",
     "OriginSpec",

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -60,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, require_int
 from repro.faults.plan import unit_draw
 from repro.geo import City
 from repro.obs.trace import counter, histogram, span
@@ -184,13 +183,7 @@ class DynamicsConfig:
         # is keyed by config equality, under which ``4.0 == 4`` and
         # ``True == 1``: so both fields are stored as plain ints.
         for name in ("seed", "max_events"):
-            value = getattr(self, name)
-            try:
-                number = operator.index(value)
-            except TypeError:
-                number = None
-            if number is None or isinstance(value, bool):
-                raise RoutingError(f"{name} must be an integer, got {value!r}")
+            number = require_int(getattr(self, name), name, RoutingError)
             object.__setattr__(self, name, number)
         if not (self.mrai_s >= 0 and self.link_delay_s > 0):
             raise RoutingError(
@@ -367,6 +360,7 @@ class DynamicsEngine:
         Grooming arguments match :func:`~repro.bgp.propagation.propagate`
         and are validated eagerly, at schedule time.
         """
+        origin = require_int(origin, "origin", RoutingError)
         if origin not in self.graph:
             raise RoutingError(f"origin AS {origin} not in graph")
         prepends = dict(prepends or {})
@@ -383,18 +377,21 @@ class DynamicsEngine:
         self, at_s: float, origin: int, prefix: str = DEFAULT_PREFIX
     ) -> None:
         """Origin stops announcing ``prefix`` at ``at_s`` seconds."""
+        origin = require_int(origin, "origin", RoutingError)
         if origin not in self.graph:
             raise RoutingError(f"origin AS {origin} not in graph")
         self._push(at_s, _WITHDRAW, origin, prefix)
 
     def schedule_link_down(self, at_s: float, x: int, y: int) -> None:
         """The adjacency between ``x`` and ``y`` fails at ``at_s``."""
+        x, y = require_int(x, "x", RoutingError), require_int(y, "y", RoutingError)
         if not self.graph.has_link(x, y):
             raise RoutingError(f"no link between {x} and {y}")
         self._push(at_s, _LINK_DOWN, min(x, y), max(x, y))
 
     def schedule_link_up(self, at_s: float, x: int, y: int) -> None:
         """A previously failed adjacency recovers at ``at_s``."""
+        x, y = require_int(x, "x", RoutingError), require_int(y, "y", RoutingError)
         if not self.graph.has_link(x, y):
             raise RoutingError(f"no link between {x} and {y}")
         self._push(at_s, _LINK_UP, min(x, y), max(x, y))

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MeasurementError, RoutingError
-from repro.faults.domain import FrontEndDrain
 from repro.obs.trace import traced
 from repro.geo import Region
 from repro.netmodel import CongestionConfig, CongestionModel
@@ -42,13 +41,6 @@ class BeaconConfig:
         rtt_noise_ms: Scale of the per-sample exponential RTT residual.
         last_mile_ms_range: Uniform range of per-prefix access RTT.
         congestion: Optional override of the congestion parameters.
-        drain: Optional :class:`~repro.faults.FrontEndDrain` fault
-            model.  A draining front-end answers no beacons, so its
-            unicast samples during the drain window come back NaN —
-            the same shape unreachability already takes in the
-            dataset.  Drain decisions are independent of the
-            measurement noise streams; all surviving samples are
-            bit-identical to a drain-free campaign's.
     """
 
     days: float = 7.0
@@ -58,7 +50,6 @@ class BeaconConfig:
     rtt_noise_ms: float = 2.0
     last_mile_ms_range: Tuple[float, float] = (2.0, 10.0)
     congestion: Optional[CongestionConfig] = None
-    drain: Optional[FrontEndDrain] = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.days) or self.days <= 0:
@@ -235,15 +226,6 @@ def run_beacon_campaign(
         )
         anycast_rtt[i] = rtt[0]
         unicast_rtt[i][:, columns] = rtt[1:].T
-    if cfg.drain is not None:
-        # Applied after every noise draw, so the drain only removes
-        # samples — it never shifts the random streams under the
-        # samples that survive.
-        for i in range(n_p):
-            for j, code in enumerate(fe_codes[i]):
-                mask = cfg.drain.drained_mask(code, times[i])
-                if mask.any():
-                    unicast_rtt[i, mask, j] = np.nan
     return BeaconDataset(
         prefixes=kept,
         catchments=catchments,

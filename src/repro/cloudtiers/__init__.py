@@ -13,7 +13,6 @@ latency difference.
 
 from repro.cloudtiers.tiers import CloudDeployment, Tier
 from repro.cloudtiers.speedchecker import (
-    HttpGetResult,
     SpeedcheckerPlatform,
     VantagePoint,
     PingResult,
@@ -42,7 +41,6 @@ __all__ = [
     "SpeedcheckerPlatform",
     "VantagePoint",
     "PingResult",
-    "HttpGetResult",
     "TracerouteResult",
     "CampaignConfig",
     "TierDataset",

@@ -83,11 +83,6 @@ class TierDataset:
         """Records from eligible vantage points only."""
         return [r for r in self.records if r.vp_id in self.eligible]
 
-    @property
-    def n_pings(self) -> int:
-        """Total ping samples behind the records (both tiers)."""
-        return sum(len(r.median_ms) for r in self.records)
-
 
 @traced("cloudtiers.campaign")
 def run_campaign(

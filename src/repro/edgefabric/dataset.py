@@ -87,17 +87,6 @@ class EgressDataset:
     def n_windows(self) -> int:
         return int(self.times_h.size)
 
-    def route_class_matrix(self) -> np.ndarray:
-        """Route classes as an object array, shape ``(n_pairs, k)``.
-
-        ``None`` marks missing routes.
-        """
-        out = np.full((self.n_pairs, self.max_routes), None, dtype=object)
-        for i, pair in enumerate(self.pairs):
-            for j, route in enumerate(pair.routes):
-                out[i, j] = route.route_class
-        return out
-
     def pairs_with_alternates(self) -> np.ndarray:
         """Boolean mask of pairs measured on at least two routes."""
         return np.array([p.n_routes >= 2 for p in self.pairs])

@@ -81,7 +81,6 @@ def peering_reduction_study(
     retentions: Sequence[float] = (1.0, 0.75, 0.5, 0.25, 0.1, 0.0),
     total_traffic_gbps: float = 4000.0,
     last_mile_ms: float = 6.0,
-    seed: int = 0,
 ) -> PeeringStudyResult:
     """Sweep peer retention and measure latency/capacity impact.
 
@@ -93,7 +92,6 @@ def peering_reduction_study(
         total_traffic_gbps: Aggregate provider egress traffic, which
             prefix weights apportion; sets absolute link utilizations.
         last_mile_ms: Constant access RTT added to every path.
-        seed: Unused entropy hook kept for API symmetry.
 
     Returns:
         One :class:`RetentionPoint` per level.

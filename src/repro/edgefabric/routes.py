@@ -9,7 +9,7 @@ them; the measurement system sprays sessions across the top three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import RoutingError
 from repro.topology import Internet, PointOfPresence
@@ -63,7 +63,6 @@ def egress_routes_at_pop(
     pop: PointOfPresence,
     prefix: ClientPrefix,
     k: int = 3,
-    decision: Optional[EgressDecisionProcess] = None,
 ) -> List[EgressRoute]:
     """Compute the top-``k`` egress routes for ⟨PoP, prefix⟩.
 
@@ -73,7 +72,6 @@ def egress_routes_at_pop(
         pop: The serving PoP.
         prefix: The client prefix.
         k: How many ranked routes to measure (the paper sprays over 3).
-        decision: Egress policy; defaults to the Facebook-style policy.
 
     Returns:
         Up to ``k`` routes in BGP preference order; empty if no neighbor
@@ -95,8 +93,7 @@ def egress_routes_at_pop(
     ]
     if not candidates:
         return []
-    if decision is None:
-        decision = EgressDecisionProcess(internet.graph, provider)
+    decision = EgressDecisionProcess(internet.graph, provider)
     routes: List[EgressRoute] = []
     for ranked in decision.top(candidates, k):
         neighbor = ranked.candidate.neighbor

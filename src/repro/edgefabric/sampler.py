@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.faults.domain import ProbeLoss
 from repro.obs.trace import gauge, traced
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.netmodel.rtt import (
@@ -72,12 +71,6 @@ class MeasurementConfig:
             that degradations mostly hit all routes to a destination at
             once, which happens when the bottleneck is the last mile or
             the destination network.
-        probe_loss: Optional :class:`~repro.faults.ProbeLoss` fault
-            model.  Lost ⟨pair, window, route⟩ cells come back NaN in
-            the dataset — exactly the holes unrouted spray slots
-            already leave.  The loss mask is applied *after* the
-            medians are drawn or streamed, so the surviving cells stay
-            bit-identical to a loss-free run.
     """
 
     days: float = 10.0
@@ -89,7 +82,6 @@ class MeasurementConfig:
     last_mile_ms_range: tuple = (2.0, 10.0)
     congestion: Optional[CongestionConfig] = None
     dest_congestion: Optional[CongestionConfig] = None
-    probe_loss: Optional[ProbeLoss] = None
 
     def __post_init__(self) -> None:
         if self.days <= 0 or self.window_minutes <= 0:
@@ -341,19 +333,7 @@ def _egress_dataset(
     medians: np.ndarray,
     ci_half: np.ndarray,
 ) -> EgressDataset:
-    """Blank the lost cells, then wrap the tensors as a dataset."""
-    if cfg.probe_loss is not None:
-        # Applied last so losses only blank cells: the measurement
-        # streams under every surviving cell are untouched, keeping
-        # loss-free runs bit-identical where data survives.
-        lost = cfg.probe_loss.lost_mask(
-            [f"{p.pop_code}:{p.prefix.pid}" for p in plan.pairs],
-            times.size,
-            cfg.max_routes,
-        )
-        medians[lost] = np.nan
-        ci_half[lost] = np.nan
-        gauge("edgefabric.cells_lost", int(lost.sum()))
+    """Wrap the window tensors as the plan's dataset."""
     return EgressDataset(
         pairs=list(plan.pairs),
         times_h=times,
@@ -416,8 +396,8 @@ def dataset_from_medians(
 
     The session stream (:func:`repro.stream.ingest_plan`) estimates
     each cell's median from its sessions instead of drawing it.  The
-    window times, volumes, CI half-widths and probe-loss mask around
-    those medians come from the code :func:`synthesize_dataset` runs.
+    window times, volumes and CI half-widths around those medians come
+    from the code :func:`synthesize_dataset` runs.
 
     Args:
         plan: Output of :func:`plan_measurement`.

@@ -2,7 +2,11 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch library failures without catching programming errors.
+:func:`require_int` is the one integer check, raising the caller's type.
 """
+
+import operator
+from typing import Any, Type
 
 
 class ReproError(Exception):
@@ -59,8 +63,8 @@ class FaultError(ReproError):
     """Raised for invalid fault-injection configuration.
 
     Examples: a :class:`~repro.faults.FaultPlan` probability outside
-    ``[0, 1]``, an unknown fault kind in a CLI ``--faults`` spec, or a
-    domain fault model with a negative rate.  The *injected* failures
+    ``[0, 1]`` or an unknown fault kind in a CLI ``--faults`` spec.
+    The *injected* failures
     themselves deliberately do not use this type — they must look like
     organic crashes, timeouts, and transient errors to the runner.
     """
@@ -93,3 +97,19 @@ class AnalysisError(ReproError):
     Examples: computing a weighted quantile with no samples or mismatched
     weight vectors, or requesting an unknown aggregation region.
     """
+
+
+def require_int(value: Any, name: str, error: Type[ReproError]) -> int:
+    """``value`` as a plain ``int``, or ``error`` naming ``name``.
+
+    Anything :func:`operator.index` accepts passes, numpy integers
+    included, but ``bool`` does not.  Callers store the result: a
+    timeline records these numbers as given, and a config compares by
+    equality, under which ``1.0 == 1`` and ``True == 1``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

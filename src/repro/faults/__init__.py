@@ -1,8 +1,8 @@
 """repro.faults — deterministic fault injection for campaigns.
 
-The paper's campaigns live with partial failure (vantage-point churn,
-probe timeouts, front-ends draining mid-window); this package makes
-that failure *reproducible* so the runner's recovery machinery can be
+Campaigns live with partial failure (worker crashes, timeouts,
+transient errors, corrupt cache entries); this package makes that
+failure *reproducible* so the runner's recovery machinery can be
 exercised on demand:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, seeded per-attempt
@@ -10,9 +10,6 @@ exercised on demand:
   per-spec cache corruption, pure in ``(seed, spec hash, attempt)``.
 * :mod:`repro.faults.inject` — the side effects behind each decision,
   and :class:`InjectedFault`, the transient-error type.
-* :mod:`repro.faults.domain` — platform-flavored degradation:
-  :class:`VantagePointChurn` (Speedchecker), :class:`FrontEndDrain`
-  (anycast CDN), :class:`ProbeLoss` (Edge Fabric windows).
 * :mod:`repro.faults.chaos_smoke` — the end-to-end chaos scenario CI
   runs: a campaign under a seeded plan, SIGKILL'd mid-run, resumed,
   and checked byte-for-byte against an uninterrupted reference.
@@ -38,7 +35,6 @@ from repro.faults.inject import (
     corrupt_file,
     maybe_inject,
 )
-from repro.faults.domain import FrontEndDrain, ProbeLoss, VantagePointChurn
 from repro.faults.routing import (
     ROUTE_EVENT_KINDS,
     RouteEvent,
@@ -50,13 +46,10 @@ __all__ = [
     "CRASH_EXIT_STATUS",
     "FAULT_KINDS",
     "FaultPlan",
-    "FrontEndDrain",
     "InjectedFault",
-    "ProbeLoss",
     "ROUTE_EVENT_KINDS",
     "RouteEvent",
     "ScenarioFaultPlan",
-    "VantagePointChurn",
     "apply_fault",
     "corrupt_file",
     "maybe_inject",

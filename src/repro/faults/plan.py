@@ -38,8 +38,8 @@ def unit_draw(*parts: object) -> float:
 
     The first 8 bytes of the sha256 of the parts joined by ``:``: no RNG
     object, so a draw is the same in every process and on every rerun.
-    Fault plans, the domain fault models, the routing engine's timer
-    jitter and the scenario attacker choice all draw through it.
+    Fault plans, the routing engine's timer jitter and the scenario
+    attacker choice all draw through it.
     """
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)

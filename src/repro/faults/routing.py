@@ -1,7 +1,7 @@
 """Routing-plane fault plans: scheduled BGP scenario events.
 
 The rest of :mod:`repro.faults` injects *infrastructure* failure —
-crashed workers, torn cache writes, drained front-ends.  This module
+crashed workers, timeouts, torn cache writes.  This module
 adds the routing plane: a :class:`ScenarioFaultPlan` is a deterministic
 schedule of announce / withdraw / link-flap events, grouped into phases
 that each run to quiescence before the next phase fires.  It is plain
@@ -16,11 +16,10 @@ withdrawal "origin outage" cascade) in :mod:`repro.bgp.scenarios`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.errors import FaultError
+from repro.errors import FaultError, require_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.bgp.dynamics import DynamicsEngine
@@ -71,13 +70,7 @@ class RouteEvent:
             value = getattr(self, name)
             if value is None and name == "peer":
                 continue
-            try:
-                number = operator.index(value)
-            except TypeError:
-                number = None
-            if number is None or isinstance(value, bool):
-                raise FaultError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, number)
+            object.__setattr__(self, name, require_int(value, name, FaultError))
 
 
 @dataclass(frozen=True)

@@ -1,60 +1,30 @@
-"""Dataset serialization: save and reload measurement campaigns.
+"""Versioned headers for on-disk artifacts, and figure series export.
 
-Campaigns are the expensive part of every study; these helpers persist
-the three dataset types to a single ``.npz`` archive (arrays) with an
-embedded JSON header (identities), so an analysis can be re-run — or a
-figure re-cut — without re-simulating.
-
-The format is versioned; loaders reject archives written by a different
-major version of the schema.
+Every persisted artifact in the package (result-cache entries and
+campaign checkpoints in :mod:`repro.runner`, run manifests in
+:mod:`repro.obs`) leads with the same ``schema`` and ``kind`` fields, so
+a loader rejects a file of another schema generation or kind before it
+touches the payload. The CSV writers back the figure commands' ``--csv``
+option.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, List, Union
-
-import numpy as np
+from typing import Dict, Union
 
 from repro.errors import AnalysisError
-from repro.geo import city_named
-from repro.workloads import ClientPrefix
 
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
 
 
-def _prefix_to_dict(prefix: ClientPrefix) -> Dict:
-    return {
-        "pid": prefix.pid,
-        "asn": prefix.asn,
-        "city": prefix.city.name,
-        "weight": prefix.weight,
-        "n_24s": prefix.n_24s,
-        "ldns": prefix.ldns,
-    }
-
-
-def _prefix_from_dict(data: Dict) -> ClientPrefix:
-    return ClientPrefix(
-        pid=data["pid"],
-        asn=int(data["asn"]),
-        city=city_named(data["city"]),
-        weight=float(data["weight"]),
-        n_24s=int(data["n_24s"]),
-        ldns=data.get("ldns"),
-    )
-
-
 def make_header(kind: str, **fields) -> Dict:
     """Build a versioned JSON header for an on-disk artifact.
 
-    Every persisted artifact in the package — dataset archives here,
-    campaign results in :mod:`repro.runner` — carries the same two
-    leading fields, so any loader can cheaply reject files written by a
-    different schema generation before touching the payload.
+    The header carries the two leading fields every loader checks
+    with :func:`check_header`.
     """
     header = {"schema": SCHEMA_VERSION, "kind": kind}
     header.update(fields)
@@ -74,238 +44,8 @@ def check_header(header: Dict, expected_kind: str) -> None:
         )
     if header.get("kind") != expected_kind:
         raise AnalysisError(
-            f"archive holds a {header.get('kind')!r} dataset, "
-            f"expected {expected_kind!r}"
+            f"header kind is {header.get('kind')!r}, expected {expected_kind!r}"
         )
-
-
-# Backwards-compatible alias for the pre-public name.
-_check_header = check_header
-
-
-# --- beacon datasets (Setting B) -------------------------------------------
-
-
-def save_beacon_dataset(dataset, path: PathLike) -> None:
-    """Persist a :class:`~repro.cdn.measurement.BeaconDataset`."""
-    header = make_header(
-        "beacon",
-        prefixes=[_prefix_to_dict(p) for p in dataset.prefixes],
-        catchments=list(dataset.catchments),
-        fe_codes=[list(codes) for codes in dataset.fe_codes],
-        n_nearby=dataset.n_nearby,
-    )
-    np.savez_compressed(
-        Path(path),
-        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        times_h=dataset.times_h,
-        anycast_rtt=dataset.anycast_rtt,
-        unicast_rtt=dataset.unicast_rtt,
-    )
-
-
-def load_beacon_dataset(path: PathLike):
-    """Load a beacon dataset written by :func:`save_beacon_dataset`."""
-    from repro.cdn.measurement import BeaconDataset
-
-    with np.load(Path(path)) as archive:
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-        _check_header(header, "beacon")
-        return BeaconDataset(
-            prefixes=[_prefix_from_dict(d) for d in header["prefixes"]],
-            catchments=list(header["catchments"]),
-            fe_codes=[tuple(c) for c in header["fe_codes"]],
-            times_h=archive["times_h"],
-            anycast_rtt=archive["anycast_rtt"],
-            unicast_rtt=archive["unicast_rtt"],
-            n_nearby=int(header["n_nearby"]),
-        )
-
-
-# --- egress datasets (Setting A) --------------------------------------------
-
-
-def save_egress_dataset(dataset, path: PathLike) -> None:
-    """Persist an :class:`~repro.edgefabric.dataset.EgressDataset`.
-
-    Route inventories are stored per pair; City objects round-trip by
-    name through the embedded dataset.
-    """
-    pairs = []
-    for pair in dataset.pairs:
-        pairs.append(
-            {
-                "pop_code": pair.pop_code,
-                "prefix": _prefix_to_dict(pair.prefix),
-                "routes": [
-                    {
-                        "pop_code": r.pop_code,
-                        "dest_asn": r.dest_asn,
-                        "neighbor": r.neighbor,
-                        "route_class": r.route_class.value,
-                        "bgp_rank": r.bgp_rank,
-                        "as_path": list(r.as_path),
-                        "base_one_way_ms": r.base_one_way_ms,
-                        "link_key": r.link_key,
-                        "interior_key": r.interior_key,
-                    }
-                    for r in pair.routes
-                ],
-            }
-        )
-    header = make_header("egress", pairs=pairs, max_routes=dataset.max_routes)
-    np.savez_compressed(
-        Path(path),
-        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        times_h=dataset.times_h,
-        medians=dataset.medians,
-        ci_half=dataset.ci_half,
-        volumes=dataset.volumes,
-    )
-
-
-def load_egress_dataset(path: PathLike):
-    """Load an egress dataset written by :func:`save_egress_dataset`."""
-    from repro.bgp import RouteClass
-    from repro.edgefabric.dataset import EgressDataset, PairKey
-    from repro.edgefabric.routes import EgressRoute
-
-    with np.load(Path(path)) as archive:
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-        _check_header(header, "egress")
-        pairs: List[PairKey] = []
-        for entry in header["pairs"]:
-            routes = tuple(
-                EgressRoute(
-                    pop_code=r["pop_code"],
-                    dest_asn=int(r["dest_asn"]),
-                    neighbor=int(r["neighbor"]),
-                    route_class=RouteClass(r["route_class"]),
-                    bgp_rank=int(r["bgp_rank"]),
-                    as_path=tuple(int(a) for a in r["as_path"]),
-                    base_one_way_ms=float(r["base_one_way_ms"]),
-                    link_key=r["link_key"],
-                    interior_key=r["interior_key"],
-                )
-                for r in entry["routes"]
-            )
-            pairs.append(
-                PairKey(
-                    pop_code=entry["pop_code"],
-                    prefix=_prefix_from_dict(entry["prefix"]),
-                    routes=routes,
-                )
-            )
-        return EgressDataset(
-            pairs=pairs,
-            times_h=archive["times_h"],
-            medians=archive["medians"],
-            ci_half=archive["ci_half"],
-            volumes=archive["volumes"],
-            max_routes=int(header["max_routes"]),
-        )
-
-
-# --- tier datasets (Setting C) -----------------------------------------------
-
-
-def save_tier_dataset(dataset, path: PathLike) -> None:
-    """Persist a :class:`~repro.cloudtiers.campaign.TierDataset`.
-
-    Traceroutes store their hop sequences (ASN + city name + cumulative
-    RTT); vantage points round-trip by id.
-    """
-    from repro.cloudtiers.tiers import Tier
-
-    vps = [
-        {"vp_id": vp.vp_id, "asn": vp.asn, "city": vp.city.name}
-        for vp in dataset.vps.values()
-    ]
-    records = [
-        {
-            "vp_id": r.vp_id,
-            "day": r.day,
-            "medians": {tier.value: ms for tier, ms in r.median_ms.items()},
-        }
-        for r in dataset.records
-    ]
-    traceroutes = []
-    for (vp_id, tier), tr in dataset.traceroutes.items():
-        traceroutes.append(
-            {
-                "vp_id": vp_id,
-                "tier": tier.value,
-                "time_h": tr.time_h,
-                "hops": [
-                    {"asn": h.asn, "city": h.city.name, "rtt_ms": h.rtt_ms}
-                    for h in tr.hops
-                ],
-            }
-        )
-    header = make_header(
-        "tier",
-        vps=vps,
-        records=records,
-        traceroutes=traceroutes,
-        eligible=sorted(dataset.eligible),
-    )
-    np.savez_compressed(
-        Path(path),
-        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-    )
-
-
-def load_tier_dataset(path: PathLike):
-    """Load a tier dataset written by :func:`save_tier_dataset`."""
-    from repro.cloudtiers.campaign import TierDataset, VpDayRecord
-    from repro.cloudtiers.speedchecker import (
-        TracerouteHop,
-        TracerouteResult,
-        VantagePoint,
-    )
-    from repro.cloudtiers.tiers import Tier
-
-    with np.load(Path(path)) as archive:
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-    _check_header(header, "tier")
-    vps = {
-        entry["vp_id"]: VantagePoint(
-            vp_id=entry["vp_id"],
-            asn=int(entry["asn"]),
-            city=city_named(entry["city"]),
-        )
-        for entry in header["vps"]
-    }
-    records = [
-        VpDayRecord(
-            vp_id=entry["vp_id"],
-            day=int(entry["day"]),
-            median_ms={Tier(t): float(ms) for t, ms in entry["medians"].items()},
-        )
-        for entry in header["records"]
-    ]
-    traceroutes = {}
-    for entry in header["traceroutes"]:
-        tier = Tier(entry["tier"])
-        traceroutes[(entry["vp_id"], tier)] = TracerouteResult(
-            vp_id=entry["vp_id"],
-            tier=tier,
-            time_h=float(entry["time_h"]),
-            hops=tuple(
-                TracerouteHop(
-                    asn=int(h["asn"]),
-                    city=city_named(h["city"]),
-                    rtt_ms=float(h["rtt_ms"]),
-                )
-                for h in entry["hops"]
-            ),
-        )
-    return TierDataset(
-        vps=vps,
-        records=records,
-        traceroutes=traceroutes,
-        eligible=set(header["eligible"]),
-    )
 
 
 # --- figure series export ----------------------------------------------------

@@ -28,10 +28,8 @@ from repro.netmodel.tcp import (
     transfer_time_s,
 )
 from repro.netmodel.rtt import (
-    ci_halfwidth_matrix,
     median_min_rtt,
     median_min_rtt_ci_halfwidth,
-    noisy_medians,
     sample_min_rtts,
     sampled_median_matrix,
 )
@@ -49,10 +47,8 @@ __all__ = [
     "split_benefit_ms",
     "split_transfer_time_s",
     "transfer_time_s",
-    "ci_halfwidth_matrix",
     "median_min_rtt",
     "median_min_rtt_ci_halfwidth",
-    "noisy_medians",
     "sample_min_rtts",
     "sampled_median_matrix",
 ]

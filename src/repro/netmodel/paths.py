@@ -56,31 +56,6 @@ class ForwardingPath:
         """Round-trip propagation latency, assuming path symmetry."""
         return 2.0 * self.one_way_ms
 
-    @property
-    def total_km(self) -> float:
-        """Total geodesic kilometres carried across all segments."""
-        return sum(s.km for s in self.segments)
-
-    def crosses_longitude(self, lon: float) -> bool:
-        """Whether any segment crosses the given meridian.
-
-        Used by the India case study (Section 3.3.2) to check whether the
-        WAN route runs east across the Pacific (crossing 180°) while the
-        public route runs west via Europe.
-        """
-        for seg in self.segments:
-            lo = sorted((seg.from_city.location.lon, seg.to_city.location.lon))
-            span = lo[1] - lo[0]
-            if span <= 180.0:
-                if lo[0] <= lon <= lo[1]:
-                    return True
-            else:
-                # The segment takes the short way round, wrapping the
-                # antimeridian: it covers [lo[1], 180] and [-180, lo[0]].
-                if lon >= lo[1] or lon <= lo[0]:
-                    return True
-        return False
-
 
 def _choose_exit(
     allowed: Sequence[City],

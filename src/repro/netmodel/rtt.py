@@ -64,21 +64,6 @@ def median_min_rtt_ci_halfwidth(
     return z * noise_scale_ms / math.sqrt(n_sessions)
 
 
-def ci_halfwidth_matrix(
-    noise_scale_ms: float, n_sessions: np.ndarray, z: float = _Z95
-) -> np.ndarray:
-    """Vectorized :func:`median_min_rtt_ci_halfwidth` over a session grid.
-
-    ``n_sessions`` is any array of per-window session counts; the result
-    has the same shape.  Entries agree with the scalar function exactly
-    (identical expression, elementwise).
-    """
-    n = np.asarray(n_sessions, dtype=float)
-    if n.size == 0 or np.any(n <= 0):
-        raise MeasurementError("need at least one session in every window")
-    return z * noise_scale_ms / np.sqrt(n)
-
-
 def sampled_median_matrix(
     floor_ms: np.ndarray,
     n_sessions: np.ndarray = None,
@@ -90,9 +75,9 @@ def sampled_median_matrix(
 
     The batch measurement lanes hand this the full ``(pairs, windows,
     routes)`` floor tensor and a broadcast-compatible session-count
-    array; it applies the same analytic approximation as
-    :func:`noisy_medians` — true median plus normal estimation noise
-    with the asymptotic sd — in one vectorized draw.
+    array; it applies the analytic approximation — true median plus
+    normal estimation noise with the asymptotic sd — in one vectorized
+    draw.
 
     Either ``n_sessions`` or a precomputed ``sd`` (the per-cell noise
     standard deviation, ``noise_scale_ms / sqrt(n)``) must be given;
@@ -117,23 +102,3 @@ def sampled_median_matrix(
     result += floor
     result += noise_scale_ms * _LN2
     return result
-
-
-def noisy_medians(
-    base_ms: np.ndarray,
-    n_sessions: int,
-    rng: np.random.Generator,
-    noise_scale_ms: float = 1.0,
-) -> np.ndarray:
-    """Sampled median MinRTT estimates, one per entry of ``base_ms``.
-
-    Fast analytic approximation of taking the median of ``n_sessions``
-    exponential-residual samples: normal estimation noise with the
-    asymptotic standard deviation around the true median.
-    """
-    if n_sessions <= 0:
-        raise MeasurementError("need at least one session")
-    base = np.asarray(base_ms, dtype=float)
-    counter("netmodel.rtt.medians", base.size)
-    sd = noise_scale_ms / math.sqrt(n_sessions)
-    return median_min_rtt(base, noise_scale_ms) + rng.normal(0.0, sd, base.shape)

@@ -6,7 +6,7 @@ seeds, the git revision, and the interpreter/platform — so a result
 file found on disk months later can be traced back to a reproducible
 invocation.  Serialized with the package-wide versioned-header
 convention (:func:`repro.io.make_header`), like the result cache and
-dataset archives.
+campaign checkpoints.
 """
 
 from __future__ import annotations

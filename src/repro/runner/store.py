@@ -5,7 +5,7 @@ characters of the spec's content hash — a two-level fan-out so large
 campaigns never pile tens of thousands of entries into one directory.
 
 Entries are versioned JSON carrying the same ``schema``/``kind``
-header convention as the ``.npz`` dataset archives in :mod:`repro.io`
+header convention as campaign checkpoints and run manifests
 (via :func:`repro.io.make_header`), plus a sha256 **checksum** over the
 result payload so bit rot is detectable even when the damage still
 parses as JSON.  Unreadable entries split two ways:

@@ -177,9 +177,9 @@ class PlanIngest:
         """The streamed :class:`EgressDataset`: sketch medians per cell.
 
         Built on demand, since shard jobs need only the snapshot.  CI
-        half-widths, volumes and the probe-loss mask come from the
-        sampler (:func:`repro.edgefabric.sampler.dataset_from_medians`),
-        so they equal :func:`~repro.edgefabric.sampler.synthesize_dataset`'s
+        half-widths and volumes come from the sampler
+        (:func:`repro.edgefabric.sampler.dataset_from_medians`), so they
+        equal :func:`~repro.edgefabric.sampler.synthesize_dataset`'s
         bit for bit.
         """
         cfg = self.config

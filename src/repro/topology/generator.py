@@ -453,15 +453,6 @@ class Internet:
         """The PoP hosting the provider's data center."""
         return self.wan.pop(self.dc_pop_code)
 
-    def pops_with_link_to(self, neighbor_asn: int) -> List[PointOfPresence]:
-        """PoPs where the provider interconnects with ``neighbor_asn``."""
-        link = self.graph.link(self.provider_asn, neighbor_asn)
-        return [
-            pop
-            for pop in self.wan.pops
-            if any(pop.city == c for c in link.cities)
-        ]
-
 
 # The generator's fixed city tables, built once from the dataset in its
 # order: every build draws its footprints from them.

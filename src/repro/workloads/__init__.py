@@ -8,7 +8,6 @@ from repro.workloads.traffic import (
     traffic_matrix,
     sessions_matrix,
 )
-from repro.workloads.arrivals import sample_arrivals
 
 __all__ = [
     "ClientPrefix",
@@ -19,5 +18,4 @@ __all__ = [
     "diurnal_volume_matrix",
     "traffic_matrix",
     "sessions_matrix",
-    "sample_arrivals",
 ]

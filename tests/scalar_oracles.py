@@ -370,12 +370,6 @@ def run_beacon_campaign_reference(
                 + congestion.baseline_shift_delay(uni_keys[j], t)
                 + rng.exponential(cfg.rtt_noise_ms, size=n_r)
             )
-    if cfg.drain is not None:
-        for i in range(n_p):
-            for j, code in enumerate(fe_codes[i]):
-                mask = cfg.drain.drained_mask(code, times[i])
-                if mask.any():
-                    unicast_rtt[i, mask, j] = np.nan
     return BeaconDataset(
         prefixes=kept,
         catchments=catchments,

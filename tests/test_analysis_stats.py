@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.analysis import (
-    bootstrap_ci,
     weighted_ccdf,
     weighted_cdf,
     weighted_fraction_below,
@@ -106,29 +105,3 @@ class TestHelpers:
 
     def test_weighted_fraction_below(self):
         assert weighted_fraction_below([1.0, 2.0, 3.0, 4.0], 2.5) == pytest.approx(0.5)
-
-
-class TestBootstrap:
-    def test_ci_brackets_statistic(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(10.0, 2.0, size=400)
-        lo, hi = bootstrap_ci(values, np.median, n_resamples=200, rng=rng)
-        assert lo <= np.median(values) <= hi
-        assert hi - lo < 1.0
-
-    def test_deterministic_default_rng(self):
-        values = list(range(50))
-        a = bootstrap_ci(values, np.mean, n_resamples=50)
-        b = bootstrap_ci(values, np.mean, n_resamples=50)
-        assert a == b
-
-    def test_alpha_validation(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0, 2.0], np.mean, alpha=1.5)
-
-    def test_weighted_resampling(self):
-        # With all weight on one value, the CI collapses onto it.
-        lo, hi = bootstrap_ci(
-            [1.0, 100.0], np.mean, n_resamples=50, weights=[1.0, 0.0]
-        )
-        assert lo == hi == 1.0

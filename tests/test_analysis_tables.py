@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.analysis import format_table, text_cdf, text_choropleth, text_histogram
+from repro.analysis import format_table, text_cdf, text_choropleth
 from repro.geo import Region
 
 
@@ -27,17 +27,6 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestTextHistogram:
-    def test_renders_bins(self):
-        out = text_histogram([1, 1, 2, 3, 3, 3], n_bins=3)
-        assert out.count("\n") == 2
-        assert "█" in out
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            text_histogram([])
 
 
 class TestTextCdf:

@@ -8,11 +8,7 @@ from repro.workloads import assign_ldns, generate_client_prefixes
 from repro.availability import (
     anycast_vs_dns_failover,
     fail_pop_site,
-    fail_provider_link,
     peering_failure_study,
-    restore_link,
-    transient_pop_outage,
-    transient_provider_link_outage,
 )
 from repro.cdn import CdnDeployment
 from repro.cdn.dns_redirection import RedirectionPolicy
@@ -34,13 +30,6 @@ def prefixes(small_internet):
 
 
 class TestFailureInjection:
-    def test_fail_provider_link(self, factory):
-        internet = factory()
-        peer = internet.graph.peers(internet.provider_asn)[0]
-        removed = fail_provider_link(internet, peer)
-        assert removed.other(internet.provider_asn) == peer
-        assert not internet.graph.has_link(internet.provider_asn, peer)
-
     def test_fail_pop_site_removes_interconnects(self, factory):
         internet = factory()
         pop = internet.wan.pops[0]
@@ -67,61 +56,6 @@ class TestFailureInjection:
             old = before[neighbor]
             assert link.capacity_gbps == old.capacity_gbps
             assert link.kind == old.kind
-
-
-class TestTransientFailures:
-    """Restore hooks: an outage window that leaves no trace afterwards,
-    without deep-copying the Internet."""
-
-    def test_restore_link_reattaches_exact_object(self, factory):
-        internet = factory()
-        peer = internet.graph.peers(internet.provider_asn)[0]
-        removed = fail_provider_link(internet, peer)
-        restore_link(internet, removed)
-        assert internet.graph.link(internet.provider_asn, peer) is removed
-
-    def test_restore_link_rejects_double_repair(self, factory):
-        internet = factory()
-        peer = internet.graph.peers(internet.provider_asn)[0]
-        removed = fail_provider_link(internet, peer)
-        restore_link(internet, removed)
-        with pytest.raises(TopologyError):
-            restore_link(internet, removed)
-
-    def test_provider_link_outage_window(self, factory):
-        internet = factory()
-        peer = internet.graph.peers(internet.provider_asn)[0]
-        before = {link.key(): link for link in internet.graph.links()}
-        with transient_provider_link_outage(internet, peer) as link:
-            assert not internet.graph.has_link(internet.provider_asn, peer)
-            assert link.other(internet.provider_asn) == peer
-        after = {link.key(): link for link in internet.graph.links()}
-        assert before.keys() == after.keys()
-        assert all(before[k] is after[k] for k in before)
-
-    def test_pop_outage_window_restores_rewritten_links(self, factory):
-        internet = factory()
-        pop = internet.wan.pops[0]
-        before = {link.key(): link for link in internet.graph.links()}
-        with transient_pop_outage(internet, pop.code) as survivors:
-            assert pop.city not in survivors
-            provider = internet.provider_asn
-            for neighbor in internet.graph.neighbors(provider):
-                link = internet.graph.link(provider, neighbor)
-                assert pop.city not in link.cities
-        after = {link.key(): link for link in internet.graph.links()}
-        assert before.keys() == after.keys()
-        assert all(before[k] is after[k] for k in before)
-
-    def test_pop_outage_restores_on_exception(self, factory):
-        internet = factory()
-        pop = internet.wan.pops[0]
-        before = {link.key(): link for link in internet.graph.links()}
-        with pytest.raises(RuntimeError, match="boom"):
-            with transient_pop_outage(internet, pop.code):
-                raise RuntimeError("boom")
-        after = {link.key(): link for link in internet.graph.links()}
-        assert before.keys() == after.keys()
 
 
 class TestFailover:

@@ -302,6 +302,34 @@ class TestValidation:
             timelines.append(json.dumps(engine.timeline, sort_keys=True))
         assert timelines[0] == timelines[1]
 
+    @pytest.mark.parametrize("value", [float(PROVIDER), True])
+    @pytest.mark.parametrize("call", ["announce", "withdraw", "link_down", "link_up"])
+    def test_non_integer_asn_rejected(self, toy_graph, call, value):
+        """An ASN equal to a graph ASN passed the graph check and was
+        recorded as given: ``"asn": 1.0`` or ``"asn": true``."""
+        assert value == PROVIDER
+        engine = DynamicsEngine(toy_graph, DynamicsConfig())
+        schedule = {
+            "announce": lambda: engine.schedule_announce(0.0, value),
+            "withdraw": lambda: engine.schedule_withdraw(0.0, value),
+            "link_down": lambda: engine.schedule_link_down(0.0, value, E1),
+            "link_up": lambda: engine.schedule_link_up(0.0, E1, value),
+        }[call]
+        with pytest.raises(RoutingError, match="must be an integer"):
+            schedule()
+
+    def test_numpy_integer_asns_write_the_int_timeline(self, toy_graph):
+        timelines = []
+        for provider, e1 in ((np.int64(PROVIDER), np.int32(E1)), (PROVIDER, E1)):
+            engine = DynamicsEngine(toy_graph, DynamicsConfig())
+            engine.schedule_announce(0.0, provider)
+            engine.schedule_link_down(2.0, provider, e1)
+            engine.schedule_link_up(4.0, e1, provider)
+            engine.schedule_withdraw(6.0, provider)
+            engine.run()
+            timelines.append(json.dumps(engine.timeline, sort_keys=True))
+        assert timelines[0] == timelines[1]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "call",

@@ -109,6 +109,28 @@ class TestValleyFree:
                     continue
                 _assert_valley_free(toy_graph, route.path)
 
+    def test_clean_on_propagated_tables(self, small_internet):
+        graph = small_internet.graph
+        for origin in list(small_internet.eyeball_asns[:5]) + [
+            small_internet.provider_asn
+        ]:
+            table = propagate(graph, origin)
+            for asn in table.reachable_asns():
+                _assert_valley_free(graph, table.best(asn).path)
+
+
+class TestPathLengths:
+    def test_generated_world_hop_counts(self, small_internet):
+        hops = []
+        for origin in small_internet.eyeball_asns[:10]:
+            table = propagate(small_internet.graph, origin)
+            for asn in table.reachable_asns():
+                if asn != origin:
+                    hops.append(table.best(asn).as_hops)
+        # A 3-tier hierarchy keeps paths short, as on the real Internet.
+        assert max(hops) <= 7
+        assert 1.5 <= sum(hops) / len(hops) <= 5.0
+
 
 def _assert_valley_free(graph, path):
     """Gao-Rexford: once a path goes down (provider->customer) or sideways

@@ -1,5 +1,6 @@
 """Tests for the Speedchecker-like measurement platform."""
 
+import json
 import os
 import subprocess
 import sys
@@ -114,37 +115,6 @@ class TestTraceroute:
         assert result.ingress_city(999_999) is None
 
 
-class TestHttpGet:
-    def test_download_timed(self, platform):
-        vp = platform.vantage_points[0]
-        result = platform.http_get(vp, Tier.PREMIUM, 1.0, size_mb=10.0)
-        assert result is not None
-        assert result.duration_s > 0
-        assert 0 < result.goodput_mbps <= 50.0
-
-    def test_spends_credits(self, small_internet):
-        from repro.cloudtiers.speedchecker import HTTP_GET_CREDITS
-
-        platform = SpeedcheckerPlatform(
-            CloudDeployment(small_internet), credits=10, seed=4
-        )
-        platform.http_get(platform.vantage_points[0], Tier.PREMIUM, 0.0)
-        assert platform.credits == 10 - HTTP_GET_CREDITS
-
-    def test_size_validation(self, platform):
-        with pytest.raises(MeasurementError):
-            platform.http_get(platform.vantage_points[0], Tier.PREMIUM, 0.0, size_mb=0.0)
-
-    def test_tiers_similar_goodput(self, platform):
-        """The §4 footnote at probe level: 10 MB goodput barely differs."""
-        vp = platform.vantage_points[0]
-        premium = platform.http_get(vp, Tier.PREMIUM, 2.0, size_mb=10.0)
-        standard = platform.http_get(vp, Tier.STANDARD, 2.0, size_mb=10.0)
-        if premium and standard:
-            ratio = premium.goodput_mbps / standard.goodput_mbps
-            assert 0.5 < ratio < 2.0
-
-
 class TestPingBurst:
     def test_burst_matches_per_round_pings(self, small_internet):
         """A burst consumes the noise-stream positions that the
@@ -188,18 +158,48 @@ def _last_mile_with_hash_seed(hash_seed: str) -> str:
     return child.stdout
 
 
+_BUILTIN_HASH_SCRIPT = """
+import json, sys
+print(json.dumps([hash(text) for text in json.load(sys.stdin)]))
+"""
+
+
+def _hash_port_cases():
+    """Every vp_id form, plus each str width and the 8-byte block edges."""
+    from repro.geo import WORLD_CITIES
+
+    cases = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "x" * 16, "y" * 23]
+    cases += ["café", "Zürich", "é" * 8, "ā" * 4, "東京", "Кыргызстан"]
+    cases += ["😀", "a😀", "\U0010ffff" * 3, "\ud800", "ab\udfff"]
+    for asn in (1, 3356, 4_200_000_000):
+        for city in WORLD_CITIES:
+            cases.append(f"vp-{asn}-{city.name.lower().replace(' ', '-')}")
+    return cases
+
+
 class TestCrossProcessDeterminism:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "known defect: the last-mile draw is seeded from hash(vp_id), "
-            "and Python salts str hashes per process; a stable seed "
-            "changes Setting C's recorded outputs"
-        ),
-    )
     def test_last_mile_independent_of_hash_seed(self):
-        assert _last_mile_with_hash_seed("1") == _last_mile_with_hash_seed("2")
+        first = _last_mile_with_hash_seed("1")
+        assert _last_mile_with_hash_seed("2") == first
+        assert _last_mile_with_hash_seed("7") == first
+
+    @pytest.mark.skipif(
+        sys.hash_info.algorithm != "siphash13",
+        reason="the port reproduces CPython >= 3.11's SipHash-1-3 str hash",
+    )
+    def test_str_hash_port_equals_builtin_hash_at_hash_seed_0(self):
+        from repro.cloudtiers.speedchecker import _str_hash
+
+        cases = _hash_port_cases()
+        child = subprocess.run(
+            [sys.executable, "-c", _BUILTIN_HASH_SCRIPT],
+            env=dict(os.environ, PYTHONHASHSEED="0"),
+            input=json.dumps(cases),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert [_str_hash(text) for text in cases] == json.loads(child.stdout)
 
 
 class TestNoiseModel:

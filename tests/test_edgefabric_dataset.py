@@ -65,13 +65,6 @@ class TestDatasetShape:
 
 
 class TestClassAccessors:
-    def test_route_class_matrix(self, dataset):
-        matrix = dataset.route_class_matrix()
-        assert matrix.shape == (dataset.n_pairs, dataset.max_routes)
-        for i, pair in enumerate(dataset.pairs):
-            for j, route in enumerate(pair.routes):
-                assert matrix[i, j] is route.route_class
-
     def test_class_best_medians(self, dataset):
         transit = dataset.class_best_medians(RouteClass.TRANSIT)
         assert transit.shape == (dataset.n_pairs, dataset.n_windows)

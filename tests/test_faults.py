@@ -1,17 +1,13 @@
-"""Tests for the fault-injection package: plans, injectors, domain models."""
+"""Tests for the fault-injection package: plans and injectors."""
 
 
-import numpy as np
 import pytest
 
 from repro.errors import FaultError
 from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
-    FrontEndDrain,
     InjectedFault,
-    ProbeLoss,
-    VantagePointChurn,
     apply_fault,
     corrupt_file,
     maybe_inject,
@@ -165,86 +161,6 @@ class TestInjectors:
 
     def test_corrupt_file_missing_is_false(self, tmp_path):
         assert not corrupt_file(tmp_path / "absent.json")
-
-
-class TestVantagePointChurn:
-    def test_deterministic(self):
-        churn = VantagePointChurn(daily_rate=0.3, seed=4)
-        flags = [churn.available(d, f"vp-{i}") for d in range(5) for i in range(40)]
-        again = VantagePointChurn(daily_rate=0.3, seed=4)
-        assert flags == [
-            again.available(d, f"vp-{i}") for d in range(5) for i in range(40)
-        ]
-
-    def test_rate_zero_never_churns(self):
-        churn = VantagePointChurn(daily_rate=0.0)
-        assert all(churn.available(0, f"vp-{i}") for i in range(50))
-
-    def test_rate_roughly_respected(self):
-        churn = VantagePointChurn(daily_rate=0.25, seed=1)
-        down = sum(
-            not churn.available(d, f"vp-{i}") for d in range(10) for i in range(60)
-        )
-        assert 0.15 < down / 600 < 0.35
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(FaultError):
-            VantagePointChurn(daily_rate=1.5)
-
-
-class TestFrontEndDrain:
-    def test_drain_windows_have_the_configured_length(self):
-        drain = FrontEndDrain(daily_rate=1.0, drain_hours=4.0, seed=2)
-        times = np.linspace(0.0, 24.0, 2401)  # 36-second resolution
-        mask = drain.drained_mask("iad", times)
-        hours = mask.sum() * (times[1] - times[0])
-        assert 3.8 <= hours <= 4.2
-
-    def test_rate_zero_never_drains(self):
-        drain = FrontEndDrain(daily_rate=0.0)
-        assert not drain.drained_mask("iad", np.linspace(0, 72, 100)).any()
-
-    def test_scalar_and_mask_agree(self):
-        drain = FrontEndDrain(daily_rate=1.0, drain_hours=6.0, seed=3)
-        times = np.linspace(0.0, 48.0, 97)
-        mask = drain.drained_mask("lhr", times)
-        assert [drain.drained("lhr", float(t)) for t in times] == list(mask)
-
-    def test_codes_drain_independently(self):
-        drain = FrontEndDrain(daily_rate=0.5, seed=5)
-        times = np.linspace(0.0, 24.0 * 20, 400)
-        a = drain.drained_mask("iad", times)
-        b = drain.drained_mask("sin", times)
-        assert not np.array_equal(a, b)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(FaultError):
-            FrontEndDrain(drain_hours=0.0)
-        with pytest.raises(FaultError):
-            FrontEndDrain(drain_hours=30.0)
-
-
-class TestProbeLoss:
-    def test_mask_shape_and_determinism(self):
-        loss = ProbeLoss(rate=0.1, seed=6)
-        keys = [f"iad:pfx-{i}" for i in range(8)]
-        mask = loss.lost_mask(keys, 20, 3)
-        assert mask.shape == (8, 20, 3)
-        assert np.array_equal(mask, ProbeLoss(rate=0.1, seed=6).lost_mask(keys, 20, 3))
-
-    def test_losses_keyed_by_pair_not_position(self):
-        loss = ProbeLoss(rate=0.2, seed=1)
-        keys = [f"iad:pfx-{i}" for i in range(6)]
-        full = loss.lost_mask(keys, 10, 3)
-        reordered = loss.lost_mask(keys[::-1], 10, 3)
-        assert np.array_equal(full[::-1], reordered)
-
-    def test_rate_zero_loses_nothing(self):
-        assert not ProbeLoss(rate=0.0).lost_mask(["a"], 50, 3).any()
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(FaultError):
-            ProbeLoss(rate=-0.1)
 
 
 class TestPlatformAttribution:

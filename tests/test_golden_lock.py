@@ -25,10 +25,9 @@ counts, sketch shapes) is locked by one digest.  A routing scenario's
 exact part is the sha256 of its ``to_json()`` bytes, next to its
 summary, whose floats are compared one by one.
 
-The entries are computed in a child process with ``PYTHONHASHSEED=0``.
-The cloudtiers last-mile draw seeds from ``hash(vp_id)`` (a known
-defect, pinned in ``tests/test_cloudtiers_speedchecker.py``), so the
-campaign records only reproduce with str hashing fixed.
+The entries are computed in a child process that inherits the caller's
+``PYTHONHASHSEED`` (a fresh random salt when it is unset), so no entry
+may depend on the salt of ``hash()``.
 
 After an intended behaviour change, re-record from the repo root with::
 
@@ -311,11 +310,10 @@ def compute_outputs() -> Dict[str, Any]:
     return out
 
 
-def _outputs_in_pinned_process() -> Dict[str, Any]:
-    """:func:`compute_outputs` run in a child with str hashing fixed."""
+def _outputs_in_child_process() -> Dict[str, Any]:
+    """:func:`compute_outputs` run in a fresh child interpreter."""
     env = dict(
         os.environ,
-        PYTHONHASHSEED="0",
         PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
     )
     child = subprocess.run(
@@ -353,7 +351,7 @@ def recording() -> Dict[str, Dict[str, Any]]:
 
 @pytest.fixture(scope="module")
 def outputs() -> Dict[str, Any]:
-    return _outputs_in_pinned_process()
+    return _outputs_in_child_process()
 
 
 def test_entry_names_match(recording, outputs):
@@ -377,7 +375,7 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--emit"]:
         json.dump(compute_outputs(), sys.stdout)
     else:
-        outputs = _outputs_in_pinned_process()
+        outputs = _outputs_in_child_process()
         # One entry per line, so a re-recording diffs entry by entry.
         lines = [
             f"{json.dumps(name)}: {json.dumps(_record(outputs[name]))}"

@@ -1,136 +1,10 @@
-"""Tests for dataset serialization and figure export."""
+"""Tests for the versioned artifact headers and figure export."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
 from repro.analysis import weighted_cdf
-from repro.io import (
-    load_beacon_dataset,
-    load_egress_dataset,
-    save_beacon_dataset,
-    save_egress_dataset,
-    write_cdf_csv,
-    write_country_csv,
-)
-
-
-@pytest.fixture(scope="module")
-def egress_dataset(small_internet):
-    from repro.edgefabric import MeasurementConfig, run_measurement
-    from repro.workloads import generate_client_prefixes
-
-    prefixes = generate_client_prefixes(small_internet, 25, seed=21)
-    return run_measurement(
-        small_internet, prefixes, MeasurementConfig(days=0.25, seed=21)
-    )
-
-
-@pytest.fixture(scope="module")
-def beacon_dataset(small_internet, small_prefixes):
-    from repro.cdn import BeaconConfig, CdnDeployment, run_beacon_campaign
-
-    deployment = CdnDeployment(small_internet)
-    return run_beacon_campaign(
-        deployment,
-        small_prefixes[:25],
-        BeaconConfig(days=0.5, requests_per_prefix=8, seed=21),
-    )
-
-
-class TestEgressRoundtrip:
-    def test_roundtrip_exact(self, egress_dataset, tmp_path):
-        path = tmp_path / "egress.npz"
-        save_egress_dataset(egress_dataset, path)
-        loaded = load_egress_dataset(path)
-        assert np.array_equal(loaded.medians, egress_dataset.medians, equal_nan=True)
-        assert np.array_equal(loaded.volumes, egress_dataset.volumes)
-        assert loaded.max_routes == egress_dataset.max_routes
-        assert loaded.pairs == egress_dataset.pairs
-
-    def test_analysis_identical_after_roundtrip(self, egress_dataset, tmp_path):
-        from repro.edgefabric import bgp_vs_best_alternate
-
-        path = tmp_path / "egress.npz"
-        save_egress_dataset(egress_dataset, path)
-        loaded = load_egress_dataset(path)
-        a = bgp_vs_best_alternate(egress_dataset)
-        b = bgp_vs_best_alternate(loaded)
-        assert a.frac_alternate_better_5ms == b.frac_alternate_better_5ms
-        assert np.array_equal(a.cdf.xs, b.cdf.xs)
-
-    def test_wrong_kind_rejected(self, egress_dataset, tmp_path):
-        path = tmp_path / "egress.npz"
-        save_egress_dataset(egress_dataset, path)
-        with pytest.raises(AnalysisError):
-            load_beacon_dataset(path)
-
-
-class TestBeaconRoundtrip:
-    def test_roundtrip_exact(self, beacon_dataset, tmp_path):
-        path = tmp_path / "beacon.npz"
-        save_beacon_dataset(beacon_dataset, path)
-        loaded = load_beacon_dataset(path)
-        assert np.array_equal(loaded.anycast_rtt, beacon_dataset.anycast_rtt)
-        assert np.array_equal(
-            loaded.unicast_rtt, beacon_dataset.unicast_rtt, equal_nan=True
-        )
-        assert loaded.prefixes == beacon_dataset.prefixes
-        assert loaded.catchments == beacon_dataset.catchments
-        assert loaded.fe_codes == beacon_dataset.fe_codes
-        assert loaded.n_nearby == beacon_dataset.n_nearby
-
-    def test_analysis_identical_after_roundtrip(self, beacon_dataset, tmp_path):
-        from repro.cdn import anycast_vs_best_unicast
-
-        path = tmp_path / "beacon.npz"
-        save_beacon_dataset(beacon_dataset, path)
-        loaded = load_beacon_dataset(path)
-        a = anycast_vs_best_unicast(beacon_dataset)
-        b = anycast_vs_best_unicast(loaded)
-        assert a.frac_within_10ms == b.frac_within_10ms
-
-
-@pytest.fixture(scope="module")
-def tier_dataset(small_internet):
-    from repro.cloudtiers import (
-        CampaignConfig,
-        CloudDeployment,
-        SpeedcheckerPlatform,
-        run_campaign,
-    )
-
-    platform = SpeedcheckerPlatform(CloudDeployment(small_internet), seed=21)
-    return run_campaign(
-        platform,
-        CampaignConfig(days=2, vps_per_day=25, rounds_per_day=2, seed=21),
-    )
-
-
-class TestTierRoundtrip:
-    def test_roundtrip_exact(self, tier_dataset, tmp_path):
-        from repro.io import load_tier_dataset, save_tier_dataset
-
-        path = tmp_path / "tier.npz"
-        save_tier_dataset(tier_dataset, path)
-        loaded = load_tier_dataset(path)
-        assert set(loaded.vps) == set(tier_dataset.vps)
-        assert loaded.eligible == tier_dataset.eligible
-        assert [(r.vp_id, r.day, r.median_ms) for r in loaded.records] == [
-            (r.vp_id, r.day, r.median_ms) for r in tier_dataset.records
-        ]
-        assert set(loaded.traceroutes) == set(tier_dataset.traceroutes)
-
-    def test_analysis_identical(self, tier_dataset, tmp_path):
-        from repro.cloudtiers import country_medians
-        from repro.io import load_tier_dataset, save_tier_dataset
-
-        path = tmp_path / "tier.npz"
-        save_tier_dataset(tier_dataset, path)
-        loaded = load_tier_dataset(path)
-        a = country_medians(tier_dataset, min_vps=1)
-        b = country_medians(loaded, min_vps=1)
-        assert a.country_diff_ms == b.country_diff_ms
+from repro.io import write_cdf_csv, write_country_csv
 
 
 class TestCsvExport:

@@ -68,7 +68,6 @@ from repro.cloudtiers import (
     run_campaign,
 )
 from repro.edgefabric.analysis import bgp_vs_best_alternate
-from repro.faults import FrontEndDrain
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.routes import tables_for_destinations
@@ -443,17 +442,13 @@ class TestProbePricingLanes:
                 getattr(memoised, name), getattr(reference, name), equal_nan=True
             ), name
 
-    @pytest.mark.parametrize("case", ["seed-7", "seed-8", "drain", "unreachable"])
+    @pytest.mark.parametrize("case", ["seed-7", "seed-8", "unreachable"])
     def test_beacon_campaign_equals_per_target_oracle(self, case):
         """The per-prefix blocks (batch-seeded streams, one pricing
         kernel pass, one noise draw) give exactly the output of seeding,
         pricing and drawing noise one target at a time."""
         seed = 8 if case == "seed-8" else 7
         cfg = BeaconConfig(days=3.0, requests_per_prefix=16, seed=seed)
-        if case == "drain":
-            cfg = dataclasses.replace(
-                cfg, drain=FrontEndDrain(daily_rate=0.5, seed=seed)
-            )
         results = []
         for campaign in (run_beacon_campaign_reference, run_beacon_campaign):
             internet, prefixes = _world(seed)
@@ -469,7 +464,7 @@ class TestProbePricingLanes:
             assert np.array_equal(
                 getattr(blocked, name), getattr(reference, name), equal_nan=True
             ), name
-        if case in ("drain", "unreachable"):
+        if case == "unreachable":
             assert np.isnan(blocked.unicast_rtt).any()
 
     @pytest.mark.parametrize("seed", (7, 8))

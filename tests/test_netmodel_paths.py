@@ -8,7 +8,6 @@ from repro.errors import RoutingError
 from repro.geo import city_named, great_circle_km, propagation_one_way_ms
 from repro.bgp import propagate
 from repro.netmodel import AS_HOP_PENALTY_MS, trace
-from repro.netmodel.paths import ForwardingPath, Segment
 
 from conftest import E1, E2, PROVIDER, T1A, TR1, TR2
 
@@ -157,22 +156,3 @@ class TestWanTerminalSegment:
         assert with_wan.one_way_ms >= without_dest.one_way_ms
         assert with_wan.ingress_city == without_dest.ingress_city
 
-
-class TestCrossesLongitude:
-    def test_simple_span(self):
-        seg = Segment(1, city_named("London"), city_named("New York"), 5570.0, 27.8)
-        path = ForwardingPath((1,), (seg,), city_named("New York"), 27.8)
-        assert path.crosses_longitude(-30.0)
-        assert not path.crosses_longitude(100.0)
-
-    def test_antimeridian_wrap(self):
-        seg = Segment(1, city_named("Tokyo"), city_named("Seattle"), 7700.0, 38.0)
-        path = ForwardingPath((1,), (seg,), city_named("Seattle"), 38.0)
-        # Tokyo (139.7E) -> Seattle (122.3W) crosses the antimeridian.
-        assert path.crosses_longitude(180.0)
-        assert not path.crosses_longitude(0.0)
-
-    def test_total_km(self):
-        seg = Segment(1, city_named("London"), city_named("Paris"), 344.0, 1.9)
-        path = ForwardingPath((1,), (seg,), city_named("Paris"), 1.9)
-        assert path.total_km == pytest.approx(344.0)

@@ -7,10 +7,8 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.netmodel import (
-    ci_halfwidth_matrix,
     median_min_rtt,
     median_min_rtt_ci_halfwidth,
-    noisy_medians,
     sample_min_rtts,
     sampled_median_matrix,
 )
@@ -82,42 +80,7 @@ class TestCiHalfwidth:
         assert 0.88 <= hits / trials <= 0.99
 
 
-class TestNoisyMedians:
-    def test_shape_and_center(self):
-        rng = np.random.default_rng(3)
-        base = np.full(20_000, 40.0)
-        medians = noisy_medians(base, 25, rng, noise_scale_ms=2.0)
-        assert medians.shape == base.shape
-        assert medians.mean() == pytest.approx(median_min_rtt(40.0, 2.0), abs=0.02)
-
-    def test_spread_matches_asymptotics(self):
-        rng = np.random.default_rng(4)
-        base = np.zeros(50_000)
-        medians = noisy_medians(base, 25, rng, noise_scale_ms=2.0)
-        assert medians.std() == pytest.approx(2.0 / math.sqrt(25), rel=0.05)
-
-    def test_needs_positive_sessions(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(MeasurementError):
-            noisy_medians(np.zeros(3), 0, rng)
-
-
 class TestBatchHelpers:
-    def test_ci_halfwidth_matrix_matches_scalar(self):
-        counts = np.array([[1, 4], [25, 100]])
-        matrix = ci_halfwidth_matrix(2.0, counts)
-        assert matrix.shape == counts.shape
-        for idx in np.ndindex(counts.shape):
-            assert matrix[idx] == median_min_rtt_ci_halfwidth(
-                2.0, int(counts[idx])
-            )
-
-    def test_ci_halfwidth_matrix_rejects_nonpositive(self):
-        with pytest.raises(MeasurementError):
-            ci_halfwidth_matrix(1.0, np.array([5, 0]))
-        with pytest.raises(MeasurementError):
-            ci_halfwidth_matrix(1.0, np.array([]))
-
     def test_sampled_median_matrix_statistics(self):
         rng = np.random.default_rng(11)
         floor = np.full((200, 250), 40.0)

@@ -1,12 +1,17 @@
 """API-surface tests: the documented public names exist and import.
 
 Guards against accidental breakage of `__all__` exports and keeps
-docs/api.md honest.
+docs/api.md and the code in README.md and docs/ honest.
 """
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_API = {
     "repro": ["ReproError", "TopologyError", "RoutingError", "__version__"],
@@ -38,9 +43,6 @@ PUBLIC_API = {
         "EgressDecisionProcess",
         "RouteClass",
         "Grooming",
-        "dump_rib",
-        "path_statistics",
-        "valley_free_violations",
         "DynamicsEngine",
         "DynamicsConfig",
         "run_scenario",
@@ -59,7 +61,6 @@ PUBLIC_API = {
         "ClientPrefix",
         "generate_client_prefixes",
         "assign_ldns",
-        "sample_arrivals",
     ],
     "repro.edgefabric": [
         "run_measurement",
@@ -97,9 +98,6 @@ PUBLIC_API = {
         "fail_pop_site",
         "anycast_vs_dns_failover",
         "peering_failure_study",
-        "restore_link",
-        "transient_pop_outage",
-        "transient_provider_link_outage",
         "scenario_recovery",
     ],
     "repro.analysis": [
@@ -195,13 +193,8 @@ PUBLIC_API = {
         "render_json",
     ],
     "repro.io": [
-        "save_egress_dataset",
-        "load_egress_dataset",
-        "save_beacon_dataset",
-        "load_beacon_dataset",
-        "save_tier_dataset",
-        "load_tier_dataset",
         "write_cdf_csv",
+        "write_country_csv",
         "make_header",
         "check_header",
     ],
@@ -243,3 +236,25 @@ def test_every_public_callable_has_docstring():
             if not (obj.__doc__ or "").strip():
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"missing docstrings: {missing}"
+
+
+def test_doc_code_imports_resolve():
+    """Each ``from repro... import ...`` in a python block of README.md
+    or docs/*.md imports every name it lists."""
+    block = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+    statements = []
+    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        for code in block.findall(doc.read_text(encoding="utf-8")):
+            statements += [
+                (doc.relative_to(ROOT), ast.unparse(node))
+                for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+            ]
+    assert statements, "no repro imports found in the docs' python blocks"
+    broken = []
+    for doc, statement in statements:
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            broken.append(f"{doc}: {statement}: {exc}")
+    assert not broken, "\n".join(broken)

@@ -256,10 +256,6 @@ class TestWanDefaults:
         # Connectivity is guaranteed by construction.
         assert internet.wan.one_way_ms("lhr", "nrt") > 0
 
-    def test_pops_with_link_to(self, small_internet):
-        t1 = small_internet.graph.providers(small_internet.provider_asn)[0]
-        pops = small_internet.pops_with_link_to(t1)
-        assert len(pops) == len(small_internet.wan.pops)
 
 
 _DUMP_LAST_BUILD = """
