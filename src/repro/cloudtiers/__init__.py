@@ -15,7 +15,6 @@ from repro.cloudtiers.tiers import CloudDeployment, Tier
 from repro.cloudtiers.speedchecker import (
     SpeedcheckerPlatform,
     VantagePoint,
-    PingResult,
     TracerouteResult,
 )
 from repro.cloudtiers.campaign import CampaignConfig, TierDataset, run_campaign
@@ -40,7 +39,6 @@ __all__ = [
     "Tier",
     "SpeedcheckerPlatform",
     "VantagePoint",
-    "PingResult",
     "TracerouteResult",
     "CampaignConfig",
     "TierDataset",

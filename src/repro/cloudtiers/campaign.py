@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, require_int
 from repro.obs.trace import gauge, traced
 from repro.cloudtiers.speedchecker import (
     SpeedcheckerPlatform,
@@ -39,7 +39,9 @@ class CampaignConfig:
     The defaults compress the paper's 10-month, 800-VP/day campaign to
     something a laptop reruns in seconds while keeping the protocol:
     daily VP rotation, 10 rounds/day, 5 pings per round per VM, one
-    traceroute per VM per VP-day.
+    traceroute per VM per VP-day.  Every field is an ``int`` (a bool or
+    float raises :class:`~repro.errors.MeasurementError`); the counts
+    must be >= 1 and the seed >= 0.
     """
 
     days: int = 20
@@ -49,8 +51,13 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.days, self.vps_per_day, self.rounds_per_day, self.pings_per_round) < 1:
-            raise MeasurementError("campaign parameters must be positive")
+        counts = ("days", "vps_per_day", "rounds_per_day", "pings_per_round")
+        for name in (*counts, "seed"):
+            value = require_int(getattr(self, name), name, MeasurementError)
+            object.__setattr__(self, name, value)
+            least = 1 if name in counts else 0
+            if value < least:
+                raise MeasurementError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,10 @@ def run_campaign(
 ) -> TierDataset:
     """Run the tier-comparison campaign through the platform API.
 
-    Each VP-day's pings go out as one
-    :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
-    and their per-round medians come from one array reduction.
+    Each day's panel is pinged as one
+    :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_panel`
+    block, and its per-round and per-day medians are two array
+    reductions over that block.
     """
     cfg = config or CampaignConfig()
     deployment = platform.deployment
@@ -114,28 +122,22 @@ def run_campaign(
         )
         round_times = day * 24.0 + np.sort(rng.uniform(0.0, 24.0, cfg.rounds_per_day))
         for vp in panel:
-            medians: Dict[Tier, List[float]] = {Tier.PREMIUM: [], Tier.STANDARD: []}
-            for tier in (Tier.PREMIUM, Tier.STANDARD):
+            for tier in Tier:
                 if (vp.vp_id, tier) not in traceroutes:
                     tr = platform.traceroute(vp, tier, float(round_times[0]))
                     if tr is not None:
                         traceroutes[(vp.vp_id, tier)] = tr
-                burst = platform.ping_burst(
-                    vp, tier, round_times, count=cfg.pings_per_round
-                )
-                if burst is not None:
-                    medians[tier] = list(np.median(burst, axis=1))
-            if not medians[Tier.PREMIUM] or not medians[Tier.STANDARD]:
+        routed, rtts = platform.ping_panel(
+            panel, round_times, count=cfg.pings_per_round
+        )
+        day_ms = np.full(routed.shape, np.nan)
+        day_ms[routed] = np.median(np.median(rtts, axis=2), axis=1)
+        for vp, both, medians in zip(panel, routed.all(axis=1), day_ms.tolist()):
+            if not both:
                 continue
             vps[vp.vp_id] = vp
             records.append(
-                VpDayRecord(
-                    vp_id=vp.vp_id,
-                    day=day,
-                    median_ms={
-                        tier: float(np.median(ms)) for tier, ms in medians.items()
-                    },
-                )
+                VpDayRecord(vp_id=vp.vp_id, day=day, median_ms=dict(zip(Tier, medians)))
             )
             if vp.vp_id not in checked:
                 checked.add(vp.vp_id)

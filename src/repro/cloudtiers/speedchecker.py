@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MeasurementError, RoutingError
+from repro.errors import MeasurementError, RoutingError, require_int
 from repro.geo import City
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.topology import ASRole
@@ -96,24 +96,6 @@ class VantagePoint:
 
 
 @dataclass(frozen=True)
-class PingResult:
-    """RTT samples from one ping burst."""
-
-    vp_id: str
-    tier: Tier
-    time_h: float
-    rtts_ms: Tuple[float, ...]
-
-    @property
-    def min_ms(self) -> float:
-        return min(self.rtts_ms)
-
-    @property
-    def median_ms(self) -> float:
-        return float(np.median(self.rtts_ms))
-
-
-@dataclass(frozen=True)
 class TracerouteHop:
     """One traceroute hop: the AS and city the packet passed through."""
 
@@ -152,8 +134,10 @@ class SpeedcheckerPlatform:
 
     Args:
         deployment: The tiers' routing state.
-        credits: Measurement budget; each call debits its price.
-        seed: Randomness seed for noise and VP inventory.
+        credits: Measurement budget, an integer >= 1; each call debits
+            its price.
+        seed: Randomness seed (an integer >= 0) for noise and VP
+            inventory.
         congestion: Optional congestion parameter override.
         horizon_days: Campaign horizon for the congestion processes.
     """
@@ -166,18 +150,21 @@ class SpeedcheckerPlatform:
         congestion: Optional[CongestionConfig] = None,
         horizon_days: float = 300.0,
     ) -> None:
+        credits = require_int(credits, "credits", MeasurementError)
         if credits <= 0:
             raise MeasurementError("credit budget must be positive")
         self.deployment = deployment
         self.credits = credits
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.seed = require_int(seed, "seed", MeasurementError)
+        if self.seed < 0:
+            raise MeasurementError(f"seed must be >= 0, got {self.seed}")
+        self._rng = np.random.default_rng(self.seed)
         cfg = congestion or CongestionConfig(
             horizon_hours=horizon_days * 24.0,
             event_rate_per_day=0.5,
             event_magnitude_median_ms=8.0,
         )
-        self._congestion = CongestionModel(seed, cfg)
+        self._congestion = CongestionModel(self.seed, cfg)
         self._vps = self._build_inventory()
         self._path_cache: Dict[Tuple[str, Tier], Optional[object]] = {}
         self._last_mile: Dict[str, float] = {}
@@ -258,71 +245,66 @@ class SpeedcheckerPlatform:
 
     # --- public API -----------------------------------------------------------
 
-    def ping(
-        self, vp: VantagePoint, tier: Tier, time_h: float, count: int = 5
-    ) -> Optional[PingResult]:
-        """Ping a tier's VM from a vantage point.
-
-        Returns ``None`` if the VP has no route to the VM (the probe
-        times out); credits are spent either way, as on the real
-        platform.
-        """
-        if count < 1:
-            raise MeasurementError("ping count must be >= 1")
-        self._spend(PING_CREDITS * count)
-        path = self._path(vp, tier)
-        if path is None:
-            return None
-        times = np.full(count, time_h)
-        base = 2.0 * path.one_way_ms + self._vp_last_mile(vp)
-        shared = self._congestion.shared_delay(
-            f"vp:{vp.vp_id}", vp.city.location.lon, times
-        )
-        route = self._congestion.link_delay(f"tierpath:{vp.vp_id}:{tier.value}", times)
-        samples = base + shared + route + self._rng.exponential(1.2, size=count)
-        return PingResult(
-            vp_id=vp.vp_id,
-            tier=tier,
-            time_h=time_h,
-            rtts_ms=tuple(float(x) for x in samples),
-        )
-
-    def ping_burst(
+    def ping_panel(
         self,
-        vp: VantagePoint,
-        tier: Tier,
+        vps: Sequence[VantagePoint],
         times_h: Sequence[float],
         count: int = 5,
-    ) -> Optional[np.ndarray]:
-        """Many ping rounds in one call: RTTs of shape ``(rounds, count)``.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ping both tiers' VMs from a panel of vantage points, every round.
 
-        The batched form of :meth:`ping` used by the campaign.  Credits
-        for the whole burst are debited up front; the noise draw
-        consumes exactly the stream positions the equivalent sequence of
-        per-round :meth:`ping` calls would (one contiguous block in round
-        order), so every sample is bit-identical to theirs.  Returns
-        ``None`` if the VP has no route to the VM — credits are spent,
-        and no noise is drawn, matching the per-round behaviour.
+        Returns ``(routed, rtts)``.  ``routed`` is a bool array of shape
+        ``(len(vps), 2)``: whether each VP has a route to each tier, in
+        :class:`Tier` order (Premium, then Standard).  ``rtts`` holds the
+        routed rows in that order, panel order first, as an array of
+        shape ``(rows, rounds, count)``.
+
+        Every (VP, tier) pair costs ``count`` pings per round, debited
+        up front whether or not it routes: a probe with no route times
+        out, as on the real platform.  A routed row's RTT is
+        ``2 * one_way + last mile + (diurnal + the VP's events) + the
+        route's events + noise``, and its noise is the next
+        ``rounds * count`` positions of the platform's noise stream.  A
+        row with no route draws no noise.
         """
         if count < 1:
             raise MeasurementError("ping count must be >= 1")
         times = np.asarray(times_h, dtype=float)
         if times.size == 0:
             raise MeasurementError("need at least one round time")
-        self._spend(PING_CREDITS * count * times.size)
-        path = self._path(vp, tier)
-        if path is None:
-            return None
+        self._spend(PING_CREDITS * count * times.size * len(Tier) * len(vps))
+        paths = [[self._path(vp, tier) for tier in Tier] for vp in vps]
+        found = [[path is not None for path in row] for row in paths]
+        routed = np.array(found, dtype=bool).reshape(len(vps), len(Tier))
+        vp_keys: List[str] = []
+        lons: List[float] = []
+        row_vp: List[int] = []
+        bases: List[float] = []
+        route_keys: List[str] = []
+        for vp, row in zip(vps, paths):
+            if all(path is None for path in row):
+                continue
+            last_mile = self._vp_last_mile(vp)
+            for tier, path in zip(Tier, row):
+                if path is not None:
+                    row_vp.append(len(vp_keys))
+                    bases.append(2.0 * path.one_way_ms + last_mile)
+                    route_keys.append(f"tierpath:{vp.vp_id}:{tier.value}")
+            vp_keys.append(f"vp:{vp.vp_id}")
+            lons.append(vp.city.location.lon)
         full = np.repeat(times, count)
-        base = 2.0 * path.one_way_ms + self._vp_last_mile(vp)
-        shared = self._congestion.shared_delay(
-            f"vp:{vp.vp_id}", vp.city.location.lon, full
+        events, _ = self._congestion.event_and_shift_delays(
+            vp_keys + route_keys, (), full
         )
-        route = self._congestion.link_delay(
-            f"tierpath:{vp.vp_id}:{tier.value}", full
-        )
-        noise = self._rng.exponential(1.2, size=full.size)
-        return (base + shared + route + noise).reshape(times.size, count)
+        # One diurnal row per VP: the formula broadcasts over a column of
+        # longitudes.
+        diurnal = self._congestion.diurnal_delay(full, np.array(lons)[:, None])
+        shared = diurnal + events[: len(vp_keys)]
+        noise = self._rng.exponential(1.2, size=(len(bases), full.size))
+        rtts = np.array(bases)[:, None] + shared[row_vp]
+        rtts += events[len(vp_keys) :]
+        rtts += noise
+        return routed, rtts.reshape(len(bases), times.size, count)
 
     def traceroute(
         self, vp: VantagePoint, tier: Tier, time_h: float

@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import RoutingError
 from repro.geo import City
 from repro.topology import Internet, PointOfPresence
 from repro.bgp import PropagationRequest, propagate_many

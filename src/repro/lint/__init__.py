@@ -12,7 +12,7 @@ configuration checkers rather than after-the-fact audits:
 * :mod:`repro.lint.rules` — the rule framework: file contexts,
   alias-aware import resolution, per-line suppression.
 * :mod:`repro.lint.checks` — the shipped rules: RNG discipline
-  (RNG001/RNG002), wall-clock purity (TIME001), crash-call containment
+  (RNG001/RNG002/RNG003), wall-clock purity (TIME001), crash-call containment
   (CRASH001), exception taxonomy (EXC001), serialization safety
   (SER001), static telemetry names (OBS001), plus the whole-program
   graph rules: seed taint (DET001), worker purity (FORK001), and shm

@@ -15,7 +15,11 @@ from typing import List
 
 from repro.lint.checks.crashcalls import CrashCallRule
 from repro.lint.checks.exceptions import SwallowedExceptionRule
-from repro.lint.checks.rng import FreshGeneratorRule, LegacyRandomRule
+from repro.lint.checks.rng import (
+    FreshGeneratorRule,
+    LegacyRandomRule,
+    SaltedHashSeedRule,
+)
 from repro.lint.checks.seedtaint import SeedTaintRule
 from repro.lint.checks.serialization import PayloadFieldRule
 from repro.lint.checks.shmdiscipline import ShmDisciplineRule
@@ -30,6 +34,7 @@ ALL_RULE_CLASSES = (
     WorkerPurityRule,
     LegacyRandomRule,
     FreshGeneratorRule,
+    SaltedHashSeedRule,
     WallClockRule,
     CrashCallRule,
     SwallowedExceptionRule,
@@ -50,6 +55,7 @@ __all__ = [
     "FreshGeneratorRule",
     "LegacyRandomRule",
     "PayloadFieldRule",
+    "SaltedHashSeedRule",
     "SeedTaintRule",
     "ShmDisciplineRule",
     "SpanNameRule",

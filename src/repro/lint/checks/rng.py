@@ -2,7 +2,7 @@
 
 The reproduction's headline numbers are only comparable across runs,
 lanes, and resumed campaigns because every random draw flows from an
-explicitly threaded seed.  Two rules guard that:
+explicitly threaded seed.  Three rules guard that:
 
 * ``RNG001`` — the stdlib ``random`` module and numpy's legacy
   module-level API (``np.random.rand``, ``np.random.seed``, the
@@ -13,6 +13,9 @@ explicitly threaded seed.  Two rules guard that:
   exposes no ``seed``/``rng`` parameter pins callers to one stream
   they cannot vary.  Library call paths must accept the generator or
   the seed from above.
+* ``RNG003`` — the builtin ``hash()`` of a str or bytes is salted per
+  process (``PYTHONHASHSEED``), so a generator seeded from it draws a
+  different stream in every run.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ SEED_BEARING_PARAMS: Set[str] = {
 }
 
 DEFAULT_RNG = "numpy.random.default_rng"
+
+#: The seeded constructors: their arguments are seed material.
+SEEDED_CONSTRUCTORS: Set[str] = {
+    f"numpy.random.{name}" for name in NUMPY_RANDOM_ALLOWED
+}
 
 
 def _is_test_module(module: str) -> bool:
@@ -139,6 +147,59 @@ class FreshGeneratorRule(Rule):
                 "config) so campaigns can vary it",
                 severity=WARNING,
             )
+
+
+class SaltedHashSeedRule(Rule):
+    """RNG003: no builtin ``hash()`` in a seeded constructor's arguments."""
+
+    rule_id = "RNG003"
+    name = "rng-salted-hash"
+    description = (
+        "builtin hash() is salted per process, so a generator seeded "
+        "from it draws a different stream in every run; seed from a "
+        "stable digest of the key instead"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        if _is_test_module(ctx.module) or _binds_hash(ctx):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if ctx.imports.resolve(node.func) not in SEEDED_CONSTRUCTORS:
+                continue
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]:
+                for inner in ast.walk(arg):
+                    if (
+                        isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Name)
+                        and inner.func.id == "hash"
+                    ):
+                        yield ctx.finding(
+                            self,
+                            inner,
+                            "seed material from builtin hash() changes with "
+                            "PYTHONHASHSEED; derive it from a stable digest "
+                            "(crc32, sha256) of the key",
+                        )
+
+
+def _binds_hash(ctx: FileContext) -> bool:
+    """Whether the module binds the name ``hash`` anywhere: an import, a
+    def or class, an assignment target or a parameter.  Scoping is flat,
+    as in :class:`~repro.lint.rules.ImportMap`."""
+    if "hash" in ctx.imports.aliases:
+        return True
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == "hash":
+                return True
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "hash":
+                return True
+        elif isinstance(node, ast.arg) and node.arg == "hash":
+            return True
+    return False
 
 
 def _calls_with_enclosing_function(

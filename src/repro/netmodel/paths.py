@@ -30,7 +30,6 @@ class Segment:
     asn: int
     from_city: City
     to_city: City
-    km: float
     one_way_ms: float
 
 
@@ -158,7 +157,7 @@ def trace(
         carry_km = km(current_city, exit_city)
         if carry_km > 0.0:
             ms = propagation_one_way_ms(carry_km, asys.backbone_inflation)
-            segments.append(Segment(current_asn, current_city, exit_city, carry_km, ms))
+            segments.append(Segment(current_asn, current_city, exit_city, ms))
             total_ms += ms
         total_ms += hop_penalty_ms
         current_city = exit_city
@@ -174,23 +173,15 @@ def trace(
             if ms > 0.0:
                 hops = wan.path(ingress_pop.code, dest_pop.code)
                 for a, b in zip(hops[:-1], hops[1:]):
-                    hop_km = km(a.city, b.city)
-                    segments.append(
-                        Segment(
-                            origin,
-                            a.city,
-                            b.city,
-                            hop_km,
-                            propagation_one_way_ms(hop_km, wan.inflation),
-                        )
-                    )
+                    hop_ms = propagation_one_way_ms(km(a.city, b.city), wan.inflation)
+                    segments.append(Segment(origin, a.city, b.city, hop_ms))
                 total_ms += ms
         else:
             final_km = km(ingress_city, dest_city)
             if final_km > 0.0:
                 asys = graph.get(origin)
                 ms = propagation_one_way_ms(final_km, asys.backbone_inflation)
-                segments.append(Segment(origin, ingress_city, dest_city, final_km, ms))
+                segments.append(Segment(origin, ingress_city, dest_city, ms))
                 total_ms += ms
 
     return ForwardingPath(

@@ -66,34 +66,21 @@ def median_min_rtt_ci_halfwidth(
 
 def sampled_median_matrix(
     floor_ms: np.ndarray,
-    n_sessions: np.ndarray = None,
-    rng: np.random.Generator = None,
-    noise_scale_ms: float = 1.0,
-    sd: np.ndarray = None,
+    rng: np.random.Generator,
+    noise_scale_ms: float,
+    sd: np.ndarray,
 ) -> np.ndarray:
     """Batched sampled-median estimates over a whole floor-latency array.
 
     The batch measurement lanes hand this the full ``(pairs, windows,
-    routes)`` floor tensor and a broadcast-compatible session-count
-    array; it applies the analytic approximation — true median plus
-    normal estimation noise with the asymptotic sd — in one vectorized
+    routes)`` floor tensor and the per-cell noise standard deviation
+    ``sd`` (``noise_scale_ms / sqrt(sessions)``, broadcast-compatible,
+    precomputed so callers that also need CI half-widths take one
+    square root); it applies the analytic approximation — true median
+    plus normal estimation noise with that sd — in one vectorized
     draw.
-
-    Either ``n_sessions`` or a precomputed ``sd`` (the per-cell noise
-    standard deviation, ``noise_scale_ms / sqrt(n)``) must be given;
-    passing ``sd`` lets callers that also need CI half-widths derive
-    both from one square root.
     """
     floor = np.asarray(floor_ms, dtype=float)
-    if rng is None:
-        raise MeasurementError("sampled_median_matrix needs an rng")
-    if sd is None:
-        if n_sessions is None:
-            raise MeasurementError("need n_sessions or a precomputed sd")
-        n = np.asarray(n_sessions, dtype=float)
-        if n.size == 0 or np.any(n <= 0):
-            raise MeasurementError("need at least one session in every window")
-        sd = noise_scale_ms / np.sqrt(n)
     counter("netmodel.rtt.medians", floor.size)
     # In-place accumulation: the noise draw doubles as the output buffer
     # so a (pairs × windows × routes) call allocates one array, not four.

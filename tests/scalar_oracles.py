@@ -18,7 +18,8 @@ comparison.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,16 @@ import repro.netmodel.congestion as congestion_module
 from repro.cdn.deployment import CdnDeployment
 from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
 from repro.cdn.measurement import BeaconConfig, BeaconDataset
-from repro.cloudtiers import SpeedcheckerPlatform
+from repro.cloudtiers import (
+    CampaignConfig,
+    SpeedcheckerPlatform,
+    Tier,
+    TierDataset,
+    TracerouteResult,
+    VantagePoint,
+)
+from repro.cloudtiers.campaign import VpDayRecord
+from repro.cloudtiers.speedchecker import PING_CREDITS
 from repro.edgefabric.episodes import Episode, EpisodeStudyResult
 from repro.errors import MeasurementError, RoutingError
 from repro.geo import City, CityDistanceCache, GeoPoint, great_circle_km
@@ -270,15 +280,102 @@ def train_redirection_reference(
 # --- cloudtiers campaign ---------------------------------------------------
 
 
-class PerRoundPingPlatform(SpeedcheckerPlatform):
-    """A platform that serves every ping burst as per-round :meth:`ping`
-    calls, each drawing its own noise."""
+@dataclass(frozen=True)
+class PingResult:
+    """RTT samples from one ping round."""
 
-    def ping_burst(self, vp, tier, times_h, count=5):
-        rounds = [self.ping(vp, tier, float(t), count=count) for t in times_h]
-        if any(r is None for r in rounds):
-            return None
-        return np.array([r.rtts_ms for r in rounds])
+    vp_id: str
+    tier: Tier
+    time_h: float
+    rtts_ms: Tuple[float, ...]
+
+
+def ping(
+    platform: SpeedcheckerPlatform,
+    vp: VantagePoint,
+    tier: Tier,
+    time_h: float,
+    count: int = 5,
+) -> Optional[PingResult]:
+    """One ping round from ``vp`` to ``tier``'s VM, priced on its own:
+    single-key congestion lookups and its own noise draw.  Credits are
+    spent either way; a VP with no route gets ``None`` and draws no
+    noise."""
+    if count < 1:
+        raise MeasurementError("ping count must be >= 1")
+    platform._spend(PING_CREDITS * count)
+    path = platform._path(vp, tier)
+    if path is None:
+        return None
+    times = np.full(count, time_h)
+    base = 2.0 * path.one_way_ms + platform._vp_last_mile(vp)
+    congestion = platform._congestion
+    shared = congestion.shared_delay(f"vp:{vp.vp_id}", vp.city.location.lon, times)
+    route = congestion.link_delay(f"tierpath:{vp.vp_id}:{tier.value}", times)
+    samples = base + shared + route + platform._rng.exponential(1.2, size=count)
+    return PingResult(
+        vp_id=vp.vp_id,
+        tier=tier,
+        time_h=time_h,
+        rtts_ms=tuple(float(x) for x in samples),
+    )
+
+
+def run_campaign_reference(
+    platform: SpeedcheckerPlatform, config: Optional[CampaignConfig] = None
+) -> TierDataset:
+    """:func:`repro.cloudtiers.run_campaign`, one (VP, tier) burst at a
+    time: each VP's traceroutes and bursts go out in turn, Premium
+    first, and every round of a burst is one :func:`ping`."""
+    cfg = config or CampaignConfig()
+    deployment = platform.deployment
+    rng = np.random.default_rng(cfg.seed)
+    vps: Dict[str, VantagePoint] = {}
+    records: List[VpDayRecord] = []
+    traceroutes: Dict[Tuple[str, Tier], TracerouteResult] = {}
+    eligible: Set[str] = set()
+    checked: Set[str] = set()
+
+    for day in range(cfg.days):
+        panel = platform.select_vantage_points(day, cfg.vps_per_day)
+        round_times = day * 24.0 + np.sort(rng.uniform(0.0, 24.0, cfg.rounds_per_day))
+        for vp in panel:
+            medians: Dict[Tier, List[float]] = {Tier.PREMIUM: [], Tier.STANDARD: []}
+            for tier in (Tier.PREMIUM, Tier.STANDARD):
+                if (vp.vp_id, tier) not in traceroutes:
+                    tr = platform.traceroute(vp, tier, float(round_times[0]))
+                    if tr is not None:
+                        traceroutes[(vp.vp_id, tier)] = tr
+                rounds = [
+                    ping(platform, vp, tier, float(t), count=cfg.pings_per_round)
+                    for t in round_times
+                ]
+                if all(r is not None for r in rounds):
+                    burst = np.array([r.rtts_ms for r in rounds])
+                    medians[tier] = list(np.median(burst, axis=1))
+            if not medians[Tier.PREMIUM] or not medians[Tier.STANDARD]:
+                continue
+            vps[vp.vp_id] = vp
+            records.append(
+                VpDayRecord(
+                    vp_id=vp.vp_id,
+                    day=day,
+                    median_ms={
+                        tier: float(np.median(ms)) for tier, ms in medians.items()
+                    },
+                )
+            )
+            if vp.vp_id not in checked:
+                checked.add(vp.vp_id)
+                premium_direct = deployment.enters_directly(Tier.PREMIUM, vp.asn)
+                standard_direct = deployment.enters_directly(Tier.STANDARD, vp.asn)
+                if premium_direct is True and standard_direct is False:
+                    eligible.add(vp.vp_id)
+    if not records:
+        raise MeasurementError("campaign produced no measurements")
+    return TierDataset(
+        vps=vps, records=records, traceroutes=traceroutes, eligible=eligible
+    )
 
 
 # --- cdn beacon campaign ---------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import E1, E2, PROVIDER, T1A, TR1, TR2, build_toy_graph
+from conftest import E1, E2, PROVIDER, T1A, TR2, build_toy_graph
 from dynamics_oracle import DynamicsEngine as OracleEngine
 from repro.bgp import propagate
 from repro.bgp.dynamics import (

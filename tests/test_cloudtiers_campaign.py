@@ -1,5 +1,6 @@
 """Tests for the tier-comparison campaign driver."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
@@ -34,6 +35,44 @@ class TestConfigValidation:
             CampaignConfig(days=0)
         with pytest.raises(MeasurementError):
             CampaignConfig(rounds_per_day=0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda d: CampaignConfig(days=2.5), id="days-2.5"),
+            pytest.param(lambda d: CampaignConfig(days=True), id="days-True"),
+            pytest.param(
+                lambda d: CampaignConfig(vps_per_day=float("nan")), id="vps-nan"
+            ),
+            pytest.param(lambda d: CampaignConfig(rounds_per_day=2.0), id="rounds-2.0"),
+            pytest.param(lambda d: CampaignConfig(pings_per_round=5.0), id="pings-5.0"),
+            pytest.param(lambda d: CampaignConfig(seed=1.5), id="seed-1.5"),
+            pytest.param(lambda d: CampaignConfig(seed=-1), id="seed-negative"),
+            pytest.param(
+                lambda d: SpeedcheckerPlatform(d, credits=float("nan")),
+                id="credits-nan",
+            ),
+            pytest.param(
+                lambda d: SpeedcheckerPlatform(d, credits=100.0), id="credits-float"
+            ),
+            pytest.param(
+                lambda d: SpeedcheckerPlatform(d, seed=False), id="seed-False"
+            ),
+            pytest.param(
+                lambda d: SpeedcheckerPlatform(d, seed=-1), id="platform-seed-negative"
+            ),
+        ],
+    )
+    def test_non_integer_params_rejected(self, deployment, build):
+        """Each of these was accepted, and failed later or never."""
+        with pytest.raises(MeasurementError):
+            build(deployment)
+
+    def test_numpy_ints_stored_as_int(self, deployment):
+        cfg = CampaignConfig(days=np.int64(2), seed=np.uint32(3))
+        assert type(cfg.days) is int and type(cfg.seed) is int
+        platform = SpeedcheckerPlatform(deployment, credits=np.int32(500))
+        assert type(platform.credits) is int
 
 
 class TestCampaign:

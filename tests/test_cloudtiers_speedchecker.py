@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scalar_oracles import ping
 
 from repro.errors import MeasurementError
 from repro.cloudtiers import CloudDeployment, SpeedcheckerPlatform, Tier
 from repro.cloudtiers.speedchecker import PING_CREDITS, TRACEROUTE_CREDITS
+from repro.geo import WORLD_CITIES
+from repro.netmodel import CongestionConfig, CongestionModel
 
 
 @pytest.fixture(scope="module")
@@ -54,33 +58,41 @@ class TestInventory:
 
 
 class TestPing:
+    """``ping_panel``: one row per routed (VP, tier), Premium first."""
+
     def test_ping_returns_samples(self, platform):
-        vp = platform.vantage_points[0]
-        result = platform.ping(vp, Tier.PREMIUM, 1.0, count=5)
-        assert result is not None
-        assert len(result.rtts_ms) == 5
-        assert result.min_ms <= result.median_ms
-        assert all(r > 0 for r in result.rtts_ms)
+        vps = platform.vantage_points[:6]
+        routed, rtts = platform.ping_panel(vps, [1.0, 9.5, 17.0], count=5)
+        assert routed.shape == (6, 2)
+        assert routed.any()
+        assert rtts.shape == (int(routed.sum()), 3, 5)
+        assert (rtts > 0).all()
 
     def test_ping_spends_credits(self, small_internet):
+        """Every (VP, tier) row costs ``count`` pings a round."""
         platform = SpeedcheckerPlatform(
-            CloudDeployment(small_internet), credits=25, seed=4
+            CloudDeployment(small_internet), credits=1000, seed=4
         )
-        vp = platform.vantage_points[0]
-        platform.ping(vp, Tier.PREMIUM, 0.0, count=5)
-        assert platform.credits == 25 - 5 * PING_CREDITS
+        platform.ping_panel(platform.vantage_points[:3], [0.0, 6.0], count=5)
+        assert platform.credits == 1000 - 3 * 2 * 2 * 5 * PING_CREDITS
 
     def test_budget_exhaustion(self, small_internet):
+        """A panel the budget cannot cover raises and spends nothing."""
         platform = SpeedcheckerPlatform(
-            CloudDeployment(small_internet), credits=3, seed=4
+            CloudDeployment(small_internet), credits=19, seed=4
         )
-        vp = platform.vantage_points[0]
+        state = platform._rng.bit_generator.state
         with pytest.raises(MeasurementError):
-            platform.ping(vp, Tier.PREMIUM, 0.0, count=5)
+            platform.ping_panel(platform.vantage_points[:2], [0.0], count=5)
+        assert platform.credits == 19
+        assert platform._rng.bit_generator.state == state
 
     def test_count_validation(self, platform):
+        vps = platform.vantage_points[:1]
         with pytest.raises(MeasurementError):
-            platform.ping(platform.vantage_points[0], Tier.PREMIUM, 0.0, count=0)
+            platform.ping_panel(vps, [0.0], count=0)
+        with pytest.raises(MeasurementError):
+            platform.ping_panel(vps, [], count=5)
 
 
 class TestTraceroute:
@@ -115,19 +127,40 @@ class TestTraceroute:
         assert result.ingress_city(999_999) is None
 
 
-class TestPingBurst:
-    def test_burst_matches_per_round_pings(self, small_internet):
-        """A burst consumes the noise-stream positions that the
-        equivalent per-round pings would, sample for sample."""
+class TestPingPanel:
+    def test_panel_matches_per_round_pings(self, small_internet):
+        """Each routed row holds, bit for bit, the samples of per-round
+        pings that price one key and draw their own noise at a time:
+        the panel takes the noise-stream positions they take, in panel
+        order, Premium first, and spends the same credits."""
         deployment = CloudDeployment(small_internet)
-        bursting = SpeedcheckerPlatform(deployment, seed=4)
+        paneled = SpeedcheckerPlatform(deployment, seed=4)
         pinging = SpeedcheckerPlatform(deployment, seed=4)
-        vp = bursting.vantage_points[0]
+        vps = paneled.vantage_points[:12]
         times = [1.0, 7.5, 13.0, 20.25]
-        burst = bursting.ping_burst(vp, Tier.STANDARD, times, count=5)
-        rounds = [pinging.ping(vp, Tier.STANDARD, t, count=5) for t in times]
-        assert burst.tolist() == [list(r.rtts_ms) for r in rounds]
-        assert bursting.credits == pinging.credits
+        routed, rtts = paneled.ping_panel(vps, times, count=5)
+        expected = []
+        for vp, routes in zip(vps, routed.tolist()):
+            for tier, routes_tier in zip(Tier, routes):
+                rounds = [ping(pinging, vp, tier, t, count=5) for t in times]
+                assert (rounds[0] is not None) == routes_tier
+                if routes_tier:
+                    expected.append([r.rtts_ms for r in rounds])
+        assert rtts.tobytes() == np.array(expected).tobytes()
+        assert paneled.credits == pinging.credits
+        state = paneled._rng.bit_generator.state
+        assert state == pinging._rng.bit_generator.state
+
+    def test_diurnal_rows_equal_per_vp_curves(self):
+        """The panel prices every VP's diurnal load in one broadcast
+        over a column of longitudes; each row must equal the VP's own
+        curve bit for bit, at every world-city longitude."""
+        model = CongestionModel(0, CongestionConfig(horizon_hours=240.0))
+        full = np.repeat(np.sort(np.random.default_rng(3).uniform(0, 240, 10)), 5)
+        lons = np.array([city.location.lon for city in WORLD_CITIES])
+        rows = model.diurnal_delay(full, lons[:, None])
+        for row, lon in zip(rows, lons.tolist()):
+            assert row.tobytes() == model.diurnal_delay(full, lon).tobytes()
 
 
 _LAST_MILE_SCRIPT = """
@@ -166,8 +199,6 @@ print(json.dumps([hash(text) for text in json.load(sys.stdin)]))
 
 def _hash_port_cases():
     """Every vp_id form, plus each str width and the 8-byte block edges."""
-    from repro.geo import WORLD_CITIES
-
     cases = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "x" * 16, "y" * 23]
     cases += ["café", "Zürich", "é" * 8, "ā" * 4, "東京", "Кыргызстан"]
     cases += ["😀", "a😀", "\U0010ffff" * 3, "\ud800", "ab\udfff"]
@@ -204,11 +235,12 @@ class TestCrossProcessDeterminism:
 
 class TestNoiseModel:
     def test_same_vp_same_base(self, platform):
-        """Two pings moments apart differ only by noise, not by tens of ms."""
+        """Two rounds moments apart differ only by noise, not by tens of ms."""
         vp = platform.vantage_points[5]
-        a = platform.ping(vp, Tier.PREMIUM, 5.0, count=5)
-        b = platform.ping(vp, Tier.PREMIUM, 5.001, count=5)
-        assert abs(a.min_ms - b.min_ms) < 10.0
+        routed, rtts = platform.ping_panel([vp], [5.0, 5.001], count=5)
+        assert routed[0, 0]
+        first, second = rtts[0].min(axis=1)
+        assert abs(first - second) < 10.0
 
     def test_invalid_budget(self, small_internet):
         with pytest.raises(MeasurementError):

@@ -4,10 +4,11 @@
   original per-item loops, kept in tests.  **Bit-identical** where the
   computation is deterministic or consumes the same RNG stream
   positions: episode extraction, CDN redirection training, the
-  cloudtiers campaign, edgefabric CI half-widths, topology generation,
-  congestion-delay lookups, the beacon campaign against its
-  per-target loop, and the beacon and cloudtiers campaigns with every
-  event scanned and no geometry memoised.
+  cloudtiers campaign against its per-burst loop, edgefabric CI
+  half-widths, topology generation, congestion-delay lookups, the
+  beacon campaign against its per-target loop, and the beacon and
+  cloudtiers campaigns with every event scanned and no geometry
+  memoised.
   **Documented tolerance** where the batched code reorders
   floating-point work (catchment distances: numpy vs ``math`` trig
   round-off) or batches RNG draws (edgefabric medians: same noise
@@ -42,12 +43,12 @@ from dynamics_oracle import DynamicsEngine as OracleDynamicsEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracles import (
-    PerRoundPingPlatform,
     extract_episodes_reference,
     full_event_scans,
     per_pair_synthesis,
     per_prefix_catchment_geometry,
     run_beacon_campaign_reference,
+    run_campaign_reference,
     scan_events,
     train_redirection_reference,
     uncached_distances,
@@ -60,13 +61,15 @@ from repro.cdn import CdnDeployment
 from repro.cdn.catchment import catchment_map
 from repro.cdn.dns_redirection import train_redirection_policy
 from repro.cdn.measurement import BeaconConfig, run_beacon_campaign
-from repro.core.configs import cdn_topology
+from repro.core.configs import cdn_topology, cloud_topology
 from repro.cloudtiers import (
     CampaignConfig,
     CloudDeployment,
     SpeedcheckerPlatform,
+    Tier,
     run_campaign,
 )
+from repro.errors import MeasurementError
 from repro.edgefabric.analysis import bgp_vs_best_alternate
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.edgefabric.episodes import extract_episodes
@@ -252,20 +255,99 @@ class TestStreamingLanes:
         assert float(diff.max()) < 10.0
 
 
-class TestCloudtiersLanes:
-    def test_campaign_bit_identical(self, small_internet):
-        """Ping bursts consume the same noise-stream positions as the
-        per-round calls, so the datasets match sample for sample."""
+def _strand_standard(internet) -> int:
+    """Cut an eyeball AS that links to the provider off from its one
+    transit: its Premium route stays, direct, its Standard route goes.
+    Returns the AS."""
+    provider = internet.provider_asn
+    for asn in internet.eyeball_asns:
+        neighbors = set(internet.graph.neighbors(asn))
+        if provider in neighbors and len(neighbors) == 2:
+            (transit,) = neighbors - {provider}
+            internet.graph.remove_link(asn, transit)
+            return asn
+    raise AssertionError("no eyeball AS with one transit and a provider link")
+
+
+def _record_bits(dataset):
+    return [
+        (r.vp_id, r.day, [(tier, ms.hex()) for tier, ms in r.median_ms.items()])
+        for r in dataset.records
+    ]
+
+
+class TestCampaignPricingLanes:
+    """``run_campaign`` prices each day's panel as one block: one
+    ``ping_panel`` call, batch-seeded congestion streams, one noise
+    draw and two median reductions.  ``run_campaign_reference`` prices
+    every (VP, tier) burst round by round.  On the same deployment both
+    must give the same dataset, spend the same credits and leave the
+    noise stream in the same state."""
+
+    SMALL = CampaignConfig(days=2, vps_per_day=25, rounds_per_day=4, seed=4)
+
+    @pytest.mark.parametrize("case", ["small-4", "small-9", "cloud-4", "unrouted"])
+    def test_campaign_equals_burst_oracle(self, case, small_internet):
+        if case == "cloud-4":
+            # report-all's Setting C at seed 4: 3 days x 150 VPs.
+            internet = build_internet(cloud_topology(4))
+            platform_seed = 5
+            cfg = CampaignConfig(days=3, vps_per_day=150, seed=6)
+        elif case == "unrouted":
+            internet = build_internet(small_topology_config())
+            stranded = _strand_standard(internet)
+            platform_seed = 4
+            # Two days over the whole inventory: every VP of the
+            # stranded AS is pinged on both.
+            cfg = dataclasses.replace(self.SMALL, vps_per_day=10_000)
+        else:
+            internet = small_internet
+            platform_seed = int(case.split("-")[1])
+            cfg = dataclasses.replace(self.SMALL, seed=platform_seed)
+        deployment = CloudDeployment(internet)
+        runs = []
+        for campaign in (run_campaign_reference, run_campaign):
+            platform = SpeedcheckerPlatform(deployment, seed=platform_seed)
+            runs.append((platform, campaign(platform, cfg)))
+        (ref_platform, reference), (platform, dataset) = runs
+        assert _record_bits(dataset) == _record_bits(reference)
+        assert dataset.traceroutes == reference.traceroutes
+        assert dataset.eligible == reference.eligible
+        assert dataset.vps == reference.vps
+        assert platform.credits == ref_platform.credits
+        state = platform._rng.bit_generator.state
+        assert state == ref_platform._rng.bit_generator.state
+        assert set(platform._congestion._events) == set(
+            ref_platform._congestion._events
+        )
+        if case == "unrouted":
+            # The stranded VPs' Premium rows routed and drew noise, yet
+            # the VPs have no record.
+            stranded_ids = {
+                vp.vp_id for vp in platform.vantage_points if vp.asn == stranded
+            }
+            assert stranded_ids
+            for vp_id in stranded_ids:
+                assert (vp_id, Tier.PREMIUM) in dataset.traceroutes
+                assert (vp_id, Tier.STANDARD) not in dataset.traceroutes
+            assert not stranded_ids & set(dataset.vps)
+
+    def test_budget_out_mid_panel(self, small_internet):
+        """A budget that runs out halfway through day 1's panel stops
+        both campaigns with a MeasurementError."""
         deployment = CloudDeployment(small_internet)
-        cfg = CampaignConfig(days=2, vps_per_day=25, rounds_per_day=4, seed=4)
-        slow = run_campaign(PerRoundPingPlatform(deployment, seed=4), cfg)
-        fast = run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg)
-        assert len(slow.records) == len(fast.records)
-        for a, b in zip(slow.records, fast.records):
-            assert a.vp_id == b.vp_id and a.day == b.day
-            assert a.median_ms == b.median_ms
-        assert slow.eligible == fast.eligible
-        assert set(slow.traceroutes) == set(fast.traceroutes)
+        one_day = dataclasses.replace(self.SMALL, days=1)
+        spent = []
+        for cfg in (one_day, self.SMALL):
+            platform = SpeedcheckerPlatform(deployment, seed=4)
+            run_campaign_reference(platform, cfg)
+            spent.append(10_000_000 - platform.credits)
+        first_day, both_days = spent
+        credits = first_day + (both_days - first_day) // 2
+        for campaign in (run_campaign_reference, run_campaign):
+            platform = SpeedcheckerPlatform(deployment, credits=credits, seed=4)
+            with pytest.raises(MeasurementError, match="credit budget exhausted"):
+                campaign(platform, self.SMALL)
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:

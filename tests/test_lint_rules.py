@@ -172,6 +172,83 @@ class TestRngRules:
         )
         assert rules_of(findings) == set()
 
+    def test_salted_hash_seed_flagged(self, tmp_path):
+        """Setting C's last mile as it was seeded before the str-hash port."""
+        findings = lint_snippet(
+            tmp_path,
+            """
+            import numpy as np
+
+            class Platform:
+                def _vp_last_mile(self, vp):
+                    rng = np.random.default_rng(
+                        [self.seed & 0xFFFFFFFF, hash(vp.vp_id) & 0xFFFFFFFF]
+                    )
+                    return float(rng.uniform(2.0, 12.0))
+            """,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("RNG003", 7)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.random.SeedSequence([seed, hash(key)])",
+            "np.random.Generator(np.random.PCG64(hash(key)))",
+            "Philox(seed=hash((seed, key)))",
+        ],
+    )
+    def test_salted_hash_in_any_seeded_constructor(self, tmp_path, call):
+        findings = lint_snippet(
+            tmp_path,
+            f"""
+            import numpy as np
+            from numpy.random import Philox
+
+            def stream(seed, key):
+                return {call}
+            """,
+        )
+        assert rules_of(findings) == {"RNG003"}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            """
+            import numpy as np
+            from repro.cloudtiers.speedchecker import _str_hash
+
+            def stream(seed, key):
+                return np.random.default_rng([seed, _str_hash(key) & 0xFFFFFFFF])
+            """,
+            """
+            import numpy as np
+            from repro.util import hash
+
+            def stream(seed, key):
+                return np.random.default_rng([seed, hash(key)])
+            """,
+            """
+            import zlib
+            import numpy as np
+
+            def hash(key):
+                return zlib.crc32(key.encode())
+
+            def stream(seed, key):
+                return np.random.default_rng([seed, hash(key)])
+            """,
+            """
+            import numpy as np
+
+            def stream(seed, key):
+                return np.random.default_rng([seed, len(key)]), hash(key)
+            """,
+        ],
+        ids=["ported-hash", "imported-hash", "local-hash", "hash-outside-seed"],
+    )
+    def test_stable_seed_material_passes(self, tmp_path, source):
+        assert rules_of(lint_snippet(tmp_path, source)) == set()
+
 
 class TestTimePurity:
     MEASUREMENT = """
@@ -569,6 +646,9 @@ VIOLATION_FILES = {
 
         def fresh():
             return np.random.default_rng()
+
+        def salted(seed, key):
+            return np.random.default_rng([seed, hash(key)])
 
         def stamp():
             return time.time()

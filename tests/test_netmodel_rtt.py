@@ -84,7 +84,8 @@ class TestBatchHelpers:
     def test_sampled_median_matrix_statistics(self):
         rng = np.random.default_rng(11)
         floor = np.full((200, 250), 40.0)
-        medians = sampled_median_matrix(floor, 25, rng, noise_scale_ms=2.0)
+        sd = 2.0 / math.sqrt(25)
+        medians = sampled_median_matrix(floor, rng, noise_scale_ms=2.0, sd=sd)
         assert medians.shape == floor.shape
         assert medians.mean() == pytest.approx(median_min_rtt(40.0, 2.0), abs=0.02)
         assert medians.std() == pytest.approx(2.0 / math.sqrt(25), rel=0.05)
@@ -93,13 +94,9 @@ class TestBatchHelpers:
         rng = np.random.default_rng(12)
         floor = np.zeros((3, 50_000))
         counts = np.array([[4], [25], [100]])
-        medians = sampled_median_matrix(floor, counts, rng, noise_scale_ms=2.0)
+        sd = 2.0 / np.sqrt(counts)
+        medians = sampled_median_matrix(floor, rng, noise_scale_ms=2.0, sd=sd)
         for row, n in enumerate(counts[:, 0]):
             assert medians[row].std() == pytest.approx(
                 2.0 / math.sqrt(n), rel=0.05
             )
-
-    def test_sampled_median_matrix_rejects_nonpositive(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(MeasurementError):
-            sampled_median_matrix(np.zeros((2, 2)), 0, rng)

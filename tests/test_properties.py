@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for core math and invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
