@@ -4,7 +4,7 @@ Each kernel times two ways of doing the same work and writes both to
 ``BENCH_perf.json`` (schema below).  The schema names the two sides
 ``scalar_s`` and ``fast_s``; what they are differs per kernel:
 
-* ``netmodel.event_delay`` — per-key calls vs one batched call;
+* ``netmodel.event_delay`` — per-key calls vs one call over all keys;
 * ``bgp.dynamics`` — the event-driven engine vs static propagation of
   the same stable states (a fidelity price, not a speedup);
 * ``stream.ingest`` — P² sketches vs centroid sketches;
@@ -144,7 +144,12 @@ def _scales_for(tier: str):
 
 
 def bench_event_delay(tier: str, repeats: int):
-    """The congestion event kernel under the measurement lanes."""
+    """The congestion event kernel: per-key calls vs one call over all keys.
+
+    Both sides price through ``event_and_shift_delays``, the one code
+    that sums congestion events; the warm-up draws every series first,
+    so both time the kernel and not the draws.
+    """
     config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=1.0)
     model = CongestionModel(0, config)
     times = np.linspace(0.0, 240.0, 96)
@@ -153,11 +158,11 @@ def bench_event_delay(tier: str, repeats: int):
     for scale in _scales_for(tier):
         n = sizes[scale]
         keys = [f"bench:{i}" for i in range(n)]
-        model.event_delay_batch(keys, times)  # warm event + flat caches
+        model.event_and_shift_delays(keys, (), times)  # draw every series
 
         def scalar():
             for key in keys:
-                model.event_delay(key, times)
+                model.event_and_shift_delays((key,), (), times)
 
         entries.append(
             _measure(
@@ -165,7 +170,7 @@ def bench_event_delay(tier: str, repeats: int):
                 scale,
                 {"keys": n, "times": int(times.size)},
                 scalar,
-                lambda: model.event_delay_batch(keys, times),
+                lambda: model.event_and_shift_delays(keys, (), times),
                 repeats,
             )
         )

@@ -209,7 +209,7 @@ def run_beacon_campaign(
             [f"dest:{prefix.pid}"] + keys, keys, t
         )
         # events[0] is the destination's own: with the diurnal load it
-        # is shared_delay, which every target of the request carries.
+        # is the shared delay that every target of the request carries.
         shared = (
             last_mile
             + (congestion.diurnal_delay(t, prefix.city.location.lon) + events[0])

@@ -7,10 +7,11 @@ pipelines by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, MeasurementError, require_int
 from repro.obs.trace import span
 from repro.topology import TopologyConfig, build_internet
 from repro.workloads import assign_ldns, generate_client_prefixes
@@ -23,6 +24,27 @@ from repro.core.hypotheses import (
     evaluate_single_wan,
 )
 from repro.core.schemes import compare_schemes
+
+
+def _require_counts(study: Any, counts: Tuple[str, ...]) -> None:
+    """Refuse a non-integer seed, or a count that is not an integer >= 1.
+
+    Checked at construction, as :class:`~repro.cloudtiers.CampaignConfig`
+    checks its fields, so a campaign refuses the study before any job
+    runs.  The checked fields are stored as plain ``int``.
+    """
+    study.seed = require_int(study.seed, "seed", MeasurementError)
+    for name in counts:
+        value = require_int(getattr(study, name), name, MeasurementError)
+        if value < 1:
+            raise MeasurementError(f"{name} must be >= 1, got {value}")
+        setattr(study, name, value)
+
+
+def _require_days(days: float) -> None:
+    """Refuse a campaign length that is not finite and > 0."""
+    if not (math.isfinite(days) and days > 0):
+        raise MeasurementError(f"days must be finite and > 0, got {days}")
 
 
 @dataclass
@@ -69,6 +91,10 @@ class PopRoutingStudy:
     n_prefixes: int = 300
     days: float = 10.0
     topology: Optional[TopologyConfig] = None
+
+    def __post_init__(self) -> None:
+        _require_counts(self, ("n_prefixes",))
+        _require_days(self.days)
 
     def run(self) -> StudyResult:
         """Run the full pipeline and analyses."""
@@ -143,6 +169,15 @@ class AnycastCdnStudy:
     requests_per_prefix: int = 80
     public_ldns_fraction: float = 0.25
     topology: Optional[TopologyConfig] = None
+
+    def __post_init__(self) -> None:
+        _require_counts(self, ("n_prefixes", "requests_per_prefix"))
+        _require_days(self.days)
+        if not 0.0 <= self.public_ldns_fraction <= 1.0:
+            raise MeasurementError(
+                "public_ldns_fraction must be in [0, 1], "
+                f"got {self.public_ldns_fraction}"
+            )
 
     def run(self) -> StudyResult:
         """Run the full pipeline and analyses."""
@@ -275,6 +310,9 @@ class CloudTiersStudy:
     days: int = 10
     vps_per_day: int = 120
     topology: Optional[TopologyConfig] = None
+
+    def __post_init__(self) -> None:
+        _require_counts(self, ("days", "vps_per_day"))
 
     def run(self) -> StudyResult:
         """Run the full pipeline and analyses."""

@@ -21,12 +21,13 @@ Latency decomposition per route and window::
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, require_int
 from repro.obs.trace import gauge, traced
 from repro.netmodel import CongestionConfig, CongestionModel
 from repro.netmodel.rtt import (
@@ -36,7 +37,7 @@ from repro.netmodel.rtt import (
 from repro.topology import Internet
 from repro.workloads import (
     ClientPrefix,
-    diurnal_volume_matrix,
+    diurnal_volume,
     traffic_matrix,
     sessions_matrix,
 )
@@ -84,13 +85,27 @@ class MeasurementConfig:
     dest_congestion: Optional[CongestionConfig] = None
 
     def __post_init__(self) -> None:
-        if self.days <= 0 or self.window_minutes <= 0:
-            raise MeasurementError("days and window_minutes must be positive")
-        if self.max_routes < 1:
-            raise MeasurementError("max_routes must be >= 1")
+        for name, least in (("seed", 0), ("max_routes", 1), ("sessions_at_peak", 1)):
+            value = require_int(getattr(self, name), name, MeasurementError)
+            object.__setattr__(self, name, value)
+            if value < least:
+                raise MeasurementError(f"{name} must be >= {least}, got {value}")
+        if not (math.isfinite(self.days) and self.days > 0):
+            raise MeasurementError(f"days must be finite and > 0, got {self.days}")
+        if not (math.isfinite(self.window_minutes) and self.window_minutes > 0):
+            raise MeasurementError(
+                f"window_minutes must be finite and > 0, got {self.window_minutes}"
+            )
+        if not (math.isfinite(self.min_rtt_noise_ms) and self.min_rtt_noise_ms >= 0):
+            raise MeasurementError(
+                f"min_rtt_noise_ms must be finite and >= 0, got {self.min_rtt_noise_ms}"
+            )
         lo, hi = self.last_mile_ms_range
-        if lo < 0 or hi < lo:
-            raise MeasurementError("invalid last_mile_ms_range")
+        if not (math.isfinite(hi) and 0 <= lo <= hi):
+            raise MeasurementError(
+                f"last_mile_ms_range must be finite with 0 <= low <= high, "
+                f"got {self.last_mile_ms_range}"
+            )
 
     def congestion_config(self) -> CongestionConfig:
         """Effective route-specific congestion configuration."""
@@ -237,14 +252,37 @@ def window_grid(
     windows and per-window session counts from here.
     """
     times = window_times(cfg.days, cfg.window_minutes)
-    cycle = diurnal_volume_matrix(
-        times, np.array([p.city.location.lon for p in plan.prefixes])
-    )
+    lons = np.array([p.city.location.lon for p in plan.prefixes])
+    cycle = diurnal_volume(times, lons[:, None])
     volumes = traffic_matrix(plan.prefixes, times, cycle=cycle)
     sessions = sessions_matrix(
         plan.prefixes, times, sessions_at_peak=cfg.sessions_at_peak, cycle=cycle
     )
     return times, volumes, sessions
+
+
+def congestion_rows(
+    plan: MeasurementPlan,
+    times: np.ndarray,
+    congestion: CongestionModel,
+    dest_congestion: CongestionModel,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The plan's congestion delay at the window times.
+
+    Returns ``(shared, links)``: ``shared`` is ``(pairs, windows)``, the
+    diurnal load at each prefix's longitude plus its ``dest:`` key's
+    events, which every route of the pair carries; ``links`` has one
+    row of events per key of :meth:`MeasurementPlan.slots`.  Batch
+    synthesis and the session stream both build their floors from
+    these rows.
+    """
+    pairs = plan.pairs
+    dest_keys = [f"dest:{p.prefix.pid}" for p in pairs]
+    lons = np.array([p.prefix.city.location.lon for p in pairs])
+    dest_events, _ = dest_congestion.event_and_shift_delays(dest_keys, (), times)
+    shared = dest_congestion.diurnal_delay(times, lons[:, None]) + dest_events
+    links, _ = congestion.event_and_shift_delays(plan.slots().keys, (), times)
+    return shared, links
 
 
 def _ci_half_grid(
@@ -284,23 +322,18 @@ def _draw_medians(
     """Fill the median and CI tensors, one batched call per latency term.
 
     Each cell's floor is base RTT + last mile + destination-shared and
-    route-specific congestion, and its median comes from the analytic
-    MinRTT approximation (:func:`repro.netmodel.rtt.sampled_median_matrix`)
-    for all pairs and routes at once.
+    route-specific congestion (:func:`congestion_rows`), and its median
+    comes from the analytic MinRTT approximation
+    (:func:`repro.netmodel.rtt.sampled_median_matrix`) for all pairs and
+    routes at once.
     """
-    pairs = plan.pairs
     lo, hi = cfg.last_mile_ms_range
-    last_mile = rng.uniform(lo, hi, size=len(pairs))
-
-    dest_keys = [f"dest:{p.prefix.pid}" for p in pairs]
-    lons = np.array([p.prefix.city.location.lon for p in pairs])
-    shared = dest_congestion.shared_delay_batch(dest_keys, lons, times)
+    last_mile = rng.uniform(lo, hi, size=len(plan.pairs))
+    shared, link_delays = congestion_rows(plan, times, congestion, dest_congestion)
 
     # One flat slot per sprayed (pair, route); congestion keys deduped so
-    # each entity's event series is materialized exactly once.
+    # each entity's row is priced exactly once.
     slots = plan.slots()
-    link_delays = congestion.link_delay_batch(list(slots.keys), times)
-
     pi = slots.pair_of
     ri = slots.route_of
     # Accumulate the floor in place; the slot arrays are large enough

@@ -15,7 +15,7 @@ segment.  This module gives rules the structure those checks need:
   rules use, extended with local-variable construction tracking
   (``x = Ctor(...)`` then ``x.method()``), annotation-driven parameter
   types (``congestion: CongestionModel`` then
-  ``congestion.link_delay()``), ``self``/``cls`` method resolution
+  ``congestion.diurnal_delay()``), ``self``/``cls`` method resolution
   through base classes, and re-export aliasing through package
   ``__init__`` facades.
 * Traversals — :meth:`CallGraph.reachable_from` (forward cone),

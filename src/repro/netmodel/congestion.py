@@ -16,6 +16,11 @@ infers from the Facebook data:
 
 Every entity key gets its own deterministic random stream derived from
 ``(seed, crc32(key))``, so adding entities never perturbs existing ones.
+:meth:`CongestionModel.event_and_shift_delays` prices the events of
+many keys at shared times, and it is the only place that sums them: one
+exact kernel whose every cell equals a full scan of its key's events,
+so each setting's latencies do not depend on which keys or times are
+priced together.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ import functools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, require_int
 from repro.obs.trace import counter
 
 #: Slow baseline shifts (interdomain path churn): expected shifts per
@@ -100,16 +105,6 @@ class _EventSeries(NamedTuple):
     end: np.ndarray
     magnitude: np.ndarray
 
-    def as_list(self) -> List[Tuple[float, float, float]]:
-        """The events as ``(start_h, duration_h, extra_ms)`` tuples."""
-        return list(
-            zip(
-                self.start.tolist(),
-                self.duration.tolist(),
-                self.magnitude.tolist(),
-            )
-        )
-
 
 #: The empty series: a key whose Poisson count is 0 shares this one.
 _NO_EVENTS = _EventSeries(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
@@ -119,66 +114,38 @@ def _series_delays(series: Sequence[_EventSeries], times: np.ndarray) -> np.ndar
     """Summed magnitude of each series' active events, ``(len(series), T)``.
 
     ``times`` is read flat, ``T = times.size``.  An event is active on
-    ``[start, end)``.  Events that start after the latest time or end by
-    the earliest are skipped: they are active at no queried time.  A
-    NaN time defeats the bounds, so then no event is skipped.
+    ``[start, end)``, which on the sorted times is one run of
+    positions, ``[searchsorted(start), searchsorted(end))`` (both
+    ``"left"``).  A NaN time sorts last and lies in no run, as it fails
+    the comparisons of a full scan.
 
-    Every cell takes the ``+=`` steps of a scan of its series' events in
-    stored order.  A lone series visits its events one by one.  Many
-    series add the r-th surviving event of every row in pass r, with
-    ``+ 0.0`` where that event is inactive; adding ``0.0`` leaves a
-    non-negative sum's bits unchanged.
+    Every (event, active time) pair is one weight of a ``np.bincount``,
+    the pairs laid out in stored event order.  Work is O(E log T +
+    pairs + len(series) * T) for E events.
     """
     times = times.ravel()
-    delay = np.zeros((len(series), times.size))
-    if times.size == 0 or not series:
-        return delay
-    lo = times.min()
-    hi = times.max()
-    scan_all = np.isnan(hi)  # then lo is NaN too: some time is NaN
-    if len(series) == 1:
-        (one,) = series
-        if one.start.size == 0:
-            return delay
-        if scan_all:
-            visit = np.arange(one.start.size)
-        else:
-            reach = int(np.searchsorted(one.start, hi, side="right"))
-            visit = np.flatnonzero(one.end[:reach] > lo)
-        row = delay[0]
-        start, end, magnitude = one.start, one.end, one.magnitude
-        for i in visit.tolist():
-            row[(times >= start[i]) & (times < end[i])] += magnitude[i]
-        return delay
-    counts = [s.start.size for s in series]
-    row_of = np.repeat(np.arange(len(series)), counts)
+    size = times.size
+    if not series:
+        return np.zeros((0, size))
+    order = np.argsort(times)
+    ranked = times[order]
     start = np.concatenate([s.start for s in series])
     end = np.concatenate([s.end for s in series])
     magnitude = np.concatenate([s.magnitude for s in series])
-    if not scan_all:
-        keep = (start <= hi) & (end > lo)
-        row_of, start, end, magnitude = (
-            row_of[keep],
-            start[keep],
-            end[keep],
-            magnitude[keep],
-        )
-    if row_of.size == 0:
-        return delay
-    added = np.where(
-        (times >= start[:, None]) & (times < end[:, None]), magnitude[:, None], 0.0
+    row_base = np.repeat(np.arange(len(series)) * size, [s.start.size for s in series])
+    first = np.searchsorted(ranked, start, side="left")
+    length = np.searchsorted(ranked, end, side="left") - first
+    # Pair j of event i sits at sorted position first[i] + j.
+    begin = np.cumsum(length) - length
+    position = np.arange(int(length.sum())) + np.repeat(first - begin, length)
+    cells = np.repeat(row_base, length) + order[position]
+    # bincount adds the weights in index order onto zeros, so each cell
+    # is 0.0 + m_a + m_b + ... in stored event order: the += steps of a
+    # full scan, bit for bit.  With no pair it returns integer zeros.
+    delay = np.bincount(
+        cells, np.repeat(magnitude, length), minlength=len(series) * size
     )
-    # Rank of each surviving event within its row; a stable sort by rank
-    # lays pass r out as one run that holds at most one event per row.
-    rank = np.arange(row_of.size) - np.searchsorted(row_of, row_of)
-    order = np.argsort(rank, kind="stable")
-    bounds = np.cumsum(np.bincount(rank)).tolist()
-    first = 0
-    for last in bounds:
-        events = order[first:last]
-        delay[row_of[events]] += added[events]
-        first = last
-    return delay
+    return delay.astype(float, copy=False).reshape(len(series), size)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -273,24 +240,18 @@ class CongestionModel:
     """
 
     def __init__(self, seed: int, config: CongestionConfig) -> None:
-        self.seed = seed
+        self.seed = require_int(seed, "seed", MeasurementError)
         self.config = config
         self._events: Dict[str, _EventSeries] = {}
         self._shifts: Dict[str, _EventSeries] = {}
-        self._flat_cache: Dict[tuple, tuple] = {}
-        self._diurnal_cache: Dict[tuple, np.ndarray] = {}
 
     def _rngs(self, streams: Sequence[str]) -> List[np.random.Generator]:
         """One generator per stream, seeded from ``(seed, crc32(stream))``.
 
-        Each equals ``np.random.default_rng([seed & 0xFFFFFFFF, crc])``.
-        Many streams share one :func:`_seed_words` pass.  A lone stream
-        is seeded by ``default_rng`` itself, because the array pass
-        costs more than one numpy seeding.
+        Each equals ``np.random.default_rng([seed & 0xFFFFFFFF, crc])``;
+        the streams share one :func:`_seed_words` pass.
         """
         crcs = [zlib.crc32(stream.encode("utf-8")) for stream in streams]
-        if len(crcs) == 1:
-            return [np.random.default_rng([self.seed & 0xFFFFFFFF, crcs[0]])]
         preset = _preset_seed_sequence()
         return [
             np.random.Generator(np.random.PCG64(preset(words)))
@@ -366,13 +327,18 @@ class CongestionModel:
         shift_keys: Sequence[str],
         times_h: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Event and baseline-shift delay of many keys at shared times.
+        """Event and baseline-shift delay (ms) of many keys at shared times.
 
         Returns ``(events, shifts)`` of shapes ``(len(event_keys), T)``
-        and ``(len(shift_keys), T)``, ``T = times_h.size``.  Each row is
-        bit for bit :meth:`event_delay` or :meth:`baseline_shift_delay`
-        of its key, flattened.  The series not drawn yet are drawn from
-        one batch of seed words.
+        and ``(len(shift_keys), T)``, ``T = times_h.size``, ``times_h``
+        read flat.  A key's events are transient queueing episodes; its
+        baseline shifts are slow level shifts (interdomain path churn,
+        the module's ``SHIFT_*`` parameters) that last days, which is
+        what makes measurement-driven predictions go stale.  Every row
+        is the exact sum of its key's active events in stored order,
+        whatever the other keys and times (:func:`_series_delays`).  The
+        series not drawn yet are drawn from one batch of seed words, and
+        cached.
         """
         self._draw(event_keys, shift_keys)
         series = [self._events[key] for key in event_keys]
@@ -380,106 +346,16 @@ class CongestionModel:
         delay = _series_delays(series, np.asarray(times_h, dtype=float))
         return delay[: len(event_keys)], delay[len(event_keys) :]
 
-    # --- transient events -------------------------------------------------
-
-    def _event_series(self, key: str) -> _EventSeries:
-        series = self._events.get(key)
-        if series is None:
-            self._draw((key,), ())
-            series = self._events[key]
-        return series
-
-    def events(self, key: str) -> List[Tuple[float, float, float]]:
-        """Transient events for an entity: (start_h, duration_h, extra_ms).
-
-        Generated lazily and cached; identical for identical (seed, key).
-        """
-        return self._event_series(key).as_list()
-
-    def event_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Extra delay (ms) from transient events at each time.
-
-        Costs one array pass per event that overlaps the span of
-        ``times_h``, not per event of the whole horizon.
-        """
-        times = np.asarray(times_h, dtype=float)
-        delay = _series_delays([self._event_series(key)], times)
-        return delay[0].reshape(times.shape)
-
-    def event_delay_batch(
-        self, keys: Sequence[str], times_h: np.ndarray
-    ) -> np.ndarray:
-        """Event delay for many entities at once, shape ``(len(keys), T)``.
-
-        All events of all keys are located on the (sorted, shared) time
-        grid with one ``searchsorted``, scattered into a per-row
-        difference array, and integrated with one ``cumsum``.  Per-key
-        Python runs only when a key set is first seen: its uncached
-        series are drawn from one batch of seed words and its events
-        are flattened once, then cached.
-
-        Rows agree with :meth:`event_delay` per key up to floating-point
-        summation order (overlapping events accumulate via the running
-        sum here, sequentially there); differences are at the 1e-12
-        relative level.
-
-        Raises:
-            MeasurementError: if ``times_h`` is not sorted ascending —
-                the interval arithmetic requires a monotone grid.
-        """
-        times = np.asarray(times_h, dtype=float)
-        delay = np.zeros((len(keys), times.size))
-        if times.size == 0 or not len(keys):
-            return delay
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise MeasurementError("event_delay_batch needs sorted times")
-        # The flattened event arrays depend only on the key set, not the
-        # time grid; repeated synthesis over the same entities (several
-        # time grids, parameter sweeps) hits this cache.
-        token = tuple(keys)
-        flat = self._flat_cache.get(token)
-        if flat is None:
-            self._draw(keys, ())
-            series = [self._events[key] for key in keys]
-            flat = (
-                np.repeat(
-                    np.arange(len(keys), dtype=np.intp),
-                    [s.start.size for s in series],
-                ),
-                np.concatenate([s.start for s in series]),
-                np.concatenate([s.end for s in series]),
-                np.concatenate([s.magnitude for s in series]),
-            )
-            self._flat_cache[token] = flat
-        row_idx, starts_arr, ends_arr, mags_arr = flat
-        if row_idx.size == 0:
-            return delay
-        # active = (t >= start) & (t < end)  <=>  index in [lo, hi)
-        lo = np.searchsorted(times, starts_arr, side="left")
-        hi = np.searchsorted(times, ends_arr, side="left")
-        live = lo < hi
-        if not live.any():
-            return delay
-        mags = mags_arr[live]
-        diff = np.zeros((len(keys), times.size + 1))
-        np.add.at(diff, (row_idx[live], lo[live]), mags)
-        np.add.at(diff, (row_idx[live], hi[live]), -mags)
-        np.cumsum(diff, axis=1, out=diff)
-        return diff[:, : times.size]
-
-    # --- diurnal load -------------------------------------------------------
-
     def diurnal_delay(
-        self, times_h: np.ndarray, lon: float, peak_ms: float = -1.0
+        self, times_h: np.ndarray, lon: Union[float, np.ndarray]
     ) -> np.ndarray:
         """Daily-cycle delay (ms) at each time for a given longitude.
 
         The cycle peaks at ``diurnal_peak_hour`` *local* time; longitude
-        sets the timezone (15° per hour).
+        sets the timezone (15° per hour).  A column of longitudes,
+        shape ``(L, 1)``, broadcasts to one row per longitude.
         """
         cfg = self.config
-        if peak_ms < 0:
-            peak_ms = cfg.diurnal_peak_ms
         times = np.asarray(times_h, dtype=float)
         local = (times + lon / 15.0) % 24.0
         phase = 2.0 * np.pi * (local - cfg.diurnal_peak_hour) / 24.0
@@ -487,97 +363,4 @@ class CongestionModel:
         # Explicit multiplication: numpy lowers ``** 3`` to the generic
         # pow loop, an order of magnitude slower on big grids.
         bump = (1.0 + np.cos(phase)) / 2.0
-        return peak_ms * bump * bump * bump
-
-    def diurnal_delay_batch(
-        self, times_h: np.ndarray, lons: np.ndarray, peak_ms: float = -1.0
-    ) -> np.ndarray:
-        """Daily-cycle delay for many longitudes, shape ``(len(lons), T)``.
-
-        Broadcasts the exact :meth:`diurnal_delay` formula; per-row
-        values are bit-identical to the scalar method.  The matrix is
-        deterministic in ``(times, lons, peak_ms)`` and dominated by the
-        trig evaluation, so it is cached per argument signature —
-        repeated synthesis over one grid (the edgefabric plan and its
-        session stream, multi-seed sweeps) pays for the cosines once.
-        The returned array is marked read-only; callers needing to
-        mutate must copy.
-        """
-        cfg = self.config
-        if peak_ms < 0:
-            peak_ms = cfg.diurnal_peak_ms
-        times = np.asarray(times_h, dtype=float)
-        lons_arr = np.asarray(lons, dtype=float)
-        token = (times.tobytes(), lons_arr.tobytes(), peak_ms)
-        cached = self._diurnal_cache.get(token)
-        if cached is not None:
-            return cached
-        local = (times[None, :] + lons_arr[:, None] / 15.0) % 24.0
-        phase = 2.0 * np.pi * (local - cfg.diurnal_peak_hour) / 24.0
-        bump = (1.0 + np.cos(phase)) / 2.0
-        result = peak_ms * bump * bump * bump
-        result.setflags(write=False)
-        self._diurnal_cache[token] = result
-        return result
-
-    # --- composites ---------------------------------------------------------
-
-    def shared_delay(
-        self, key: str, lon: float, times_h: np.ndarray
-    ) -> np.ndarray:
-        """Destination-side delay shared by all routes to an entity.
-
-        Diurnal load at the entity's longitude plus the entity's own
-        transient events (e.g. a congested access network).
-        """
-        return self.diurnal_delay(times_h, lon) + self.event_delay(key, times_h)
-
-    def link_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Route-specific delay from one interdomain link's events."""
-        return self.event_delay(key, times_h)
-
-    def shared_delay_batch(
-        self, keys: Sequence[str], lons: np.ndarray, times_h: np.ndarray
-    ) -> np.ndarray:
-        """Destination-side delay for many entities, ``(len(keys), T)``.
-
-        Row *i* agrees with ``shared_delay(keys[i], lons[i], times_h)``
-        up to the batched event kernel's summation-order tolerance.
-        """
-        if len(keys) != len(np.asarray(lons, dtype=float)):
-            raise MeasurementError("keys and lons must be index-aligned")
-        return self.diurnal_delay_batch(times_h, lons) + self.event_delay_batch(
-            keys, times_h
-        )
-
-    def link_delay_batch(
-        self, keys: Sequence[str], times_h: np.ndarray
-    ) -> np.ndarray:
-        """Route-specific delay for many links at once, ``(len(keys), T)``."""
-        return self.event_delay_batch(keys, times_h)
-
-    # --- slow baseline shifts (interdomain path churn) ---------------------
-
-    def _shift_series(self, key: str) -> _EventSeries:
-        series = self._shifts.get(key)
-        if series is None:
-            self._draw((), (key,))
-            series = self._shifts[key]
-        return series
-
-    def baseline_shifts(self, key: str) -> List[Tuple[float, float, float]]:
-        """Slow level shifts for a path: (start_h, duration_h, extra_ms).
-
-        Models interdomain path churn: a route changes and stays changed
-        for days, unlike the transient queueing events above.  This is
-        what makes measurement-driven predictions go stale (the Figure 4
-        scheme measures first and redirects later).  The process
-        parameters are the module's ``SHIFT_*`` constants.
-        """
-        return self._shift_series(key).as_list()
-
-    def baseline_shift_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Extra delay (ms) from baseline shifts at each time."""
-        times = np.asarray(times_h, dtype=float)
-        delay = _series_delays([self._shift_series(key)], times)
-        return delay[0].reshape(times.shape)
+        return cfg.diurnal_peak_ms * bump * bump * bump

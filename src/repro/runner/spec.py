@@ -32,7 +32,7 @@ from typing import Any, Dict, Mapping
 
 import numpy as np
 
-from repro.errors import RunnerError
+from repro.errors import RunnerError, require_int
 from repro.runner.shm import SharedArrayRef, attach_shared
 
 #: Bumped whenever the canonical form below changes incompatibly, so a
@@ -145,9 +145,11 @@ class JobSpec:
             The class must be constructible with ``config`` as keyword
             arguments (plus ``seed`` when it accepts one) and expose
             ``run() -> StudyResult``.
-        seed: Master randomness seed for the job, ``>= 0``.  A negative
-            seed raises :class:`~repro.errors.RunnerError` here, before
-            any job is dispatched.
+        seed: Master randomness seed for the job, an integer ``>= 0``
+            (numpy integers are stored as ``int``).  A float, ``bool``
+            or negative seed raises :class:`~repro.errors.RunnerError`
+            here, before any job is dispatched, instead of running or
+            hashing as another seed.
         config: Remaining constructor kwargs.  Values must be
             picklable (they cross the process boundary as-is) and
             canonicalizable (they enter the content hash).
@@ -166,8 +168,10 @@ class JobSpec:
     shared: Mapping[str, SharedArrayRef] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise RunnerError(f"seed must be >= 0, got {self.seed}")
+        seed = require_int(self.seed, "seed", RunnerError)
+        object.__setattr__(self, "seed", seed)
+        if seed < 0:
+            raise RunnerError(f"seed must be >= 0, got {seed}")
 
     @classmethod
     def from_study(cls, study: Any) -> "JobSpec":
@@ -193,7 +197,7 @@ class JobSpec:
         }
         return cls(
             study=class_path(type(study)),
-            seed=int(getattr(study, "seed", 0)),
+            seed=getattr(study, "seed", 0),
             config=config,
         )
 

@@ -21,11 +21,12 @@ Determinism notes:
 * The residual stream draws one ``rng.exponential`` per window, so the
   generated sessions are independent of ``chunk_windows`` — resizing
   chunks reorders nothing.
-* The congestion models are evaluated once over the whole horizon
-  (O(pairs × windows) memory — the same order as the snapshot being
-  built) and *sliced* per chunk.  Evaluating them chunk-by-chunk
-  instead would perturb floors by an ulp (numpy's reductions are
-  length-dependent), silently breaking chunk-size invariance.
+* The congestion rows come from the code batch synthesis runs
+  (:func:`repro.edgefabric.sampler.congestion_rows`), evaluated once
+  over the whole horizon (O(pairs × windows) memory, the same order as
+  the snapshot being built) and *sliced* per chunk.  Every cell is an
+  exact sum of its key's events, so slicing gives the bits a per-chunk
+  evaluation would.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.edgefabric.dataset import EgressDataset, window_times
 from repro.edgefabric.sampler import (
     MeasurementConfig,
     MeasurementPlan,
+    congestion_rows,
     dataset_from_medians,
     window_grid,
 )
@@ -93,18 +95,13 @@ def stream_sessions(
     lo, hi = cfg.last_mile_ms_range
     last_mile = rng.uniform(lo, hi, size=len(pairs))
 
-    dest_keys = [f"dest:{p.prefix.pid}" for p in pairs]
-    lons = np.array([p.prefix.city.location.lon for p in pairs])
-
     key_table = session_key_table(plan)
     slot_index = np.arange(n_slots)
     half_window_h = 0.5 * cfg.window_minutes / 60.0
 
-    # Full-horizon model evaluation, identical to batch synthesis's
-    # calls — chunks slice columns out of these, so the floors are
-    # bit-identical for every chunk_windows setting.
-    shared_full = dest_congestion.shared_delay_batch(dest_keys, lons, times)
-    link_full = congestion.link_delay_batch(list(slots.keys), times)
+    # Full-horizon rows, identical to batch synthesis's; chunks slice
+    # columns out of them.
+    shared_full, link_full = congestion_rows(plan, times, congestion, dest_congestion)
 
     for w0 in range(0, times.size, chunk_windows):
         t_chunk = times[w0 : w0 + chunk_windows]

@@ -4,7 +4,6 @@ from repro.workloads.clients import ClientPrefix, generate_client_prefixes
 from repro.workloads.ldns import LdnsResolver, assign_ldns
 from repro.workloads.traffic import (
     diurnal_volume,
-    diurnal_volume_matrix,
     traffic_matrix,
     sessions_matrix,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "LdnsResolver",
     "assign_ldns",
     "diurnal_volume",
-    "diurnal_volume_matrix",
     "traffic_matrix",
     "sessions_matrix",
 ]

@@ -8,7 +8,7 @@ sampling unit for MinRTT medians.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -16,30 +16,17 @@ from repro.errors import MeasurementError
 from repro.workloads.clients import ClientPrefix
 
 
-def diurnal_volume(times_h: np.ndarray, lon: float, peak_hour: float = 20.0) -> np.ndarray:
+def diurnal_volume(times_h: np.ndarray, lon: Union[float, np.ndarray]) -> np.ndarray:
     """Relative traffic volume over time for a destination longitude.
 
     A raised-cosine daily cycle between 0.35 (early morning trough) and
-    1.0 (evening peak) of the destination's local time.
+    1.0 (evening peak, 20:00) of the destination's local time.  A
+    column of longitudes, shape ``(P, 1)``, broadcasts to one row per
+    longitude.
     """
     times = np.asarray(times_h, dtype=float)
     local = (times + lon / 15.0) % 24.0
-    phase = 2.0 * np.pi * (local - peak_hour) / 24.0
-    return 0.35 + 0.65 * ((1.0 + np.cos(phase)) / 2.0)
-
-
-def diurnal_volume_matrix(
-    times_h: np.ndarray, lons: np.ndarray, peak_hour: float = 20.0
-) -> np.ndarray:
-    """Relative volume for many longitudes at once, shape ``(len(lons), W)``.
-
-    Broadcasts the exact :func:`diurnal_volume` formula; rows are
-    bit-identical to the scalar function.
-    """
-    times = np.asarray(times_h, dtype=float)
-    lons_arr = np.asarray(lons, dtype=float)
-    local = (times[None, :] + lons_arr[:, None] / 15.0) % 24.0
-    phase = 2.0 * np.pi * (local - peak_hour) / 24.0
+    phase = 2.0 * np.pi * (local - 20.0) / 24.0
     return 0.35 + 0.65 * ((1.0 + np.cos(phase)) / 2.0)
 
 
@@ -50,15 +37,15 @@ def traffic_matrix(
 ) -> np.ndarray:
     """Volume (relative bytes) per prefix per window, shape (P, W).
 
-    ``cycle`` optionally supplies a precomputed
-    :func:`diurnal_volume_matrix` for these prefixes, letting callers
-    that need both volumes and session counts evaluate it once.
+    ``cycle`` optionally supplies the prefixes' precomputed
+    :func:`diurnal_volume` rows, letting callers that need both volumes
+    and session counts evaluate it once.
     """
     if not prefixes:
         raise MeasurementError("no prefixes")
     if cycle is None:
         lons = np.array([p.city.location.lon for p in prefixes])
-        cycle = diurnal_volume_matrix(times_h, lons)
+        cycle = diurnal_volume(times_h, lons[:, None])
     weights = np.array([p.weight for p in prefixes])
     return weights[:, None] * cycle
 
@@ -82,5 +69,5 @@ def sessions_matrix(
         raise MeasurementError("minimum cannot exceed sessions_at_peak")
     if cycle is None:
         lons = np.array([p.city.location.lon for p in prefixes])
-        cycle = diurnal_volume_matrix(times_h, lons)
+        cycle = diurnal_volume(times_h, lons[:, None])
     return np.maximum(minimum, np.round(sessions_at_peak * cycle)).astype(int)

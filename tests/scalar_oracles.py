@@ -59,16 +59,15 @@ def _synthesize_per_pair(
     for i, pair in enumerate(plan.pairs):
         prefix = pair.prefix
         last_mile = float(rng.uniform(lo, hi))
-        shared = dest_congestion.shared_delay(
-            f"dest:{prefix.pid}", prefix.city.location.lon, times
-        )
+        shared = dest_congestion.diurnal_delay(times, prefix.city.location.lon)
+        shared = shared + key_delay(dest_congestion, f"dest:{prefix.pid}", times)
         n = sessions[i]
         sd = cfg.min_rtt_noise_ms / np.sqrt(n)
         halfwidth = median_min_rtt_ci_halfwidth(cfg.min_rtt_noise_ms, 1) / np.sqrt(n)
         for j, route in enumerate(pair.routes):
             base = 2.0 * route.base_one_way_ms + last_mile
-            specific = congestion.link_delay(route.link_key, times)
-            specific = specific + congestion.link_delay(route.interior_key, times)
+            specific = key_delay(congestion, route.link_key, times)
+            specific = specific + key_delay(congestion, route.interior_key, times)
             floor = base + shared + specific
             medians[i, :, j] = median_min_rtt(
                 floor, cfg.min_rtt_noise_ms
@@ -310,8 +309,9 @@ def ping(
     times = np.full(count, time_h)
     base = 2.0 * path.one_way_ms + platform._vp_last_mile(vp)
     congestion = platform._congestion
-    shared = congestion.shared_delay(f"vp:{vp.vp_id}", vp.city.location.lon, times)
-    route = congestion.link_delay(f"tierpath:{vp.vp_id}:{tier.value}", times)
+    shared = congestion.diurnal_delay(times, vp.city.location.lon)
+    shared = shared + key_delay(congestion, f"vp:{vp.vp_id}", times)
+    route = key_delay(congestion, f"tierpath:{vp.vp_id}:{tier.value}", times)
     samples = base + shared + route + platform._rng.exponential(1.2, size=count)
     return PingResult(
         vp_id=vp.vp_id,
@@ -445,15 +445,18 @@ def run_beacon_campaign_reference(
         last_mile = float(rng.uniform(lo, hi))
         shared = (
             last_mile
-            + congestion.shared_delay(f"dest:{prefix.pid}", prefix.city.location.lon, t)
+            + (
+                congestion.diurnal_delay(t, prefix.city.location.lon)
+                + key_delay(congestion, f"dest:{prefix.pid}", t)
+            )
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
         any_key, uni_keys = path_keys[i]
         anycast_rtt[i] = (
             base_any[i]
             + shared
-            + congestion.link_delay(any_key, t)
-            + congestion.baseline_shift_delay(any_key, t)
+            + key_delay(congestion, any_key, t)
+            + key_delay(congestion, any_key, t, shift=True)
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
         for j, code in enumerate(fe_codes[i]):
@@ -463,8 +466,8 @@ def run_beacon_campaign_reference(
             unicast_rtt[i, :, j] = (
                 base
                 + shared
-                + congestion.link_delay(uni_keys[j], t)
-                + congestion.baseline_shift_delay(uni_keys[j], t)
+                + key_delay(congestion, uni_keys[j], t)
+                + key_delay(congestion, uni_keys[j], t, shift=True)
                 + rng.exponential(cfg.rtt_noise_ms, size=n_r)
             )
     return BeaconDataset(
@@ -479,6 +482,34 @@ def run_beacon_campaign_reference(
 
 
 # --- congestion delay lookups ----------------------------------------------
+
+
+def key_delay(
+    model: CongestionModel, key: str, times_h, shift: bool = False
+) -> np.ndarray:
+    """One key's event delay at each time, or its baseline-shift delay
+    with ``shift``: the single-key row of ``event_and_shift_delays``,
+    in the shape of ``times_h``.  Only that one series is drawn."""
+    times = np.asarray(times_h, dtype=float)
+    event_keys, shift_keys = ((), (key,)) if shift else ((key,), ())
+    events, shifts = model.event_and_shift_delays(event_keys, shift_keys, times)
+    return (shifts if shift else events)[0].reshape(times.shape)
+
+
+def _as_list(series) -> List[Tuple[float, float, float]]:
+    return list(
+        zip(series.start.tolist(), series.duration.tolist(), series.magnitude.tolist())
+    )
+
+
+def key_events(
+    model: CongestionModel, key: str, shift: bool = False
+) -> List[Tuple[float, float, float]]:
+    """One key's events, or with ``shift`` its baseline shifts, as
+    ``(start_h, duration_h, extra_ms)`` tuples in stored order, drawn
+    first if need be."""
+    key_delay(model, key, (), shift)
+    return _as_list((model._shifts if shift else model._events)[key])
 
 
 def scan_events(events, times_h) -> np.ndarray:
@@ -498,16 +529,18 @@ def _scan_series(series, times) -> np.ndarray:
     flat = np.asarray(times, dtype=float).ravel()
     delay = np.zeros((len(series), flat.size))
     for row, one in zip(delay, series):
-        row[:] = scan_events(one.as_list(), flat)
+        row[:] = scan_events(_as_list(one), flat)
     return delay
 
 
 def full_event_scans():
-    """Inside the block, every event and baseline-shift lookup —
-    ``event_delay``, ``baseline_shift_delay`` and the rows of
-    ``event_and_shift_delays`` — scans every event of the key's series,
-    row by row, instead of only the events near the queried times."""
-    return mock.patch.object(congestion_module, "_series_delays", _scan_series)
+    """Inside the block, every row of ``event_and_shift_delays`` — every
+    congestion event and baseline-shift delay of the three settings —
+    scans every event of the key's series, row by row.  The block
+    yields a mock that counts the kernel calls it replaced."""
+    return mock.patch.object(
+        congestion_module, "_series_delays", mock.Mock(side_effect=_scan_series)
+    )
 
 
 # --- nearest PoP -----------------------------------------------------------

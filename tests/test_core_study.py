@@ -1,5 +1,6 @@
 """Tests for the unified Study API (small, fast configurations)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,6 +10,7 @@ from repro.core import (
     StudyResult,
     render_report,
 )
+from repro.errors import MeasurementError
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,50 @@ class TestCloudTiersStudy:
             > summary["standard_ingress_within_400km"]
         )
         assert 0.5 <= summary["goodput_ratio"] <= 2.0
+
+
+NAN = float("nan")
+
+
+class TestStudyFields:
+    """A study refuses at construction the fields it cannot run, so a
+    campaign never runs, caches or retries it under another seed."""
+
+    @pytest.mark.parametrize(
+        "study, fields, message",
+        [
+            (PopRoutingStudy, {"seed": 1.5}, "seed must be an integer"),
+            (PopRoutingStudy, {"seed": True}, "seed must be an integer"),
+            (PopRoutingStudy, {"n_prefixes": 0}, "n_prefixes must be >= 1"),
+            (PopRoutingStudy, {"n_prefixes": 2.5}, "n_prefixes must be an integer"),
+            (PopRoutingStudy, {"days": 0.0}, "days must be finite and > 0"),
+            (PopRoutingStudy, {"days": NAN}, "days must be finite and > 0"),
+            (PopRoutingStudy, {"days": float("inf")}, "days must be finite"),
+            (AnycastCdnStudy, {"seed": 2.0}, "seed must be an integer"),
+            (AnycastCdnStudy, {"n_prefixes": -3}, "n_prefixes must be >= 1"),
+            (AnycastCdnStudy, {"requests_per_prefix": 0}, "requests_per_prefix"),
+            (AnycastCdnStudy, {"days": -1.0}, "days must be finite and > 0"),
+            (AnycastCdnStudy, {"public_ldns_fraction": 1.5}, "public_ldns_fraction"),
+            (AnycastCdnStudy, {"public_ldns_fraction": -0.1}, "public_ldns_fraction"),
+            (AnycastCdnStudy, {"public_ldns_fraction": NAN}, "public_ldns_fraction"),
+            (CloudTiersStudy, {"seed": 1.5}, "seed must be an integer"),
+            (CloudTiersStudy, {"days": 0}, "days must be >= 1"),
+            (CloudTiersStudy, {"days": 2.5}, "days must be an integer"),
+            (CloudTiersStudy, {"vps_per_day": 0}, "vps_per_day must be >= 1"),
+            (CloudTiersStudy, {"vps_per_day": True}, "vps_per_day must be an integer"),
+        ],
+    )
+    def test_refuses_what_it_cannot_run(self, study, fields, message):
+        with pytest.raises(MeasurementError, match=message):
+            study(**fields)
+
+    def test_numpy_integers_stored_as_int(self):
+        study = CloudTiersStudy(
+            seed=np.int64(3), days=np.int32(2), vps_per_day=np.uint16(9)
+        )
+        values = (study.seed, study.days, study.vps_per_day)
+        assert values == (3, 2, 9)
+        assert all(type(value) is int for value in values)
 
 
 class TestReport:

@@ -24,6 +24,36 @@ class TestConfigValidation:
         with pytest.raises(MeasurementError):
             MeasurementConfig(last_mile_ms_range=(5.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("days", float("nan"), "days must be finite and > 0"),
+            ("days", float("inf"), "days must be finite and > 0"),
+            ("window_minutes", float("nan"), "window_minutes must be finite"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+            ("max_routes", 2.5, "max_routes must be an integer"),
+            ("max_routes", True, "max_routes must be an integer"),
+            ("sessions_at_peak", 2.5, "sessions_at_peak must be an integer"),
+            ("sessions_at_peak", 0, "sessions_at_peak must be >= 1"),
+            ("min_rtt_noise_ms", float("nan"), "min_rtt_noise_ms must be finite"),
+            ("min_rtt_noise_ms", -1.0, "min_rtt_noise_ms must be finite and >= 0"),
+            ("last_mile_ms_range", (float("nan"), 5.0), "last_mile_ms_range"),
+            ("last_mile_ms_range", (1.0, float("inf")), "last_mile_ms_range"),
+        ],
+    )
+    def test_refuses_what_it_cannot_run(self, field, value, message):
+        with pytest.raises(MeasurementError, match=message):
+            MeasurementConfig(**{field: value})
+
+    def test_numpy_integers_stay_legal(self):
+        cfg = MeasurementConfig(
+            seed=np.int64(3), max_routes=np.int32(2), sessions_at_peak=np.uint8(9)
+        )
+        values = (cfg.seed, cfg.max_routes, cfg.sessions_at_peak)
+        assert values == (3, 2, 9)
+        assert all(type(value) is int for value in values)
+
     def test_congestion_defaults_sized_to_horizon(self):
         cfg = MeasurementConfig(days=3.0)
         assert cfg.congestion_config().horizon_hours == pytest.approx(72.0)

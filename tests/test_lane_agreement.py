@@ -45,6 +45,8 @@ from hypothesis import strategies as st
 from scalar_oracles import (
     extract_episodes_reference,
     full_event_scans,
+    key_delay,
+    key_events,
     per_pair_synthesis,
     per_prefix_catchment_geometry,
     run_beacon_campaign_reference,
@@ -137,6 +139,20 @@ class TestEdgefabricLanes:
         config = MeasurementConfig(days=2.0, seed=1)
         dataset = synthesize_dataset(egress_plan, config)
         assert extract_episodes(dataset) == extract_episodes_reference(dataset)
+
+    def test_synthesis_and_stream_equal_full_scans(self, egress_plan):
+        """Synthesis and the session stream price congestion with the
+        one exact kernel: with every event scanned in its place, the
+        medians keep every bit and the snapshot every byte."""
+        config = MeasurementConfig(days=2.0, seed=3)
+        with full_event_scans() as scans:
+            slow = synthesize_dataset(egress_plan, config)
+            slow_snapshot = ingest_plan(egress_plan, config).snapshot.to_json()
+        # Each side prices its destination and its link keys once.
+        assert scans.call_count == 4
+        fast = synthesize_dataset(egress_plan, config)
+        assert fast.medians.tobytes() == slow.medians.tobytes()
+        assert ingest_plan(egress_plan, config).snapshot.to_json() == slow_snapshot
 
     def test_run_measurement_composes_both_lanes(self, small_internet, small_prefixes):
         """The end-to-end entry point inherits synthesis's contract.
@@ -370,10 +386,10 @@ def _edges(events):
 
 
 class TestCongestionLookupLanes:
-    """``event_delay``, ``baseline_shift_delay`` and the rows of
-    ``event_and_shift_delays`` visit only the events that overlap the
-    queried times; scanning every event of the horizon, in order, must
-    give the same bits."""
+    """The rows of ``event_and_shift_delays``, one key's or many keys',
+    sum only the events whose run of the sorted times is not empty;
+    scanning every event of the horizon, in order, must give the same
+    bits."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -383,8 +399,8 @@ class TestCongestionLookupLanes:
     @settings(max_examples=60, deadline=None)
     def test_lookups_equal_full_scan(self, seed, key, data):
         model = CongestionModel(seed, SCAN_CONFIG)
-        events = model.events(key)
-        shifts = model.baseline_shifts(key)
+        events = key_events(model, key)
+        shifts = key_events(model, key, shift=True)
         special = st.sampled_from(
             [np.nan, np.inf, -np.inf, 0.0, SCAN_CONFIG.horizon_hours]
         )
@@ -395,9 +411,9 @@ class TestCongestionLookupLanes:
         times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
         if data.draw(st.booleans()):
             times = np.concatenate([times, times[::-1]])
-        assert_same_bits(model.event_delay(key, times), scan_events(events, times))
+        assert_same_bits(key_delay(model, key, times), scan_events(events, times))
         assert_same_bits(
-            model.baseline_shift_delay(key, times), scan_events(shifts, times)
+            key_delay(model, key, times, shift=True), scan_events(shifts, times)
         )
 
     @pytest.mark.parametrize(
@@ -418,8 +434,8 @@ class TestCongestionLookupLanes:
     def test_corner_cases_equal_full_scan(self, case):
         model = CongestionModel(3, SCAN_CONFIG)
         key = "tierpath:vp-1:premium"
-        events = model.events(key)
-        shifts = model.baseline_shifts(key)
+        events = key_events(model, key)
+        shifts = key_events(model, key, shift=True)
         assert events and shifts
         edges = np.array(_edges(events + shifts))
         start, duration, _ = events[len(events) // 2]
@@ -435,9 +451,9 @@ class TestCongestionLookupLanes:
             "one-burst": np.repeat(100.0 + np.arange(0.0, 24.0, 2.5), 5),
             "scalar": np.asarray(edges[5]),
         }[case]
-        assert_same_bits(model.event_delay(key, times), scan_events(events, times))
+        assert_same_bits(key_delay(model, key, times), scan_events(events, times))
         assert_same_bits(
-            model.baseline_shift_delay(key, times), scan_events(shifts, times)
+            key_delay(model, key, times, shift=True), scan_events(shifts, times)
         )
 
     @given(
@@ -445,7 +461,6 @@ class TestCongestionLookupLanes:
         horizon=st.sampled_from([24.0, 240.0, 2400.0]),
         keys=st.lists(
             st.text(alphabet="abcdef:0123456789", max_size=12),
-            min_size=1,
             max_size=40,
         ),
         data=st.data(),
@@ -454,12 +469,15 @@ class TestCongestionLookupLanes:
     def test_block_rows_equal_full_scan(self, seed, horizon, keys, data):
         """Every row of ``event_and_shift_delays`` is the full scan of
         its key's series, drawn one key at a time; at a 24 h horizon
-        most shift series and some event series are empty."""
+        most shift series and some event series are empty, and a block
+        may have no key at all."""
         config = dataclasses.replace(SCAN_CONFIG, horizon_hours=horizon)
         lone = CongestionModel(seed, config)
-        events = [lone.events(key) for key in keys]
-        shift_keys = data.draw(st.lists(st.sampled_from(keys), max_size=40))
-        shifts = [lone.baseline_shifts(key) for key in shift_keys]
+        events = [key_events(lone, key) for key in keys]
+        shift_keys = (
+            data.draw(st.lists(st.sampled_from(keys), max_size=40)) if keys else []
+        )
+        shifts = [key_events(lone, key, shift=True) for key in shift_keys]
         special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, horizon])
         point = st.one_of(st.floats(min_value=-100.0, max_value=horizon + 100), special)
         edges = _edges([e for series in events + shifts for e in series])

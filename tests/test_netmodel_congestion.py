@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import key_events
 
 from repro import obs
 from repro.errors import MeasurementError
@@ -52,6 +53,14 @@ class TestConfigValidation:
         with pytest.raises(MeasurementError, match=field):
             CongestionConfig(**{"horizon_hours": 24.0, field: value})
 
+    def test_model_seed_must_be_an_integer(self):
+        cfg = CongestionConfig(horizon_hours=24.0)
+        for seed in (1.5, 2.0, True, "3"):
+            with pytest.raises(MeasurementError, match="seed must be an integer"):
+                CongestionModel(seed, cfg)
+        model = CongestionModel(np.int64(7), cfg)
+        assert type(model.seed) is int and model.seed == 7
+
     def test_zero_rates_and_spreads_stay_legal(self):
         CongestionConfig(
             horizon_hours=24.0,
@@ -62,50 +71,69 @@ class TestConfigValidation:
         )
 
 
+def event_rows(model, keys, times):
+    return model.event_and_shift_delays(keys, (), times)[0]
+
+
+def shift_rows(model, keys, times):
+    return model.event_and_shift_delays((), keys, times)[1]
+
+
+#: Ten days at quarter-hour windows.
+GRID = np.arange(0.0, 240.0, 0.25)
+
+
 class TestEvents:
     def test_deterministic_per_key(self, model):
-        assert model.events("link:a") == model.events("link:a")
+        assert key_events(model, "link:a") == key_events(model, "link:a")
+        first = event_rows(model, ["link:a"], GRID)
+        assert first.tobytes() == event_rows(model, ["link:a"], GRID).tobytes()
 
     def test_different_keys_differ(self, model):
         # With a 10-day horizon the event lists almost surely differ.
         keys = [f"link:{i}" for i in range(20)]
-        lists = [tuple(model.events(k)) for k in keys]
+        lists = [tuple(key_events(model, k)) for k in keys]
         assert len(set(lists)) > 1
+        rows = event_rows(model, keys, GRID)
+        assert len({row.tobytes() for row in rows}) > 1
 
     def test_same_seed_same_events_across_instances(self):
         cfg = CongestionConfig(horizon_hours=240.0)
-        a = CongestionModel(5, cfg).events("x")
-        b = CongestionModel(5, cfg).events("x")
-        assert a == b
+        a = CongestionModel(5, cfg)
+        b = CongestionModel(5, cfg)
+        assert key_events(a, "x") == key_events(b, "x")
+        assert event_rows(a, ["x"], GRID).tobytes() == (
+            event_rows(b, ["x"], GRID).tobytes()
+        )
 
     def test_different_seed_differs(self):
         cfg = CongestionConfig(horizon_hours=2400.0, event_rate_per_day=2.0)
-        a = CongestionModel(1, cfg).events("x")
-        b = CongestionModel(2, cfg).events("x")
+        a = key_events(CongestionModel(1, cfg), "x")
+        b = key_events(CongestionModel(2, cfg), "x")
         assert a != b
 
     def test_events_within_horizon(self, model):
-        for start, duration, magnitude in model.events("link:z"):
+        for start, duration, magnitude in key_events(model, "link:z"):
             assert 0.0 <= start <= 240.0
             assert duration > 0
             assert magnitude > 0
 
     def test_event_delay_matches_events(self, model):
-        events = model.events("link:y")
+        events = key_events(model, "link:y")
         if not events:
             pytest.skip("no events drawn for this key")
         start, duration, magnitude = events[0]
-        inside = model.event_delay("link:y", np.array([start + duration / 2]))
-        outside = model.event_delay("link:y", np.array([start - 1e-6]))
-        assert inside[0] >= magnitude - 1e-9
-        assert outside[0] < inside[0]
+        times = np.array([start + duration / 2, start - 1e-6])
+        inside, outside = event_rows(model, ["link:y"], times)[0]
+        assert inside >= magnitude - 1e-9
+        assert outside < inside
 
     def test_zero_rate_no_events(self):
         cfg = CongestionConfig(horizon_hours=240.0, event_rate_per_day=0.0)
         model = CongestionModel(0, cfg)
-        assert model.events("anything") == []
+        assert key_events(model, "anything") == []
         times = np.linspace(0, 240, 100)
-        assert np.all(model.event_delay("anything", times) == 0.0)
+        assert np.all(event_rows(model, ["anything"], times) == 0.0)
 
 
 class TestDiurnal:
@@ -128,98 +156,16 @@ class TestDiurnal:
         assert delay.max() <= model.config.diurnal_peak_ms + 1e-9
         assert delay.min() >= 0.0
 
-    def test_explicit_peak_override(self, model):
-        times = np.array([20.0])
-        assert model.diurnal_delay(times, lon=0.0, peak_ms=7.0)[0] == pytest.approx(7.0)
-
 
 class TestBaselineShifts:
     def test_deterministic(self, model):
-        assert model.baseline_shifts("p") == model.baseline_shifts("p")
+        assert key_events(model, "p", shift=True) == key_events(model, "p", shift=True)
+        first = shift_rows(model, ["p"], GRID)
+        assert first.tobytes() == shift_rows(model, ["p"], GRID).tobytes()
 
     def test_delay_nonnegative(self, model):
         times = np.linspace(0, 240, 500)
-        assert (model.baseline_shift_delay("p", times) >= 0).all()
-
-
-class TestComposites:
-    def test_shared_delay_is_sum(self, model):
-        times = np.linspace(0, 48, 200)
-        shared = model.shared_delay("dest:p1", lon=10.0, times_h=times)
-        expected = model.diurnal_delay(times, 10.0) + model.event_delay(
-            "dest:p1", times
-        )
-        assert shared == pytest.approx(expected)
-
-    def test_link_delay_no_diurnal(self, model):
-        times = np.linspace(0, 48, 200)
-        assert model.link_delay("l1", times) == pytest.approx(
-            model.event_delay("l1", times)
-        )
-
-
-class TestBatchKernels:
-    """The vectorized lanes agree with the scalar methods row by row."""
-
-    def test_event_delay_batch_matches_scalar(self, model):
-        keys = [f"link:{i}" for i in range(12)]
-        times = np.linspace(0.0, 240.0, 973)
-        batch = model.event_delay_batch(keys, times)
-        assert batch.shape == (len(keys), times.size)
-        for row, key in enumerate(keys):
-            np.testing.assert_allclose(
-                batch[row], model.event_delay(key, times), rtol=0, atol=1e-9
-            )
-
-    def test_event_delay_batch_handles_edges(self, model):
-        # Events straddling the grid boundaries must not spill: an event
-        # ending past the last sample stays active to the end, and one
-        # starting before the first sample is active from the start.
-        events = model.events("link:edge")
-        times = np.linspace(50.0, 60.0, 101)
-        batch = model.event_delay_batch(["link:edge"], times)
-        np.testing.assert_allclose(
-            batch[0], model.event_delay("link:edge", times), atol=1e-9
-        )
-        assert events == model.events("link:edge")  # cache untouched
-
-    def test_event_delay_batch_empty(self, model):
-        assert model.event_delay_batch([], np.linspace(0, 1, 5)).shape == (0, 5)
-        assert model.event_delay_batch(["k"], np.array([])).shape == (1, 0)
-
-    def test_event_delay_batch_rejects_unsorted(self, model):
-        with pytest.raises(MeasurementError):
-            model.event_delay_batch(["k"], np.array([2.0, 1.0, 3.0]))
-
-    def test_diurnal_batch_bit_identical(self, model):
-        times = np.linspace(0.0, 48.0, 500)
-        lons = np.array([-120.0, -30.0, 0.0, 77.5, 151.2])
-        batch = model.diurnal_delay_batch(times, lons)
-        for row, lon in enumerate(lons):
-            assert (batch[row] == model.diurnal_delay(times, lon)).all()
-
-    def test_shared_delay_batch_matches_scalar(self, model):
-        times = np.linspace(0.0, 240.0, 401)
-        keys = [f"dest:p{i}" for i in range(6)]
-        lons = np.linspace(-150.0, 150.0, 6)
-        batch = model.shared_delay_batch(keys, lons, times)
-        for row, (key, lon) in enumerate(zip(keys, lons)):
-            np.testing.assert_allclose(
-                batch[row], model.shared_delay(key, lon, times), atol=1e-9
-            )
-
-    def test_shared_delay_batch_alignment_checked(self, model):
-        with pytest.raises(MeasurementError):
-            model.shared_delay_batch(["a", "b"], np.array([1.0]), np.arange(3.0))
-
-    def test_link_delay_batch_matches_scalar(self, model):
-        times = np.linspace(0.0, 240.0, 300)
-        keys = ["l1", "l2", "l3"]
-        batch = model.link_delay_batch(keys, times)
-        for row, key in enumerate(keys):
-            np.testing.assert_allclose(
-                batch[row], model.link_delay(key, times), atol=1e-9
-            )
+        assert (shift_rows(model, ["p"], times) >= 0).all()
 
 
 #: Keys whose utf-8 is empty after the stream prefix, or not ASCII.
@@ -262,18 +208,20 @@ class TestBatchSeeding:
     )
     @settings(max_examples=50, deadline=None)
     def test_batch_draws_equal_lone_draws(self, seed, keys, lone_first):
-        """Each key's series is the same whether it is drawn alone or in
-        a batch, and whichever of the two draws it first."""
+        """A key drawn in a batch of one has the series it has when drawn
+        among many, whichever of the two draws it first."""
         config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=2.0)
         lone = CongestionModel(seed, config)
         mixed = CongestionModel(seed, config)
         for key in lone_first:
-            mixed.events(key)
-            mixed.baseline_shifts(key)
+            mixed.event_and_shift_delays((key,), (), np.array([12.0]))
+            mixed.event_and_shift_delays((), (key,), np.array([12.0]))
         mixed.event_and_shift_delays(keys, keys[::-1], np.array([12.0]))
         for key in keys + lone_first:
-            assert mixed.events(key) == lone.events(key)
-            assert mixed.baseline_shifts(key) == lone.baseline_shifts(key)
+            assert key_events(mixed, key) == key_events(lone, key)
+            assert key_events(mixed, key, shift=True) == key_events(
+                lone, key, shift=True
+            )
 
     def test_counters_tally_drawn_event_keys(self):
         model = CongestionModel(4, CongestionConfig(horizon_hours=72.0))
@@ -282,9 +230,9 @@ class TestBatchSeeding:
         with obs.capture() as captured:
             model.event_and_shift_delays(["dest:p1"] + paths, paths, times)
             model.event_and_shift_delays(["dest:p1", "x", "x"], paths[:3], times)
-            model.event_delay("lone", times)
-            model.event_delay_batch(["lone", "a", "b", "a"], times)
-            model.baseline_shift_delay("shift-only", times)
+            model.event_and_shift_delays(["lone"], (), times)
+            model.event_and_shift_delays(["lone", "a", "b", "a"], (), times)
+            model.event_and_shift_delays((), ["shift-only"], times)
         totals = Counter()
         for event in captured.events:
             if event["kind"] == "counter":
@@ -292,5 +240,5 @@ class TestBatchSeeding:
         drawn = ["dest:p1", *paths, "x", "lone", "a", "b"]
         assert totals["netmodel.congestion.entities"] == len(drawn)
         assert totals["netmodel.congestion.events"] == sum(
-            len(model.events(key)) for key in drawn
+            len(key_events(model, key)) for key in drawn
         )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+from typing import Any
 
 import pytest
 
@@ -19,6 +20,16 @@ class Color(enum.Enum):
 @dataclasses.dataclass
 class Widget:
     size: int = 2
+
+
+@dataclasses.dataclass
+class UncheckedStudy:
+    """A study that takes any seed, so only ``from_study`` checks it."""
+
+    seed: Any = 0
+
+    def run(self):
+        return None
 
 
 class TestCanonicalize:
@@ -104,6 +115,15 @@ class TestFromStudyAndBuild:
             JobSpec.from_study(PopRoutingStudy)
         with pytest.raises(RunnerError):
             JobSpec.from_study(object())
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        """A float or bool seed is refused, not run, cached or hashed as
+        another seed."""
+        with pytest.raises(RunnerError, match="seed must be an integer"):
+            JobSpec.from_study(UncheckedStudy(seed=seed))
+        with pytest.raises(RunnerError, match="seed must be an integer"):
+            JobSpec("repro.core.study:PopRoutingStudy", seed=seed)
 
     def test_build_rejects_bad_config(self):
         spec = JobSpec("repro.core.study:PopRoutingStudy", config={"nope": 1})
