@@ -5,20 +5,22 @@ CI's ``bench-smoke`` job regenerates ``BENCH_perf.small.json`` and runs::
     python benchmarks/compare.py BENCH_perf.small.json fresh.json
 
 The comparison is deliberately coarse: per kernel, take the median
-ratio of fresh over baseline wall time across the scales both files
-share, and fail only when that median exceeds ``--threshold`` (2.0 by
-default).  The median absorbs one noisy scale on a shared CI runner;
-a genuine regression slows every scale of a kernel and pushes the
-median over the line.
+ratio of fresh over baseline wall time of the kernel's *gated* side
+(``seconds[gated]``, schema v2) across the scales both files share, and
+fail only when that median exceeds ``--threshold`` (2.0 by default).
+The median absorbs one noisy scale on a shared CI runner; a genuine
+regression slows every scale of a kernel and pushes the median over the
+line.  Sides that are not gated are timed for the record only.
 
-The kernel *set* must match exactly.  A kernel present on only one
-side means the benchmark suite and the committed baseline have drifted
-apart — the comparison would silently shrink to the intersection and a
-regression (or a brand-new kernel) could ride in unmeasured.  Drift is
-a hard failure telling you to recommit the baseline in the same change
-that edits the kernel list; ``--allow-drift`` downgrades it to a
-warning for local experiments.  Scales present on only one side stay
-non-fatal (tiers legitimately time different scale subsets).
+The kernel *set*, and each kernel's gated side, must match exactly.  A
+kernel present on only one file, or gated on different sides, means
+the benchmark suite and the committed baseline have drifted apart — the
+comparison would silently shrink to the intersection and a regression
+(or a brand-new kernel) could ride in unmeasured.  Drift is a hard
+failure telling you to recommit the baseline in the same change that
+edits the kernel list; ``--allow-drift`` downgrades it to a warning for
+local experiments.  Scales present on only one side stay non-fatal
+(tiers legitimately time different scale subsets).
 
 The same entry point also gates the tracer-overhead numbers: when both
 inputs are ``bench-obs`` documents (``BENCH_obs.json``, written by
@@ -42,8 +44,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-#: Timing field compared; the fast lane is the production code path.
-DEFAULT_METRIC = "fast_s"
+#: The BENCH_perf schema this script reads (``benchmarks/perf.py``).
+SCHEMA_VERSION = 2
 
 #: Document tag of a BENCH_obs overhead snapshot.
 BENCH_OBS_KIND = "bench-obs"
@@ -68,26 +70,29 @@ def load_document(path: Path) -> Dict[str, Any]:
     return document
 
 
-def load_kernels(path: Path, metric: str) -> Dict[str, Dict[str, float]]:
-    """``{kernel: {scale: seconds}}`` from a BENCH_perf document."""
-    document = load_document(path)
-    if document.get("schema_version") != 1:
+def load_kernels(
+    path: Path, document: Dict[str, Any]
+) -> Dict[str, Tuple[str, Dict[str, float]]]:
+    """``{kernel: (gated side, {scale: gated seconds})}`` from a BENCH_perf
+    document, or exit 2."""
+    if document.get("schema_version") != SCHEMA_VERSION:
         print(
             f"{path}: unsupported schema_version "
             f"{document.get('schema_version')!r}",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    kernels: Dict[str, Dict[str, float]] = {}
+    kernels: Dict[str, Tuple[str, Dict[str, float]]] = {}
     for kernel in document.get("kernels", []):
+        gated = kernel.get("gated")
         timings = {}
         for entry in kernel.get("scales", []):
-            value = entry.get(metric)
+            value = entry.get("seconds", {}).get(gated)
             if isinstance(value, (int, float)) and value > 0:
                 timings[entry["scale"]] = float(value)
-        kernels[kernel["name"]] = timings
+        kernels[kernel["name"]] = (gated, timings)
     if not kernels:
-        print(f"{path}: no kernels with usable {metric!r} timings", file=sys.stderr)
+        print(f"{path}: no kernels with usable gated timings", file=sys.stderr)
         raise SystemExit(2)
     return kernels
 
@@ -172,16 +177,10 @@ def main(argv=None) -> int:
         "(default: %(default)s)",
     )
     parser.add_argument(
-        "--metric",
-        default=DEFAULT_METRIC,
-        choices=("fast_s", "scalar_s"),
-        help="which timing to compare (default: %(default)s)",
-    )
-    parser.add_argument(
         "--allow-drift",
         action="store_true",
-        help="tolerate kernels present on only one side instead of "
-        "failing with a recommit-baseline error",
+        help="tolerate kernels present on only one file, or gated on "
+        "different sides, instead of failing with a recommit-baseline error",
     )
     args = parser.parse_args(argv)
     if args.threshold <= 1.0:
@@ -204,8 +203,8 @@ def main(argv=None) -> int:
             args.baseline, args.fresh, baseline_doc, fresh_doc, args.threshold
         )
 
-    baseline = load_kernels(args.baseline, args.metric)
-    fresh = load_kernels(args.fresh, args.metric)
+    baseline = load_kernels(args.baseline, baseline_doc)
+    fresh = load_kernels(args.fresh, fresh_doc)
 
     drifted = []
     failures = []
@@ -218,13 +217,18 @@ def main(argv=None) -> int:
             print(f"  gone   {name}: not in fresh run")
             drifted.append(name)
             continue
-        ratio, n_scales = median_ratio(baseline[name], fresh[name])
+        (gated, base_s), (fresh_gated, fresh_s) = baseline[name], fresh[name]
+        if gated != fresh_gated:
+            print(f"  moved  {name}: gated side {gated!r} -> {fresh_gated!r}")
+            drifted.append(name)
+            continue
+        ratio, n_scales = median_ratio(base_s, fresh_s)
         if n_scales == 0:
             print(f"  ?      {name}: no shared scales, skipping")
             continue
         verdict = "SLOW" if ratio > args.threshold else "ok"
         print(
-            f"  {verdict:<6} {name}: median {args.metric} ratio "
+            f"  {verdict:<6} {name}: median {gated} ratio "
             f"{ratio:.2f}x over {n_scales} scale(s)"
         )
         if ratio > args.threshold:
@@ -232,7 +236,7 @@ def main(argv=None) -> int:
 
     if drifted:
         verdict = (
-            f"kernel set drifted — recommit baseline "
+            f"kernels drifted — recommit baseline "
             f"({args.baseline.name}): " + ", ".join(drifted)
         )
         if args.allow_drift:

@@ -1,14 +1,17 @@
-"""Paired kernel timings at three scales.
+"""Kernel timings at three scales, one named side per way of doing the work.
 
-Each kernel times two ways of doing the same work and writes both to
-``BENCH_perf.json`` (schema below).  The schema names the two sides
-``scalar_s`` and ``fast_s``; what they are differs per kernel:
+Each kernel times one or more *sides* and writes each side's time to
+``BENCH_perf.json`` (schema below) under the side's name.  One side per
+kernel is *gated*: ``benchmarks/compare.py`` fails CI when it slows.
 
-* ``netmodel.event_delay`` — per-key calls vs one call over all keys;
-* ``bgp.dynamics`` — the event-driven engine vs static propagation of
-  the same stable states (a fidelity price, not a speedup);
-* ``stream.ingest`` — P² sketches vs centroid sketches;
-* ``obs.emit`` — tracing enabled vs disabled (the tracer's overhead).
+* ``netmodel.event_delay`` — ``per_key`` calls vs one call over
+  ``all_keys`` (gated: ``all_keys``);
+* ``bgp.dynamics`` — the ``event_engine`` vs a ``static_sweep`` of the
+  same stable states, a fidelity price (gated: ``static_sweep``);
+* ``stream.ingest`` — the ``centroid`` sketch feed (gated);
+* ``obs.emit`` — ``tracing_on`` vs ``tracing_off``, the tracer's
+  overhead, and one ``histogram`` sample per op (gated:
+  ``tracing_off``).
 
 The committed baseline is produced by the full tier::
 
@@ -22,22 +25,22 @@ Each timed measurement runs inside a ``repro.obs`` span, so passing
 ``--trace-out`` captures the benchmark's own telemetry stream alongside
 the JSON summary.
 
-Schema (version 1)::
+Schema (version 2)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "tier": "small" | "full",
       "meta": {"python": str, "numpy": str},
       "kernels": [
         {
           "name": str,                # unique
+          "gated": str,               # the side compare.py gates
           "scales": [
             {
               "scale": "small" | "medium" | "large",
               "params": {str: scalar},
-              "scalar_s": float > 0,  # best-of-N wall time, first side
-              "fast_s": float > 0,    # best-of-N wall time, second side
-              "speedup": float > 0,   # scalar_s / fast_s
+              "seconds": {side: float > 0},  # best-of-N wall time per side;
+                                             # the same sides at every scale
               "repeats": int >= 1
             }
           ]
@@ -70,7 +73,7 @@ from repro.topology import TopologyConfig, build_internet
 from repro.topology.generator import DEFAULT_POP_CITIES
 from repro.workloads import generate_client_prefixes
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SCALES = ("small", "medium", "large")
 TIERS = ("small", "full")
 
@@ -115,25 +118,19 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _measure(name: str, scale: str, params, scalar_fn, fast_fn, repeats: int):
-    """Time a kernel's two sides under obs spans; one schema entry."""
-    with obs.span("bench.kernel", kernel=name, scale=scale, lane="scalar", repeats=repeats):
-        scalar_s = _best_of(scalar_fn, repeats)
-    with obs.span("bench.kernel", kernel=name, scale=scale, lane="fast", repeats=repeats):
-        fast_s = _best_of(fast_fn, repeats)
-    entry = {
-        "scale": scale,
-        "params": params,
-        "scalar_s": scalar_s,
-        "fast_s": fast_s,
-        "speedup": scalar_s / fast_s,
-        "repeats": repeats,
-    }
+def _measure(name: str, scale: str, params, sides, repeats: int):
+    """Time a kernel's sides, in order, under obs spans; one schema entry."""
+    seconds = {}
+    for side, fn in sides.items():
+        with obs.span(
+            "bench.kernel", kernel=name, scale=scale, side=side, repeats=repeats
+        ):
+            seconds[side] = _best_of(fn, repeats)
     print(
-        f"  {name:28s} {scale:6s} scalar {scalar_s:8.3f}s "
-        f"fast {fast_s:8.3f}s  {entry['speedup']:5.1f}x"
+        f"  {name:28s} {scale:6s} "
+        + "  ".join(f"{side} {s:8.3f}s" for side, s in seconds.items())
     )
-    return entry
+    return {"scale": scale, "params": params, "seconds": seconds, "repeats": repeats}
 
 
 def _scales_for(tier: str):
@@ -160,7 +157,7 @@ def bench_event_delay(tier: str, repeats: int):
         keys = [f"bench:{i}" for i in range(n)]
         model.event_and_shift_delays(keys, (), times)  # draw every series
 
-        def scalar():
+        def per_key():
             for key in keys:
                 model.event_and_shift_delays((key,), (), times)
 
@@ -169,22 +166,25 @@ def bench_event_delay(tier: str, repeats: int):
                 "netmodel.event_delay",
                 scale,
                 {"keys": n, "times": int(times.size)},
-                scalar,
-                lambda: model.event_and_shift_delays(keys, (), times),
+                {
+                    "per_key": per_key,
+                    "all_keys": lambda: model.event_and_shift_delays(keys, (), times),
+                },
                 repeats,
             )
         )
-    return {"name": "netmodel.event_delay", "scales": entries}
+    return {"name": "netmodel.event_delay", "gated": "all_keys", "scales": entries}
 
 
 def bench_bgp_dynamics(tier: str, repeats: int):
     """Event-driven convergence vs static propagation, same fixpoint.
 
-    The first side replays one announcement per sampled origin through
-    the discrete-event engine — UPDATE deliveries, MRAI timers,
-    per-session jitter — until quiescence; the second computes the
-    identical stable states with the static CSR sweep (bit-equality is
-    the lane-agreement contract in ``tests/test_lane_agreement.py``).
+    The ``event_engine`` side replays one announcement per sampled
+    origin through the discrete-event engine — UPDATE deliveries, MRAI
+    timers, per-session jitter — until quiescence; the ``static_sweep``
+    side computes the identical stable states with the static CSR sweep
+    (bit-equality is the lane-agreement contract in
+    ``tests/test_lane_agreement.py``).
     Both sides batch over the same origins so neither measurement is a
     sub-millisecond blip; the ratio prices event-level fidelity — what
     a scenario run costs over a snapshot.
@@ -204,7 +204,7 @@ def bench_bgp_dynamics(tier: str, repeats: int):
         origins = asns[:: max(1, len(asns) // 8)][:8]
         propagate(graph, origins[0])  # warm the CSR cache
 
-        def scalar():
+        def event_engine():
             total = 0
             for origin in origins:
                 engine = DynamicsEngine(graph, DynamicsConfig(seed=0))
@@ -213,11 +213,11 @@ def bench_bgp_dynamics(tier: str, repeats: int):
                 total += engine.events_processed
             return total
 
-        def fast():
+        def static_sweep():
             for origin in origins:
                 propagate(graph, origin)
 
-        events = scalar()
+        events = event_engine()
         entries.append(
             _measure(
                 "bgp.dynamics",
@@ -227,22 +227,20 @@ def bench_bgp_dynamics(tier: str, repeats: int):
                     "origins": len(origins),
                     "events": int(events),
                 },
-                scalar,
-                fast,
+                {"event_engine": event_engine, "static_sweep": static_sweep},
                 repeats,
             )
         )
-    return {"name": "bgp.dynamics", "scales": entries}
+    return {"name": "bgp.dynamics", "gated": "static_sweep", "scales": entries}
 
 
 def bench_stream_ingest(internet, tier: str, repeats: int):
     """Session-stream ingest: sessions/sec through the sketch plane.
 
     The session batches are materialized once outside the timed region,
-    so both sides time pure ingest: windowing plus sketch updates.  The
-    first side feeds P² sketches (per-value Python marker updates); the
-    second feeds centroid sketches (one vectorized merge per key/window
-    group), which is what ``repro-bgp ingest`` runs in production.
+    so the one ``centroid`` side times pure ingest: windowing plus one
+    vectorized centroid-sketch update per key/window group, which is
+    what ``repro-bgp ingest`` runs.
     """
     prefixes = generate_client_prefixes(internet, 1200, seed=11)
     config = MeasurementConfig(days=0.5, seed=0)
@@ -264,12 +262,7 @@ def bench_stream_ingest(internet, tier: str, repeats: int):
         sessions = int(sum(batch.n_sessions for batch in batches))
         windows = int(config.days * 24.0 * 60.0 / IngestConfig().window_minutes)
 
-        def scalar():
-            ingestor = SessionIngestor(IngestConfig(sketch="p2"))
-            for batch in batches:
-                ingestor.feed(batch)
-
-        def fast():
+        def centroid():
             ingestor = SessionIngestor(IngestConfig())
             for batch in batches:
                 ingestor.feed(batch)
@@ -279,27 +272,26 @@ def bench_stream_ingest(internet, tier: str, repeats: int):
                 "stream.ingest",
                 scale,
                 {"pairs": n, "sessions": sessions, "windows": windows},
-                scalar,
-                fast,
+                {"centroid": centroid},
                 repeats,
             )
         )
-    return {"name": "stream.ingest", "scales": entries}
+    return {"name": "stream.ingest", "gated": "centroid", "scales": entries}
 
 
 def bench_obs_emit(tier: str, repeats: int):
     """Telemetry hot path: enabled span+counter emit vs. the disabled no-op.
 
-    The scalar lane runs with tracing *enabled* — every iteration opens
-    and closes a span and bumps a counter, so each op builds, validates,
-    and buffers real events.  The fast lane runs the identical loop with
-    tracing *disabled* (the ``is None`` early-out that instrumented hot
-    loops pay in production).  Both lanes execute inside
-    ``obs.suspended()`` so the benchmark's own ambient trace neither
-    pollutes nor distorts the measurement; the enabled lane then owns a
-    private tracer for exactly the timed window.  The third lane the
-    profiling plane cares about — folding a sample into a sketch-backed
-    histogram — rides along in ``params`` as ``hist_s``.
+    The ``tracing_on`` side runs with tracing *enabled* — every
+    iteration opens and closes a span and bumps a counter, so each op
+    builds, validates, and buffers real events.  The ``tracing_off``
+    side runs the identical loop with tracing *disabled* (the ``is
+    None`` early-out that instrumented hot loops pay in production).
+    Every side executes inside ``obs.suspended()`` so the benchmark's
+    own ambient trace neither pollutes nor distorts the measurement; an
+    enabled side then owns a private tracer for exactly the timed
+    window.  The ``histogram`` side folds one sample per op into a
+    sketch-backed histogram.
     """
     sizes = {"small": 20_000, "medium": 60_000, "large": 120_000}
     entries = []
@@ -312,7 +304,7 @@ def bench_obs_emit(tier: str, repeats: int):
                     pass
                 obs.counter("bench.obs.events")
 
-        def enabled():
+        def tracing_on():
             with obs.suspended():
                 obs.enable()
                 try:
@@ -320,11 +312,11 @@ def bench_obs_emit(tier: str, repeats: int):
                 finally:
                     obs.disable()
 
-        def disabled():
+        def tracing_off():
             with obs.suspended():
                 emit_ops()
 
-        def hist_ops():
+        def histogram():
             with obs.suspended():
                 obs.enable()
                 try:
@@ -333,18 +325,20 @@ def bench_obs_emit(tier: str, repeats: int):
                 finally:
                     obs.disable()
 
-        hist_s = _best_of(hist_ops, repeats)
         entries.append(
             _measure(
                 "obs.emit",
                 scale,
-                {"ops": n, "hist_s": hist_s},
-                enabled,
-                disabled,
+                {"ops": n},
+                {
+                    "tracing_on": tracing_on,
+                    "tracing_off": tracing_off,
+                    "histogram": histogram,
+                },
                 repeats,
             )
         )
-    return {"name": "obs.emit", "scales": entries}
+    return {"name": "obs.emit", "gated": "tracing_off", "scales": entries}
 
 
 # --- schema -----------------------------------------------------------------
@@ -377,21 +371,15 @@ def validate_payload(payload) -> None:
     if len(names) != len(kernels) or len(set(names)) != len(names):
         raise ValueError("kernel names must be unique strings")
     for kernel in kernels:
-        if set(kernel) != {"name", "scales"}:
-            raise ValueError(f"kernel keys must be name/scales: {kernel}")
+        if set(kernel) != {"name", "gated", "scales"}:
+            raise ValueError(f"kernel keys must be name/gated/scales: {kernel}")
         scales = kernel["scales"]
         if not isinstance(scales, list) or not scales:
             raise ValueError(f"kernel {kernel['name']} has no scales")
         seen = set()
+        sides = None
         for entry in scales:
-            required = {
-                "scale",
-                "params",
-                "scalar_s",
-                "fast_s",
-                "speedup",
-                "repeats",
-            }
+            required = {"scale", "params", "seconds", "repeats"}
             if not isinstance(entry, dict) or set(entry) != required:
                 raise ValueError(
                     f"scale entry keys must be {sorted(required)}: {entry}"
@@ -405,10 +393,21 @@ def validate_payload(payload) -> None:
             seen.add(entry["scale"])
             if not isinstance(entry["params"], dict):
                 raise ValueError("params must be an object")
-            for field in ("scalar_s", "fast_s", "speedup"):
-                value = entry[field]
+            seconds = entry["seconds"]
+            if not isinstance(seconds, dict) or not seconds:
+                raise ValueError("seconds must be a non-empty object")
+            if sides is not None and set(seconds) != sides:
+                raise ValueError(
+                    f"kernel {kernel['name']} times different sides per scale"
+                )
+            sides = set(seconds)
+            for side, value in seconds.items():
                 if not isinstance(value, (int, float)) or not value > 0:
-                    raise ValueError(f"{field} must be a positive number")
+                    raise ValueError(f"seconds[{side!r}] must be a positive number")
+            if kernel["gated"] not in seconds:
+                raise ValueError(
+                    f"gated side {kernel['gated']!r} of {kernel['name']} is not timed"
+                )
             if not isinstance(entry["repeats"], int) or entry["repeats"] < 1:
                 raise ValueError("repeats must be a positive integer")
 

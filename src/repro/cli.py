@@ -48,7 +48,7 @@ import time
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis import format_table, text_choropleth
-from repro.errors import ReproError, StreamError
+from repro.errors import ReproError
 from repro.geo import COUNTRY_REGIONS
 
 # Pinned name (not __name__): running as ``python -m repro.cli`` makes
@@ -516,9 +516,6 @@ def cmd_ingest(args) -> None:
     jobs and asserts the merged snapshot is byte-identical to an
     in-process merge of the same shards.
     """
-    if args.shards < 1:
-        raise StreamError(f"shards must be >= 1, got {args.shards}")
-
     from repro.core.configs import edgefabric_topology
     from repro.obs.trace import gauge, span
     from repro.topology import build_internet
@@ -538,9 +535,7 @@ def cmd_ingest(args) -> None:
 
     cfg = MeasurementConfig(days=args.days, seed=args.seed + 2)
     ingest_config = IngestConfig(
-        window_minutes=cfg.window_minutes,
-        sketch=args.sketch,
-        max_centroids=args.max_centroids,
+        window_minutes=cfg.window_minutes, max_centroids=args.max_centroids
     )
     with span("ingest.topology", seed=args.seed):
         internet = build_internet(edgefabric_topology(args.seed))
@@ -551,7 +546,7 @@ def cmd_ingest(args) -> None:
     with span("ingest.plan"):
         plan = plan_measurement(internet, prefixes, cfg)
 
-    with span("ingest.stream", sketch=args.sketch):
+    with span("ingest.stream"):
         run = ingest_plan(plan, cfg, ingest_config, chunk_windows=args.chunk_windows)
     ingestor = run.ingestor
     elapsed = run.elapsed_s
@@ -606,7 +601,6 @@ def cmd_ingest(args) -> None:
                     "cells": ingestor.n_cells,
                     "peak_open_cells": ingestor.peak_open_cells,
                     "late_dropped": ingestor.late_dropped,
-                    "sketch": args.sketch,
                 },
                 fh,
                 indent=2,
@@ -657,7 +651,6 @@ def cmd_ingest(args) -> None:
                 days=args.days,
                 shard=shard,
                 n_shards=args.shards,
-                sketch=args.sketch,
                 max_centroids=args.max_centroids,
                 chunk_windows=args.chunk_windows,
             )
@@ -794,26 +787,42 @@ def cmd_lint(args) -> None:
         raise SystemExit(1)
 
 
-def _scale(text: str) -> int:
-    """``--scale``: an integer >= 1, else an argparse usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _integer_at_least(name: str, floor: int) -> Callable[[str], int]:
+    """Option type: an integer >= ``floor``, else an argparse usage error.
+
+    The messages are the library's checks of the same value, so a bad
+    value fails with the same words, only before any work starts.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text}"
+            ) from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {floor}, got {value}")
+        return value
+
+    return parse
 
 
-def _days(text: str) -> float:
-    """``--days``: a finite float > 0, else an argparse usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _finite_positive(name: str) -> Callable[[str], float]:
+    """Option type: a finite float > 0, else an argparse usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite and > 0, got {text}"
+            )
+        return value
+
+    return parse
 
 
 #: Options several study commands share, by flag.  A command takes
@@ -821,16 +830,20 @@ def _days(text: str) -> float:
 SHARED_OPTIONS: Dict[str, dict] = {
     "--seed": dict(type=int, default=0, help="randomness seed"),
     "--scale": dict(
-        type=_scale,
+        type=_integer_at_least("scale", 1),
         default=150,
         help="population size (prefixes or daily vantage points)",
     ),
-    "--days": dict(type=_days, default=3.0, help="campaign length in days"),
+    "--days": dict(
+        type=_finite_positive("days"), default=3.0, help="campaign length in days"
+    ),
     "--csv": dict(
         default=None, metavar="PATH", help="also write the figure's series as CSV"
     ),
     "--jobs": dict(
-        type=int, default=1, help="worker processes for the campaign (1 = serial)"
+        type=_integer_at_least("jobs", 1),
+        default=1,
+        help="worker processes for the campaign (1 = serial)",
     ),
     "--cache-dir": dict(
         default=None,
@@ -978,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_cmd = sub.choices["ingest"]
     ingest_cmd.add_argument(
         "--shards",
-        type=int,
+        type=_integer_at_least("shards", 1),
         default=1,
         metavar="N",
         help="also re-ingest through N campaign-shard jobs and verify "
@@ -987,24 +1000,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest_cmd.add_argument(
         "--chunk-windows",
-        type=int,
+        type=_integer_at_least("chunk_windows", 1),
         default=16,
         metavar="N",
         help="windows per synthesized session batch; output is "
         "invariant to it (default: 16)",
     )
     ingest_cmd.add_argument(
-        "--sketch",
-        choices=("centroid", "p2"),
-        default="centroid",
-        help="quantile sketch kind (default: centroid)",
-    )
-    ingest_cmd.add_argument(
         "--max-centroids",
-        type=int,
+        type=_integer_at_least("max_centroids", 8),
         default=64,
         metavar="N",
-        help="centroid budget for the centroid sketch (default: 64)",
+        help="centroid budget of each window's quantile sketch (default: 64)",
     )
     ingest_cmd.add_argument(
         "--compare-batch",
@@ -1069,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_cmd.add_argument(
         "--timeout",
-        type=float,
+        type=_finite_positive("timeout"),
         default=None,
         metavar="S",
         help="per-job wall-time limit in seconds (parallel mode only)",

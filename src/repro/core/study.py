@@ -27,13 +27,16 @@ from repro.core.schemes import compare_schemes
 
 
 def _require_counts(study: Any, counts: Tuple[str, ...]) -> None:
-    """Refuse a non-integer seed, or a count that is not an integer >= 1.
+    """Refuse a seed that is not an integer >= 0, or a count that is not
+    an integer >= 1.
 
     Checked at construction, as :class:`~repro.cloudtiers.CampaignConfig`
     checks its fields, so a campaign refuses the study before any job
     runs.  The checked fields are stored as plain ``int``.
     """
     study.seed = require_int(study.seed, "seed", MeasurementError)
+    if study.seed < 0:
+        raise MeasurementError(f"seed must be >= 0, got {study.seed}")
     for name in counts:
         value = require_int(getattr(study, name), name, MeasurementError)
         if value < 1:
@@ -266,6 +269,19 @@ class PeeringReductionStudy:
     n_prefixes: int = 150
     retentions: Tuple[float, ...] = (1.0, 0.75, 0.5, 0.25, 0.1, 0.0)
     topology: Optional[TopologyConfig] = None
+
+    def __post_init__(self) -> None:
+        _require_counts(self, ("n_prefixes",))
+        # The sweep's own rules, checked before a campaign dispatches it.
+        if not self.retentions or abs(self.retentions[0] - 1.0) > 1e-9:
+            raise MeasurementError(
+                f"retentions must start at 1.0, got {tuple(self.retentions)}"
+            )
+        for retention in self.retentions:
+            if not 0.0 <= retention <= 1.0:
+                raise MeasurementError(
+                    f"each retention must be in [0, 1], got {retention}"
+                )
 
     def run(self) -> StudyResult:
         """Run the retention sweep and flatten it into a summary."""

@@ -135,11 +135,6 @@ class Histogram:
             raise ObsError(
                 f"hist event {name!r} carries a malformed sketch: {exc}"
             ) from exc
-        if not isinstance(sketch, CentroidSketch):
-            raise ObsError(
-                f"hist event {name!r} sketch kind {sketch.kind!r} is not a "
-                "histogram backend"
-            )
         hist = cls.__new__(cls)
         hist.name = name
         hist._sketch = sketch

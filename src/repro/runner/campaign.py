@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -486,7 +487,7 @@ class CampaignRunner:
             updated after every successful run.  Corrupted entries are
             quarantined and recomputed (see
             :class:`~repro.runner.store.ResultStore`).
-        timeout_s: Per-job wall-time limit in seconds, > 0, enforced in
+        timeout_s: Per-job wall-time limit in seconds, finite and > 0, enforced in
             pool mode only (an inline job cannot be preempted).
             ``None`` disables.
         retries: Extra attempts after a failed or timed-out job before
@@ -546,8 +547,9 @@ class CampaignRunner:
     ):
         if jobs < 1:
             raise RunnerError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise RunnerError(f"timeout_s must be > 0, got {timeout_s}")
+        if timeout_s is not None and not (timeout_s > 0 and math.isfinite(timeout_s)):
+            # NaN passes ``<= 0``, and neither NaN nor inf can be waited on.
+            raise RunnerError(f"timeout_s must be > 0 and finite, got {timeout_s}")
         if retries < 0:
             raise RunnerError(f"retries must be >= 0, got {retries}")
         if resume and checkpoint_dir is None:

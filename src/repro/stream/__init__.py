@@ -7,12 +7,12 @@ behind a watermark, and shard snapshots merge deterministically.
 
 Layering (see ``docs/streaming.md``):
 
-* :mod:`repro.stream.sketch` — P² and centroid (t-digest style)
-  quantile sketches: ``update_batch`` / ``merge`` / ``quantile`` /
-  canonical JSON.
+* :mod:`repro.stream.sketch` — the centroid (t-digest style) quantile
+  sketch: ``update_batch`` / ``merge`` / ``quantile`` / canonical JSON.
 * :mod:`repro.stream.window` — keyed tumbling windows with
   watermark-based closing and late-data accounting.
-* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot/merge``.
+* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot`` and
+  ``merge_snapshots``, the one merge of ingest state.
 * :mod:`repro.stream.sessions` — synthesizes the edge-fabric session
   stream batch-by-batch; :func:`ingest_plan` folds it into a
   ``SessionIngestor``, the one streaming path behind ``repro-bgp
@@ -21,16 +21,7 @@ Layering (see ``docs/streaming.md``):
   snapshots survive caching/checkpointing and merge byte-identically.
 """
 
-from repro.stream.sketch import (
-    RANK_TOLERANCE,
-    SKETCH_KINDS,
-    CentroidSketch,
-    P2Sketch,
-    Sketch,
-    make_sketch,
-    sketch_from_dict,
-    sketch_from_json,
-)
+from repro.stream.sketch import RANK_TOLERANCE, CentroidSketch, sketch_from_dict
 from repro.stream.window import WindowSpec, WindowedAggregator
 from repro.stream.ingest import (
     IngestConfig,
@@ -54,13 +45,8 @@ from repro.stream.shard import (
 
 __all__ = [
     "RANK_TOLERANCE",
-    "SKETCH_KINDS",
     "CentroidSketch",
-    "P2Sketch",
-    "Sketch",
-    "make_sketch",
     "sketch_from_dict",
-    "sketch_from_json",
     "WindowSpec",
     "WindowedAggregator",
     "IngestConfig",

@@ -20,18 +20,16 @@ way).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import StreamError, require_int
 from repro.obs.trace import counter
 from repro.stream.sketch import (
-    SKETCH_KINDS,
     CentroidSketch,
-    P2Sketch,
-    Sketch,
     _dump_canonical,
     sketch_from_dict,
 )
@@ -52,34 +50,28 @@ class IngestConfig:
     """
 
     window_minutes: float = 15.0
-    sketch: str = "centroid"
     max_centroids: int = 64
     allowed_lateness_windows: int = 1
 
     def __post_init__(self) -> None:
-        if self.window_minutes <= 0:
+        if not (math.isfinite(self.window_minutes) and self.window_minutes > 0):
             raise StreamError(
-                f"window_minutes must be positive, got {self.window_minutes}"
+                "window_minutes must be finite and positive, got "
+                f"{self.window_minutes}"
             )
-        if self.sketch not in SKETCH_KINDS:
+        # Stored as plain ints: the snapshot header records them as given.
+        max_centroids = require_int(self.max_centroids, "max_centroids", StreamError)
+        if max_centroids < 8:
+            raise StreamError(f"max_centroids must be >= 8, got {max_centroids}")
+        lateness = require_int(
+            self.allowed_lateness_windows, "allowed_lateness_windows", StreamError
+        )
+        if lateness < 0:
             raise StreamError(
-                f"unknown sketch kind {self.sketch!r}; "
-                f"expected one of {sorted(SKETCH_KINDS)}"
+                f"allowed_lateness_windows must be >= 0, got {lateness}"
             )
-        if self.max_centroids < 8:
-            raise StreamError(
-                f"max_centroids must be >= 8, got {self.max_centroids}"
-            )
-        if self.allowed_lateness_windows < 0:
-            raise StreamError(
-                "allowed_lateness_windows must be >= 0, got "
-                f"{self.allowed_lateness_windows}"
-            )
-
-    def make_sketch(self) -> Sketch:
-        if self.sketch == "p2":
-            return P2Sketch(p=0.5)
-        return CentroidSketch(max_centroids=self.max_centroids)
+        object.__setattr__(self, "max_centroids", max_centroids)
+        object.__setattr__(self, "allowed_lateness_windows", lateness)
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,8 @@ class IngestSnapshot:
     """Immutable, serializable state of an ingestor: one sketch per cell.
 
     ``entries`` is sorted by ⟨key, window⟩ so equal ingest state always
-    serializes to identical bytes.
+    serializes to identical bytes.  The header's ``sketch`` field is the
+    constant ``"centroid"``: the one sketch kind there is.
     """
 
     config: IngestConfig
@@ -188,7 +181,7 @@ class IngestSnapshot:
             "schema": _SNAPSHOT_SCHEMA,
             "kind": "ingest-snapshot",
             "window_minutes": self.config.window_minutes,
-            "sketch": self.config.sketch,
+            "sketch": CentroidSketch.kind,
             "max_centroids": self.config.max_centroids,
             "allowed_lateness_windows": self.config.allowed_lateness_windows,
             "sessions": self.sessions,
@@ -219,9 +212,13 @@ class IngestSnapshot:
                 raise StreamError(
                     f"unsupported snapshot schema {data['schema']!r}"
                 )
+            if data["sketch"] != CentroidSketch.kind:
+                raise StreamError(
+                    f"unsupported snapshot sketch kind {data['sketch']!r}; "
+                    f"expected {CentroidSketch.kind!r}"
+                )
             config = IngestConfig(
                 window_minutes=float(data["window_minutes"]),  # type: ignore[arg-type]
-                sketch=str(data["sketch"]),
                 max_centroids=int(data["max_centroids"]),  # type: ignore[call-overload]
                 allowed_lateness_windows=int(
                     data["allowed_lateness_windows"]  # type: ignore[call-overload]
@@ -260,7 +257,7 @@ class SessionIngestor:
         self.config = config or IngestConfig()
         self._agg = WindowedAggregator(
             window_minutes=self.config.window_minutes,
-            sketch_factory=self.config.make_sketch,
+            max_centroids=self.config.max_centroids,
             allowed_lateness_windows=self.config.allowed_lateness_windows,
         )
         self.sessions = 0
@@ -303,30 +300,6 @@ class SessionIngestor:
         counter("stream.ingest.sessions", batch.n_sessions)
         counter("stream.ingest.batches", 1)
 
-    def merge(self, other: "SessionIngestor") -> "SessionIngestor":
-        """Fold another ingestor's state into this one (in place)."""
-        if other.config != self.config:
-            raise StreamError(
-                "cannot merge ingestors with different configs: "
-                f"{self.config} vs {other.config}"
-            )
-        for key, window, sketch in sorted(
-            other._agg.items(), key=lambda kws: (kws[0], kws[1])
-        ):
-            mine = self._agg.get(key, window)
-            if mine is None or mine.count == 0:
-                # Adopt a copy: merging into an empty sketch would
-                # recompress, breaking byte-identity of shard merges.
-                self._agg.adopt(key, window, sketch_from_dict(sketch.to_dict()))
-            else:
-                mine.merge(sketch)
-        if other._agg.watermark_h > self._agg.watermark_h:
-            self._agg.advance_watermark(other._agg.watermark_h)
-        self.sessions += other.sessions
-        self.batches += other.batches
-        self._agg.late_dropped += other._agg.late_dropped
-        return self
-
     def snapshot(self) -> IngestSnapshot:
         entries = sorted(
             (
@@ -360,7 +333,7 @@ def merge_snapshots(snapshots: Sequence[IngestSnapshot]) -> IngestSnapshot:
                 "cannot merge snapshots with different configs: "
                 f"{config} vs {snap.config}"
             )
-    cells: Dict[Tuple[Key, int], Sketch] = {}
+    cells: Dict[Tuple[Key, int], CentroidSketch] = {}
     sessions = 0
     late = 0
     for snap in snapshots:

@@ -19,10 +19,11 @@ and *bit*-equal to any other run of the same shard decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
-from repro.errors import StreamError
+from repro.errors import StreamError, require_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.study import StudyResult
@@ -43,8 +44,7 @@ class IngestShardStudy:
         days: Campaign length in simulated days.
         shard: This shard's index in ``[0, n_shards)``.
         n_shards: Total number of shards the plan is split across.
-        sketch: Sketch kind (``"centroid"`` or ``"p2"``).
-        max_centroids: Centroid budget for ``"centroid"`` sketches.
+        max_centroids: Centroid budget of each cell's sketch.
         chunk_windows: Windows per synthesized session batch.
     """
 
@@ -56,16 +56,31 @@ class IngestShardStudy:
     days: float = 10.0
     shard: int = 0
     n_shards: int = 1
-    sketch: str = "centroid"
     max_centroids: int = 64
     chunk_windows: int = 16
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1 or not 0 <= self.shard < self.n_shards:
+        """Refuse a bad field here, so a campaign refuses the job."""
+        floors = (
+            ("seed", 0),
+            ("n_prefixes", 1),
+            ("n_shards", 1),
+            ("chunk_windows", 1),
+            ("max_centroids", 8),
+            ("shard", 0),
+        )
+        for name, floor in floors:
+            value = require_int(getattr(self, name), name, StreamError)
+            if value < floor:
+                raise StreamError(f"{name} must be >= {floor}, got {value}")
+            setattr(self, name, value)
+        if self.shard >= self.n_shards:
             raise StreamError(
                 f"shard must be in [0, n_shards), got "
                 f"{self.shard}/{self.n_shards}"
             )
+        if not (math.isfinite(self.days) and self.days > 0):
+            raise StreamError(f"days must be finite and > 0, got {self.days}")
 
     def run(self) -> StudyResult:
         """Stream this shard's sessions; snapshot rides in artifacts."""
@@ -100,7 +115,6 @@ class IngestShardStudy:
             )
         ingest_config = IngestConfig(
             window_minutes=cfg.window_minutes,
-            sketch=self.sketch,
             max_centroids=self.max_centroids,
         )
         with span("study.ingest.stream", shard=self.shard):

@@ -1,42 +1,33 @@
-"""Mergeable streaming quantile sketches (pure numpy).
+"""The mergeable streaming quantile sketch (pure numpy).
 
-Two estimators behind one small API (``update`` / ``update_batch`` /
-``merge`` / ``quantile`` / ``to_dict`` / ``to_json``):
+:class:`CentroidSketch` is a compact t-digest-style centroid sketch:
+sorted ``(mean, weight)`` arrays compressed by an arcsine scale
+function, so resolution concentrates at the tails.  ``update_batch`` is
+fully vectorized and ``merge`` is a centroid union.  It is the one
+estimator behind windowed session ingest and telemetry histograms.
 
-* :class:`P2Sketch` — the P² (piecewise-parabolic) estimator of Jain &
-  Chlamtac: five markers tracking a target quantile in O(1) memory.
-  Updates are inherently sequential, so ``update_batch`` is a scalar
-  loop and ``merge`` replays the other sketch's inverse CDF as
-  deterministic synthetic samples.  The reference streaming lane.
-* :class:`CentroidSketch` — a compact t-digest-style centroid sketch:
-  sorted ``(mean, weight)`` arrays compressed by an arcsine scale
-  function, so resolution concentrates at the tails.  ``update_batch``
-  is fully vectorized and ``merge`` is a centroid union — the
-  production lane for windowed session ingest.
-
-Both are deterministic: no randomness, no wall clock, and a canonical
+It is deterministic: no randomness, no wall clock, and a canonical
 JSON serialization (sorted keys, compact separators) whose
 JSON → sketch → JSON round trip is byte-identical — the property that
 makes shard merges and checkpoint resumes comparable by ``==`` on the
 serialized form.
 
 Accuracy contracts (pinned by ``tests/test_stream_properties.py``):
-with at most ``max_centroids`` distinct samples the centroid sketch is
-exact up to one interpolation ulp; beyond that its median sits within
-``RANK_TOLERANCE`` of the exact median in rank space.  P² carries a
-value-space tolerance on the workload's exponential MinRTT residuals
-(see ``docs/streaming.md``).
+with at most ``max_centroids`` distinct samples the sketch is exact up
+to one interpolation ulp; beyond that its median sits within
+``RANK_TOLERANCE`` of the exact median in rank space (see
+``docs/streaming.md``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import StreamError, require_int
 
 #: Anything ``np.asarray`` folds into a 1-D float batch.
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -46,206 +37,6 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 #: property-tested; one-shot compression error is ~1/max_centroids per
 #: compression, accumulated over batched refills).
 RANK_TOLERANCE = 0.10
-
-#: P² marker quantiles relative to the target quantile ``p``.
-_P2_CELLS = 5
-
-
-def _interp_sorted(values: List[float], q: float) -> float:
-    """Midpoint-rank linear interpolation over a small sorted sample.
-
-    Sample *i* of *n* sits at rank ``(i + 0.5) / n`` — the same
-    convention the centroid sketch uses — so exact small-sample paths
-    and sketched large-sample paths agree up to interpolation ulps.
-    """
-    n = len(values)
-    ranks = [(i + 0.5) / n for i in range(n)]
-    if q <= ranks[0]:
-        return values[0]
-    if q >= ranks[-1]:
-        return values[-1]
-    return float(np.interp(q, ranks, values))
-
-
-class P2Sketch:
-    """P² streaming quantile estimator (five markers, O(1) memory).
-
-    Args:
-        p: Target quantile in (0, 1).  ``quantile`` is most accurate at
-            ``p``; other quantiles interpolate across the five marker
-            heights and are coarse by construction.
-    """
-
-    kind = "p2"
-
-    def __init__(self, p: float = 0.5) -> None:
-        if not 0.0 < p < 1.0:
-            raise StreamError(f"P2 target quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self._buffer: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-
-    def _desired(self) -> List[float]:
-        n, p = self.count, self.p
-        return [
-            1.0,
-            1.0 + (n - 1) * p / 2.0,
-            1.0 + (n - 1) * p,
-            1.0 + (n - 1) * (1.0 + p) / 2.0,
-            float(n),
-        ]
-
-    def update(self, value: float) -> None:
-        """Fold one sample into the marker state."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise StreamError(f"sketch samples must be finite, got {value!r}")
-        self.count += 1
-        if self.count <= _P2_CELLS:
-            self._buffer.append(value)
-            if self.count == _P2_CELLS:
-                self._heights = sorted(self._buffer)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._buffer = []
-            return
-        h, pos = self._heights, self._positions
-        if value < h[0]:
-            h[0] = value
-            cell = 0
-        elif value >= h[4]:
-            h[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= h[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, _P2_CELLS):
-            pos[i] += 1.0
-        desired = self._desired()
-        for i in (1, 2, 3):
-            d = desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                candidate = _parabolic(h, pos, i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = _linear(h, pos, i, step)
-                pos[i] += step
-
-    def update_batch(self, values: ArrayLike) -> None:
-        """Fold a batch of samples (a scalar loop — P² is sequential)."""
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise StreamError("sketch samples must be finite")
-        for value in arr:
-            self.update(float(value))
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile of everything seen so far.
-
-        Exact (midpoint-rank interpolation) while fewer than five
-        samples are buffered; the marker curve afterwards.
-
-        Raises:
-            StreamError: On an empty sketch or ``q`` outside [0, 1].
-        """
-        if not 0.0 <= q <= 1.0:
-            raise StreamError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            raise StreamError("cannot query an empty sketch")
-        if self._buffer:
-            return _interp_sorted(sorted(self._buffer), q)
-        ranks = [(p - 1.0) / (self.count - 1) for p in self._positions]
-        # Collapse duplicate ranks (early, small counts) keeping the
-        # last height so the curve stays a function.
-        xs: List[float] = []
-        ys: List[float] = []
-        for rank, height in zip(ranks, self._heights):
-            if xs and rank <= xs[-1]:
-                ys[-1] = height
-                continue
-            xs.append(rank)
-            ys.append(height)
-        if q <= xs[0]:
-            return float(ys[0])
-        if q >= xs[-1]:
-            return float(ys[-1])
-        return float(np.interp(q, xs, ys))
-
-    def merge(self, other: "P2Sketch") -> "P2Sketch":
-        """Fold another P² sketch into this one (approximate).
-
-        P² state is not mergeable in closed form; the other sketch's
-        inverse CDF is replayed as ``other.count`` deterministic
-        synthetic samples at mid-rank quantiles.  O(other.count) time —
-        fine at window granularity (tens of sessions), documented as
-        approximate.  Returns ``self``.
-        """
-        if not isinstance(other, P2Sketch):
-            raise StreamError(
-                f"cannot merge {type(other).__name__} into P2Sketch"
-            )
-        if other.p != self.p:
-            raise StreamError(
-                f"cannot merge P2 sketches targeting p={other.p} into p={self.p}"
-            )
-        if other.count == 0:
-            return self
-        if other._buffer:
-            for value in other._buffer:
-                self.update(value)
-            return self
-        n = other.count
-        for i in range(n):
-            self.update(other.quantile((i + 0.5) / n))
-        return self
-
-    def to_dict(self) -> Dict:
-        """Plain-JSON state; ``from_dict`` restores it exactly."""
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "count": self.count,
-            "buffer": list(self._buffer),
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "P2Sketch":
-        try:
-            sketch = cls(p=float(data["p"]))
-            sketch.count = int(data["count"])
-            sketch._buffer = [float(v) for v in data["buffer"]]
-            sketch._heights = [float(v) for v in data["heights"]]
-            sketch._positions = [float(v) for v in data["positions"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StreamError(f"malformed p2 sketch state: {exc}") from exc
-        return sketch
-
-    def to_json(self) -> str:
-        return _dump_canonical(self.to_dict())
-
-
-def _parabolic(h: List[float], pos: List[float], i: int, d: float) -> float:
-    """P² piecewise-parabolic height adjustment for marker *i*."""
-    return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-        (pos[i] - pos[i - 1] + d)
-        * (h[i + 1] - h[i])
-        / (pos[i + 1] - pos[i])
-        + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-    )
-
-
-def _linear(h: List[float], pos: List[float], i: int, d: float) -> float:
-    """Fallback linear height adjustment when the parabola overshoots."""
-    j = i + int(d)
-    return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
 
 
 class CentroidSketch:
@@ -265,11 +56,12 @@ class CentroidSketch:
     kind = "centroid"
 
     def __init__(self, max_centroids: int = 64) -> None:
+        max_centroids = require_int(max_centroids, "max_centroids", StreamError)
         if max_centroids < 8:
             raise StreamError(
                 f"max_centroids must be >= 8, got {max_centroids}"
             )
-        self.max_centroids = int(max_centroids)
+        self.max_centroids = max_centroids
         self.count = 0
         self._means = np.empty(0, dtype=np.float64)
         self._weights = np.empty(0, dtype=np.float64)
@@ -387,7 +179,7 @@ class CentroidSketch:
     @classmethod
     def from_dict(cls, data: Dict) -> "CentroidSketch":
         try:
-            sketch = cls(max_centroids=int(data["max_centroids"]))
+            sketch = cls(max_centroids=data["max_centroids"])
             sketch.count = int(data["count"])
             sketch._means = np.asarray(data["means"], dtype=np.float64)
             sketch._weights = np.asarray(data["weights"], dtype=np.float64)
@@ -401,49 +193,21 @@ class CentroidSketch:
         return _dump_canonical(self.to_dict())
 
 
-#: Either sketch type (they share the update/merge/quantile surface).
-Sketch = Union[P2Sketch, CentroidSketch]
+def sketch_from_dict(data: Dict) -> CentroidSketch:
+    """Rebuild a centroid sketch from its ``to_dict`` form.
 
-#: Registered sketch kinds, by their ``kind`` tag.
-SKETCH_KINDS = {
-    P2Sketch.kind: P2Sketch,
-    CentroidSketch.kind: CentroidSketch,
-}
-
-
-def make_sketch(
-    kind: str = "centroid", *, p: float = 0.5, max_centroids: int = 64
-) -> Sketch:
-    """Construct a sketch by kind name (``"centroid"`` or ``"p2"``)."""
-    if kind == CentroidSketch.kind:
-        return CentroidSketch(max_centroids=max_centroids)
-    if kind == P2Sketch.kind:
-        return P2Sketch(p=p)
-    raise StreamError(
-        f"unknown sketch kind {kind!r}; expected one of {sorted(SKETCH_KINDS)}"
-    )
-
-
-def sketch_from_dict(data: Dict) -> Sketch:
-    """Rebuild a sketch from its ``to_dict`` form."""
+    Raises:
+        StreamError: On state that is not an object, names another
+            sketch kind, or is malformed.
+    """
     if not isinstance(data, dict):
         raise StreamError(f"sketch state must be an object, got {type(data)}")
     kind = data.get("kind")
-    cls = SKETCH_KINDS.get(kind)
-    if cls is None:
+    if kind != CentroidSketch.kind:
         raise StreamError(
-            f"unknown sketch kind {kind!r}; expected one of {sorted(SKETCH_KINDS)}"
+            f"unknown sketch kind {kind!r}; expected {CentroidSketch.kind!r}"
         )
-    return cls.from_dict(data)
-
-
-def sketch_from_json(text: str) -> Sketch:
-    """Rebuild a sketch from its canonical JSON form."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise StreamError(f"sketch JSON does not parse: {exc}") from exc
-    return sketch_from_dict(data)
+    return CentroidSketch.from_dict(data)
 
 
 def _dump_canonical(data: Dict) -> str:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import StreamError, require_int
 from repro.obs.trace import counter
-from repro.stream.sketch import ArrayLike, CentroidSketch, Sketch
+from repro.stream.sketch import ArrayLike, CentroidSketch
 
 #: Watermark floor before any observation arrives.
 _NO_WATERMARK = -math.inf
@@ -44,9 +44,9 @@ class WindowSpec:
     minutes: float = 15.0
 
     def __post_init__(self) -> None:
-        if not self.minutes > 0:
+        if not (math.isfinite(self.minutes) and self.minutes > 0):
             raise StreamError(
-                f"window width must be positive, got {self.minutes}"
+                f"window width must be finite and positive, got {self.minutes}"
             )
 
     @property
@@ -58,20 +58,14 @@ class WindowSpec:
         times = np.asarray(times_h, dtype=np.float64)
         return np.floor(times / self.hours).astype(np.int64)
 
-    def start_h(self, index: int) -> float:
-        return index * self.hours
-
-    def end_h(self, index: int) -> float:
-        return (index + 1) * self.hours
-
 
 class WindowedAggregator:
     """Map ⟨key, window⟩ → sketch, closing windows as the watermark moves.
 
     Args:
         window_minutes: Tumbling window width.
-        sketch_factory: Builds one fresh sketch per cell (defaults to
-            :class:`~repro.stream.sketch.CentroidSketch`).
+        max_centroids: Centroid budget of each cell's
+            :class:`~repro.stream.sketch.CentroidSketch`.
         allowed_lateness_windows: How many whole windows an observation
             may lag the watermark before it is dropped; window *w*
             closes once ``watermark >= end(w) + lateness · width``.
@@ -80,20 +74,22 @@ class WindowedAggregator:
     def __init__(
         self,
         window_minutes: float = 15.0,
-        sketch_factory: Optional[Callable[[], Sketch]] = None,
+        max_centroids: int = 64,
         allowed_lateness_windows: int = 1,
     ) -> None:
-        if allowed_lateness_windows < 0:
+        lateness = require_int(
+            allowed_lateness_windows, "allowed_lateness_windows", StreamError
+        )
+        if lateness < 0:
             raise StreamError(
-                "allowed_lateness_windows must be >= 0, got "
-                f"{allowed_lateness_windows}"
+                f"allowed_lateness_windows must be >= 0, got {lateness}"
             )
         self.spec = WindowSpec(window_minutes)
-        self.allowed_lateness_windows = int(allowed_lateness_windows)
-        self._factory: Callable[[], Sketch] = sketch_factory or CentroidSketch
-        self._open: Dict[Tuple[Hashable, int], Sketch] = {}
-        self._closed: Dict[Tuple[Hashable, int], Sketch] = {}
-        self._newly_closed: List[Tuple[Hashable, int, Sketch]] = []
+        # A throwaway sketch checks the budget before any cell needs one.
+        self.max_centroids = CentroidSketch(max_centroids).max_centroids
+        self.allowed_lateness_windows = lateness
+        self._open: Dict[Tuple[Hashable, int], CentroidSketch] = {}
+        self._closed: Dict[Tuple[Hashable, int], CentroidSketch] = {}
         self.watermark_h = _NO_WATERMARK
         self.late_dropped = 0
         self.peak_open = 0
@@ -128,18 +124,10 @@ class WindowedAggregator:
             key=lambda cell: (cell[1], repr(cell[0])),
         )
         for cell in closing:
-            sketch = self._open.pop(cell)
-            self._closed[cell] = sketch
-            self._newly_closed.append((cell[0], cell[1], sketch))
+            self._closed[cell] = self._open.pop(cell)
         if closing:
             counter("stream.window.closed", len(closing))
         return len(closing)
-
-    def poll_closed(self) -> List[Tuple[Hashable, int, Sketch]]:
-        """Windows closed since the last poll, in closure order."""
-        out = self._newly_closed
-        self._newly_closed = []
-        return out
 
     # -- ingest -------------------------------------------------------------
 
@@ -181,53 +169,22 @@ class WindowedAggregator:
             np.split(idx, bounds), np.split(vals, bounds)
         ):
             cell = (key, int(widx_chunk[0]))
+            # A closed window lies below the open floor, so its samples
+            # were dropped as late above: this cell is open or new.
             sketch = self._open.get(cell)
             if sketch is None:
-                sketch = self._closed.get(cell)
-            if sketch is None:
-                sketch = self._factory()
-                self._open[cell] = sketch
+                sketch = self._open[cell] = CentroidSketch(self.max_centroids)
             sketch.update_batch(val_chunk)
         self.peak_open = max(self.peak_open, len(self._open))
 
-    def get(self, key: Hashable, window_index: int) -> Optional[Sketch]:
-        """The cell sketch (open or closed), or None if absent."""
-        cell = (key, int(window_index))
-        sketch = self._open.get(cell)
-        if sketch is None:
-            sketch = self._closed.get(cell)
-        return sketch
-
-    def adopt(self, key: Hashable, window_index: int, sketch: Sketch) -> None:
-        """Install a sketch for a cell verbatim (used by shard merges).
-
-        Replacing an absent or empty cell with another shard's sketch —
-        rather than merging into a fresh sketch, which would recompress
-        — is what keeps disjoint-key shard merges byte-identical to a
-        single-pass ingest.
-        """
-        cell = (key, int(window_index))
-        if cell in self._closed:
-            self._closed[cell] = sketch
-        else:
-            self._open[cell] = sketch
-
     # -- inspection ---------------------------------------------------------
 
-    def items(self) -> Iterator[Tuple[Hashable, int, Sketch]]:
+    def items(self) -> Iterator[Tuple[Hashable, int, CentroidSketch]]:
         """Every cell — open and closed — in arbitrary order."""
         for (key, widx), sketch in self._open.items():
             yield key, widx, sketch
         for (key, widx), sketch in self._closed.items():
             yield key, widx, sketch
-
-    @property
-    def n_open(self) -> int:
-        return len(self._open)
-
-    @property
-    def n_closed(self) -> int:
-        return len(self._closed)
 
     @property
     def n_cells(self) -> int:

@@ -29,6 +29,45 @@ class TestParser:
         out = capsys.readouterr().out
         assert "repro-bgp" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest", "--sketch", "p2"], "unrecognized arguments: --sketch p2"),
+            (["ingest", "--jobs", "-1"], "argument --jobs: jobs must be >= 1, got -1"),
+            (["report", "--jobs", "0"], "argument --jobs: jobs must be >= 1, got 0"),
+            (
+                ["ingest", "--shards", "-2"],
+                "argument --shards: shards must be >= 1, got -2",
+            ),
+            (
+                ["ingest", "--chunk-windows", "0"],
+                "argument --chunk-windows: chunk_windows must be >= 1, got 0",
+            ),
+            (
+                ["ingest", "--max-centroids", "7"],
+                "argument --max-centroids: max_centroids must be >= 8, got 7",
+            ),
+            (
+                ["campaign", "--timeout", "nan"],
+                "argument --timeout: timeout must be finite and > 0, got nan",
+            ),
+            (
+                ["campaign", "--timeout", "inf"],
+                "argument --timeout: timeout must be finite and > 0, got inf",
+            ),
+            (
+                ["campaign", "--timeout", "-1"],
+                "argument --timeout: timeout must be finite and > 0, got -1",
+            ),
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, argv, message, capsys):
+        """Refused by the parser (exit 2), before any topology is built."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
 
 def recording_namespace(reads: set) -> argparse.Namespace:
     """A namespace that adds the name of every attribute read to *reads*."""
@@ -188,8 +227,6 @@ class TestIngest:
                 "3",
                 "--chunk-windows",
                 "8",
-                "--sketch",
-                "p2",
                 "--max-centroids",
                 "32",
                 "--compare-batch",
@@ -201,7 +238,6 @@ class TestIngest:
         )
         assert args.shards == 3
         assert args.chunk_windows == 8
-        assert args.sketch == "p2"
         assert args.max_centroids == 32
         assert args.compare_batch is True
         assert args.snapshot_out == "snap.json"
@@ -628,10 +664,12 @@ class TestErrorBoundary:
         ],
     )
     def test_bad_ingest_option_is_one_line(self, option, message):
+        # The parser refuses the value (a usage error, exit 2) in the
+        # library's words, before the topology is built.
         child = self.run_cli("ingest", "--scale", "25", "--days", "0.25", *option)
-        assert child.returncode == 1
+        assert child.returncode == 2
         assert "Traceback" not in child.stderr
-        assert child.stderr == f"ingest: {message}\n"
+        assert f"argument {option[0]}: {message}" in child.stderr.splitlines()[-1]
         assert child.stdout == ""
 
     def test_negative_seed_is_one_line(self):
@@ -647,10 +685,15 @@ class TestErrorBoundary:
             assert child.stderr == f"{argv[0]}: seed must be >= 0, got -1\n"
 
     def test_nonpositive_timeout_is_one_line(self):
+        # The parser refuses it (a usage error, exit 2) before any job runs.
         child = self.run_cli("campaign", "--timeout", "0")
-        assert child.returncode == 1
+        assert child.returncode == 2
         assert "Traceback" not in child.stderr
-        assert child.stderr == "campaign: timeout_s must be > 0, got 0.0\n"
+        assert child.stderr.splitlines()[-1] == (
+            "repro-bgp campaign: error: argument --timeout: "
+            "timeout must be finite and > 0, got 0"
+        )
+        assert child.stdout == ""
 
     @pytest.mark.parametrize(
         "argv",

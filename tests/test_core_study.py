@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     AnycastCdnStudy,
     CloudTiersStudy,
+    PeeringReductionStudy,
     PopRoutingStudy,
     StudyResult,
     render_report,
@@ -109,6 +110,16 @@ class TestStudyFields:
             (CloudTiersStudy, {"days": 2.5}, "days must be an integer"),
             (CloudTiersStudy, {"vps_per_day": 0}, "vps_per_day must be >= 1"),
             (CloudTiersStudy, {"vps_per_day": True}, "vps_per_day must be an integer"),
+            (PeeringReductionStudy, {"seed": 1.5}, "seed must be an integer"),
+            (PeeringReductionStudy, {"seed": -1}, "seed must be >= 0"),
+            (PeeringReductionStudy, {"n_prefixes": 0}, "n_prefixes must be >= 1"),
+            (PeeringReductionStudy, {"n_prefixes": 2.5}, "n_prefixes must be an"),
+            (PeeringReductionStudy, {"retentions": ()}, "must start at 1.0"),
+            (PeeringReductionStudy, {"retentions": (0.5, 0.25)}, "must start at 1.0"),
+            (PeeringReductionStudy, {"retentions": (1.5,)}, "must start at 1.0"),
+            (PeeringReductionStudy, {"retentions": (1.0, 1.5)}, r"in \[0, 1\]"),
+            (PeeringReductionStudy, {"retentions": (1.0, NAN)}, r"in \[0, 1\]"),
+            (PopRoutingStudy, {"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_refuses_what_it_cannot_run(self, study, fields, message):

@@ -165,15 +165,13 @@ def _streamed_tensors(dataset) -> Dict[str, Any]:
     return dict(_egress_tensors(dataset), medians=_median_sums(dataset.medians))
 
 
-def _cli_ingest(sketch: str) -> Dict[str, Any]:
-    """``repro-bgp ingest --scale 25 --days 0.25 --sketch SKETCH`` at seed 0."""
+def _cli_ingest() -> Dict[str, Any]:
+    """``repro-bgp ingest --scale 25 --days 0.25`` at seed 0."""
     cfg = MeasurementConfig(days=0.25, seed=2)
     internet = build_internet(edgefabric_topology(0))
     prefixes = generate_client_prefixes(internet, 25, seed=1)
     plan = plan_measurement(internet, prefixes, cfg)
-    run = ingest_plan(
-        plan, cfg, IngestConfig(window_minutes=cfg.window_minutes, sketch=sketch)
-    )
+    run = ingest_plan(plan, cfg, IngestConfig(window_minutes=cfg.window_minutes))
     digest, _ = _fingerprint(run.snapshot.to_dict())
     return {"snapshot": digest, "medians": _median_sums(run.dataset().medians)}
 
@@ -251,8 +249,7 @@ def compute_outputs() -> Dict[str, Any]:
         out[f"ingest/streamed-seed-{seed}"] = _streamed_tensors(
             ingest_plan(plan, MeasurementConfig(days=2.0, seed=seed)).dataset()
         )
-    for sketch in ("centroid", "p2"):
-        out[f"ingest/cli-{sketch}"] = _cli_ingest(sketch)
+    out["ingest/cli-centroid"] = _cli_ingest()
 
     episodes = extract_episodes(
         synthesize_dataset(plan, MeasurementConfig(days=2.0, seed=1))

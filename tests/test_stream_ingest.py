@@ -7,6 +7,7 @@ byte-identical to a single ingestor having seen everything.
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.edgefabric.sampler import (
 from repro.errors import MeasurementError, StreamError
 from repro.stream import (
     IngestConfig,
+    IngestShardStudy,
     IngestSnapshot,
     SessionBatch,
     SessionIngestor,
@@ -101,17 +103,37 @@ class TestSessionIngestor:
         assert ingestor.late_dropped == 1
         assert ingestor.snapshot().late_dropped == 1
 
-    def test_merge_requires_matching_config(self):
-        with pytest.raises(StreamError, match="configs"):
-            SessionIngestor(IngestConfig(sketch="p2")).merge(SessionIngestor())
 
-    def test_merge_combines_counts(self):
-        a, b = SessionIngestor(), SessionIngestor()
-        a.feed(batch_for(KEY_A, [0.1], [40.0]))
-        b.feed(batch_for(KEY_B, [0.2], [80.0]))
-        a.merge(b)
-        assert a.sessions == 2 and a.n_cells == 2
-        assert a.watermark_h == 0.2
+NAN = float("nan")
+
+
+class TestIngestConfig:
+    """A config the snapshot cannot record as it ran is refused."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"max_centroids": 8.5}, "max_centroids must be an integer"),
+            ({"max_centroids": True}, "max_centroids must be an integer"),
+            ({"allowed_lateness_windows": 0.5}, "allowed_lateness_windows must be an"),
+            ({"allowed_lateness_windows": True}, "allowed_lateness_windows must be an"),
+            ({"window_minutes": float("inf")}, "window_minutes must be finite"),
+            ({"window_minutes": NAN}, "window_minutes must be finite"),
+        ],
+    )
+    def test_refuses_what_the_snapshot_cannot_record(self, fields, message):
+        with pytest.raises(StreamError, match=message):
+            IngestConfig(**fields)
+
+    def test_numpy_integers_stay_legal(self):
+        config = IngestConfig(
+            max_centroids=np.int64(32), allowed_lateness_windows=np.uint8(2)
+        )
+        assert (config.max_centroids, config.allowed_lateness_windows) == (32, 2)
+        assert type(config.max_centroids) is int
+        assert type(config.allowed_lateness_windows) is int
+        snap = SessionIngestor(config).snapshot()
+        assert IngestSnapshot.from_json(snap.to_json()).to_json() == snap.to_json()
 
 
 class TestShardMergeDeterminism:
@@ -146,21 +168,8 @@ class TestShardMergeDeterminism:
         merged = merge_snapshots([shard_a.snapshot(), shard_b.snapshot()])
         assert merged.to_json() == single.snapshot().to_json()
 
-    def test_ingestor_merge_matches_snapshot_merge(self):
-        shard_a = SessionIngestor()
-        for batch in self._shard_stream(KEY_A, 10):
-            shard_a.feed(batch)
-        shard_b = SessionIngestor()
-        for batch in self._shard_stream(KEY_B, 11):
-            shard_b.feed(batch)
-        via_snapshots = merge_snapshots(
-            [shard_a.snapshot(), shard_b.snapshot()]
-        ).to_json()
-        shard_a.merge(shard_b)
-        assert shard_a.snapshot().to_json() == via_snapshots
-
     def test_merge_snapshots_rejects_mixed_configs(self):
-        a = SessionIngestor(IngestConfig(sketch="p2")).snapshot()
+        a = SessionIngestor(IngestConfig(max_centroids=32)).snapshot()
         b = SessionIngestor().snapshot()
         with pytest.raises(StreamError, match="configs"):
             merge_snapshots([a, b])
@@ -191,6 +200,13 @@ class TestSnapshotSerialization:
     def test_wrong_kind_rejected(self):
         with pytest.raises(StreamError, match="not an ingest snapshot"):
             IngestSnapshot.from_dict({"kind": "other", "schema": 1})
+
+    def test_p2_snapshot_rejected_by_name(self):
+        """A snapshot written with the P² sketch is refused, not misread."""
+        data = json.loads(self._snapshot().to_json())
+        data["sketch"] = "p2"
+        with pytest.raises(StreamError, match="sketch kind 'p2'"):
+            IngestSnapshot.from_dict(data)
 
     def test_garbage_json_rejected(self):
         with pytest.raises(StreamError, match="JSON"):
@@ -235,3 +251,37 @@ class TestIngestPlan:
                 self.CONFIG,
                 IngestConfig(window_minutes=5.0),
             )
+
+
+class TestIngestShardStudyFields:
+    """A shard study refuses at construction the fields it cannot run, so
+    a campaign never runs, caches or retries it."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"n_prefixes": 0}, "n_prefixes must be >= 1"),
+            ({"n_prefixes": 2.5}, "n_prefixes must be an integer"),
+            ({"days": 0}, "days must be finite and > 0"),
+            ({"days": NAN}, "days must be finite and > 0"),
+            ({"days": float("inf")}, "days must be finite and > 0"),
+            ({"max_centroids": 4}, "max_centroids must be >= 8"),
+            ({"max_centroids": 8.5}, "max_centroids must be an integer"),
+            ({"chunk_windows": 0}, "chunk_windows must be >= 1"),
+            ({"n_shards": 2.5}, "n_shards must be an integer"),
+            ({"shard": True, "n_shards": 2}, "shard must be an integer"),
+        ],
+    )
+    def test_refuses_what_it_cannot_run(self, fields, message):
+        with pytest.raises(StreamError, match=message):
+            IngestShardStudy(**fields)
+
+    def test_numpy_integers_stored_as_int(self):
+        study = IngestShardStudy(
+            seed=np.int64(3), shard=np.int32(1), n_shards=np.uint8(2)
+        )
+        values = (study.seed, study.shard, study.n_shards)
+        assert values == (3, 1, 2)
+        assert all(type(value) is int for value in values)
