@@ -24,7 +24,7 @@ from repro.bgp.propagation import (
     RoutingTable,
     propagate,
     propagate_many,
-    propagate_state,
+    propagate_states,
 )
 from repro.bgp.decision import EgressDecisionProcess, RouteClass, classify_route
 from repro.bgp.grooming import Grooming
@@ -47,7 +47,7 @@ __all__ = [
     "RoutingTable",
     "propagate",
     "propagate_many",
-    "propagate_state",
+    "propagate_states",
     "EgressDecisionProcess",
     "RouteClass",
     "classify_route",

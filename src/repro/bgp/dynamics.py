@@ -363,9 +363,10 @@ class DynamicsEngine:
         origin = require_int(origin, "origin", RoutingError)
         if origin not in self.graph:
             raise RoutingError(f"origin AS {origin} not in graph")
-        prepends = dict(prepends or {})
         suppressed_set = frozenset(suppressed or ())
-        _validate_grooming(self.graph, origin, prepends, suppressed_set)
+        prepends = _validate_grooming(
+            self.graph, origin, prepends or {}, suppressed_set
+        )
         spec = OriginSpec(
             origin_cities=frozenset(origin_cities) if origin_cities else None,
             prepends=prepends,

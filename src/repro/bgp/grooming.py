@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, require_int
 from repro.geo import City
 
 
@@ -43,6 +43,7 @@ class Grooming:
         Setting ``count`` to 0 removes a previous prepend. Returns self
         for chaining.
         """
+        count = require_int(count, "prepend count", RoutingError)
         if count < 0:
             raise RoutingError(f"prepend count must be >= 0, got {count}")
         if count == 0:

@@ -16,10 +16,12 @@ order.  ``tests/bgp_oracle.py`` keeps the heap/dict construction as a
 test oracle; the property and lane-agreement tests pin the two to
 identical tables (same best route per AS, bit for bit).
 
-:func:`propagate_many` batches several origins (or full
-:class:`PropagationRequest` grooming variants) over one shared CSR
-build — the entry point the edgefabric / cdn / cloudtiers planes use to
-compute all their tables in one call.
+:func:`propagate_states` runs the phases for a block of origins in one
+pass: origin ``r``'s copy of node ``i`` is batch node ``r·n + i``, so
+every numpy call of the frontier serves the whole block while no offer
+ever leaves its row.  :func:`propagate_many` (the entry point the
+edgefabric / cdn / cloudtiers planes use to compute all their tables in
+one call) and :func:`propagate` (a batch of one) both go through it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, require_int
 from repro.geo import City
 from repro.obs.trace import span
 from repro.topology import ASGraph, Link, Relationship
@@ -190,12 +192,22 @@ def _validate_grooming(
     origin: int,
     prepends: Mapping[int, int],
     suppressed: Iterable[int],
-) -> None:
+) -> Dict[int, int]:
     """Reject grooming keys that are not neighbors of the origin.
 
     A typo'd grooming plan must fail loudly — silently ignoring an
-    unknown neighbor turns an intended traffic shift into a no-op.
+    unknown neighbor turns an intended traffic shift into a no-op.  So
+    must a prepend count that is not a whole number of hops.
+
+    Returns:
+        ``prepends`` with every count as a plain ``int``.
     """
+    counts = {}
+    for neighbor, count in prepends.items():
+        count = require_int(count, "prepend count", RoutingError)
+        if count < 0:
+            raise RoutingError(f"prepend count must be >= 0, got {count}")
+        counts[neighbor] = count
     neighbors = set(graph.neighbors(origin))
     bad_prepends = sorted(set(prepends) - neighbors)
     if bad_prepends:
@@ -209,6 +221,7 @@ def _validate_grooming(
             f"suppressed names ASes that are not neighbors of origin "
             f"{origin}: {bad_suppressed}"
         )
+    return counts
 
 
 def propagate(
@@ -234,23 +247,14 @@ def propagate(
         The stable :class:`RoutingTable`.
 
     Raises:
-        RoutingError: if ``origin`` is not in the graph, or a ``prepends``
-            / ``suppressed`` key is not one of its neighbors.
+        RoutingError: if ``origin`` is not an integer or not in the
+            graph, or a ``prepends`` / ``suppressed`` key is not one of
+            its neighbors, or a prepend count is not an integer >= 0.
     """
-    if origin not in graph:
-        raise RoutingError(f"origin AS {origin} not in graph")
-    prepends = dict(prepends or {})
-    suppressed = frozenset(suppressed or ())
-    _validate_grooming(graph, origin, prepends, suppressed)
-    table = RoutingTable(
-        graph=graph,
-        origin=origin,
-        origin_cities=frozenset(origin_cities) if origin_cities else None,
-        prepends=prepends,
-        suppressed=suppressed,
+    request = PropagationRequest(
+        origin, origin_cities, prepends or {}, suppressed or frozenset()
     )
-    _propagate_csr(table)
-    return table
+    return _propagate_requests(graph, [request])[0]
 
 
 @dataclass(frozen=True)
@@ -269,26 +273,65 @@ def propagate_many(
 ) -> List[RoutingTable]:
     """Propagate many prefixes over one topology, in request order.
 
-    Bare ints are origins with no grooming.  All requests share a single
-    cached CSR build, which is where the batch entry point earns its
-    keep over per-origin calls.
+    Bare ints are origins with no grooming.  Every request is checked
+    before any table is computed; the tables then come from one
+    :func:`propagate_states` pass per block of origins over the graph's
+    cached CSR adjacency.
     """
     normalized = [
-        req if isinstance(req, PropagationRequest) else PropagationRequest(int(req))
+        req if isinstance(req, PropagationRequest) else PropagationRequest(req)
         for req in requests
     ]
     with span("bgp.propagate_many", n_requests=len(normalized)):
-        graph.csr()  # build once, outside the per-request loop
-        return [
-            propagate(
-                graph,
-                req.origin,
-                origin_cities=req.origin_cities,
-                prepends=req.prepends,
-                suppressed=req.suppressed,
+        return _propagate_requests(graph, normalized)
+
+
+def _propagate_requests(
+    graph: ASGraph, requests: Sequence[PropagationRequest]
+) -> List[RoutingTable]:
+    """Validate every request, then fill all their tables in one batch."""
+    tables = []
+    for req in requests:
+        origin = require_int(req.origin, "origin", RoutingError)
+        if origin not in graph:
+            raise RoutingError(f"origin AS {origin} not in graph")
+        suppressed = frozenset(req.suppressed or ())
+        tables.append(
+            RoutingTable(
+                graph=graph,
+                origin=origin,
+                origin_cities=(
+                    frozenset(req.origin_cities) if req.origin_cities else None
+                ),
+                prepends=_validate_grooming(
+                    graph, origin, req.prepends or {}, suppressed
+                ),
+                suppressed=suppressed,
             )
-            for req in normalized
-        ]
+        )
+    csr = graph.csr()
+    origins = [csr.index[table.origin] for table in tables]
+    groomed = [
+        (row, table)
+        for row, table in enumerate(tables)
+        if table.origin_cities is not None or table.suppressed or table.prepends
+    ]
+    allow = extra = None
+    if groomed:
+        allow = np.ones((len(tables), len(csr)), dtype=bool)
+        extra = np.zeros((len(tables), len(csr)), dtype=np.int64)
+    for row, table in groomed:
+        for neighbor in graph.neighbors(table.origin):
+            j = csr.index[neighbor]
+            link = graph.link(table.origin, neighbor)
+            allow[row, j] = table._origin_export_allowed(link)
+            extra[row, j] = table.prepends.get(neighbor, 0)
+    parent, pref, adv = propagate_states(csr, origins, allow, extra)
+    for row, table in enumerate(tables):
+        table._routes.update(
+            _routes_from_state(csr, origins[row], parent[row], pref[row], adv[row])
+        )
+    return tables
 
 
 # --- CSR construction ---------------------------------------------------
@@ -296,6 +339,10 @@ def propagate_many(
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 _PREF_BY_CODE = {int(p): p for p in RoutePref}
+
+#: Most origins one pass of :func:`propagate_states` carries.  Pending
+#: offers grow with origins × edges, so a longer batch runs in blocks.
+_BLOCK = 128
 
 
 def _gather(
@@ -306,14 +353,33 @@ def _gather(
     ``senders[k]`` is the node whose row ``receivers[k]`` came from —
     one entry per (node, neighbor) edge, in row order.
     """
-    starts = indptr[nodes].astype(np.int64)
-    counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    total = int(counts.sum())
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return _EMPTY_I32, _EMPTY_I32
-    exclusive = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.repeat(starts - exclusive, counts) + np.arange(total)
+    positions = np.repeat(starts - (ends - counts), counts) + np.arange(total)
     return np.repeat(nodes, counts), targets[positions]
+
+
+def _tile(
+    indptr: np.ndarray, targets: np.ndarray, rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``rows`` diagonal copies of a CSR over ``n`` nodes.
+
+    Node ``i`` of copy ``r`` is batch node ``r·n + i`` and its
+    neighbours are ``r·n + j`` for each ``j`` in CSR row ``i``, so no
+    edge leaves its copy.
+    """
+    if rows == 1:
+        return indptr, targets
+    shift = np.arange(rows, dtype=np.int32)[:, None]
+    starts = indptr[:-1] + targets.size * shift
+    return (
+        np.append(starts.ravel(), rows * targets.size),
+        (targets + (indptr.size - 1) * shift).ravel(),
+    )
 
 
 def _winners(
@@ -326,8 +392,9 @@ def _winners(
     The winner minimises ``(advertised_length, sender)`` — within one
     bucket level lengths are all equal, so the key degenerates to the
     lowest sender (= lowest next-hop ASN, since CSR index order is ASN
-    order).  Phase 2 passes explicit ``lengths`` because its one batch
-    mixes levels.
+    order, and every offer to a batch node comes from its own row).
+    Phase 2 passes explicit ``lengths`` because its one batch mixes
+    levels.
     """
     keys = (senders, receivers) if lengths is None else (senders, lengths, receivers)
     order = np.lexsort(keys)
@@ -337,56 +404,101 @@ def _winners(
     return order[first]
 
 
-def propagate_state(
+def propagate_states(
     csr: CsrAdjacency,
-    origin_index: int,
+    origins: Sequence[int],
     allow: Optional[np.ndarray] = None,
     extra: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the three Gao-Rexford phases over CSR arrays alone.
+    """Run the three Gao-Rexford phases for many origins over CSR arrays.
 
-    This is the array core of :func:`propagate`, usable without an
+    This is the array core of :func:`propagate_many`, usable without an
     :class:`~repro.topology.ASGraph` at all — e.g. by campaign workers
-    that reconstruct the CSR view from shared memory.
+    that reconstruct the CSR view from shared memory.  Row ``r`` of each
+    result is exactly the state a one-origin call for ``origins[r]``
+    returns: offers never leave their row, winners are picked per batch
+    node, and every row drains its levels in ascending order.
 
     Args:
         csr: The adjacency view; node indices are positions in
             ``csr.asns``.
-        origin_index: Node index (not ASN) of the originating AS.
-        allow: Optional bool array over nodes; ``allow[j]`` False means
-            the origin does not announce to neighbor ``j`` (suppression
-            or city scoping).  Consulted on origin edges only.
-        extra: Optional int array over nodes; ``extra[j]`` is the
-            origination prepend count toward neighbor ``j``.  Applied on
+        origins: Node indices (not ASNs) of the originating ASes, one
+            per row.
+        allow: Optional bool array of shape ``(len(origins), n)``;
+            ``allow[r, j]`` False means origin ``r`` does not announce to
+            neighbor ``j`` (suppression or city scoping).  Consulted on
             origin edges only.
+        extra: Optional int array of the same shape; ``extra[r, j]`` is
+            origin ``r``'s prepend count (>= 0) toward neighbor ``j``.
+            Applied on origin edges only.
 
     Returns:
-        ``(parent, pref, adv)`` int arrays over nodes: the winning
-        sender index (-1 at the origin and for unreachable nodes), the
-        :class:`RoutePref` value (0 where unreachable), and the
-        advertised length (-1 where unreachable).  A node is reachable
-        iff ``adv >= 0``.
+        ``(parent, pref, adv)`` int arrays of shape ``(len(origins), n)``:
+        the winning sender index (-1 at the origin and for unreachable
+        nodes), the :class:`RoutePref` value (0 where unreachable), and
+        the advertised length (-1 where unreachable).  A node is
+        reachable iff ``adv >= 0``.
+    """
+    origins = np.asarray(origins, dtype=np.int32).reshape(-1)
+    shape = (origins.size, len(csr))
+    if allow is not None or extra is not None:
+        allow = np.ones(shape, bool) if allow is None else np.asarray(allow, bool)
+        extra = np.zeros(shape, np.int64) if extra is None else np.asarray(extra)
+    parent = np.full(shape, -1, dtype=np.int32)
+    pref = np.zeros(shape, dtype=np.int8)
+    adv = np.full(shape, -1, dtype=np.int64)
+    for lo in range(0, origins.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        _propagate_block(
+            csr,
+            origins[rows],
+            None if allow is None else (allow[rows].ravel(), extra[rows].ravel()),
+            parent[rows].ravel(),
+            pref[rows].ravel(),
+            adv[rows].ravel(),
+        )
+    return parent, pref, adv
+
+
+def _propagate_block(
+    csr: CsrAdjacency,
+    origins: np.ndarray,
+    grooming: Optional[Tuple[np.ndarray, np.ndarray]],
+    parent: np.ndarray,
+    pref: np.ndarray,
+    adv: np.ndarray,
+) -> None:
+    """One pass of :func:`propagate_states` over flat batch-node arrays.
+
+    Each row gets its own diagonal copy of the three sub-CSRs, so row
+    ``r``'s node ``i`` is batch node ``r·n + i``.  ``parent``/``pref``/
+    ``adv`` are flat views of the block's output rows, written in
+    place; ``grooming`` is the flat ``(allow, extra)`` pair, or ``None``
+    when no origin grooms its announcement.
     """
     n = len(csr)
-    if allow is None:
-        allow = np.ones(n, dtype=bool)
-    if extra is None:
-        extra = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int32)
-    adv = np.full(n, -1, dtype=np.int64)
-    pref = np.zeros(n, dtype=np.int8)
-    settled = np.zeros(n, dtype=bool)
-    settled[origin_index] = True
-    adv[origin_index] = 0
-    pref[origin_index] = int(RoutePref.ORIGIN)
+    rows = origins.size
+    providers = _tile(csr.providers_indptr, csr.providers, rows)
+    peers = _tile(csr.peers_indptr, csr.peers, rows)
+    customers = _tile(csr.customers_indptr, csr.customers, rows)
+    roots = origins + n * np.arange(rows, dtype=np.int32)
+    settled = np.zeros(adv.size, dtype=bool)
+    settled[roots] = True
+    adv[roots] = 0
+    pref[roots] = int(RoutePref.ORIGIN)
+
+    def settle(won_recv, won_send, lengths, pref_value) -> None:
+        settled[won_recv] = True
+        parent[won_recv] = won_send
+        adv[won_recv] = lengths
+        pref[won_recv] = pref_value
 
     def run_dial(
-        sub_indptr: np.ndarray,
-        sub_targets: np.ndarray,
+        sub_csr: Tuple[np.ndarray, np.ndarray],
         pref_value: int,
-        seed_recv: np.ndarray,
-        seed_send: np.ndarray,
-        seed_len: np.ndarray,
+        pend_send: np.ndarray,
+        pend_recv: np.ndarray,
+        pend_len: np.ndarray,
     ) -> None:
         """Bucket-queue Dijkstra over unit-weight edges from the seeds.
 
@@ -395,9 +507,6 @@ def propagate_state(
         several levels up) and appends the winners' expansions at
         ``level + 1``.
         """
-        pend_recv = seed_recv
-        pend_send = seed_send
-        pend_len = seed_len.astype(np.int64)
         while pend_recv.size:
             level = int(pend_len.min())
             at_level = pend_len == level
@@ -411,12 +520,9 @@ def propagate_state(
             if recv.size == 0:
                 continue
             pick = _winners(recv, send)
-            won_recv, won_send = recv[pick], send[pick]
-            settled[won_recv] = True
-            parent[won_recv] = won_send
-            adv[won_recv] = level
-            pref[won_recv] = pref_value
-            next_send, next_recv = _gather(sub_indptr, sub_targets, won_recv)
+            won_recv = recv[pick]
+            settle(won_recv, send[pick], level, pref_value)
+            next_send, next_recv = _gather(*sub_csr, won_recv)
             if next_recv.size:
                 open_mask = ~settled[next_recv]
                 next_recv, next_send = next_recv[open_mask], next_send[open_mask]
@@ -427,86 +533,38 @@ def propagate_state(
                     (pend_len, np.full(next_recv.size, level + 1, dtype=np.int64))
                 )
 
-    origin_node = np.asarray([origin_index], dtype=np.int32)
+    def offers(sub_csr: Tuple[np.ndarray, np.ndarray], holders: np.ndarray):
+        """``(senders, receivers, lengths)`` of every offer ``holders``
+        may make to an unsettled neighbour: an origin skips the
+        neighbours it does not announce to, and prepends toward the
+        rest."""
+        send, recv = _gather(*sub_csr, holders.astype(np.int32))
+        live = ~settled[recv]
+        prepends = 0
+        if grooming is not None:
+            allow, extra = grooming
+            from_origin = adv[send] == 0  # only an origin advertises length 0
+            live &= allow[recv] | ~from_origin
+            prepends = np.where(from_origin, extra[recv], 0)[live]
+        send, recv = send[live], recv[live]
+        return send, recv, adv[send] + 1 + prepends
 
     # --- Phase 1: customer routes, origin upward through providers. -----
-    seed_send, seed_recv = _gather(
-        csr.providers_indptr, csr.providers, origin_node
-    )
-    keep = allow[seed_recv]
-    seed_recv = seed_recv[keep]
-    if seed_recv.size:
-        run_dial(
-            csr.providers_indptr,
-            csr.providers,
-            int(RoutePref.CUSTOMER),
-            seed_recv,
-            np.full(seed_recv.size, origin_index, dtype=np.int32),
-            1 + extra[seed_recv],
-        )
+    run_dial(providers, int(RoutePref.CUSTOMER), *offers(providers, roots))
 
     # --- Phase 2: one round of peer routes. ------------------------------
-    holders = np.flatnonzero(settled).astype(np.int32)
-    peer_send, peer_recv = _gather(csr.peers_indptr, csr.peers, holders)
+    peer_send, peer_recv, lengths = offers(peers, np.flatnonzero(settled))
     if peer_recv.size:
-        from_origin = peer_send == origin_index
-        live = ~settled[peer_recv] & (allow[peer_recv] | ~from_origin)
-        peer_send, peer_recv = peer_send[live], peer_recv[live]
-        from_origin = from_origin[live]
-        if peer_recv.size:
-            lengths = adv[peer_send] + 1 + np.where(from_origin, extra[peer_recv], 0)
-            pick = _winners(peer_recv, peer_send, lengths)
-            won_recv, won_send = peer_recv[pick], peer_send[pick]
-            settled[won_recv] = True
-            parent[won_recv] = won_send
-            adv[won_recv] = lengths[pick]
-            pref[won_recv] = int(RoutePref.PEER)
+        pick = _winners(peer_recv, peer_send, lengths)
+        settle(peer_recv[pick], peer_send[pick], lengths[pick], int(RoutePref.PEER))
 
     # --- Phase 3: provider routes, downward through customers. ----------
-    holders = np.flatnonzero(settled).astype(np.int32)
-    cust_send, cust_recv = _gather(csr.customers_indptr, csr.customers, holders)
-    if cust_recv.size:
-        from_origin = cust_send == origin_index
-        live = ~settled[cust_recv] & (allow[cust_recv] | ~from_origin)
-        cust_send, cust_recv = cust_send[live], cust_recv[live]
-        from_origin = from_origin[live]
-        if cust_recv.size:
-            lengths = adv[cust_send] + 1 + np.where(from_origin, extra[cust_recv], 0)
-            run_dial(
-                csr.customers_indptr,
-                csr.customers,
-                int(RoutePref.PROVIDER),
-                cust_recv,
-                cust_send,
-                lengths,
-            )
-
-    return parent, pref, adv
-
-
-def _propagate_csr(table: RoutingTable) -> None:
-    """Fill ``table._routes`` via the array core + path reconstruction."""
-    graph = table.graph
-    origin = table.origin
-    csr = graph.csr()
-    origin_index = csr.index[origin]
-    allow = None
-    extra = None
-    if table.origin_cities is not None or table.suppressed or table.prepends:
-        n = len(csr)
-        allow = np.ones(n, dtype=bool)
-        extra = np.zeros(n, dtype=np.int64)
-        for neighbor in graph.neighbors(origin):
-            j = csr.index[neighbor]
-            if not table._origin_export_allowed(graph.link(origin, neighbor)):
-                allow[j] = False
-            prepend = int(table.prepends.get(neighbor, 0))
-            if prepend:
-                extra[j] = prepend
-    parent, pref, adv = propagate_state(csr, origin_index, allow, extra)
-    table._routes.update(
-        _routes_from_state(csr, origin_index, parent, pref, adv)
+    run_dial(
+        customers, int(RoutePref.PROVIDER), *offers(customers, np.flatnonzero(settled))
     )
+    # Winning senders are batch nodes; the result holds node indices.
+    if rows > 1:
+        np.remainder(parent, n, out=parent, where=parent >= 0)
 
 
 def _routes_from_state(

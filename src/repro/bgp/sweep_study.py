@@ -9,8 +9,9 @@ arrays once via ``CampaignRunner(shared_inputs=...)`` and each worker
 maps them by name instead of unpickling a topology per job.
 
 The study runs the array-level propagation core
-(:func:`~repro.bgp.propagation.propagate_state`) directly on the
-shared arrays — no ``ASGraph`` object is ever rebuilt in the worker.
+(:func:`~repro.bgp.propagation.propagate_states`) directly on the
+shared arrays, one call for all its origins — no ``ASGraph`` object is
+ever rebuilt in the worker.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.errors import RunnerError
 from repro.obs.trace import span
 from repro.topology import TopologyConfig, build_internet
 from repro.topology.asgraph import CsrAdjacency
-from repro.bgp.propagation import propagate_state
+from repro.bgp.propagation import propagate_states
 
 
 def propagation_shared_inputs(graph) -> Mapping[str, np.ndarray]:
@@ -85,8 +86,8 @@ class PropagationSweepStudy:
             origins = rng.choice(n, size=min(self.n_origins, n), replace=False)
             reachable = []
             path_lengths = []
-            for origin_index in sorted(int(o) for o in origins):
-                _, _, adv = propagate_state(csr, origin_index)
+            _, _, advs = propagate_states(csr, sorted(int(o) for o in origins))
+            for adv in advs:
                 held = adv >= 0
                 reachable.append(int(held.sum()))
                 if held.any():

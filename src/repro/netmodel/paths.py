@@ -56,18 +56,23 @@ class ForwardingPath:
         return 2.0 * self.one_way_ms
 
 
-def _choose_exit(
-    allowed: Sequence[City],
-    policy: ExitPolicy,
-    entry: City,
-    dest: Optional[City],
-) -> City:
-    """Pick the interconnect city per the carrying AS's exit policy."""
-    if policy is ExitPolicy.LATE and dest is not None:
-        reference = dest
-    else:
-        reference = entry
-    return min(allowed, key=lambda c: (CITY_DISTANCES(reference, c), c.name))
+def _allowed_exits(
+    graph: ASGraph, table: RoutingTable, current_asn: int, next_asn: int
+) -> Sequence[City]:
+    """The interconnect cities where ``current_asn`` may hand off."""
+    link = graph.link(current_asn, next_asn)
+    if next_asn != table.origin or table.origin_cities is None:
+        return link.cities
+    # By name: names are unique among cities, and a name hashes far
+    # faster than a City.
+    names = {c.name for c in table.origin_cities}
+    allowed = [c for c in link.cities if c.name in names]
+    if not allowed:
+        raise RoutingError(
+            f"link {current_asn}-{next_asn} has no interconnect at "
+            "an announcement city"
+        )
+    return allowed
 
 
 def trace(
@@ -115,11 +120,18 @@ def trace(
     current_asn = src_asn
     current_city = src_city
     total_ms = 0.0
+    # Exit cities by (from AS, to AS, reference city, announcement
+    # scope): they depend only on the graph's links and policies, and
+    # every graph mutation drops the memo.
+    exits = graph._exits
+    if exits is None:
+        exits = graph._exits = {}
 
+    max_steps = len(graph) + 1
     steps = 0
     while current_asn != origin:
         steps += 1
-        if steps > len(graph) + 1:
+        if steps > max_steps:
             raise RoutingError("forwarding trace did not converge (loop?)")
         if current_asn == src_asn and via_neighbor is not None:
             route = table.exported_route(via_neighbor, src_asn)
@@ -132,20 +144,9 @@ def trace(
             if route is None:
                 raise RoutingError(f"AS {current_asn} has no route to {origin}")
         next_asn = route.next_hop
-        link = graph.link(current_asn, next_asn)
-        allowed: Sequence[City] = link.cities
-        if next_asn == origin and table.origin_cities is not None:
-            # By name: names are unique among cities, and a name hashes
-            # far faster than a City.
-            names = {c.name for c in table.origin_cities}
-            allowed = [c for c in link.cities if c.name in names]
-            if not allowed:
-                raise RoutingError(
-                    f"link {current_asn}-{next_asn} has no interconnect at "
-                    "an announcement city"
-                )
         asys = graph.get(current_asn)
         if current_asn == src_asn and first_exit_city is not None:
+            allowed = _allowed_exits(graph, table, current_asn, next_asn)
             if first_exit_city not in allowed:
                 raise RoutingError(
                     f"link {current_asn}-{next_asn} has no interconnect at "
@@ -153,7 +154,20 @@ def trace(
                 )
             exit_city = first_exit_city
         else:
-            exit_city = _choose_exit(allowed, asys.exit_policy, current_city, dest_city)
+            # Late exit carries toward the destination, early exit
+            # hands off nearest where the traffic entered.
+            if asys.exit_policy is ExitPolicy.LATE and dest_city is not None:
+                reference = dest_city
+            else:
+                reference = current_city
+            scope = table.origin_cities if next_asn == origin else None
+            key = (current_asn, next_asn, reference.name, scope)
+            exit_city = exits.get(key)
+            if exit_city is None:
+                allowed = _allowed_exits(graph, table, current_asn, next_asn)
+                exit_city = exits[key] = min(
+                    allowed, key=lambda c: (km(reference, c), c.name)
+                )
         carry_km = km(current_city, exit_city)
         if carry_km > 0.0:
             ms = propagation_one_way_ms(carry_km, asys.backbone_inflation)

@@ -178,16 +178,44 @@ class CentroidSketch:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CentroidSketch":
+        """Restore :meth:`to_dict` state, refusing state no sketch holds.
+
+        Means are not checked for order or against ``[min, max]``:
+        compression can round a bucket mean by one ulp.
+        """
         try:
             sketch = cls(max_centroids=data["max_centroids"])
-            sketch.count = int(data["count"])
-            sketch._means = np.asarray(data["means"], dtype=np.float64)
-            sketch._weights = np.asarray(data["weights"], dtype=np.float64)
-            sketch._min = math.inf if data["min"] is None else float(data["min"])
-            sketch._max = -math.inf if data["max"] is None else float(data["max"])
+            count = require_int(data["count"], "sketch count", StreamError)
+            means = np.asarray(data["means"], dtype=np.float64)
+            weights = np.asarray(data["weights"], dtype=np.float64)
+            lo, hi = (
+                None if data[key] is None else float(data[key])
+                for key in ("min", "max")
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise StreamError(f"malformed centroid sketch state: {exc}") from exc
-        return sketch
+        if means.ndim != 1 or means.shape != weights.shape:
+            problem = "means and weights must be 1-D arrays of one length"
+        elif means.size > sketch.max_centroids:
+            problem = f"{means.size} centroids exceed max_centroids"
+        elif not (np.isfinite(means).all() and (weights > 0).all()):
+            problem = "means must be finite and weights > 0"
+        elif count < 0 or weights.sum() != count:  # an infinite weight too
+            problem = f"count {count} is not the weight total {weights.sum()}"
+        elif count == 0 and (lo is not None or hi is not None):
+            problem = "an empty sketch has min and max None"
+        elif count and not (
+            lo is not None and hi is not None and -math.inf < lo <= hi < math.inf
+        ):
+            problem = f"a non-empty sketch needs finite min <= max, got {lo}, {hi}"
+        else:
+            sketch.count = count
+            sketch._means = means
+            sketch._weights = weights
+            sketch._min = math.inf if lo is None else lo
+            sketch._max = -math.inf if hi is None else hi
+            return sketch
+        raise StreamError(f"inconsistent centroid sketch state: {problem}")
 
     def to_json(self) -> str:
         return _dump_canonical(self.to_dict())

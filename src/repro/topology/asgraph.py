@@ -317,6 +317,11 @@ class ASGraph:
     _baselines: Optional[Dict[Any, Any]] = field(
         default=None, repr=False, compare=False
     )
+    # Forwarding exit cities, owned by repro.netmodel.paths and dropped
+    # with the CSR view on any mutation.
+    _exits: Optional[Dict[Any, City]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # --- construction -------------------------------------------------
 
@@ -328,6 +333,7 @@ class ASGraph:
         self._adjacency[asys.asn] = []
         self._csr = None
         self._baselines = None
+        self._exits = None
 
     def add_link(self, link: Link) -> None:
         """Add a link; both endpoints must exist and not already be linked."""
@@ -341,6 +347,7 @@ class ASGraph:
         self._adjacency[link.b].append(link.a)
         self._csr = None
         self._baselines = None
+        self._exits = None
 
     def remove_link(self, x: int, y: int) -> Link:
         """Remove and return the link between ``x`` and ``y``.
@@ -355,6 +362,7 @@ class ASGraph:
         self._adjacency[link.b].remove(link.a)
         self._csr = None
         self._baselines = None
+        self._exits = None
         return link
 
     # --- queries ------------------------------------------------------

@@ -5,11 +5,22 @@ T1B; E1 under TR1; E2 under TR2; the provider buys transit from T1A,
 has a PNI with E1, and public-peers with TR2.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import RoutingError
 from repro.geo import city_named
-from repro.bgp import RoutePref, propagate
+from repro.bgp import (
+    DynamicsConfig,
+    DynamicsEngine,
+    Grooming,
+    PropagationRequest,
+    RoutePref,
+    propagate,
+    propagate_many,
+)
 
 from bgp_oracle import propagate_reference
 from conftest import E1, E2, PROVIDER, T1A, T1B, TR1, TR2
@@ -304,6 +315,78 @@ class TestGroomingValidation:
     def test_valid_grooming_still_accepted(self, toy_graph):
         table = propagate(toy_graph, PROVIDER, prepends={T1A: 2})
         assert len(table) > 0
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda g: propagate_many(g, [PROVIDER + 0.7]), "integer"),
+            (lambda g: propagate_many(g, [True]), "integer"),
+            (
+                lambda g: propagate_many(g, [PropagationRequest(PROVIDER + 0.0)]),
+                "integer",
+            ),
+            (lambda g: propagate(g, PROVIDER + 0.0), "integer"),
+            (lambda g: propagate(g, PROVIDER, prepends={T1A: 1.5}), "integer"),
+            (lambda g: propagate(g, PROVIDER, prepends={T1A: True}), "integer"),
+            (lambda g: propagate(g, PROVIDER, prepends={T1A: math.nan}), "integer"),
+            (lambda g: propagate(g, PROVIDER, prepends={T1A: -1}), ">= 0"),
+            (lambda g: _announce(g, prepends={T1A: 1.5}), "integer"),
+            (lambda g: _announce(g, prepends={T1A: True}), "integer"),
+            (lambda g: _announce(g, prepends={T1A: math.nan}), "integer"),
+            (lambda g: _announce(g, prepends={T1A: -1}), ">= 0"),
+            (lambda g: _grooming(g).prepend_to(T1A, 1.5), "integer"),
+            (lambda g: _grooming(g).prepend_to(T1A, math.nan), "integer"),
+            (lambda g: _grooming(g).prepend_to(T1A, True), "integer"),
+        ],
+        ids=[
+            "many-float-origin",
+            "many-bool-origin",
+            "request-float-origin",
+            "float-origin",
+            "float-prepend",
+            "bool-prepend",
+            "nan-prepend",
+            "negative-prepend",
+            "engine-float-prepend",
+            "engine-bool-prepend",
+            "engine-nan-prepend",
+            "engine-negative-prepend",
+            "grooming-float-count",
+            "grooming-nan-count",
+            "grooming-bool-count",
+        ],
+    )
+    def test_non_integer_origins_and_counts_refused(self, toy_graph, call, match):
+        """An origin or prepend count that is not an integer (bools
+        included), or a negative count, is a RoutingError in every entry
+        point: neither truncated, nor stored as given, nor left to fail
+        inside the kernel."""
+        with pytest.raises(RoutingError, match=match):
+            call(toy_graph)
+
+    def test_numpy_integers_stored_as_int(self, toy_graph):
+        table = propagate(toy_graph, np.int64(PROVIDER), prepends={T1A: np.int32(2)})
+        (batched,) = propagate_many(toy_graph, [np.int32(PROVIDER)])
+        request = PropagationRequest(np.int64(PROVIDER), prepends={T1A: np.int8(2)})
+        (requested,) = propagate_many(toy_graph, [request])
+        for t in (table, batched, requested):
+            assert type(t.origin) is int and t.origin == PROVIDER
+        for t in (table, requested):
+            assert type(t.prepends[T1A]) is int and t.prepends == {T1A: 2}
+        assert table._routes == requested._routes
+        assert batched._routes == propagate(toy_graph, PROVIDER)._routes
+        grooming = _grooming(toy_graph).prepend_to(T1A, np.int64(3))
+        assert grooming.compile()[1] == {T1A: 3}
+        assert type(grooming.compile()[1][T1A]) is int
+
+
+def _announce(graph, **grooming):
+    engine = DynamicsEngine(graph, DynamicsConfig())
+    engine.schedule_announce(0.0, PROVIDER, **grooming)
+
+
+def _grooming(graph):
+    return Grooming.ungroomed(graph.get(PROVIDER).cities)
 
 
 class TestExportedRouteErrors:

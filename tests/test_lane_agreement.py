@@ -19,7 +19,12 @@
   deterministic structure bit-identical, sketch medians within the
   documented tolerance.
 * **CSR propagation vs the heap oracle** (``tests/bgp_oracle.py``):
-  identical tables, route for route.
+  identical tables, route for route, for every table of a mixed
+  ``propagate_many`` batch that spans several blocks; and every row of
+  a batched ``propagate_states`` pass equals a one-row pass.
+* **Memoised vs fresh exit choices**: a trace through a warm exit memo
+  equals the same trace with the memo dropped, after graph mutations
+  too.
 * **Event-driven dynamics vs static propagation**: the converged
   end-state equals the three-phase construction.
 * **Event-driven dynamics vs the per-hop engine**
@@ -34,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,7 +63,17 @@ from scalar_oracles import (
     unmemoised_nearest_pops,
 )
 
-from repro.bgp import SCENARIOS, propagate, propagate_many, run_scenario, scenarios
+from repro.availability import fail_pop_site
+from repro.bgp import (
+    SCENARIOS,
+    PropagationRequest,
+    propagate,
+    propagate_many,
+    propagate_states,
+    run_scenario,
+    scenarios,
+)
+from repro.bgp import propagation
 from repro.bgp.dynamics import DynamicsConfig
 from repro.cdn import CdnDeployment
 from repro.cdn.catchment import catchment_map
@@ -71,12 +87,14 @@ from repro.cloudtiers import (
     Tier,
     run_campaign,
 )
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, RoutingError
 from repro.edgefabric.analysis import bgp_vs_best_alternate
-from repro.netmodel import CongestionConfig, CongestionModel
+from repro.netmodel import CongestionConfig, CongestionModel, trace
 from repro.edgefabric.episodes import extract_episodes
 from repro.edgefabric.routes import tables_for_destinations
-from repro.topology import TopologyConfig, build_internet
+from repro.topology import Relationship, TopologyConfig, build_internet
+from repro.topology.asgraph import link_between
+from repro.workloads import generate_client_prefixes
 from repro.edgefabric.sampler import (
     MeasurementConfig,
     plan_measurement,
@@ -617,19 +635,7 @@ class TestBgpPropagationLanes:
         edges in both implementations."""
         graph = small_internet.graph
         origin = small_internet.provider_asn
-        neighbors = sorted(graph.neighbors(origin))
-        variants = [
-            dict(prepends={neighbors[0]: 3}),
-            dict(suppressed=frozenset(neighbors[:2])),
-            dict(
-                prepends={neighbors[0]: 2, neighbors[-1]: 1},
-                suppressed=frozenset({neighbors[1]}),
-            ),
-            dict(
-                origin_cities=frozenset({small_internet.wan.pops[0].city})
-            ),
-        ]
-        for kwargs in variants:
+        for kwargs in _grooming_variants(small_internet):
             oracle = propagate_reference(graph, origin, **kwargs)
             table = propagate(graph, origin, **kwargs)
             assert oracle._routes == table._routes, kwargs
@@ -650,6 +656,196 @@ class TestBgpPropagationLanes:
         assert list(tables) == asns
         for asn, table in tables.items():
             assert table._routes == propagate_reference(graph, asn)._routes
+
+
+def _grooming_variants(internet):
+    """Prepends, suppression, both at once, and city scoping."""
+    neighbors = sorted(internet.graph.neighbors(internet.provider_asn))
+    return [
+        dict(prepends={neighbors[0]: 3}),
+        dict(suppressed=frozenset(neighbors[:2])),
+        dict(
+            prepends={neighbors[0]: 2, neighbors[-1]: 1},
+            suppressed=frozenset({neighbors[1]}),
+        ),
+        dict(origin_cities=frozenset({internet.wan.pops[0].city})),
+    ]
+
+
+def _cdn_world():
+    """A fresh Setting B Internet (tests here mutate it) and 60 clients."""
+    internet = build_internet(cdn_topology(0))
+    return internet, generate_client_prefixes(internet, 60, seed=1)
+
+
+def _outcome(call):
+    """A trace, or the message of the RoutingError it raised."""
+    try:
+        return call()
+    except RoutingError as exc:
+        return str(exc)
+
+
+def _setting_b_traces(deployment, prefixes):
+    """Every trace the beacon campaign makes: each client's anycast path
+    and its path to every front-end's unicast prefix."""
+    calls = []
+    for prefix in prefixes:
+        calls.append(lambda p=prefix: deployment.anycast_path(p))
+        calls.extend(
+            lambda p=prefix, code=pop.code: deployment.unicast_path(p, code)
+            for pop in deployment.front_ends
+        )
+    return calls
+
+
+def _traces_with_cleared_memo(graph, calls):
+    """Each call's outcome with the graph's exit memo dropped first."""
+    outcomes = []
+    for call in calls:
+        graph._exits = None
+        outcomes.append(_outcome(call))
+    return outcomes
+
+
+class TestBatchedPropagationLanes:
+    """``propagate_many`` runs one ``propagate_states`` pass per block of
+    origins.  Every table of a batch equals the heap oracle for its own
+    request, whatever else shares the batch, and every row of a pass
+    equals a one-row pass."""
+
+    @pytest.mark.parametrize("world", ["small", "cdn"])
+    def test_mixed_batch_matches_oracle(self, world, small_internet):
+        internet = small_internet if world == "small" else _cdn_world()[0]
+        graph = internet.graph
+        asns = [asys.asn for asys in graph.ases()]
+        provider = internet.provider_asn
+        requests = asns[:10] + [asns[3]]
+        requests += [
+            PropagationRequest(provider, **kwargs)
+            for kwargs in _grooming_variants(internet)
+        ]
+        tables = propagate_many(graph, requests)
+        assert len(tables) == len(requests)
+        for request, table in zip(requests, tables):
+            if isinstance(request, int):
+                request = PropagationRequest(request)
+            oracle = propagate_reference(
+                graph,
+                request.origin,
+                origin_cities=request.origin_cities,
+                prepends=request.prepends,
+                suppressed=request.suppressed,
+            )
+            assert table.origin == request.origin
+            assert table._routes == oracle._routes, request
+
+    def test_batch_across_blocks_matches_oracle(self):
+        graph = _cdn_world()[0].graph
+        asns = [asys.asn for asys in graph.ases()]
+        assert len(asns) > 2 * propagation._BLOCK
+        for asn, table in zip(asns, propagate_many(graph, asns)):
+            assert table.origin == asn
+            assert table._routes == propagate_reference(graph, asn)._routes, asn
+
+    def test_empty_batch(self, small_internet):
+        assert propagate_many(small_internet.graph, []) == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_one_row_passes(self, seed):
+        csr = _cdn_world()[0].graph.csr()
+        n = len(csr)
+        rng = np.random.default_rng(seed)
+        origins = rng.choice(n, size=propagation._BLOCK + 12)
+        allow = rng.random((origins.size, n)) < 0.7
+        extra = rng.integers(0, 4, size=(origins.size, n))
+        batch = propagate_states(csr, origins, allow, extra)
+        for r, origin in enumerate(origins):
+            row = propagate_states(csr, [origin], allow[r : r + 1], extra[r : r + 1])
+            for name, rows, one in zip(("parent", "pref", "adv"), batch, row):
+                assert np.array_equal(rows[r], one[0]), (r, name)
+
+
+class TestExitMemoLanes:
+    """``trace`` memoises each hop's exit city on the graph.  A trace
+    through a warm memo equals the same trace with the memo dropped, and
+    every graph mutation drops it."""
+
+    def test_warm_memo_equals_cleared_memo(self):
+        internet, prefixes = _cdn_world()
+        calls = _setting_b_traces(CdnDeployment(internet), prefixes)
+        for call in calls:
+            _outcome(call)
+        assert internet.graph._exits
+        warm = [_outcome(call) for call in calls]
+        assert warm == _traces_with_cleared_memo(internet.graph, calls)
+
+    def test_memo_dropped_by_fail_pop_site(self):
+        """The anycast table stays unscoped, so each hop into the
+        provider keeps its memo key across the failure; only dropping
+        the memo moves the exit off the failed city."""
+        internet, prefixes = _cdn_world()
+        graph, provider = internet.graph, internet.provider_asn
+        table = propagate(graph, provider)
+        before = [trace(graph, table, p.asn, p.city) for p in prefixes]
+        busiest = Counter(path.ingress_city for path in before).most_common(1)[0][0]
+        failed = next(pop for pop in internet.wan.pops if pop.city == busiest)
+        fail_pop_site(internet, failed.code)
+        table = propagate(graph, provider)
+        calls = [
+            lambda p=prefix: trace(graph, table, p.asn, p.city) for prefix in prefixes
+        ]
+        after = [_outcome(call) for call in calls]
+        assert after == _traces_with_cleared_memo(graph, calls)
+        assert all(path.ingress_city != busiest for path in after)
+        assert any(
+            old.ingress_city == busiest and new.as_path[-2] == old.as_path[-2]
+            for old, new in zip(before, after)
+        )
+
+    def test_memo_dropped_by_relinking(self):
+        """Re-adding a link with its exit city removed must move the
+        exit to one of the remaining cities."""
+        internet, prefixes = _cdn_world()
+        graph, provider = internet.graph, internet.provider_asn
+        table = propagate(graph, provider)
+        paths = [trace(graph, table, p.asn, p.city) for p in prefixes]
+        path = next(
+            path for path in paths if len(graph.link(*path.as_path[-2:]).cities) > 1
+        )
+        link = graph.link(*path.as_path[-2:])
+        remaining = tuple(c for c in link.cities if c != path.ingress_city)
+        graph.remove_link(link.a, link.b)
+        graph.add_link(dataclasses.replace(link, cities=remaining))
+        table = propagate(graph, provider)
+        calls = [
+            lambda p=prefix: trace(graph, table, p.asn, p.city) for prefix in prefixes
+        ]
+        after = [_outcome(call) for call in calls]
+        assert after == _traces_with_cleared_memo(graph, calls)
+        moved = after[paths.index(path)]
+        assert moved.as_path == path.as_path
+        assert moved.ingress_city in remaining
+
+    def test_mutators_drop_every_cache(self):
+        graph = _cdn_world()[0].graph
+        asys = next(iter(graph.ases()))
+        new_asn = max(a.asn for a in graph.ases()) + 1
+        mutations = [
+            lambda: graph.add_as(dataclasses.replace(asys, asn=new_asn)),
+            lambda: graph.add_link(
+                link_between(new_asn, asys.asn, Relationship.PEER, asys.cities[:1])
+            ),
+            lambda: graph.remove_link(new_asn, asys.asn),
+        ]
+        for mutate in mutations:
+            graph.csr()
+            graph._baselines = {"opened": True}
+            graph._exits = {"exit": asys.home_city}
+            mutate()
+            assert graph._csr is None
+            assert graph._baselines is None
+            assert graph._exits is None
 
 
 class TestTopologyLanes:

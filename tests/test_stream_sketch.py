@@ -9,6 +9,7 @@ the error taxonomy.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -146,3 +147,66 @@ class TestSerialization:
     def test_malformed_state_rejected(self):
         with pytest.raises(StreamError, match="malformed"):
             sketch_from_dict({"kind": "centroid", "max_centroids": 64})
+
+    @staticmethod
+    def _state(**changes):
+        state = {
+            "kind": "centroid",
+            "max_centroids": 8,
+            "count": 3,
+            "min": 1.0,
+            "max": 3.0,
+            "means": [1.0, 2.0, 3.0],
+            "weights": [1.0, 1.0, 1.0],
+        }
+        state.update(changes)
+        return state
+
+    def test_consistent_state_loads(self):
+        sketch = sketch_from_dict(self._state())
+        assert sketch.count == 3 and sketch.quantile(0.5) == 2.0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(weights=[1.0, 2.0]),
+            dict(means=[[1.0, 2.0, 3.0]], weights=[[1.0, 1.0, 1.0]]),
+            dict(means=[1.0, math.nan, 3.0]),
+            dict(weights=[1.0, 0.0, 2.0]),
+            dict(weights=[2.0, -1.0, 2.0]),
+            dict(weights=[1.0, math.inf, 1.0]),
+            dict(count=7),
+            dict(count=3.9),
+            dict(count=True, means=[1.0], weights=[1.0], max=1.0),
+            dict(
+                count=9,
+                min=0.0,
+                max=8.0,
+                means=[float(v) for v in range(9)],
+                weights=[1.0] * 9,
+            ),
+            dict(min=None),
+            dict(count=3, means=[], weights=[], min=None, max=None),
+            dict(min=-math.inf),
+        ],
+        ids=[
+            "lengths-differ",
+            "two-d-arrays",
+            "nan-mean",
+            "zero-weight",
+            "negative-weight",
+            "infinite-weight",
+            "count-not-weight-total",
+            "float-count",
+            "bool-count",
+            "over-budget",
+            "non-empty-without-min",
+            "empty-with-count",
+            "infinite-min",
+        ],
+    )
+    def test_inconsistent_state_rejected(self, changes):
+        """State no sketch can hold is refused on load, rather than
+        loading and failing (or reading NaN) at the first query."""
+        with pytest.raises(StreamError):
+            sketch_from_dict(self._state(**changes))
