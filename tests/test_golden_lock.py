@@ -290,20 +290,30 @@ def compute_outputs() -> Dict[str, Any]:
         [vp_id, tier.value] for vp_id, tier in campaign.traceroutes
     )
 
-    # The scenarios as perfbench's scenario-sweep runs them.
+    # The scenarios as perfbench's scenario-sweep runs them, and at seed
+    # 0 under the two configs that take the engine paths the sweep never
+    # does: unpaced sessions, and paced withdrawals with every message
+    # recorded.
+    variants = {
+        "mrai-0": DynamicsConfig(seed=0, mrai_s=0.0),
+        "wrate-messages": DynamicsConfig(
+            seed=0, mrai_s=5.0, withdraw_mrai=True, record_messages=True
+        ),
+    }
     for seed in SEEDS:
         world = build_internet(cdn_topology(seed))
-        for name in sorted(SCENARIOS):
-            result = run_scenario(
-                name,
-                seed=seed,
-                config=DynamicsConfig(seed=seed, mrai_s=5.0),
-                internet=world,
-            )
-            out[f"scenario/{name}/seed-{seed}"] = {
-                "to-json-sha256": hashlib.sha256(result.to_json().encode()).hexdigest(),
-                "summary": result.summary(),
-            }
+        runs = {f"seed-{seed}": DynamicsConfig(seed=seed, mrai_s=5.0)}
+        if seed == 0:
+            runs.update((f"seed-0/{label}", config) for label, config in variants.items())
+        for label, config in runs.items():
+            for name in sorted(SCENARIOS):
+                result = run_scenario(name, seed=seed, config=config, internet=world)
+                out[f"scenario/{name}/{label}"] = {
+                    "to-json-sha256": hashlib.sha256(
+                        result.to_json().encode()
+                    ).hexdigest(),
+                    "summary": result.summary(),
+                }
     return out
 
 
