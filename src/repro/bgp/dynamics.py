@@ -39,16 +39,18 @@ in :mod:`repro.bgp.scenarios`.
 Inside the event loop routes are plain tuples (:data:`RouteTuple`) and
 each AS's sessions are rows built once per engine; :meth:`routes` and
 :meth:`routing_table` turn the tuples into validated
-:class:`~repro.bgp.routes.Route` objects at the boundary.
+:class:`~repro.bgp.routes.Route` objects at the boundary, and
+:meth:`best_routes` hands them out as they are.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import (
     Any,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -343,7 +345,7 @@ class DynamicsEngine:
                 f"cannot schedule {_KIND_NAMES[kind]!r} at {at_s:.3f}s in "
                 f"the past (now {self.now:.3f}s)"
             )
-        heapq.heappush(self._queue, (at_s, self._seq, kind, *payload))
+        heappush(self._queue, (at_s, self._seq, kind, *payload))
         self._seq += 1
 
     def schedule_announce(
@@ -414,16 +416,52 @@ class DynamicsEngine:
         change_before = self.last_change_s
         queue = self._queue
         max_events = self.config.max_events
+        # Handlers change these containers in place, never rebind them.
+        down = self._down
+        epochs = self._epoch
+        adj_in = self._adj_in
+        pending_on = self._pending
+        mrai_until = self._mrai_until
+        best_of = self._best
+        redecide = self._redecide
         with span(SPAN_RUN, until=until):
             try:
                 while queue and (until is None or queue[0][0] <= until):
-                    event = heapq.heappop(queue)
+                    event = heappop(queue)
                     self.now = event[0]
                     kind = event[2]
                     if kind == _UPDATE:
-                        self._on_update(*event[3:])
+                        _, _, _, sender, receiver, prefix, route, epoch = event
+                        if down and self._is_down(sender, receiver):
+                            pass  # delivery raced a link failure: lost
+                        elif epoch != epochs.get((sender, receiver), 0):
+                            pass  # sent before a flap: the old session's ghost
+                        else:
+                            offers = adj_in.setdefault(prefix, {}).setdefault(
+                                receiver, {}
+                            )
+                            # The best route is the least offer (an
+                            # origin's own route beats every offer), so
+                            # an offer that loses to a best from another
+                            # neighbour, or the loss of an offer that is
+                            # not the best, leaves the decision as it is.
+                            holders = best_of.get(prefix)
+                            best = holders.get(receiver) if holders else None
+                            kept = best is not None and best[2] != sender
+                            if route is not None:
+                                offers[sender] = route
+                                if not (kept and best < route):
+                                    redecide(receiver, prefix)
+                            elif offers.pop(sender, None) is not None:
+                                if not kept:
+                                    redecide(receiver, prefix)
                     elif kind == _MRAI:
-                        self._on_mrai(event[3], event[4])
+                        key = event[3:]
+                        # A timer restarted since this one was set is stale.
+                        if self.now + 1e-12 >= mrai_until.get(key, 0.0):
+                            pending = pending_on.pop(key, None)
+                            if pending:
+                                self._on_mrai(key, pending)
                     else:
                         self._dispatch(kind, event[3:])
                     processed += 1
@@ -508,58 +546,32 @@ class DynamicsEngine:
         self._record("link_up", a=a, b=b)
         # Session restart: each side offers its current best for every
         # live prefix (advertised state was cleared at link_down, so
-        # _maybe_send treats the neighbor as fresh).
+        # the session starts fresh).
         prefixes = sorted(set(self._best) | set(self._origins))
         for sender, receiver in ((a, b), (b, a)):
-            row = self._rows[sender][receiver]
+            rows = (self._rows[sender][receiver],)
             for prefix in prefixes:
                 best = self._best.get(prefix, {}).get(sender)
-                export = self._export(best, sender, row, prefix)
-                self._maybe_send(sender, receiver, prefix, export)
+                self._offer(sender, rows, prefix, best)
 
-    def _on_update(
-        self,
-        sender: int,
-        receiver: int,
-        prefix: str,
-        route: Optional[RouteTuple],
-        epoch: int,
-    ) -> None:
-        if self._down and self._is_down(sender, receiver):
-            return  # delivery raced a link failure: the message is lost
-        if epoch != self._epoch.get((sender, receiver), 0):
-            return  # sent before a flap: the old session's ghost
-        offers = self._adj_in.setdefault(prefix, {}).setdefault(receiver, {})
-        if route is None:
-            if offers.pop(sender, None) is None:
-                return
-        else:
-            offers[sender] = route
-        self._redecide(receiver, prefix)
-
-    def _on_mrai(self, sender: int, receiver: int) -> None:
-        key = (sender, receiver)
-        if self.now + 1e-12 < self._mrai_until.get(key, 0.0):
-            return  # stale timer superseded by a later restart
-        pending = self._pending.pop(key, None)
-        if not pending:
-            return
-        row = self._rows[sender][receiver]
-        sent_announce = False
+    def _on_mrai(self, key: Tuple[int, int], pending: Set[str]) -> None:
+        """Session ``key``'s timer expired: send what waited for it, then
+        restart the timer once if an announcement went out."""
+        sender, receiver = key
+        rows = (self._rows[sender][receiver],)
+        announced = False
         for prefix in sorted(pending):
             best = self._best.get(prefix, {}).get(sender)
-            export = self._export(best, sender, row, prefix)
-            advertised = self._advertised.get(key)
-            if export == (advertised.get(prefix) if advertised else None):
-                continue
-            if self._transmit(key, prefix, export):
-                sent_announce = True
-        if sent_announce:
+            if self._offer(sender, rows, prefix, best, expired=True):
+                announced = True
+        if announced:
             self._restart_mrai(key)
 
     # --- decision process ----------------------------------------------
 
     def _redecide(self, asn: int, prefix: str) -> None:
+        """Re-select ``asn``'s best route for ``prefix``; on a change,
+        record it and offer the new route to every neighbour."""
         origins = self._origins.get(prefix)
         if origins and asn in origins:
             new: Optional[RouteTuple] = (_ORIGIN, 0, -1, (asn,))
@@ -567,62 +579,168 @@ class DynamicsEngine:
             offers = self._adj_in.get(prefix, {}).get(asn)
             new = min(offers.values()) if offers else None
         holders = self._best.setdefault(prefix, {})
-        old = holders.get(asn)
-        if new == old:
+        if new == holders.get(asn):
             return
+        now = self.now
+        self.last_change_s = now
         if new is None:
             del holders[asn]
+            origin = next_hop = length = None
         else:
             holders[asn] = new
-        self.last_change_s = self.now
-        self._record(
-            "best_change",
-            asn=asn,
-            prefix=prefix,
-            origin=None if new is None else new[3][-1],
-            next_hop=None if new is None or len(new[3]) == 1 else new[2],
-            advertised_length=None if new is None else new[1],
+            length, path = new[1], new[3]
+            origin = path[-1]
+            next_hop = new[2] if len(path) > 1 else None
+        self.timeline.append(
+            {
+                "t": round(now, 9),
+                "kind": "best_change",
+                "asn": asn,
+                "prefix": prefix,
+                "origin": origin,
+                "next_hop": next_hop,
+                "advertised_length": length,
+            }
         )
-        down = self._down
-        for row in self._rows[asn].values():
-            neighbor = row[0]
-            if down and self._is_down(asn, neighbor):
-                continue
-            export = self._export(new, asn, row, prefix)
-            self._maybe_send(asn, neighbor, prefix, export)
+        self._offer(asn, self._rows[asn].values(), prefix, new)
 
-    def _export(
+    def _exports(
         self,
         route: Optional[RouteTuple],
         sender: int,
-        row: SessionRow,
+        rows: Collection[SessionRow],
         prefix: str,
-    ) -> Optional[RouteTuple]:
-        """What ``sender``, holding ``route``, advertises over ``row``.
+    ) -> List[Optional[RouteTuple]]:
+        """What ``sender``, holding ``route``, advertises over each row.
 
         Mirrors :meth:`RoutingTable.exported_route` — valley-free export
         filters, loop suppression, and origin grooming — against the
-        engine's live state instead of a static table.
+        engine's live state instead of a static table.  Every offer the
+        engine makes is decided here.
         """
         if route is None:
-            return None
-        receiver, exports_to_customer, learned_pref = row
+            return [None] * len(rows)
         neg_pref, advertised_length, _, path = route
-        if receiver in path:
-            return None  # loop prevention
         if neg_pref == _ORIGIN:
             spec = self._origins.get(prefix, {}).get(sender)
             if spec is None:
-                return None  # withdrawal still settling
-            link = self.graph.link(sender, receiver)
-            if not spec.export_allowed(link, receiver):
-                return None
-            advertised_length += int(spec.prepends.get(receiver, 0))
-        elif not exports_to_customer and neg_pref != _CUSTOMER:
-            return None
-        return (learned_pref, advertised_length + 1, sender, (receiver,) + path)
+                return [None] * len(rows)  # withdrawal still settling
+            # An origin's path is itself alone: no neighbour is on it.
+            link = self.graph.link
+            return [
+                (
+                    learned_pref,
+                    advertised_length + int(spec.prepends.get(receiver, 0)) + 1,
+                    sender,
+                    (receiver,) + path,
+                )
+                if spec.export_allowed(link(sender, receiver), receiver)
+                else None
+                for receiver, _, learned_pref in rows
+            ]
+        # Valley-free: only a customer route goes to peers and providers.
+        # Loop prevention: never to a neighbour already on the path.
+        to_all = neg_pref == _CUSTOMER
+        length = advertised_length + 1
+        return [
+            (learned_pref, length, sender, (receiver,) + path)
+            if (to_all or to_customer) and receiver not in path
+            else None
+            for receiver, to_customer, learned_pref in rows
+        ]
 
     # --- the wire -------------------------------------------------------
+
+    def _offer(
+        self,
+        sender: int,
+        rows: Collection[SessionRow],
+        prefix: str,
+        route: Optional[RouteTuple],
+        expired: bool = False,
+    ) -> bool:
+        """Offer ``route``'s exports over each live session of ``rows``.
+
+        A changed export goes on the wire at once when the session's
+        MRAI timer is open, and each announcement restarts the timer (a
+        withdrawal need not wait unless ``withdraw_mrai``); otherwise
+        ``prefix`` waits in the session's pending set for the timer.  An
+        unchanged export drops ``prefix`` from that set.  With
+        ``expired`` the sessions' timers have just run out: every
+        changed export goes out and the caller restarts the timers.
+        Returns whether an announcement went out.
+        """
+        now = self.now
+        down = self._down
+        advertised_on = self._advertised
+        pending_on = self._pending
+        mrai_until = self._mrai_until
+        queue = self._queue
+        config = self.config
+        announced = False
+        for row, export in zip(rows, self._exports(route, sender, rows, prefix)):
+            receiver = row[0]
+            if down and self._is_down(sender, receiver):
+                continue
+            key = (sender, receiver)
+            advertised = advertised_on.get(key)
+            if advertised is None:
+                # Nothing sent on the session yet, so nothing waits on
+                # its timer: an unchanged withdrawal is a no-op.
+                if export is None:
+                    continue
+            elif export == advertised.get(prefix):
+                pending = pending_on.get(key)
+                if pending:
+                    pending.discard(prefix)
+                continue
+            if not (
+                expired
+                or now >= mrai_until.get(key, 0.0)
+                or (export is None and not config.withdraw_mrai)
+            ):
+                pending_on.setdefault(key, set()).add(prefix)
+                self.mrai_deferrals += 1
+                continue
+            if advertised is None:
+                advertised = advertised_on[key] = {}
+            advertised[prefix] = export
+            pending = pending_on.get(key)
+            if pending:
+                pending.discard(prefix)
+            delay = self._delays.get(key)
+            if delay is None:
+                delay = self._link_delay(sender, receiver)
+            heappush(
+                queue,
+                (
+                    now + delay,
+                    self._seq,
+                    _UPDATE,
+                    sender,
+                    receiver,
+                    prefix,
+                    export,
+                    self._epoch.get(key, 0),
+                ),
+            )
+            self._seq += 1
+            if export is None:
+                self.withdrawals_sent += 1
+            else:
+                self.updates_sent += 1
+                announced = True
+                if not expired:
+                    self._restart_mrai(key)
+            if config.record_messages:
+                self._record(
+                    "msg",
+                    sender=sender,
+                    receiver=receiver,
+                    prefix=prefix,
+                    withdraw=export is None,
+                )
+        return announced
 
     def _is_down(self, x: int, y: int) -> bool:
         return ((x, y) if x < y else (y, x)) in self._down
@@ -651,79 +769,13 @@ class DynamicsEngine:
     def _restart_mrai(self, key: Tuple[int, int]) -> None:
         if self.config.mrai_s <= 0:
             return
-        until = self.now + self._mrai_interval(key)
+        interval = self._mrai_intervals.get(key)
+        if interval is None:
+            interval = self._mrai_interval(key)
+        until = self.now + interval
         self._mrai_until[key] = until
-        heapq.heappush(self._queue, (until, self._seq, _MRAI, *key))
+        heappush(self._queue, (until, self._seq, _MRAI, *key))
         self._seq += 1
-
-    def _transmit(
-        self,
-        key: Tuple[int, int],
-        prefix: str,
-        export: Optional[RouteTuple],
-    ) -> bool:
-        """Send ``export``, which differs from the last one sent on ``key``.
-
-        Returns True when an *announcement* (not a withdrawal) went out,
-        which is what restarts the MRAI timer.
-        """
-        sender, receiver = key
-        advertised = self._advertised.get(key)
-        if advertised is None:
-            advertised = self._advertised[key] = {}
-        advertised[prefix] = export
-        pending = self._pending.get(key)
-        if pending:
-            pending.discard(prefix)
-        heapq.heappush(
-            self._queue,
-            (
-                self.now + self._link_delay(sender, receiver),
-                self._seq,
-                _UPDATE,
-                sender,
-                receiver,
-                prefix,
-                export,
-                self._epoch.get(key, 0),
-            ),
-        )
-        self._seq += 1
-        if export is None:
-            self.withdrawals_sent += 1
-        else:
-            self.updates_sent += 1
-        if self.config.record_messages:
-            self._record(
-                "msg",
-                sender=sender,
-                receiver=receiver,
-                prefix=prefix,
-                withdraw=export is None,
-            )
-        return export is not None
-
-    def _maybe_send(
-        self,
-        sender: int,
-        receiver: int,
-        prefix: str,
-        export: Optional[RouteTuple],
-    ) -> None:
-        key = (sender, receiver)
-        advertised = self._advertised.get(key)
-        if export == (advertised.get(prefix) if advertised else None):
-            pending = self._pending.get(key)
-            if pending:
-                pending.discard(prefix)
-            return
-        timer_open = self.now >= self._mrai_until.get(key, 0.0)
-        if timer_open or (export is None and not self.config.withdraw_mrai):
-            if self._transmit(key, prefix, export):
-                self._restart_mrai(key)
-            return
-        self._pending.setdefault(key, set()).add(prefix)
-        self.mrai_deferrals += 1
 
     # --- observation ----------------------------------------------------
 
@@ -740,6 +792,22 @@ class DynamicsEngine:
         """
         return {
             asn: _as_route(route)
+            for asn, route in self._best.get(prefix, {}).items()
+        }
+
+    def best_routes(
+        self, prefix: str = DEFAULT_PREFIX
+    ) -> Dict[int, Tuple[int, RouteTuple]]:
+        """Each AS's ``(origin, route)`` for ``prefix`` (a copy), origins
+        included.
+
+        ``route`` is the engine's own tuple, not a validated
+        :class:`Route`: the snapshot is for callers that count routes,
+        read origins and compare states, and two snapshots are equal
+        exactly when every AS holds the same route.
+        """
+        return {
+            asn: (route[3][-1], route)
             for asn, route in self._best.get(prefix, {}).items()
         }
 

@@ -253,15 +253,13 @@ def prefix_hijack(
     config = config or DynamicsConfig()
     plan = hijack_plan(victim, attacker)
     engine, setup_s = _after_opening(graph, plan, config)
-    baseline = engine.routes(VICTIM_PREFIX)
+    baseline = engine.best_routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _apply_phase(engine, plan, 1)
-    routes = engine.routes(VICTIM_PREFIX)
+    routes = engine.best_routes(VICTIM_PREFIX)
     captured = sorted(
-        asn for asn, route in routes.items() if route.origin == attacker
+        asn for asn, (origin, _) in routes.items() if origin == attacker
     )
-    moved = sum(
-        1 for asn in captured if baseline.get(asn, None) is not None
-    )
+    moved = sum(1 for asn in captured if asn in baseline)
     metrics = {
         "captured_ases": float(len(captured)),
         "captured_fraction": len(captured) / len(routes) if routes else 0.0,
@@ -305,9 +303,9 @@ def more_specific_hijack(
     config = config or DynamicsConfig()
     plan = more_specific_hijack_plan(victim, attacker)
     engine, setup_s = _after_opening(graph, plan, config)
-    covering = engine.routes(VICTIM_PREFIX)
+    covering = engine.best_routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _apply_phase(engine, plan, 1)
-    specific = engine.routes(MORE_SPECIFIC_PREFIX)
+    specific = engine.best_routes(MORE_SPECIFIC_PREFIX)
     # Longest-prefix match: holding any /25 route is capture.
     captured = sorted(asn for asn in specific if asn != attacker)
     metrics = {
@@ -353,11 +351,11 @@ def withdrawal_cascade(
     config = config or DynamicsConfig()
     plan = withdrawal_cascade_plan(victim)
     engine, setup_s = _after_opening(graph, plan, config)
-    baseline = engine.routes(VICTIM_PREFIX)
+    baseline = engine.best_routes(VICTIM_PREFIX)
     inject_s, blackout_s = _apply_phase(engine, plan, 1)
-    stranded = engine.routes(VICTIM_PREFIX)
+    stranded = engine.best_routes(VICTIM_PREFIX)
     recover_inject_s, recovered_s = _apply_phase(engine, plan, 2)
-    recovered_routes = engine.routes(VICTIM_PREFIX)
+    recovered_routes = engine.best_routes(VICTIM_PREFIX)
     metrics = {
         "baseline_reach": float(len(baseline)),
         "stranded_routes": float(len(stranded)),

@@ -41,7 +41,7 @@ def unit_draw(*parts: object) -> float:
     Fault plans, the routing engine's timer jitter and the scenario
     attacker choice all draw through it.
     """
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 

@@ -117,22 +117,33 @@ def _series_delays(series: Sequence[_EventSeries], times: np.ndarray) -> np.ndar
     ``[start, end)``, which on the sorted times is one run of
     positions, ``[searchsorted(start), searchsorted(end))`` (both
     ``"left"``).  A NaN time sorts last and lies in no run, as it fails
-    the comparisons of a full scan.
+    the comparisons of a full scan.  An event that ends by the earliest
+    non-NaN time or starts after the latest has an empty run, so it is
+    dropped before the search; with no such time every run is empty.
 
     Every (event, active time) pair is one weight of a ``np.bincount``,
-    the pairs laid out in stored event order.  Work is O(E log T +
-    pairs + len(series) * T) for E events.
+    the pairs laid out in stored event order.  Work is O(E + E' log T +
+    pairs + len(series) * T) for E events, E' of them in the window.
     """
     times = times.ravel()
     size = times.size
-    if not series:
-        return np.zeros((0, size))
     order = np.argsort(times)
     ranked = times[order]
+    priced = size - int(np.count_nonzero(np.isnan(ranked)))
+    if not series or not priced:
+        return np.zeros((len(series), size))
     start = np.concatenate([s.start for s in series])
     end = np.concatenate([s.end for s in series])
     magnitude = np.concatenate([s.magnitude for s in series])
     row_base = np.repeat(np.arange(len(series)) * size, [s.start.size for s in series])
+    # The dropped events add no pair; the rest keep their stored order.
+    window = (end > ranked[0]) & (start <= ranked[priced - 1])
+    start, end, magnitude, row_base = (
+        start[window],
+        end[window],
+        magnitude[window],
+        row_base[window],
+    )
     first = np.searchsorted(ranked, start, side="left")
     length = np.searchsorted(ranked, end, side="left") - first
     # Pair j of event i sits at sorted position first[i] + j.

@@ -479,6 +479,16 @@ class DynamicsEngine:
         """Best route per AS for ``prefix`` (a copy), origins included."""
         return dict(self._best.get(prefix, {}))
 
+    def best_routes(
+        self, prefix: str = DEFAULT_PREFIX
+    ) -> Dict[int, Tuple[int, Route]]:
+        """Each AS's ``(origin, route)`` for ``prefix`` (a copy), origins
+        included."""
+        return {
+            asn: (route.origin, route)
+            for asn, route in self._best.get(prefix, {}).items()
+        }
+
     def origins(self, prefix: str = DEFAULT_PREFIX) -> Tuple[int, ...]:
         """ASes currently originating ``prefix``, ascending."""
         return tuple(sorted(self._origins.get(prefix, {})))

@@ -3,7 +3,8 @@
 Synthesis, episode extraction, catchment geometry, redirection
 training, the beacon and cloudtiers campaigns, congestion-delay
 lookups, nearest-PoP lookups and city-pair distances each run one
-batched, pruned or memoised implementation.  This module keeps the
+batched, pruned or memoised implementation, and the hashed unit draw
+builds its sha256 input in one ``map``.  This module keeps the
 per-item loops they replaced, so ``tests/test_lane_agreement.py`` can
 check each against an independent implementation of the same
 computation, as :mod:`bgp_oracle` does for propagation.
@@ -18,6 +19,7 @@ comparison.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 from unittest import mock
@@ -578,3 +580,13 @@ def uncached_distances():
     generator, serialization and traces share — computes every city-pair
     distance afresh, in the caller's argument order."""
     return mock.patch.object(CityDistanceCache, "__call__", _scalar_km)
+
+
+# --- hashed unit draws -----------------------------------------------------
+
+
+def unit_draw_reference(*parts: object) -> float:
+    """:func:`repro.faults.plan.unit_draw` with its sha256 input joined
+    from a generator expression, one ``str(part)`` at a time."""
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)

@@ -653,6 +653,28 @@ def test_engine_agrees_with_oracle(world):
         assert _observed(engine) == _observed(oracle), stop
 
 
+@given(world_and_schedule())
+@settings(max_examples=30, deadline=None)
+def test_best_routes_follow_routes(world):
+    """In both engines ``best_routes`` holds an AS exactly when
+    ``routes`` does, with that route's origin, and two snapshots of a
+    run compare equal exactly when the routes they were taken from do."""
+    for engine_cls in (DynamicsEngine, OracleEngine):
+        engine = _scheduled(world, engine_cls)
+        taken = []
+        for stop in (*world.stops, None):
+            engine.run(until=stop)
+            for prefix in (DEFAULT_PREFIX, OTHER_PREFIX):
+                routes, snapshot = engine.routes(prefix), engine.best_routes(prefix)
+                assert {asn: origin for asn, (origin, _) in snapshot.items()} == {
+                    asn: route.origin for asn, route in routes.items()
+                }
+                taken.append((routes, snapshot))
+        for i, (routes, snapshot) in enumerate(taken):
+            for other_routes, other_snapshot in taken[i + 1 :]:
+                assert (snapshot == other_snapshot) == (routes == other_routes)
+
+
 @given(
     world_and_schedule(),
     st.sampled_from(["double-down", "stray-withdraw", "max-events"]),

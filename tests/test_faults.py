@@ -2,6 +2,9 @@
 
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_oracles import unit_draw_reference
 
 from repro.errors import FaultError
 from repro.faults import (
@@ -13,10 +16,37 @@ from repro.faults import (
     maybe_inject,
     parse_fault_spec,
 )
+from repro.faults.plan import unit_draw
 from repro.runner import JobSpec
 from repro.runner.spec import canonicalize
 
 HASHES = [f"{i:064x}" for i in range(400)]
+
+#: Every kind of part a draw hashes: seeds, ASNs and attempts (ints,
+#: negative and past 2**64 too), spec hashes and labels (strs, empty and
+#: non-ASCII too), floats and bools.
+DRAW_PARTS = st.one_of(
+    st.integers(),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64),
+    st.text(),
+    st.just(""),
+    st.text(alphabet=st.characters(min_codepoint=0x80), min_size=1),
+    st.floats(),
+    st.booleans(),
+)
+
+
+class TestUnitDraw:
+    @given(st.lists(DRAW_PARTS, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_join(self, parts):
+        """Fault-plan decisions, the routing engine's jitter and the
+        scenario attacker choice all draw through ``unit_draw``, so its
+        sha256 input must stay byte for byte the reference join."""
+        draw = unit_draw(*parts)
+        assert draw == unit_draw_reference(*parts)
+        assert 0.0 <= draw < 1.0
 
 
 class TestFaultPlan:

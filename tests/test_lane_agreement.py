@@ -40,6 +40,7 @@ import contextlib
 import dataclasses
 import zlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,14 +482,23 @@ class TestCongestionLookupLanes:
             st.text(alphabet="abcdef:0123456789", max_size=12),
             max_size=40,
         ),
+        layout=st.sampled_from(
+            ["random", "short-window", "all-nan", "window-on-edges"]
+        ),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_block_rows_equal_full_scan(self, seed, horizon, keys, data):
+    def test_block_rows_equal_full_scan(self, seed, horizon, keys, layout, data):
         """Every row of ``event_and_shift_delays`` is the full scan of
         its key's series, drawn one key at a time; at a 24 h horizon
         most shift series and some event series are empty, and a block
-        may have no key at all."""
+        may have no key at all.
+
+        The kernel searches only the events that overlap the priced
+        window, in stored order.  Beside random times, the window is a
+        few hours of a long horizon, or every time is NaN (no event is
+        searched), or the earliest time is an event's end (that event is
+        not searched) and the latest another's start (that one is)."""
         config = dataclasses.replace(SCAN_CONFIG, horizon_hours=horizon)
         lone = CongestionModel(seed, config)
         events = [key_events(lone, key) for key in keys]
@@ -496,20 +506,54 @@ class TestCongestionLookupLanes:
             data.draw(st.lists(st.sampled_from(keys), max_size=40)) if keys else []
         )
         shifts = [key_events(lone, key, shift=True) for key in shift_keys]
-        special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, horizon])
-        point = st.one_of(st.floats(min_value=-100.0, max_value=horizon + 100), special)
-        edges = _edges([e for series in events + shifts for e in series])
-        if edges:
-            point = st.one_of(point, st.sampled_from(edges))
-        times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        block_events = [e for series in events + shifts for e in series]
+        if layout == "all-nan":
+            times = np.full(data.draw(st.integers(min_value=0, max_value=5)), np.nan)
+        elif layout == "short-window":
+            opens = data.draw(st.floats(min_value=0.0, max_value=horizon - 3.0))
+            offsets = data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=30
+                )
+            )
+            times = opens + np.array(offsets)
+        elif layout == "window-on-edges" and block_events:
+            start, duration, _ = data.draw(st.sampled_from(block_events))
+            earliest = start + duration
+            later = [e for e in block_events if e[0] >= earliest]
+            latest = data.draw(st.sampled_from(later))[0] if later else earliest
+            inside = data.draw(
+                st.lists(st.floats(min_value=earliest, max_value=latest), max_size=20)
+            )
+            times = np.array([latest, *inside, earliest])
+        else:
+            special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, horizon])
+            point = st.one_of(
+                st.floats(min_value=-100.0, max_value=horizon + 100), special
+            )
+            edges = _edges(block_events)
+            if edges:
+                point = st.one_of(point, st.sampled_from(edges))
+            times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
         block = CongestionModel(seed, config)
-        event_rows, shift_rows = block.event_and_shift_delays(keys, shift_keys, times)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            event_rows, shift_rows = block.event_and_shift_delays(
+                keys, shift_keys, times
+            )
         assert event_rows.shape == (len(keys), times.size)
         assert shift_rows.shape == (len(shift_keys), times.size)
         for row, series in zip(event_rows, events):
             assert_same_bits(row, scan_events(series, times))
         for row, series in zip(shift_rows, shifts):
             assert_same_bits(row, scan_events(series, times))
+        priced = times[~np.isnan(times)]
+        in_window = [
+            start
+            for start, duration, _ in block_events
+            if priced.size and start + duration > priced.min() and start <= priced.max()
+        ]
+        searched = search.call_args_list[0].args[1].tolist() if search.called else []
+        assert searched == in_window
 
 
 @contextlib.contextmanager
