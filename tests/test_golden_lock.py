@@ -31,7 +31,11 @@ may depend on the salt of ``hash()``.
 
 After an intended behaviour change, re-record from the repo root with::
 
-    PYTHONPATH=src python tests/test_golden_lock.py
+    PYTHONPATH=src python tests/test_golden_lock.py [PREFIX ...]
+
+With prefixes, only the entries whose names start with one of them are
+recorded afresh (added, replaced or dropped); every other line of the
+recording is kept byte for byte.  Without, every entry is recorded.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -64,6 +68,7 @@ from repro.cloudtiers import (
 )
 from repro.core.configs import cdn_topology, cloud_topology, edgefabric_topology
 from repro.edgefabric.episodes import extract_episodes
+from repro.geo import WORLD_CITIES
 from repro.edgefabric.sampler import (
     MeasurementConfig,
     plan_measurement,
@@ -176,6 +181,18 @@ def _cli_ingest() -> Dict[str, Any]:
     return {"snapshot": digest, "medians": _median_sums(run.dataset().medians)}
 
 
+def _wan(wan) -> Dict[str, Any]:
+    """Every PoP pair's latency and path, and every city's nearest PoP."""
+    codes = wan.pop_codes
+    return {
+        "one-way-ms": [[wan.one_way_ms(a, b) for b in codes] for a in codes],
+        "paths": [[[p.code for p in wan.path(a, b)] for b in codes] for a in codes],
+        "nearest-pop": [
+            [city.name, wan.nearest_pop(city.location).code] for city in WORLD_CITIES
+        ],
+    }
+
+
 def compute_outputs() -> Dict[str, Any]:
     """Every locked output, keyed by entry name (plain JSON-like data)."""
     out: Dict[str, Any] = {}
@@ -198,10 +215,16 @@ def compute_outputs() -> Dict[str, Any]:
         out[f"topology/{label}/ases"] = doc.pop("ases")
         out[f"topology/{label}/links"] = doc.pop("links")
         out[f"topology/{label}/network"] = doc
-    # Two full-size worlds as the studies build them.  internet_to_dict
-    # omits each AS's neighbour order, which neighbors(), customers() and
-    # the generator's re-wire step read, so it is locked on its own.
-    for label, config in (("cdn-0", cdn_topology(0)), ("cloud-0", cloud_topology(0))):
+    # The three full-size worlds as the studies build them.
+    # internet_to_dict omits each AS's neighbour order, which neighbors(),
+    # customers() and the generator's re-wire step read, and keeps only
+    # the WAN's PoPs and backbone, so both are locked on their own.
+    full_size = (
+        ("edgefabric-0", edgefabric_topology(0)),
+        ("cdn-0", cdn_topology(0)),
+        ("cloud-0", cloud_topology(0)),
+    )
+    for label, config in full_size:
         world = build_internet(config)
         doc = internet_to_dict(world)
         out[f"topology/{label}/ases"] = doc.pop("ases")
@@ -211,6 +234,7 @@ def compute_outputs() -> Dict[str, Any]:
             [asys.asn, world.graph.neighbors(asys.asn)]
             for asys in world.graph.ases()
         ]
+        out[f"topology/{label}/wan"] = _wan(world.wan)
 
     internet = build_internet(small_topology_config())
     prefixes = small_client_prefixes(internet)
@@ -378,16 +402,39 @@ def test_matches_recording(group, recording, outputs):
     assert not problems, "\n".join(problems[:20])
 
 
+def _recorded_lines() -> Dict[str, str]:
+    """The recording's lines as written, keyed by entry name."""
+    lines = {}
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines()[1:-1]:
+        line = line.removesuffix(",")
+        (name,) = json.loads("{" + line + "}")
+        lines[name] = line
+    return lines
+
+
+def record(prefixes: Sequence[str] = ()) -> None:
+    """Record every entry afresh, or only those named by ``prefixes``."""
+    chosen = tuple(prefixes)
+    outputs = _outputs_in_child_process()
+    fresh = [name for name in outputs if not chosen or name.startswith(chosen)]
+    lines = {}
+    if chosen:
+        lines = {
+            name: line
+            for name, line in _recorded_lines().items()
+            if not name.startswith(chosen)
+        }
+    # One entry per line, so a re-recording diffs entry by entry.
+    for name in fresh:
+        lines[name] = f"{json.dumps(name)}: {json.dumps(_record(outputs[name]))}"
+    GOLDEN.parent.mkdir(exist_ok=True)
+    body = ",\n".join(lines[name] for name in sorted(lines))
+    GOLDEN.write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    print(f"recorded {len(fresh)} of {len(lines)} entries to {GOLDEN}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--emit"]:
         json.dump(compute_outputs(), sys.stdout)
     else:
-        outputs = _outputs_in_child_process()
-        # One entry per line, so a re-recording diffs entry by entry.
-        lines = [
-            f"{json.dumps(name)}: {json.dumps(_record(outputs[name]))}"
-            for name in sorted(outputs)
-        ]
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-        print(f"recorded {len(lines)} entries to {GOLDEN}")
+        record(sys.argv[1:])
