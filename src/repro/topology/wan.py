@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.geo import City, GeoPoint, great_circle_km, propagation_one_way_ms
 
@@ -63,12 +65,10 @@ class PrivateWan:
         self._index = {code: i for i, code in enumerate(self._codes)}
 
         n = len(self._codes)
-        inf = float("inf")
-        dist = [[inf] * n for _ in range(n)]
-        nxt: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            dist[i][i] = 0.0
-            nxt[i][i] = i
+        dist = np.full((n, n), np.inf)
+        nxt = np.full((n, n), -1, dtype=np.intp)
+        np.fill_diagonal(dist, 0.0)
+        np.fill_diagonal(nxt, np.arange(n))
         for x, y in backbone_edges:
             i, j = self._pop_index(x), self._pop_index(y)
             if i == j:
@@ -77,32 +77,31 @@ class PrivateWan:
                 self._pops[x].city.location, self._pops[y].city.location
             )
             ms = propagation_one_way_ms(km, inflation)
-            if ms < dist[i][j]:
-                dist[i][j] = dist[j][i] = ms
-                nxt[i][j] = j
-                nxt[j][i] = i
-        # Floyd-Warshall; PoP counts are small (tens), so O(n^3) is fine.
+            if ms < dist[i, j]:
+                dist[i, j] = dist[j, i] = ms
+                nxt[i, j] = j
+                nxt[j, i] = i
+        # Floyd-Warshall, one array step per intermediate PoP k.  Row and
+        # column k do not change in step k (the diagonal stays 0), so the
+        # step equals the scalar loop over every (i, j): the same IEEE
+        # sums, and a strict < that keeps the earlier next hop on a tie.
+        alt = np.empty_like(dist)
+        shorter = np.empty((n, n), dtype=bool)
         for k in range(n):
-            dk = dist[k]
-            for i in range(n):
-                dik = dist[i][k]
-                if dik == inf:
-                    continue
-                di = dist[i]
-                for j in range(n):
-                    alt = dik + dk[j]
-                    if alt < di[j]:
-                        di[j] = alt
-                        nxt[i][j] = nxt[i][k]
-        for i in range(n):
-            for j in range(n):
-                if dist[i][j] == inf:
-                    raise TopologyError(
-                        "WAN backbone is disconnected: no path "
-                        f"{self._codes[i]!r} -> {self._codes[j]!r}"
-                    )
-        self._dist = dist
-        self._next = nxt
+            np.add(dist[:, k, None], dist[None, k, :], out=alt)
+            np.less(alt, dist, out=shorter)
+            np.copyto(dist, alt, where=shorter)
+            np.copyto(nxt, nxt[:, k, None], where=shorter)
+        unreachable = np.argwhere(np.isinf(dist))
+        if len(unreachable):
+            i, j = unreachable[0]
+            raise TopologyError(
+                "WAN backbone is disconnected: no path "
+                f"{self._codes[i]!r} -> {self._codes[j]!r}"
+            )
+        # Plain floats and ints: every query reads single entries.
+        self._dist: List[List[float]] = dist.tolist()
+        self._next: List[List[int]] = nxt.tolist()
         self._nearest: Dict[GeoPoint, PointOfPresence] = {}
 
     def _pop_index(self, code: str) -> int:
@@ -169,7 +168,5 @@ class PrivateWan:
         i, j = self._pop_index(a), self._pop_index(b)
         hops = [i]
         while hops[-1] != j:
-            step = self._next[hops[-1]][j]
-            assert step is not None  # connectivity checked at build time
-            hops.append(step)
+            hops.append(self._next[hops[-1]][j])
         return [self._pops[self._codes[k]] for k in hops]

@@ -2,9 +2,10 @@
 
 Synthesis, episode extraction, catchment geometry, redirection
 training, the beacon and cloudtiers campaigns, congestion-delay
-lookups, nearest-PoP lookups and city-pair distances each run one
-batched, pruned or memoised implementation, and the hashed unit draw
-builds its sha256 input in one ``map``.  This module keeps the
+lookups, nearest-PoP lookups, city-pair distances and the WAN's
+shortest paths each run one batched, pruned or memoised
+implementation, and the hashed unit draw builds its sha256 input in
+one ``map``.  This module keeps the
 per-item loops they replaced, so ``tests/test_lane_agreement.py`` can
 check each against an independent implementation of the same
 computation, as :mod:`bgp_oracle` does for propagation.
@@ -20,6 +21,8 @@ comparison.
 from __future__ import annotations
 
 import hashlib
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 from unittest import mock
@@ -29,6 +32,7 @@ import numpy as np
 import repro.cdn.catchment as catchment_module
 import repro.edgefabric.sampler as sampler_module
 import repro.netmodel.congestion as congestion_module
+import repro.topology.generator as generator_module
 from repro.cdn.deployment import CdnDeployment
 from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
 from repro.cdn.measurement import BeaconConfig, BeaconDataset
@@ -43,8 +47,14 @@ from repro.cloudtiers import (
 from repro.cloudtiers.campaign import VpDayRecord
 from repro.cloudtiers.speedchecker import PING_CREDITS
 from repro.edgefabric.episodes import Episode, EpisodeStudyResult
-from repro.errors import MeasurementError, RoutingError
-from repro.geo import City, CityDistanceCache, GeoPoint, great_circle_km
+from repro.errors import MeasurementError, RoutingError, TopologyError
+from repro.geo import (
+    City,
+    CityDistanceCache,
+    GeoPoint,
+    great_circle_km,
+    propagation_one_way_ms,
+)
 from repro.netmodel import CongestionModel
 from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
 from repro.topology import PointOfPresence, PrivateWan
@@ -574,12 +584,72 @@ def _scalar_km(memo: CityDistanceCache, a: City, b: City) -> float:
     return great_circle_km(a.location, b.location)
 
 
+#: The generator's process-wide rankings of the city dataset.
+_RANKING_MEMOS = ("_HOMES", "_RANKED", "_ROWS", "_HUBS", "_NEAREST", "_MESHES")
+
+
+@contextmanager
 def uncached_distances():
     """Inside the block, every :class:`~repro.geo.CityDistanceCache` —
     the process's one memo, :data:`~repro.geo.CITY_DISTANCES`, that the
     generator, serialization and traces share — computes every city-pair
-    distance afresh, in the caller's argument order."""
-    return mock.patch.object(CityDistanceCache, "__call__", _scalar_km)
+    distance afresh, in the caller's argument order, and the generator
+    ranks the city dataset afresh into memos dropped at the end."""
+    fresh = {name: {} for name in _RANKING_MEMOS}
+    with mock.patch.object(CityDistanceCache, "__call__", _scalar_km):
+        with mock.patch.multiple(generator_module, **fresh):
+            yield
+
+
+# --- WAN shortest paths ----------------------------------------------------
+
+
+def wan_shortest_paths(
+    pops: Sequence[PointOfPresence],
+    backbone_edges: Sequence[Tuple[str, str]],
+    inflation: float = 1.08,
+) -> Tuple[List[List[float]], List[List[Optional[int]]]]:
+    """:class:`PrivateWan`'s latencies and next hops (``_dist`` and
+    ``_next``) by the scalar Floyd-Warshall loop, one (i, j) at a time.
+    A disconnected backbone raises the ``TopologyError`` naming the first
+    PoP pair, in row order, that has no path."""
+    codes = [pop.code for pop in pops]
+    index = {code: i for i, code in enumerate(codes)}
+    n = len(codes)
+    inf = math.inf
+    dist = [[inf] * n for _ in range(n)]
+    nxt: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0.0
+        nxt[i][i] = i
+    for x, y in backbone_edges:
+        i, j = index[x], index[y]
+        km = great_circle_km(pops[i].city.location, pops[j].city.location)
+        ms = propagation_one_way_ms(km, inflation)
+        if ms < dist[i][j]:
+            dist[i][j] = dist[j][i] = ms
+            nxt[i][j] = j
+            nxt[j][i] = i
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            dik = dist[i][k]
+            if dik == inf:
+                continue
+            di = dist[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+                    nxt[i][j] = nxt[i][k]
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] == inf:
+                raise TopologyError(
+                    "WAN backbone is disconnected: no path "
+                    f"{codes[i]!r} -> {codes[j]!r}"
+                )
+    return dist, nxt
 
 
 # --- hashed unit draws -----------------------------------------------------
