@@ -68,7 +68,7 @@ from repro.edgefabric.sampler import (
 )
 from repro.bgp import propagate
 from repro.netmodel import CongestionConfig, CongestionModel
-from repro.stream import IngestConfig, SessionIngestor, stream_sessions
+from repro.stream import SessionIngestor, stream_sessions
 from repro.topology import TopologyConfig, build_internet
 from repro.topology.generator import DEFAULT_POP_CITIES
 from repro.workloads import generate_client_prefixes
@@ -260,10 +260,10 @@ def bench_stream_ingest(internet, tier: str, repeats: int):
             )
         )
         sessions = int(sum(batch.n_sessions for batch in batches))
-        windows = int(config.days * 24.0 * 60.0 / IngestConfig().window_minutes)
+        windows = int(config.days * 24.0 * 60.0 / config.window_minutes)
 
         def centroid():
-            ingestor = SessionIngestor(IngestConfig())
+            ingestor = SessionIngestor(config.window_minutes)
             for batch in batches:
                 ingestor.feed(batch)
 

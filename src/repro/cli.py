@@ -527,16 +527,12 @@ def cmd_ingest(args) -> None:
         synthesize_dataset,
     )
     from repro.stream import (
-        IngestConfig,
         IngestShardStudy,
         ingest_plan,
         merge_snapshot_artifacts,
     )
 
     cfg = MeasurementConfig(days=args.days, seed=args.seed + 2)
-    ingest_config = IngestConfig(
-        window_minutes=cfg.window_minutes, max_centroids=args.max_centroids
-    )
     with span("ingest.topology", seed=args.seed):
         internet = build_internet(edgefabric_topology(args.seed))
     with span("ingest.workload"):
@@ -547,7 +543,7 @@ def cmd_ingest(args) -> None:
         plan = plan_measurement(internet, prefixes, cfg)
 
     with span("ingest.stream"):
-        run = ingest_plan(plan, cfg, ingest_config, chunk_windows=args.chunk_windows)
+        run = ingest_plan(plan, cfg, args.max_centroids, args.chunk_windows)
     ingestor = run.ingestor
     elapsed = run.elapsed_s
     rate = ingestor.sessions / elapsed if elapsed > 0 else float("inf")
@@ -567,8 +563,6 @@ def cmd_ingest(args) -> None:
                 ["batches", ingestor.batches],
                 ["sessions/sec", f"{rate:,.0f}"],
                 ["sketch cells", ingestor.n_cells],
-                ["peak open cells", ingestor.peak_open_cells],
-                ["late dropped", ingestor.late_dropped],
             ],
         )
     )
@@ -599,8 +593,6 @@ def cmd_ingest(args) -> None:
                     "windows": int(dataset.n_windows),
                     "pairs": int(dataset.n_pairs),
                     "cells": ingestor.n_cells,
-                    "peak_open_cells": ingestor.peak_open_cells,
-                    "late_dropped": ingestor.late_dropped,
                 },
                 fh,
                 indent=2,

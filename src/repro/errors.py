@@ -86,8 +86,8 @@ class StreamError(ReproError):
     Examples: updating a quantile sketch with non-finite samples,
     querying an empty sketch, merging sketches of different kinds or
     configurations, or deserializing a snapshot whose schema or
-    checksummed shape does not match.  Late-arriving *data* does not
-    raise — it is counted and dropped, exactly like a lost probe.
+    checksummed shape does not match.  Data arriving out of time order
+    does not raise: every session lands in its ⟨key, window⟩ cell.
     """
 
 

@@ -2,17 +2,16 @@
 
 Turns the batch pipelines' O(sessions) memory profile into O(windows):
 sessions are folded into one mergeable quantile sketch per
-⟨PoP, prefix, route⟩ 15-minute window as they arrive, windows close
-behind a watermark, and shard snapshots merge deterministically.
+⟨PoP, prefix, route⟩ 15-minute window as they arrive, held in one cell
+map, and shard snapshots merge deterministically.
 
 Layering (see ``docs/streaming.md``):
 
 * :mod:`repro.stream.sketch` — the centroid (t-digest style) quantile
   sketch: ``update_batch`` / ``merge`` / ``quantile`` / canonical JSON.
-* :mod:`repro.stream.window` — keyed tumbling windows with
-  watermark-based closing and late-data accounting.
-* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot`` and
-  ``merge_snapshots``, the one merge of ingest state.
+* :mod:`repro.stream.ingest` — ``SessionIngestor.feed/snapshot`` over
+  the one ``{(key, window): sketch}`` map, and ``merge_snapshots``,
+  the one merge of ingest state.
 * :mod:`repro.stream.sessions` — synthesizes the edge-fabric session
   stream batch-by-batch; :func:`ingest_plan` folds it into a
   ``SessionIngestor``, the one streaming path behind ``repro-bgp
@@ -22,9 +21,7 @@ Layering (see ``docs/streaming.md``):
 """
 
 from repro.stream.sketch import RANK_TOLERANCE, CentroidSketch, sketch_from_dict
-from repro.stream.window import WindowSpec, WindowedAggregator
 from repro.stream.ingest import (
-    IngestConfig,
     IngestSnapshot,
     Key,
     SessionBatch,
@@ -47,9 +44,6 @@ __all__ = [
     "RANK_TOLERANCE",
     "CentroidSketch",
     "sketch_from_dict",
-    "WindowSpec",
-    "WindowedAggregator",
-    "IngestConfig",
     "IngestSnapshot",
     "Key",
     "SessionBatch",

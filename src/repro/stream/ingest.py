@@ -3,8 +3,10 @@
 The streaming counterpart of :func:`repro.netmodel.rtt.sampled_median_matrix`:
 instead of materializing every session RTT and taking one median per
 ⟨PoP, prefix, route⟩ 15-minute window, a :class:`SessionIngestor` folds
-session batches into one mergeable quantile sketch per cell.  Memory is
-O(windows × keys), not O(sessions).
+session batches into one mergeable quantile sketch per such cell.  Its
+state is one ``{(key, window): sketch}`` map: every session lands in
+its cell whatever order the batches arrive in, and every cell is kept,
+so memory is O(windows × keys), not O(sessions).
 
 The unit of transport is a :class:`SessionBatch` — a compact columnar
 slab of ⟨key id, time, RTT⟩ rows plus a key table resolving ids to
@@ -13,65 +15,50 @@ synthesizer (:mod:`repro.stream.sessions`) yields and what shards feed.
 
 Determinism contract: feeding the same batches in the same order always
 yields byte-identical snapshots, and merging shard snapshots whose key
-sets are disjoint is byte-identical to one ingestor having seen all the
-shards' batches (each key's samples arrive in the same order either
-way).
+sets are disjoint is byte-identical to one ingestor having seen every
+shard's batches, one shard's whole stream after another (each key's
+samples arrive in the same order either way).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StreamError, require_int
 from repro.obs.trace import counter
-from repro.stream.sketch import (
-    CentroidSketch,
-    _dump_canonical,
-    sketch_from_dict,
-)
-from repro.stream.window import WindowedAggregator, WindowSpec
+from repro.stream.sketch import CentroidSketch, _dump_canonical, sketch_from_dict
 
 #: ⟨PoP code, prefix id, route index⟩ — the cell key of the measurement plane.
 Key = Tuple[str, str, int]
 
-_SNAPSHOT_SCHEMA = 1
+_SNAPSHOT_SCHEMA = 2
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """Configuration shared by every shard of one ingest campaign.
-
-    A frozen dataclass of scalars so it can ride inside a
-    :class:`~repro.runner.job.JobSpec` (content-hashable) unchanged.
-    """
-
-    window_minutes: float = 15.0
-    max_centroids: int = 64
-    allowed_lateness_windows: int = 1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.window_minutes) and self.window_minutes > 0):
-            raise StreamError(
-                "window_minutes must be finite and positive, got "
-                f"{self.window_minutes}"
-            )
-        # Stored as plain ints: the snapshot header records them as given.
-        max_centroids = require_int(self.max_centroids, "max_centroids", StreamError)
-        if max_centroids < 8:
-            raise StreamError(f"max_centroids must be >= 8, got {max_centroids}")
-        lateness = require_int(
-            self.allowed_lateness_windows, "allowed_lateness_windows", StreamError
+def _window_width(minutes: float) -> float:
+    """``minutes`` as given, refused unless a finite number > 0."""
+    if isinstance(minutes, bool) or not (math.isfinite(minutes) and minutes > 0):
+        raise StreamError(
+            f"window_minutes must be finite and positive, got {minutes!r}"
         )
-        if lateness < 0:
-            raise StreamError(
-                f"allowed_lateness_windows must be >= 0, got {lateness}"
-            )
-        object.__setattr__(self, "max_centroids", max_centroids)
-        object.__setattr__(self, "allowed_lateness_windows", lateness)
+    return minutes
+
+
+def _window_index(times_h: np.ndarray, window_minutes: float) -> np.ndarray:
+    """Window index per timestamp (hours): a vectorized floor division."""
+    return np.floor(times_h / (window_minutes / 60.0)).astype(np.int64)
+
+
+def _count(value: object, name: str) -> int:
+    """``value`` as a plain ``int`` >= 0, or a :class:`StreamError`."""
+    number = require_int(value, name, StreamError)
+    if number < 0:
+        raise StreamError(f"{name} must be >= 0, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -142,9 +129,9 @@ class IngestSnapshot:
     constant ``"centroid"``: the one sketch kind there is.
     """
 
-    config: IngestConfig
+    window_minutes: float
+    max_centroids: int
     sessions: int
-    late_dropped: int
     entries: Tuple[Tuple[Key, int, Mapping[str, object]], ...]
 
     def median_matrix(
@@ -158,9 +145,9 @@ class IngestSnapshot:
         column indices come from window *midpoints* so non-dyadic
         window widths cannot fall on a float boundary.
         """
-        spec = WindowSpec(self.config.window_minutes)
         times = np.asarray(times_h, dtype=np.float64)
-        widx = spec.index_of(times + 0.5 * spec.hours)
+        half_h = 0.5 * (self.window_minutes / 60.0)
+        widx = _window_index(times + half_h, self.window_minutes)
         col_of = {int(w): i for i, w in enumerate(widx)}
         pair_of = {
             (p.pop_code, p.prefix.pid): i for i, p in enumerate(pairs)
@@ -180,12 +167,10 @@ class IngestSnapshot:
         return {
             "schema": _SNAPSHOT_SCHEMA,
             "kind": "ingest-snapshot",
-            "window_minutes": self.config.window_minutes,
+            "window_minutes": self.window_minutes,
             "sketch": CentroidSketch.kind,
-            "max_centroids": self.config.max_centroids,
-            "allowed_lateness_windows": self.config.allowed_lateness_windows,
+            "max_centroids": self.max_centroids,
             "sessions": self.sessions,
-            "late_dropped": self.late_dropped,
             "entries": [
                 {
                     "pop": key[0],
@@ -203,44 +188,66 @@ class IngestSnapshot:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "IngestSnapshot":
+        """Load a :meth:`to_dict` form, refusing state no ingestor writes.
+
+        Integers must be ints (not floats or ``bool``), and counts and
+        routes >= 0.  Entries must strictly increase by ⟨key, window⟩,
+        so a loaded snapshot re-serializes to its own bytes, and the
+        cells' sketch counts must sum to ``sessions``: every session
+        an ingestor is fed lands in a cell.  Cell sketches are checked
+        in full where they are rebuilt (merge, medians).
+        """
         try:
             if data["kind"] != "ingest-snapshot":
                 raise StreamError(
                     f"not an ingest snapshot: kind={data['kind']!r}"
                 )
-            if data["schema"] != _SNAPSHOT_SCHEMA:
+            schema = require_int(data["schema"], "snapshot schema", StreamError)
+            if schema != _SNAPSHOT_SCHEMA:
                 raise StreamError(
-                    f"unsupported snapshot schema {data['schema']!r}"
+                    f"unsupported snapshot schema {schema}; expected {_SNAPSHOT_SCHEMA}"
+                    " (re-run the ingest, or clear the result cache that served it)"
                 )
             if data["sketch"] != CentroidSketch.kind:
                 raise StreamError(
                     f"unsupported snapshot sketch kind {data['sketch']!r}; "
                     f"expected {CentroidSketch.kind!r}"
                 )
-            config = IngestConfig(
-                window_minutes=float(data["window_minutes"]),  # type: ignore[arg-type]
-                max_centroids=int(data["max_centroids"]),  # type: ignore[call-overload]
-                allowed_lateness_windows=int(
-                    data["allowed_lateness_windows"]  # type: ignore[call-overload]
-                ),
-            )
-            entries = []
+            width, budget = data["window_minutes"], data["max_centroids"]
+            window_minutes = _window_width(width)  # type: ignore[arg-type]
+            max_centroids = require_int(budget, "max_centroids", StreamError)
+            CentroidSketch(max_centroids)  # refuses a budget below 8
+            sessions = _count(data["sessions"], "sessions")
+            entries: List[Tuple[Key, int, Mapping[str, object]]] = []
+            total = 0
             for row in data["entries"]:  # type: ignore[attr-defined]
-                key = (str(row["pop"]), str(row["prefix"]), int(row["route"]))
-                entries.append((key, int(row["window"]), row["sketch"]))
-            return cls(
-                config=config,
-                sessions=int(data["sessions"]),  # type: ignore[call-overload]
-                late_dropped=int(data["late_dropped"]),  # type: ignore[call-overload]
-                entries=tuple(entries),
-            )
+                key = (row["pop"], row["prefix"], _count(row["route"], "route"))
+                if not (isinstance(key[0], str) and isinstance(key[1], str)):
+                    raise StreamError(f"pop and prefix must be strings: {key}")
+                window = require_int(row["window"], "window", StreamError)
+                if entries and (key, window) <= entries[-1][:2]:
+                    raise StreamError(
+                        "entries must strictly increase by key and window: "
+                        f"{(key, window)} follows {entries[-1][:2]}"
+                    )
+                payload = row["sketch"]
+                total += _count(payload["count"], "sketch count")
+                entries.append((key, window, payload))
         except (KeyError, TypeError, ValueError) as exc:
             raise StreamError(f"malformed ingest snapshot: {exc}") from exc
+        if total != sessions:
+            raise StreamError(
+                f"sessions {sessions} is not the cells' count total {total}"
+            )
+        return cls(
+            window_minutes=window_minutes,
+            max_centroids=max_centroids,
+            sessions=sessions,
+            entries=tuple(entries),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "IngestSnapshot":
-        import json
-
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -251,94 +258,88 @@ class IngestSnapshot:
 
 
 class SessionIngestor:
-    """Streaming aggregation of session batches into per-cell sketches."""
+    """Folds session batches into one centroid sketch per ⟨key, window⟩.
 
-    def __init__(self, config: Optional[IngestConfig] = None) -> None:
-        self.config = config or IngestConfig()
-        self._agg = WindowedAggregator(
-            window_minutes=self.config.window_minutes,
-            max_centroids=self.config.max_centroids,
-            allowed_lateness_windows=self.config.allowed_lateness_windows,
-        )
+    Args:
+        window_minutes: Window width; the measurement's own (15 in the
+            paper's protocol).
+        max_centroids: Centroid budget of each cell's sketch.
+    """
+
+    def __init__(self, window_minutes: float, max_centroids: int = 64) -> None:
+        self.window_minutes = _window_width(window_minutes)
+        # A throwaway sketch checks the budget before any cell needs one.
+        self.max_centroids = CentroidSketch(max_centroids).max_centroids
+        self._cells: Dict[Tuple[Key, int], CentroidSketch] = {}
         self.sessions = 0
         self.batches = 0
 
     @property
-    def late_dropped(self) -> int:
-        return self._agg.late_dropped
-
-    @property
     def n_cells(self) -> int:
-        return self._agg.n_cells
-
-    @property
-    def peak_open_cells(self) -> int:
-        return self._agg.peak_open
-
-    @property
-    def watermark_h(self) -> float:
-        return self._agg.watermark_h
+        return len(self._cells)
 
     def feed(self, batch: SessionBatch) -> None:
-        """Fold one batch, then advance the watermark to its newest time."""
+        """Fold one batch: each session updates its ⟨key, window⟩ cell.
+
+        One stable sort by (key id, window) groups the batch; each
+        group is one ``update_batch``, in the batch's own row order.
+        """
         if batch.n_sessions:
-            order = np.argsort(batch.key_ids, kind="stable")
+            windows = _window_index(batch.times_h, self.window_minutes)
+            order = np.lexsort((windows, batch.key_ids))
             ids = batch.key_ids[order]
-            times = batch.times_h[order]
+            windows = windows[order]
             rtts = batch.rtt_ms[order]
-            bounds = np.flatnonzero(np.diff(ids)) + 1
-            for id_chunk, t_chunk, r_chunk in zip(
-                np.split(ids, bounds),
-                np.split(times, bounds),
-                np.split(rtts, bounds),
-            ):
-                key = batch.key_table[int(id_chunk[0])]
-                self._agg.observe(key, t_chunk, r_chunk)
-            self._agg.advance_watermark(float(batch.times_h.max()))
+            # A cell's run starts wherever the key id or the window changes.
+            starts = np.flatnonzero(np.diff(ids) | np.diff(windows)) + 1
+            los = [0, *starts.tolist()]
+            his = [*los[1:], ids.size]
+            firsts = zip(ids[los].tolist(), windows[los].tolist())
+            for lo, hi, (kid, window) in zip(los, his, firsts):
+                cell = (batch.key_table[kid], window)
+                sketch = self._cells.get(cell)
+                if sketch is None:
+                    sketch = self._cells[cell] = CentroidSketch(self.max_centroids)
+                sketch.update_batch(rtts[lo:hi])
         self.sessions += batch.n_sessions
         self.batches += 1
         counter("stream.ingest.sessions", batch.n_sessions)
         counter("stream.ingest.batches", 1)
 
     def snapshot(self) -> IngestSnapshot:
-        entries = sorted(
-            (
-                (key, window, sketch.to_dict())
-                for key, window, sketch in self._agg.items()
-            ),
-            key=lambda kws: (kws[0], kws[1]),
-        )
         return IngestSnapshot(
-            config=self.config,
+            window_minutes=self.window_minutes,
+            max_centroids=self.max_centroids,
             sessions=self.sessions,
-            late_dropped=self.late_dropped,
-            entries=tuple(entries),
+            entries=tuple(
+                (key, window, self._cells[key, window].to_dict())
+                for key, window in sorted(self._cells)
+            ),
         )
 
 
 def merge_snapshots(snapshots: Sequence[IngestSnapshot]) -> IngestSnapshot:
     """Deterministically fold shard snapshots into one.
 
-    All snapshots must share one config.  Per-cell sketches are merged
-    in sorted ⟨key, window⟩ order; for the disjoint-key sharding the
-    campaign layer uses, the result is byte-identical to a single
-    ingestor having consumed every shard's stream.
+    All snapshots must share one window width and centroid budget.
+    Per-cell sketches are merged in sorted ⟨key, window⟩ order; for the
+    disjoint-key sharding the campaign layer uses, the result is
+    byte-identical to a single ingestor having consumed every shard's
+    stream.
     """
     if not snapshots:
         raise StreamError("cannot merge zero snapshots")
-    config = snapshots[0].config
+    first = snapshots[0]
+    config = (first.window_minutes, first.max_centroids)
     for snap in snapshots[1:]:
-        if snap.config != config:
+        other = (snap.window_minutes, snap.max_centroids)
+        if other != config:
             raise StreamError(
-                "cannot merge snapshots with different configs: "
-                f"{config} vs {snap.config}"
+                "cannot merge snapshots with different configs "
+                f"(window_minutes, max_centroids): {config} vs {other}"
             )
     cells: Dict[Tuple[Key, int], CentroidSketch] = {}
-    sessions = 0
-    late = 0
     for snap in snapshots:
-        sessions += snap.sessions
-        late += snap.late_dropped
         for key, window, payload in snap.entries:
             cell = (key, window)
             incoming = sketch_from_dict(payload)
@@ -347,13 +348,12 @@ def merge_snapshots(snapshots: Sequence[IngestSnapshot]) -> IngestSnapshot:
                 cells[cell] = incoming
             else:
                 existing.merge(incoming)
-    entries = tuple(
-        (key, window, cells[(key, window)].to_dict())
-        for key, window in sorted(cells)
-    )
     return IngestSnapshot(
-        config=config,
-        sessions=sessions,
-        late_dropped=late,
-        entries=entries,
+        window_minutes=first.window_minutes,
+        max_centroids=first.max_centroids,
+        sessions=sum(snap.sessions for snap in snapshots),
+        entries=tuple(
+            (key, window, cells[key, window].to_dict())
+            for key, window in sorted(cells)
+        ),
     )

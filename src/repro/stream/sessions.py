@@ -49,7 +49,6 @@ from repro.edgefabric.sampler import (
     window_grid,
 )
 from repro.stream.ingest import (
-    IngestConfig,
     IngestSnapshot,
     Key,
     SessionBatch,
@@ -157,8 +156,8 @@ class PlanIngest:
     Attributes:
         plan: The measurement plan that was streamed.
         config: Campaign parameters of the stream.
-        ingestor: The ingestor after the last batch (session, batch,
-            cell and late-data counters).
+        ingestor: The ingestor after the last batch (session, batch
+            and cell counters).
         snapshot: The ingestor's final snapshot.
         elapsed_s: Monotonic seconds spent synthesizing and feeding the
             session batches.
@@ -189,7 +188,7 @@ class PlanIngest:
 def ingest_plan(
     plan: MeasurementPlan,
     config: Optional[MeasurementConfig] = None,
-    ingest_config: Optional[IngestConfig] = None,
+    max_centroids: int = 64,
     chunk_windows: int = 16,
 ) -> PlanIngest:
     """Stream a plan's sessions into a :class:`SessionIngestor`.
@@ -197,25 +196,14 @@ def ingest_plan(
     Args:
         plan: Output of :func:`repro.edgefabric.sampler.plan_measurement`;
             an empty plan (a shard with no pairs) streams nothing.
-        config: Campaign parameters (same object batch synthesis takes).
-        ingest_config: Sketch kind and centroid budget; its window
-            width must match the measurement window.
+        config: Campaign parameters (same object batch synthesis takes);
+            its window width is the ingest's.
+        max_centroids: Centroid budget of each cell's sketch.
         chunk_windows: Windows per session batch; the snapshot is
             invariant to it.
-
-    Raises:
-        MeasurementError: if the ingest and measurement windows differ.
     """
     cfg = config or MeasurementConfig()
-    if ingest_config is None:
-        ingest_config = IngestConfig(window_minutes=cfg.window_minutes)
-    elif ingest_config.window_minutes != cfg.window_minutes:
-        raise MeasurementError(
-            "ingest_config.window_minutes "
-            f"({ingest_config.window_minutes}) must match the measurement "
-            f"window ({cfg.window_minutes})"
-        )
-    ingestor = SessionIngestor(ingest_config)
+    ingestor = SessionIngestor(cfg.window_minutes, max_centroids)
     start = time.perf_counter()
     if plan.pairs:
         for batch in stream_sessions(plan, cfg, chunk_windows=chunk_windows):

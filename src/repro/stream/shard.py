@@ -28,7 +28,7 @@ from repro.errors import StreamError, require_int
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.study import StudyResult
 from repro.obs.trace import span
-from repro.stream.ingest import IngestConfig, IngestSnapshot, merge_snapshots
+from repro.stream.ingest import IngestSnapshot, merge_snapshots
 
 #: Artifact key under which shard studies store their snapshot.
 SNAPSHOT_ARTIFACT = "ingest_snapshot"
@@ -113,22 +113,14 @@ class IngestShardStudy:
                 pairs=tuple(plan.pairs[i] for i in keep),
                 prefixes=tuple(plan.prefixes[i] for i in keep),
             )
-        ingest_config = IngestConfig(
-            window_minutes=cfg.window_minutes,
-            max_centroids=self.max_centroids,
-        )
         with span("study.ingest.stream", shard=self.shard):
-            run = ingest_plan(
-                shard_plan, cfg, ingest_config, chunk_windows=self.chunk_windows
-            )
+            run = ingest_plan(shard_plan, cfg, self.max_centroids, self.chunk_windows)
         ingestor = run.ingestor
         summary = {
             "n_pairs": float(len(shard_plan.pairs)),
             "sessions": float(ingestor.sessions),
             "batches": float(ingestor.batches),
             "cells": float(ingestor.n_cells),
-            "peak_open_cells": float(ingestor.peak_open_cells),
-            "late_dropped": float(ingestor.late_dropped),
         }
         return StudyResult(
             name=f"ingest-shard-{self.shard}-of-{self.n_shards}",

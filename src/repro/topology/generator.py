@@ -311,9 +311,10 @@ class TopologyConfig:
             count can be higher because every country in the cities
             dataset gets at least one eyeball.
         pop_cities: ``(code, city name)`` pairs for the provider's PoPs.
-        wan_backbone: Explicit backbone adjacency over PoP codes; when
-            ``None`` and the default PoP set is used, the curated default
-            backbone applies, otherwise a nearest-neighbour mesh is built.
+        wan_backbone: Explicit backbone adjacency over PoP codes, each
+            edge two distinct codes of ``pop_cities``; when ``None`` and
+            the default PoP set is used, the curated default backbone
+            applies, otherwise a nearest-neighbour mesh is built.
         dc_pop_code: PoP hosting the provider's (cloud) data center.
         ixp_city_names: Cities with a public exchange fabric.
         provider_transit_count: How many Tier-1s the provider buys from.
@@ -400,6 +401,14 @@ class TopologyConfig:
             raise TopologyError(
                 f"dc_pop_code {self.dc_pop_code!r} is not among pop_cities"
             )
+        code_set = set(codes)
+        for edge in self.wan_backbone or ():
+            ends = tuple(edge) if isinstance(edge, (tuple, list)) else ()
+            if len(ends) != 2 or ends[0] == ends[1] or not set(ends) <= code_set:
+                raise TopologyError(
+                    "wan_backbone edges must join two distinct pop_cities "
+                    f"codes, got {edge!r}"
+                )
         for name, cities in (
             ("pop_cities", [city for _, city in self.pop_cities]),
             ("ixp_city_names", self.ixp_city_names),

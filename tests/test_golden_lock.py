@@ -75,7 +75,7 @@ from repro.edgefabric.sampler import (
     run_measurement,
     synthesize_dataset,
 )
-from repro.stream import IngestConfig, ingest_plan
+from repro.stream import ingest_plan
 from repro.topology import TopologyConfig, build_internet
 from repro.topology.generator import DEFAULT_POP_CITIES
 from repro.topology.serialization import internet_to_dict
@@ -176,7 +176,7 @@ def _cli_ingest() -> Dict[str, Any]:
     internet = build_internet(edgefabric_topology(0))
     prefixes = generate_client_prefixes(internet, 25, seed=1)
     plan = plan_measurement(internet, prefixes, cfg)
-    run = ingest_plan(plan, cfg, IngestConfig(window_minutes=cfg.window_minutes))
+    run = ingest_plan(plan, cfg)
     digest, _ = _fingerprint(run.snapshot.to_dict())
     return {"snapshot": digest, "medians": _median_sums(run.dataset().medians)}
 

@@ -39,6 +39,11 @@ def _one_pop_wan(inflation):
     return PrivateWan([PointOfPresence("lhr", city_named("London"))], [], inflation)
 
 
+def _backbone_config(backbone):
+    """A small config over the default PoPs with an explicit backbone."""
+    return TopologyConfig(n_tier1=2, n_transit=7, n_eyeball=10, wan_backbone=backbone)
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         TopologyConfig()
@@ -120,6 +125,21 @@ class TestConfigValidation:
                 lambda: TopologyConfig(ixp_city_names=("London", "Atlantis")),
                 "ixp_city_names",
                 id="unknown-ixp-city",
+            ),
+            pytest.param(
+                lambda: _backbone_config((("iad", "xxx"),)),
+                "wan_backbone",
+                id="backbone-unknown-pop",
+            ),
+            pytest.param(
+                lambda: _backbone_config((("lhr", "lhr"),)),
+                "wan_backbone",
+                id="backbone-self-loop",
+            ),
+            pytest.param(
+                lambda: _backbone_config((("iad",),)),
+                "wan_backbone",
+                id="backbone-one-ended-edge",
             ),
             pytest.param(
                 lambda: _stub_as(math.nan), "backbone_inflation", id="as-inflation-nan"
