@@ -2,8 +2,8 @@
 
 Topology generation, propagation, episode extraction, catchment
 geometry, redirection training, the cloudtiers campaign, edgefabric
-synthesis, the session-stream ingest and the event-driven routing
-scenarios each have one implementation.
+synthesis, the session-stream ingest, the event-driven routing
+scenarios and the figure analyses each have one implementation.
 This module pins their output on small fixed worlds, plus two
 full-size topologies, against a recording in
 ``tests/data/golden_lock.json``, so a refactor that changes any of it
@@ -23,7 +23,10 @@ per-pair and per-window sums.  Streamed datasets and ingest snapshots
 add their sketch medians the same way; a snapshot's exact part (cells,
 counts, sketch shapes) is locked by one digest.  A routing scenario's
 exact part is the sha256 of its ``to_json()`` bytes, next to its
-summary, whose floats are compared one by one.
+summary, whose floats are compared one by one.  A figure's CDF is
+locked by its number of distinct values and its quantiles on a 0.01
+grid (a CCDF by its values and survival fractions at 101 evenly spaced
+indices), next to the figure's fractions and medians.
 
 The entries are computed in a child process that inherits the caller's
 ``PYTHONHASHSEED`` (a fresh random salt when it is unset), so no entry
@@ -56,7 +59,11 @@ from conftest import small_client_prefixes, small_topology_config
 
 from repro.bgp import SCENARIOS, PropagationRequest, propagate_many, run_scenario
 from repro.bgp.dynamics import DynamicsConfig
-from repro.cdn import CdnDeployment
+from repro.cdn import (
+    CdnDeployment,
+    anycast_vs_best_unicast,
+    redirection_improvement,
+)
 from repro.cdn.catchment import catchment_map
 from repro.cdn.dns_redirection import train_redirection_policy
 from repro.cdn.measurement import BeaconConfig, run_beacon_campaign
@@ -64,11 +71,22 @@ from repro.cloudtiers import (
     CampaignConfig,
     CloudDeployment,
     SpeedcheckerPlatform,
+    country_medians,
+    goodput_comparison,
+    india_case_study,
+    ingress_distance_cdf,
     run_campaign,
 )
 from repro.core.configs import cdn_topology, cloud_topology, edgefabric_topology
+from repro.core.schemes import compare_schemes
+from repro.edgefabric.analysis import (
+    bgp_vs_best_alternate,
+    persistence_decomposition,
+    route_class_comparison,
+)
 from repro.edgefabric.episodes import extract_episodes
 from repro.geo import WORLD_CITIES
+from repro.errors import AnalysisError
 from repro.edgefabric.sampler import (
     MeasurementConfig,
     plan_measurement,
@@ -95,6 +113,7 @@ GROUPS = (
     "synthesis",
     "ingest",
     "scenario",
+    "analysis",
 )
 
 SEEDS = (0, 1, 2)
@@ -181,6 +200,92 @@ def _cli_ingest() -> Dict[str, Any]:
     return {"snapshot": digest, "medians": _median_sums(run.dataset().medians)}
 
 
+_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def _cdf_grid(cdf) -> Dict[str, Any]:
+    """A CDF's size and its quantiles at q = 0, 0.01, ..., 1."""
+    return {"n": len(cdf.xs), "quantiles": [cdf.quantile(q) for q in _GRID]}
+
+
+def _ccdf_grid(ccdf) -> Dict[str, Any]:
+    """A CCDF's size and its (x, P(value > x)) at 101 spread indices."""
+    idx = np.linspace(0, len(ccdf.xs) - 1, 101).round().astype(int)
+    return {"n": len(ccdf.xs), "xs": ccdf.xs[idx].tolist(), "ps": ccdf.ps[idx].tolist()}
+
+
+def _fields(result, grids=()) -> Dict[str, Any]:
+    """A figure's fields as plain data, its CDFs as quantile grids."""
+    doc = {}
+    for name, value in vars(result).items():
+        if name in grids:
+            doc[name] = _cdf_grid(value)
+        elif isinstance(value, dict):
+            doc[name] = {getattr(k, "value", k): v for k, v in value.items()}
+        else:
+            doc[name] = value
+    return doc
+
+
+def _edgefabric_figures(dataset) -> Dict[str, Any]:
+    """Figures 1 and 2, Section 3.1.1 and the scheme comparison."""
+    out: Dict[str, Any] = {}
+    fig1 = bgp_vs_best_alternate(dataset)
+    out["analysis/fig1"] = _fields(fig1, grids=("cdf", "cdf_lower", "cdf_upper"))
+    try:
+        fig2 = _fields(
+            route_class_comparison(dataset),
+            grids=("peer_vs_transit", "private_vs_public"),
+        )
+    except AnalysisError as exc:
+        fig2 = {"error": str(exc)}
+    out["analysis/fig2"] = fig2
+    out["analysis/persistence"] = asdict(persistence_decomposition(dataset))
+    out["analysis/schemes"] = compare_schemes(dataset)
+    return out
+
+
+def _cdn_figures(beacons, policy) -> Dict[str, Any]:
+    """Figure 3 per group and Figure 4 of one beacon campaign."""
+    fig3 = anycast_vs_best_unicast(beacons)
+    fig4 = redirection_improvement(beacons, policy)
+    return {
+        "fig3": {
+            "ccdfs": {g: _ccdf_grid(c) for g, c in fig3.ccdfs.items()},
+            "frac_within_10ms": fig3.frac_within_10ms,
+            "frac_beyond_100ms": fig3.frac_beyond_100ms,
+        },
+        "fig4": _fields(fig4, grids=("median_cdf", "p75_cdf")),
+    }
+
+
+def _cloud_figures(campaign, deployment) -> Dict[str, Any]:
+    """Figure 5, the ingress fractions, the India case and goodput."""
+    fig5 = country_medians(campaign)
+    try:
+        india = asdict(india_case_study(campaign, deployment))
+    except AnalysisError as exc:
+        india = {"error": str(exc)}
+    return {
+        "analysis/fig5": {
+            "country_diff_ms": fig5.country_diff_ms,
+            "country_vp_count": fig5.country_vp_count,
+            "frac_within_10ms": fig5.frac_within_10ms,
+            "premium_better": fig5.premium_better,
+            "standard_better": fig5.standard_better,
+            "region_medians": {r.value: v for r, v in fig5.region_medians.items()},
+        },
+        "analysis/ingress": {
+            tier.value: frac
+            for tier, frac in ingress_distance_cdf(
+                campaign, deployment
+            ).frac_within_400km.items()
+        },
+        "analysis/india": india,
+        "analysis/goodput": _fields(goodput_comparison(campaign)),
+    }
+
+
 def _wan(wan) -> Dict[str, Any]:
     """Every PoP pair's latency and path, and every city's nearest PoP."""
     codes = wan.pop_codes
@@ -262,9 +367,9 @@ def compute_outputs() -> Dict[str, Any]:
         out[f"routes/grooming-{label}"] = _routes(table)
 
     plan = plan_measurement(internet, prefixes, MeasurementConfig(days=2.0))
-    out["synthesis/synthesize-seed-0"] = _egress_tensors(
-        synthesize_dataset(plan, MeasurementConfig(days=2.0, seed=0))
-    )
+    synthesized = synthesize_dataset(plan, MeasurementConfig(days=2.0, seed=0))
+    out["synthesis/synthesize-seed-0"] = _egress_tensors(synthesized)
+    out.update(_edgefabric_figures(synthesized))
     out["synthesis/run-measurement-seed-2"] = _egress_tensors(
         run_measurement(internet, prefixes, MeasurementConfig(days=1.0, seed=2))
     )
@@ -300,11 +405,15 @@ def compute_outputs() -> Dict[str, Any]:
             "choices": dict(policy.choices),
             "prefix_choices": dict(policy.prefix_choices),
         }
+        for label, figure in _cdn_figures(beacons, policy).items():
+            out[f"analysis/{label}/seed-{seed}"] = figure
 
+    cloud = CloudDeployment(internet)
     campaign = run_campaign(
-        SpeedcheckerPlatform(CloudDeployment(internet), seed=4),
+        SpeedcheckerPlatform(cloud, seed=4),
         CampaignConfig(days=2, vps_per_day=25, rounds_per_day=4, seed=4),
     )
+    out.update(_cloud_figures(campaign, cloud))
     out["cloudtiers/records"] = [
         [r.vp_id, r.day, {tier.value: ms for tier, ms in r.median_ms.items()}]
         for r in campaign.records
