@@ -5,7 +5,7 @@ from repro.analysis.stats import (
     weighted_cdf,
     weighted_ccdf,
     weighted_quantile,
-    weighted_fraction_below,
+    nanmedian,
 )
 from repro.analysis.compare import area_between, ks_distance, quantile_shift
 from repro.analysis.plot import ascii_cdf_figure, ascii_plot
@@ -20,7 +20,7 @@ __all__ = [
     "weighted_cdf",
     "weighted_ccdf",
     "weighted_quantile",
-    "weighted_fraction_below",
+    "nanmedian",
     "area_between",
     "ks_distance",
     "quantile_shift",

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.analysis import Cdf, weighted_cdf, weighted_ccdf
+from repro.analysis import Cdf, weighted_cdf
 from repro.geo import Region
 from repro.cdn.dns_redirection import (
     ANYCAST,
@@ -74,7 +74,7 @@ def anycast_vs_best_unicast(dataset: BeaconDataset) -> Fig3Result:
         g = g[valid]
         w = w[valid]
         cdf = weighted_cdf(g, w)
-        ccdfs[group] = weighted_ccdf(g, w)
+        ccdfs[group] = cdf.complement()
         within[group] = cdf.fraction_at_most(10.0)
         beyond[group] = 1.0 - cdf.fraction_at_most(100.0) + _mass_at(g, w, 100.0)
     if "world" not in ccdfs:
@@ -127,25 +127,27 @@ def redirection_improvement(
     ``anycast RTT − RTT of the policy's chosen target``.
     """
     window = evaluation_slice(dataset, train_fraction)
-    med = np.full(dataset.n_prefixes, np.nan)
-    p75 = np.full(dataset.n_prefixes, np.nan)
+    anycast = dataset.anycast_rtt[:, window]
+    chosen = anycast.copy()
     for i, prefix in enumerate(dataset.prefixes):
         choice = policy.choice_for(prefix.ldns, pid=prefix.pid)
-        anycast = dataset.anycast_rtt[i, window]
-        if choice == ANYCAST:
-            chosen = anycast
-        else:
-            col = dataset.column_of(i, choice)
-            if col is None:
-                chosen = anycast
-            else:
-                chosen = dataset.unicast_rtt[i, window, col]
-        improvement = anycast - chosen
-        improvement = improvement[~np.isnan(improvement)]
-        if improvement.size == 0:
-            continue
-        med[i] = float(np.median(improvement))
-        p75[i] = float(np.quantile(improvement, 0.75))
+        col = None if choice == ANYCAST else dataset.column_of(i, choice)
+        if col is not None:
+            chosen[i] = dataset.unicast_rtt[i, window, col]
+    improvement = anycast - chosen
+    med = np.full(dataset.n_prefixes, np.nan)
+    p75 = np.full(dataset.n_prefixes, np.nan)
+    # Rows without a NaN take the axis calls, which equal per-row calls;
+    # a row with one takes its valid requests on their own.
+    full = ~np.isnan(improvement).any(axis=1)
+    if full.any():
+        med[full] = np.median(improvement[full], axis=1)
+        p75[full] = np.quantile(improvement[full], 0.75, axis=1)
+    for i in np.flatnonzero(~full):
+        row = improvement[i][~np.isnan(improvement[i])]
+        if row.size:
+            med[i] = np.median(row)
+            p75[i] = np.quantile(row, 0.75)
     valid = ~np.isnan(med)
     if not valid.any():
         raise AnalysisError("no prefix has evaluation measurements")

@@ -9,11 +9,12 @@ Tier (BGP on the public Internet) performed better.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.analysis import nanmedian
 from repro.geo import Region, great_circle_km, region_of_country
 from repro.netmodel.tcp import TcpPath, goodput_mbps
 from repro.cloudtiers.campaign import TierDataset
@@ -55,15 +56,11 @@ def country_medians(dataset: TierDataset, min_vps: int = 2) -> Fig5Result:
         for tier, value in record.median_ms.items():
             bucket[tier].append(value)
         vp_sets.setdefault(country, set()).add(record.vp_id)
-    diffs: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for country, bucket in by_country.items():
-        if len(vp_sets[country]) < min_vps:
-            continue
-        premium = float(np.median(bucket[Tier.PREMIUM]))
-        standard = float(np.median(bucket[Tier.STANDARD]))
-        diffs[country] = standard - premium
-        counts[country] = len(vp_sets[country])
+    kept = [c for c in by_country if len(vp_sets[c]) >= min_vps]
+    premium = _medians([by_country[c][Tier.PREMIUM] for c in kept])
+    standard = _medians([by_country[c][Tier.STANDARD] for c in kept])
+    diffs = {c: float(s) - float(p) for c, s, p in zip(kept, standard, premium)}
+    counts = {c: len(vp_sets[c]) for c in kept}
     if not diffs:
         raise AnalysisError("no country has enough eligible vantage points")
     values = np.array(list(diffs.values()))
@@ -78,9 +75,9 @@ def country_medians(dataset: TierDataset, min_vps: int = 2) -> Fig5Result:
         frac_within_10ms=float((np.abs(values) <= 10.0).mean()),
         premium_better=premium_better,
         standard_better=standard_better,
-        region_medians={
-            region: float(np.median(vals)) for region, vals in region_values.items()
-        },
+        region_medians=dict(
+            zip(region_values, _medians(list(region_values.values())).tolist())
+        ),
     )
 
 
@@ -232,15 +229,18 @@ def goodput_comparison(
         )
         for tier, value in record.median_ms.items():
             bucket[tier].append(value)
+    medians = {
+        tier: _medians([bucket[tier] for bucket in per_vp.values()]) for tier in Tier
+    }
     goodputs: Dict[Tier, List[float]] = {Tier.PREMIUM: [], Tier.STANDARD: []}
     ratios: List[float] = []
-    for bucket in per_vp.values():
+    for i, bucket in enumerate(per_vp.values()):
         vp_goodput: Dict[Tier, float] = {}
         for tier, rtts in bucket.items():
             if not rtts:
                 continue
             path = TcpPath(
-                rtt_ms=float(np.median(rtts)), bottleneck_mbps=bottleneck_mbps
+                rtt_ms=float(medians[tier][i]), bottleneck_mbps=bottleneck_mbps
             )
             vp_goodput[tier] = goodput_mbps(
                 path, transfer_mb, iw_kb=initial_window_kb
@@ -258,3 +258,19 @@ def goodput_comparison(
     )
 
 
+def _medians(samples: Sequence[Sequence[float]]) -> np.ndarray:
+    """``np.median`` of each sample, bit for bit, in one array step.
+
+    The samples are NaN-padded into one matrix; a sample that holds a
+    NaN has a NaN median, as in ``np.median``.  An empty sample gives
+    NaN.
+    """
+    sizes = np.array([len(sample) for sample in samples])
+    width = int(sizes.max(initial=1))
+    grid = np.array(
+        [list(sample) + [np.nan] * (width - len(sample)) for sample in samples],
+        dtype=float,
+    ).reshape(len(samples), width)
+    medians = nanmedian(grid, axis=1)
+    medians[np.count_nonzero(~np.isnan(grid), axis=1) < sizes] = np.nan
+    return medians

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.analysis import weighted_quantile
+from repro.analysis import weighted_cdf
 from repro.edgefabric.controller import (
     achieved_medians,
     bgp_policy_choice,
@@ -92,15 +92,15 @@ def compare_schemes(
         valid = ~np.isnan(rtt)
         if not valid.any():
             raise AnalysisError(f"scheme {scheme.name} produced no latencies")
-        median = weighted_quantile(rtt[valid], 0.5, weights[valid])
-        p95 = weighted_quantile(rtt[valid], 0.95, weights[valid])
+        cdf = weighted_cdf(rtt[valid], weights[valid])
+        median = cdf.quantile(0.5)
         if scheme.name == SCHEME_BGP.name:
             bgp_median = median
-        out[scheme.name] = {"median_ms": median, "p95_ms": p95}
+        out[scheme.name] = {"median_ms": median, "p95_ms": cdf.quantile(0.95)}
     if bgp_median is None:
         bgp = SCHEME_BGP.achieved(dataset)
         valid = ~np.isnan(bgp)
-        bgp_median = weighted_quantile(bgp[valid], 0.5, weights[valid])
+        bgp_median = weighted_cdf(bgp[valid], weights[valid]).quantile(0.5)
     for name, stats in out.items():
         stats["improvement_over_bgp_ms"] = bgp_median - stats["median_ms"]
     return out

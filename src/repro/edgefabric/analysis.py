@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.analysis import Cdf, weighted_cdf, weighted_fraction_below
+from repro.analysis import Cdf, nanmedian, weighted_cdf
 from repro.bgp import RouteClass
 from repro.edgefabric.dataset import EgressDataset
 
@@ -75,15 +75,16 @@ def bgp_vs_best_alternate(dataset: EgressDataset) -> Fig1Result:
     cols = np.arange(dataset.n_windows)[None, :]
     ci_alt = dataset.ci_half[rows, cols, alt_idx + 1]
     band = (ci_bgp + ci_alt)[valid]
+    cdf = weighted_cdf(diff, weight)
     return Fig1Result(
-        cdf=weighted_cdf(diff, weight),
+        cdf=cdf,
         cdf_lower=weighted_cdf(diff - band, weight),
         cdf_upper=weighted_cdf(diff + band, weight),
         frac_alternate_better_5ms=1.0
-        - weighted_fraction_below(diff, 5.0, weight)
+        - cdf.fraction_at_most(5.0)
         + _mass_at(diff, weight, 5.0),
-        frac_bgp_within_1ms=weighted_fraction_below(diff, 1.0, weight),
-        frac_bgp_strictly_better=weighted_fraction_below(diff, 0.0, weight),
+        frac_bgp_within_1ms=cdf.fraction_at_most(1.0),
+        frac_bgp_strictly_better=cdf.fraction_at_most(0.0),
     )
 
 
@@ -187,40 +188,38 @@ def persistence_decomposition(
     with np.errstate(invalid="ignore", all="ignore"):
         best_alt = np.nanmin(dataset.medians[:, :, 1:], axis=2)
     valid = ~np.isnan(bgp) & ~np.isnan(best_alt)
-    win = (bgp - best_alt) > threshold_ms
-
-    frac_never = frac_persistent = frac_transient = 0
-    correlations = []
-    co_degraded = []
-    n_classified = 0
-    for i in range(dataset.n_pairs):
-        mask = valid[i]
-        if mask.sum() < 8:
-            continue
-        n_classified += 1
-        win_frac = win[i][mask].mean()
-        if win_frac < 0.05:
-            frac_never += 1
-        elif win_frac > 0.80:
-            frac_persistent += 1
-        else:
-            frac_transient += 1
-        b = bgp[i][mask]
-        a = best_alt[i][mask]
-        if b.std() > 0 and a.std() > 0:
-            correlations.append(float(np.corrcoef(b, a)[0, 1]))
-        b_degraded = b > np.median(b) + threshold_ms
-        if b_degraded.any():
-            a_degraded = a > np.median(a) + threshold_ms
-            co_degraded.append(float(a_degraded[b_degraded].mean()))
-    if n_classified == 0:
+    n_valid = valid.sum(axis=1)
+    classified = np.flatnonzero(n_valid >= 8)
+    if classified.size == 0:
         raise AnalysisError("no pair has enough valid windows")
+    valid = valid[classified]
+    n_valid = n_valid[classified]
+    b = np.where(valid, bgp[classified], np.nan)
+    a = np.where(valid, best_alt[classified], np.nan)
+    # Per pair, the fraction of its valid windows where an alternate wins.
+    win_frac = ((b - a) > threshold_ms).sum(axis=1) / n_valid
+    n_never = int((win_frac < 0.05).sum())
+    n_persistent = int((win_frac > 0.80).sum())
+    # A window is degraded when its route is above its own campaign
+    # median (over the pair's valid windows) by the threshold.
+    b_degraded = b > nanmedian(b, axis=1)[:, None] + threshold_ms
+    a_degraded = a > nanmedian(a, axis=1)[:, None] + threshold_ms
+    n_degraded = b_degraded.sum(axis=1)
+    n_both = (a_degraded & b_degraded).sum(axis=1)
+    co_degraded = n_both[n_degraded > 0] / n_degraded[n_degraded > 0]
+    # corrcoef sums through BLAS, so it stays one call per pair.
+    correlations = []
+    for b_i, a_i, mask in zip(b, a, valid):
+        b_i, a_i = b_i[mask], a_i[mask]
+        if b_i.std() > 0 and a_i.std() > 0:
+            correlations.append(float(np.corrcoef(b_i, a_i)[0, 1]))
+    n_classified = classified.size
     return PersistenceResult(
-        frac_pairs_never=frac_never / n_classified,
-        frac_pairs_persistent=frac_persistent / n_classified,
-        frac_pairs_transient=frac_transient / n_classified,
+        frac_pairs_never=n_never / n_classified,
+        frac_pairs_persistent=n_persistent / n_classified,
+        frac_pairs_transient=(n_classified - n_never - n_persistent) / n_classified,
         degradation_co_occurrence=(
-            float(np.mean(co_degraded)) if co_degraded else float("nan")
+            float(np.mean(co_degraded)) if co_degraded.size else float("nan")
         ),
         median_route_correlation=(
             float(np.median(correlations)) if correlations else float("nan")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.analysis import nanmedian
 from repro.edgefabric.dataset import EgressDataset
 
 
@@ -33,9 +34,8 @@ def omniscient_choice(dataset: EgressDataset) -> np.ndarray:
 
 def static_best_choice(dataset: EgressDataset) -> np.ndarray:
     """The single best route per pair over the whole campaign, repeated."""
-    with np.errstate(invalid="ignore"):
-        overall = np.nanmedian(dataset.medians, axis=1)  # (pairs, k)
-        best = np.nanargmin(overall, axis=1)  # (pairs,)
+    overall = nanmedian(dataset.medians, axis=1)  # (pairs, k)
+    best = np.nanargmin(overall, axis=1)  # (pairs,)
     return np.repeat(best[:, None], dataset.n_windows, axis=1)
 
 

@@ -97,12 +97,17 @@ class EgressDataset:
         Shape ``(n_pairs, n_windows)``; NaN where the pair has no route
         of that class.
         """
-        out = np.full((self.n_pairs, self.n_windows), np.nan)
+        of_class = np.zeros((self.n_pairs, self.max_routes), dtype=bool)
         for i, pair in enumerate(self.pairs):
-            idx = [
-                j for j, r in enumerate(pair.routes) if r.route_class is route_class
-            ]
-            if idx:
-                with np.errstate(invalid="ignore"):
-                    out[i] = np.nanmin(self.medians[i][:, idx], axis=1)
+            for j, route in enumerate(pair.routes):
+                of_class[i, j] = route.route_class is route_class
+        # The minimum over each pair's routes of the class, NaNs skipped
+        # as in nanmin, one route column at a time: a median replaces the
+        # running minimum when it is lower or the minimum is still NaN,
+        # so a tie keeps the earlier route's median.
+        out = np.full((self.n_pairs, self.n_windows), np.nan)
+        for j in range(self.max_routes):
+            column = self.medians[:, :, j]
+            lower = of_class[:, j, None] & ((column < out) | np.isnan(out))
+            out = np.where(lower, column, out)
         return out

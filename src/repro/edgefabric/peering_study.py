@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AnalysisError, MeasurementError
-from repro.analysis import weighted_quantile
+from repro.analysis import weighted_cdf
 from repro.netmodel.queueing import queueing_delay_ms
 from repro.bgp import RouteClass
 from repro.topology import Internet, Relationship
@@ -186,12 +186,13 @@ def peering_reduction_study(
         degraded = (rtts - baseline_rtt)[both] >= 5.0
         w_both = weights[both]
         u_values = np.array(sorted(utilization.values())) if utilization else np.array([0.0])
+        rtt_cdf = weighted_cdf(rtts[served], weights[served])
         points.append(
             RetentionPoint(
                 retention=retention,
                 n_peer_links=n_peer_links,
-                median_rtt_ms=weighted_quantile(rtts[served], 0.5, weights[served]),
-                p95_rtt_ms=weighted_quantile(rtts[served], 0.95, weights[served]),
+                median_rtt_ms=rtt_cdf.quantile(0.5),
+                p95_rtt_ms=rtt_cdf.quantile(0.95),
                 frac_traffic_on_transit=float(
                     weights[served & on_transit].sum() / weights[served].sum()
                 ),

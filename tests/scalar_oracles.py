@@ -2,10 +2,10 @@
 
 Synthesis, episode extraction, catchment geometry, redirection
 training, the beacon and cloudtiers campaigns, congestion-delay
-lookups, nearest-PoP lookups, city-pair distances and the WAN's
-shortest paths each run one batched, pruned or memoised
-implementation, and the hashed unit draw builds its sha256 input in
-one ``map``.  This module keeps the
+lookups, nearest-PoP lookups, city-pair distances, the WAN's
+shortest paths and the figure analyses each run one batched, pruned or
+memoised implementation, and the hashed unit draw builds its sha256
+input in one ``map``.  This module keeps the
 per-item loops they replaced, so ``tests/test_lane_agreement.py`` can
 check each against an independent implementation of the same
 computation, as :mod:`bgp_oracle` does for propagation.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
@@ -29,12 +30,17 @@ from unittest import mock
 
 import numpy as np
 
+import repro.analysis.stats as stats_module
 import repro.cdn.catchment as catchment_module
+import repro.cdn.dns_redirection as redirection_module
 import repro.edgefabric.sampler as sampler_module
 import repro.netmodel.congestion as congestion_module
 import repro.topology.generator as generator_module
+from repro.analysis import Cdf
+from repro.bgp import RouteClass
+from repro.cdn.analysis import Fig4Result
 from repro.cdn.deployment import CdnDeployment
-from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
+from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy, evaluation_slice
 from repro.cdn.measurement import BeaconConfig, BeaconDataset
 from repro.cloudtiers import (
     CampaignConfig,
@@ -44,18 +50,24 @@ from repro.cloudtiers import (
     TracerouteResult,
     VantagePoint,
 )
+from repro.cloudtiers.analysis import Fig5Result, GoodputResult
 from repro.cloudtiers.campaign import VpDayRecord
 from repro.cloudtiers.speedchecker import PING_CREDITS
+from repro.edgefabric.analysis import PersistenceResult
+from repro.edgefabric.dataset import EgressDataset
 from repro.edgefabric.episodes import Episode, EpisodeStudyResult
-from repro.errors import MeasurementError, RoutingError, TopologyError
+from repro.errors import AnalysisError, MeasurementError, RoutingError, TopologyError
 from repro.geo import (
     City,
     CityDistanceCache,
     GeoPoint,
+    Region,
     great_circle_km,
     propagation_one_way_ms,
+    region_of_country,
 )
 from repro.netmodel import CongestionModel
+from repro.netmodel.tcp import TcpPath, goodput_mbps
 from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
 from repro.topology import PointOfPresence, PrivateWan
 from repro.workloads import ClientPrefix
@@ -660,3 +672,270 @@ def unit_draw_reference(*parts: object) -> float:
     from a generator expression, one ``str(part)`` at a time."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
+
+
+# --- figure analyses -------------------------------------------------------
+
+
+def weighted_cdf_reference(values, weights=None) -> Cdf:
+    """:func:`repro.analysis.weighted_cdf` by a stable sort and
+    ``np.unique``, whatever the sample holds."""
+    v, w = stats_module._validate(values, weights)
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    w = w[order]
+    xs, first = np.unique(v, return_index=True)
+    cum = np.cumsum(w)
+    last = np.append(first[1:], len(v)) - 1
+    return Cdf(xs=xs, ps=cum[last] / cum[-1])
+
+
+def class_best_medians_reference(
+    dataset: EgressDataset, route_class: RouteClass
+) -> np.ndarray:
+    """:meth:`EgressDataset.class_best_medians`, one pair at a time."""
+    out = np.full((dataset.n_pairs, dataset.n_windows), np.nan)
+    for i, pair in enumerate(dataset.pairs):
+        idx = [j for j, r in enumerate(pair.routes) if r.route_class is route_class]
+        if idx:
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out[i] = np.nanmin(dataset.medians[i][:, idx], axis=1)
+    return out
+
+
+def static_best_choice_reference(dataset: EgressDataset) -> np.ndarray:
+    """:func:`repro.edgefabric.static_best_choice` by ``np.nanmedian``."""
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        overall = np.nanmedian(dataset.medians, axis=1)
+        best = np.nanargmin(overall, axis=1)
+    return np.repeat(best[:, None], dataset.n_windows, axis=1)
+
+
+def persistence_decomposition_reference(
+    dataset: EgressDataset, threshold_ms: float = 5.0
+) -> PersistenceResult:
+    """:func:`repro.edgefabric.persistence_decomposition`, one pair at a
+    time."""
+    bgp = dataset.medians[:, :, 0]
+    with np.errstate(invalid="ignore", all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        best_alt = np.nanmin(dataset.medians[:, :, 1:], axis=2)
+    valid = ~np.isnan(bgp) & ~np.isnan(best_alt)
+    win = (bgp - best_alt) > threshold_ms
+
+    frac_never = frac_persistent = frac_transient = 0
+    correlations = []
+    co_degraded = []
+    n_classified = 0
+    for i in range(dataset.n_pairs):
+        mask = valid[i]
+        if mask.sum() < 8:
+            continue
+        n_classified += 1
+        win_frac = win[i][mask].mean()
+        if win_frac < 0.05:
+            frac_never += 1
+        elif win_frac > 0.80:
+            frac_persistent += 1
+        else:
+            frac_transient += 1
+        b = bgp[i][mask]
+        a = best_alt[i][mask]
+        if b.std() > 0 and a.std() > 0:
+            correlations.append(float(np.corrcoef(b, a)[0, 1]))
+        b_degraded = b > np.median(b) + threshold_ms
+        if b_degraded.any():
+            a_degraded = a > np.median(a) + threshold_ms
+            co_degraded.append(float(a_degraded[b_degraded].mean()))
+    if n_classified == 0:
+        raise AnalysisError("no pair has enough valid windows")
+    return PersistenceResult(
+        frac_pairs_never=frac_never / n_classified,
+        frac_pairs_persistent=frac_persistent / n_classified,
+        frac_pairs_transient=frac_transient / n_classified,
+        degradation_co_occurrence=(
+            float(np.mean(co_degraded)) if co_degraded else float("nan")
+        ),
+        median_route_correlation=(
+            float(np.median(correlations)) if correlations else float("nan")
+        ),
+        threshold_ms=threshold_ms,
+    )
+
+
+def train_redirection_per_resolver(
+    dataset: BeaconDataset,
+    train_fraction: float = 0.5,
+    margin_ms: float = 1.0,
+    max_train_samples: int = 8,
+    ecs_resolvers: Optional[AbstractSet[str]] = None,
+) -> RedirectionPolicy:
+    """:func:`repro.cdn.train_redirection_policy` with one ``nanmedian``
+    block per resolver and one per ECS resolver's members."""
+    n_train = max(1, int(dataset.n_requests * train_fraction))
+    n_train_used = min(n_train, max_train_samples)
+    by_ldns: Dict[str, List[int]] = {}
+    for i, prefix in enumerate(dataset.prefixes):
+        by_ldns.setdefault(prefix.ldns, []).append(i)
+    sample_idx = np.unique(
+        np.linspace(0, n_train - 1, n_train_used).round().astype(int)
+    )
+    choices: Dict[str, str] = {}
+    prefix_choices: Dict[str, str] = {}
+    codes, col_of, aligned = redirection_module._aligned_training_rtts(
+        dataset, sample_idx
+    )
+    any_train = dataset.anycast_rtt[:, sample_idx]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for ldns, members in by_ldns.items():
+            pooled = aligned[members].reshape(-1, len(codes))
+            medians = np.nanmedian(pooled, axis=0)
+            medians[col_of[members[0]] < 0] = np.nan
+            anycast_median = float(np.median(any_train[members]))
+            if np.isnan(medians).all():
+                choices[ldns] = ANYCAST
+                continue
+            best = int(np.nanargmin(medians))
+            if float(medians[best]) + margin_ms < anycast_median:
+                choices[ldns] = codes[best]
+            else:
+                choices[ldns] = ANYCAST
+        if ecs_resolvers:
+            for ldns, members in by_ldns.items():
+                if ldns not in ecs_resolvers:
+                    continue
+                member_medians = np.nanmedian(aligned[members], axis=1)
+                anycast_medians = np.median(any_train[members], axis=1)
+                for row, m in enumerate(members):
+                    medians = member_medians[row]
+                    if np.isnan(medians).all():
+                        continue
+                    best = int(np.nanargmin(medians))
+                    if float(medians[best]) + margin_ms < float(anycast_medians[row]):
+                        prefix_choices[dataset.prefixes[m].pid] = codes[best]
+    return RedirectionPolicy(
+        choices=choices, margin_ms=margin_ms, prefix_choices=prefix_choices
+    )
+
+
+def redirection_improvement_reference(
+    dataset: BeaconDataset,
+    policy: RedirectionPolicy,
+    train_fraction: float = 0.5,
+    threshold_ms: float = 1.0,
+) -> Fig4Result:
+    """:func:`repro.cdn.redirection_improvement`, one prefix at a time,
+    with :func:`weighted_cdf_reference`."""
+    window = evaluation_slice(dataset, train_fraction)
+    med = np.full(dataset.n_prefixes, np.nan)
+    p75 = np.full(dataset.n_prefixes, np.nan)
+    for i, prefix in enumerate(dataset.prefixes):
+        choice = policy.choice_for(prefix.ldns, pid=prefix.pid)
+        anycast = dataset.anycast_rtt[i, window]
+        if choice == ANYCAST:
+            chosen = anycast
+        else:
+            col = dataset.column_of(i, choice)
+            if col is None:
+                chosen = anycast
+            else:
+                chosen = dataset.unicast_rtt[i, window, col]
+        improvement = anycast - chosen
+        improvement = improvement[~np.isnan(improvement)]
+        if improvement.size == 0:
+            continue
+        med[i] = float(np.median(improvement))
+        p75[i] = float(np.quantile(improvement, 0.75))
+    valid = ~np.isnan(med)
+    if not valid.any():
+        raise AnalysisError("no prefix has evaluation measurements")
+    weights = dataset.slash24_weights()[valid]
+    med = med[valid]
+    p75 = p75[valid]
+    total = weights.sum()
+    return Fig4Result(
+        median_cdf=weighted_cdf_reference(med, weights),
+        p75_cdf=weighted_cdf_reference(p75, weights),
+        frac_improved=float(weights[med >= threshold_ms].sum() / total),
+        frac_hurt=float(weights[med <= -threshold_ms].sum() / total),
+        frac_redirected=policy.frac_redirected,
+        threshold_ms=threshold_ms,
+    )
+
+
+def country_medians_reference(dataset: TierDataset, min_vps: int = 2) -> Fig5Result:
+    """:func:`repro.cloudtiers.country_medians` with one ``np.median``
+    per country, tier and region."""
+    by_country: Dict[str, Dict[Tier, List[float]]] = {}
+    vp_sets: Dict[str, set] = {}
+    for record in dataset.eligible_records():
+        country = dataset.vps[record.vp_id].city.country
+        bucket = by_country.setdefault(country, {Tier.PREMIUM: [], Tier.STANDARD: []})
+        for tier, value in record.median_ms.items():
+            bucket[tier].append(value)
+        vp_sets.setdefault(country, set()).add(record.vp_id)
+    diffs: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    for country, bucket in by_country.items():
+        if len(vp_sets[country]) < min_vps:
+            continue
+        premium = float(np.median(bucket[Tier.PREMIUM]))
+        standard = float(np.median(bucket[Tier.STANDARD]))
+        diffs[country] = standard - premium
+        counts[country] = len(vp_sets[country])
+    if not diffs:
+        raise AnalysisError("no country has enough eligible vantage points")
+    values = np.array(list(diffs.values()))
+    region_values: Dict[Region, List[float]] = {}
+    for country, diff in diffs.items():
+        region_values.setdefault(region_of_country(country), []).append(diff)
+    return Fig5Result(
+        country_diff_ms=diffs,
+        country_vp_count=counts,
+        frac_within_10ms=float((np.abs(values) <= 10.0).mean()),
+        premium_better=tuple(sorted(c for c, d in diffs.items() if d > 10.0)),
+        standard_better=tuple(sorted(c for c, d in diffs.items() if d < -10.0)),
+        region_medians={
+            region: float(np.median(vals)) for region, vals in region_values.items()
+        },
+    )
+
+
+def goodput_comparison_reference(
+    dataset: TierDataset,
+    transfer_mb: float = 10.0,
+    bottleneck_mbps: float = 50.0,
+    initial_window_kb: float = 14.6,
+) -> GoodputResult:
+    """:func:`repro.cloudtiers.goodput_comparison` with one ``np.median``
+    per VP and tier."""
+    per_vp: Dict[str, Dict[Tier, List[float]]] = {}
+    for record in dataset.eligible_records():
+        bucket = per_vp.setdefault(record.vp_id, {Tier.PREMIUM: [], Tier.STANDARD: []})
+        for tier, value in record.median_ms.items():
+            bucket[tier].append(value)
+    goodputs: Dict[Tier, List[float]] = {Tier.PREMIUM: [], Tier.STANDARD: []}
+    ratios: List[float] = []
+    for bucket in per_vp.values():
+        vp_goodput: Dict[Tier, float] = {}
+        for tier, rtts in bucket.items():
+            if not rtts:
+                continue
+            path = TcpPath(
+                rtt_ms=float(np.median(rtts)), bottleneck_mbps=bottleneck_mbps
+            )
+            vp_goodput[tier] = goodput_mbps(path, transfer_mb, iw_kb=initial_window_kb)
+            goodputs[tier].append(vp_goodput[tier])
+        if Tier.PREMIUM in vp_goodput and Tier.STANDARD in vp_goodput:
+            ratios.append(vp_goodput[Tier.PREMIUM] / vp_goodput[Tier.STANDARD])
+    if not ratios:
+        raise AnalysisError("no VP has goodput on both tiers")
+    return GoodputResult(
+        median_goodput_mbps={
+            tier: float(np.median(vals)) for tier, vals in goodputs.items() if vals
+        },
+        median_ratio=float(np.median(ratios)),
+    )

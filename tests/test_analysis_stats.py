@@ -7,7 +7,6 @@ from repro.errors import AnalysisError
 from repro.analysis import (
     weighted_ccdf,
     weighted_cdf,
-    weighted_fraction_below,
     weighted_quantile,
 )
 
@@ -76,12 +75,6 @@ class TestWeightedCdf:
         with pytest.raises(AnalysisError):
             weighted_cdf([1.0, 2.0], weights=[float("inf"), 1.0])
 
-    def test_fraction_below_zero_weight_raises_not_nan(self):
-        from repro.analysis import weighted_fraction_below
-
-        with pytest.raises(AnalysisError):
-            weighted_fraction_below([1.0, 2.0], 1.5, weights=[0.0, 0.0])
-
     def test_monotone_nondecreasing(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
@@ -103,5 +96,6 @@ class TestHelpers:
     def test_weighted_quantile(self):
         assert weighted_quantile([5.0, 1.0, 3.0], 0.5) == 3.0
 
-    def test_weighted_fraction_below(self):
-        assert weighted_fraction_below([1.0, 2.0, 3.0, 4.0], 2.5) == pytest.approx(0.5)
+    def test_fraction_at_most_between_values(self):
+        cdf = weighted_cdf([1.0, 2.0, 3.0, 4.0])
+        assert cdf.fraction_at_most(2.5) == pytest.approx(0.5)
