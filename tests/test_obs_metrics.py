@@ -10,6 +10,9 @@ campaign down.
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +288,22 @@ class TestFoldHeartbeats:
     def test_empty_stream(self):
         assert fold_heartbeats([]) == {}
         assert fold_heartbeats([{"kind": "span_start", "name": "x"}]) == {}
+
+
+def test_metrics_import_loads_only_the_sketch():
+    # The first histogram of a traced run imports repro.obs.metrics; it
+    # needs the centroid sketch, not the measurement plane behind
+    # repro.stream's ingest, sessions and shard modules.
+    code = "import sys, repro.obs.metrics; print(' '.join(sorted(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = child.stdout.split()
+    assert "repro.stream.sketch" in loaded
+    heavy = ("repro.stream.ingest", "repro.edgefabric", "repro.bgp")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+
