@@ -206,8 +206,9 @@ class JobSpec:
         """Deterministic sha256 hex digest over study, seed, and config.
 
         Two specs share a hash iff a re-run is guaranteed redundant;
-        any change to the study path, seed, config, or the hashing
-        scheme itself yields a new hash.
+        any change to the study path, seed, config, the hashing scheme
+        itself, or the ``artifact_schema`` a study class declares yields
+        a new hash.
         """
         document = {
             "hash_version": SPEC_HASH_VERSION,
@@ -219,6 +220,15 @@ class JobSpec:
             # Only present when used, so every pre-existing spec hash
             # (cache entries, checkpoint fingerprints) stays valid.
             document["shared"] = canonicalize(dict(self.shared))
+        try:
+            schema = getattr(resolve_study(self.study), "artifact_schema", None)
+        except RunnerError:
+            schema = None  # a study this build cannot import hashes as before
+        if schema is not None:
+            # Only for studies that declare the schema of the artifacts
+            # they write: a cache entry or checkpoint written under
+            # another schema then hashes apart and is a miss.
+            document["artifact_schema"] = canonicalize(schema)
         encoded = json.dumps(
             document, sort_keys=True, separators=(",", ":"), allow_nan=False
         )

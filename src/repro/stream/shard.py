@@ -28,7 +28,7 @@ from repro.errors import StreamError, require_int
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.study import StudyResult
 from repro.obs.trace import span
-from repro.stream.ingest import IngestSnapshot, merge_snapshots
+from repro.stream.ingest import _SNAPSHOT_SCHEMA, IngestSnapshot, merge_snapshots
 
 #: Artifact key under which shard studies store their snapshot.
 SNAPSHOT_ARTIFACT = "ingest_snapshot"
@@ -50,6 +50,10 @@ class IngestShardStudy:
 
     #: Simulated measurement platform (circuit-breaker grouping key).
     platform: ClassVar[str] = "stream"
+    #: Schema of the snapshot a run writes.  It is part of the job's
+    #: content hash, so a cached or checkpointed snapshot of another
+    #: schema is a miss and the shard runs again.
+    artifact_schema: ClassVar[int] = _SNAPSHOT_SCHEMA
 
     seed: int = 0
     n_prefixes: int = 300

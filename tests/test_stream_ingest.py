@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from repro.edgefabric.sampler import (
     plan_measurement,
 )
 from repro.errors import MeasurementError, StreamError
+from repro.runner import CampaignRunner, JobSpec, ResultStore
 from repro.stream import (
+    SNAPSHOT_ARTIFACT,
     IngestShardStudy,
     IngestSnapshot,
     SessionBatch,
     SessionIngestor,
     ingest_plan,
+    merge_snapshot_artifacts,
     merge_snapshots,
     sketch_from_dict,
 )
@@ -398,3 +402,41 @@ class TestIngestShardStudyFields:
         values = (study.seed, study.shard, study.n_shards)
         assert values == (3, 1, 2)
         assert all(type(value) is int for value in values)
+
+
+class TestShardCacheIdentity:
+    """A shard's job identity carries the snapshot schema it writes, so
+    a cached snapshot of another schema is a miss, not a failed merge."""
+
+    @pytest.fixture(scope="class")
+    def shards(self):
+        return [
+            IngestShardStudy(seed=0, n_prefixes=6, days=0.25, shard=s, n_shards=2)
+            for s in range(2)
+        ]
+
+    @pytest.mark.parametrize(
+        "stale_identity", [None, 1], ids=["undeclared", "schema-1"]
+    )
+    def test_stale_schema_entry_reruns(self, shards, tmp_path, stale_identity):
+        specs = [JobSpec.from_study(study) for study in shards]
+        cold = CampaignRunner(jobs=1).run(specs)
+        store = ResultStore(tmp_path)
+        # The entries a build writing schema-1 snapshots left: under the
+        # identity that build gave the jobs (no declared schema, or 1).
+        with mock.patch.object(IngestShardStudy, "artifact_schema", stale_identity):
+            for study, result in zip(shards, cold.results):
+                stale = json.loads(json.dumps(result.artifacts))
+                stale[SNAPSHOT_ARTIFACT]["schema"] = 1
+                result = type(result)(
+                    name=result.name, summary=result.summary, artifacts=stale
+                )
+                store.put(JobSpec.from_study(study), result, elapsed_s=0.0)
+        warm = CampaignRunner(jobs=1, store=store).run(specs)
+        assert (warm.n_hits, warm.n_ran) == (0, 2)
+        assert merge_snapshot_artifacts(warm.results).to_json() == (
+            merge_snapshot_artifacts(cold.results).to_json()
+        )
+        again = CampaignRunner(jobs=1, store=store).run(specs)
+        assert (again.n_hits, again.n_ran) == (2, 0)
+
