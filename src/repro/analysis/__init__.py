@@ -1,13 +1,6 @@
 """Statistics and presentation toolkit shared by all analyses."""
 
-from repro.analysis.stats import (
-    Cdf,
-    weighted_cdf,
-    weighted_ccdf,
-    weighted_quantile,
-    nanmedian,
-)
-from repro.analysis.compare import area_between, ks_distance, quantile_shift
+from repro.analysis.stats import Cdf, weighted_cdf, nanmedian
 from repro.analysis.plot import ascii_cdf_figure, ascii_plot
 from repro.analysis.tables import (
     format_table,
@@ -18,12 +11,7 @@ from repro.analysis.tables import (
 __all__ = [
     "Cdf",
     "weighted_cdf",
-    "weighted_ccdf",
-    "weighted_quantile",
     "nanmedian",
-    "area_between",
-    "ks_distance",
-    "quantile_shift",
     "ascii_cdf_figure",
     "ascii_plot",
     "format_table",

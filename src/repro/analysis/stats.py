@@ -67,10 +67,6 @@ class Cdf:
             return 0.0
         return float(self.ps[idx])
 
-    def fraction_above(self, x: float) -> float:
-        """P(value > x)."""
-        return 1.0 - self.fraction_at_most(x)
-
     def quantile(self, q: float) -> float:
         """The smallest value with cumulative fraction >= q."""
         if not 0.0 <= q <= 1.0:
@@ -120,19 +116,6 @@ def weighted_cdf(values: ArrayLike, weights: Optional[ArrayLike] = None) -> Cdf:
     # Cumulative weight at the *last* occurrence of each distinct value.
     ends = np.append(starts[1:], True)
     return Cdf(xs=s[starts], ps=cum[ends] / cum[-1])
-
-
-def weighted_ccdf(values: ArrayLike, weights: Optional[ArrayLike] = None) -> Cdf:
-    """The complementary CDF: stored as a :class:`Cdf` whose ``ps`` hold
-    P(value > x) at each x (Figure 3 is plotted this way)."""
-    return weighted_cdf(values, weights).complement()
-
-
-def weighted_quantile(
-    values: ArrayLike, q: float, weights: Optional[ArrayLike] = None
-) -> float:
-    """Weighted quantile of a sample (type-1, left-continuous inverse)."""
-    return weighted_cdf(values, weights).quantile(q)
 
 
 def nanmedian(a: np.ndarray, axis: int) -> np.ndarray:

@@ -13,12 +13,9 @@ exercised on demand:
 * :mod:`repro.faults.chaos_smoke` — the end-to-end chaos scenario CI
   runs: a campaign under a seeded plan, SIGKILL'd mid-run, resumed,
   and checked byte-for-byte against an uninterrupted reference.
-* :mod:`repro.faults.routing` — the routing plane:
-  :class:`ScenarioFaultPlan`, a phased schedule of announce / withdraw
-  / link-flap events executed by the event-driven engine in
-  :mod:`repro.bgp.dynamics` (curated scenarios: hijack, more-specific
-  hijack, withdrawal cascade — see :mod:`repro.bgp.scenarios`).
 
+Routing-plane events (hijacks, withdrawals) are not faults of the
+runner: :mod:`repro.bgp.scenarios` schedules them on the event engine.
 See ``docs/robustness.md`` for the fault model and resume semantics.
 """
 
@@ -35,11 +32,6 @@ from repro.faults.inject import (
     corrupt_file,
     maybe_inject,
 )
-from repro.faults.routing import (
-    ROUTE_EVENT_KINDS,
-    RouteEvent,
-    ScenarioFaultPlan,
-)
 
 __all__ = [
     "CORRUPT_KIND",
@@ -47,9 +39,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "InjectedFault",
-    "ROUTE_EVENT_KINDS",
-    "RouteEvent",
-    "ScenarioFaultPlan",
     "apply_fault",
     "corrupt_file",
     "maybe_inject",

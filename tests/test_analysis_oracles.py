@@ -84,7 +84,7 @@ def _outcome(fn, *args, **kwargs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return fn(*args, **kwargs)
-    except (AnalysisError, ValueError, ZeroDivisionError) as exc:
+    except (AnalysisError, ValueError) as exc:
         return type(exc), str(exc)
 
 

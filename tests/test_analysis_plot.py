@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.analysis import ascii_cdf_figure, ascii_plot, weighted_cdf, weighted_ccdf
+from repro.analysis import ascii_cdf_figure, ascii_plot, weighted_cdf
 
 
 class TestAsciiPlot:
@@ -44,7 +44,7 @@ class TestAsciiPlot:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_ccdf_plots_survival(self):
-        ccdf = weighted_ccdf([1.0, 2.0, 3.0])
+        ccdf = weighted_cdf([1.0, 2.0, 3.0]).complement()
         out = ascii_plot({"tail": ccdf}, width=24, height=6)
         assert "tail" in out
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.analysis import (
-    weighted_ccdf,
-    weighted_cdf,
-    weighted_quantile,
-)
+from repro.analysis import weighted_cdf
 
 
 class TestWeightedCdf:
@@ -40,8 +36,10 @@ class TestWeightedCdf:
             cdf.quantile(1.5)
 
     def test_fraction_above(self):
-        cdf = weighted_cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.fraction_above(2.0) == pytest.approx(0.5)
+        """The complement holds P(value > x) at each sample value."""
+        ccdf = weighted_cdf([1.0, 2.0, 3.0, 4.0]).complement()
+        assert list(ccdf.xs) == [1.0, 2.0, 3.0, 4.0]
+        assert ccdf.ps == pytest.approx([0.75, 0.5, 0.25, 0.0])
 
     def test_series_copies(self):
         cdf = weighted_cdf([1.0, 2.0])
@@ -88,13 +86,14 @@ class TestCcdf:
     def test_complement(self):
         values = [1.0, 2.0, 3.0]
         cdf = weighted_cdf(values)
-        ccdf = weighted_ccdf(values)
+        ccdf = cdf.complement()
+        assert list(ccdf.xs) == list(cdf.xs)
         assert ccdf.ps == pytest.approx(1.0 - cdf.ps)
 
 
 class TestHelpers:
     def test_weighted_quantile(self):
-        assert weighted_quantile([5.0, 1.0, 3.0], 0.5) == 3.0
+        assert weighted_cdf([5.0, 1.0, 3.0]).quantile(0.5) == 3.0
 
     def test_fraction_at_most_between_values(self):
         cdf = weighted_cdf([1.0, 2.0, 3.0, 4.0])

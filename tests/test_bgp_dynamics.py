@@ -30,8 +30,7 @@ from repro.bgp.dynamics import (
     DynamicsConfig,
     DynamicsEngine,
 )
-from repro.errors import FaultError, RoutingError
-from repro.faults import RouteEvent
+from repro.errors import RoutingError
 from repro.geo import WORLD_CITIES
 from repro.topology import ASGraph, ASRole, AutonomousSystem, Relationship
 from repro.topology.asgraph import link_between
@@ -334,7 +333,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call",
         [
-            "route-event",
             "announce",
             "withdraw",
             "link_down",
@@ -346,10 +344,6 @@ class TestValidation:
         """A NaN time passed the "in the past" check, broke the heap
         order and wrote ``NaN`` into the timeline; an infinite one moved
         the clock to ``inf``; ``run(until=nan)`` did nothing."""
-        if call == "route-event":
-            with pytest.raises(FaultError, match="finite"):
-                RouteEvent("announce", value, PROVIDER)
-            return
         engine = DynamicsEngine(toy_graph, DynamicsConfig())
         engine.schedule_announce(0.0, PROVIDER)
         schedule = {

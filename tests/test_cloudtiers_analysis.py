@@ -1,5 +1,7 @@
 """Tests for the Figure 5 analyses, ingress distances, India, goodput."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from repro.cloudtiers import (
     CloudDeployment,
     SpeedcheckerPlatform,
     Tier,
+    TierDataset,
     country_medians,
     goodput_comparison,
     india_case_study,
     ingress_distance_cdf,
     run_campaign,
 )
+from repro.cloudtiers.campaign import VpDayRecord
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,21 @@ class TestGoodput:
     def test_parameter_validation(self, dataset):
         with pytest.raises(AnalysisError):
             goodput_comparison(dataset, transfer_mb=0)
+
+    def test_infinite_standard_median_rejected(self, dataset):
+        """A Standard median of +inf gave goodput 0.0, and the tier
+        ratio then divided by it."""
+        vp_id = sorted(dataset.vps)[0]
+        record = VpDayRecord(
+            vp_id=vp_id,
+            day=0,
+            median_ms={Tier.PREMIUM: 50.0, Tier.STANDARD: math.inf},
+        )
+        one = TierDataset(
+            vps=dataset.vps, records=[record], traceroutes={}, eligible={vp_id}
+        )
+        with pytest.raises(AnalysisError, match="rtt must be finite"):
+            goodput_comparison(one)
 
     def test_smaller_transfers_more_sensitive(self, dataset):
         """Short transfers are dominated by slow start, so the RTT gap

@@ -1,5 +1,7 @@
 """Tests for the TCP transfer-time model."""
 
+import math
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -18,6 +20,14 @@ class TestTcpPath:
             TcpPath(rtt_ms=0.0, bottleneck_mbps=10.0)
         with pytest.raises(AnalysisError):
             TcpPath(rtt_ms=10.0, bottleneck_mbps=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rejected(self, value):
+        """An infinite RTT gave goodput 0.0 and a NaN one NaN."""
+        with pytest.raises(AnalysisError, match="rtt must be finite"):
+            TcpPath(rtt_ms=value, bottleneck_mbps=10.0)
+        with pytest.raises(AnalysisError, match="bottleneck must be finite"):
+            TcpPath(rtt_ms=10.0, bottleneck_mbps=value)
 
 
 class TestTransferTime:

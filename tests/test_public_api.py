@@ -103,9 +103,6 @@ PUBLIC_API = {
     "repro.analysis": [
         "Cdf",
         "weighted_cdf",
-        "weighted_quantile",
-        "ks_distance",
-        "area_between",
         "format_table",
         "ascii_plot",
     ],
