@@ -144,8 +144,9 @@ def bench_event_delay(tier: str, repeats: int):
     """The congestion event kernel: per-key calls vs one call over all keys.
 
     Both sides price through ``event_and_shift_delays``, the one code
-    that sums congestion events; the warm-up draws every series first,
-    so both time the kernel and not the draws.
+    that sums congestion events.  The warm-up draws every series first,
+    so neither side times the draws; each call still scales and orders
+    the events its window reaches, since a series is stored as drawn.
     """
     config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=1.0)
     model = CongestionModel(0, config)

@@ -218,13 +218,22 @@ def _result(
     )
 
 
-def _hijack_pair(victim: int, attacker: int) -> Tuple[int, int]:
-    """``victim`` and ``attacker`` as plain ints, checked to differ."""
+def _in_graph(graph: ASGraph, role: str, asn: int) -> int:
+    """``asn``, checked to be in ``graph`` before any phase runs;
+    ``role`` names it in the error."""
+    if asn not in graph:
+        raise RoutingError(f"{role} AS {asn} not in graph")
+    return asn
+
+
+def _hijack_pair(graph: ASGraph, victim: int, attacker: int) -> Tuple[int, int]:
+    """``victim`` and ``attacker`` as plain ints of ``graph``, checked
+    to differ."""
     victim = require_int(victim, "victim", RoutingError)
     attacker = require_int(attacker, "attacker", RoutingError)
     if victim == attacker:
         raise RoutingError("attacker and victim must differ")
-    return victim, attacker
+    return _in_graph(graph, "victim", victim), _in_graph(graph, "attacker", attacker)
 
 
 def prefix_hijack(
@@ -240,7 +249,7 @@ def prefix_hijack(
     AS keeps whichever route Gao-Rexford prefers).  Capture metrics
     count the attacker's catchment by AS and by user weight.
     """
-    victim, attacker = _hijack_pair(victim, attacker)
+    victim, attacker = _hijack_pair(graph, victim, attacker)
     engine, setup_s = _after_opening(graph, victim, config or DynamicsConfig())
     baseline = engine.best_routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _next_phase(engine, engine.schedule_announce, attacker)
@@ -274,7 +283,7 @@ def more_specific_hijack(
     attacker, regardless of how good its /24 route is — capture is
     limited only by valley-free export reach.
     """
-    victim, attacker = _hijack_pair(victim, attacker)
+    victim, attacker = _hijack_pair(graph, victim, attacker)
     engine, setup_s = _after_opening(graph, victim, config or DynamicsConfig())
     covering = engine.best_routes(VICTIM_PREFIX)
     inject_s, reconverged_s = _next_phase(
@@ -317,7 +326,7 @@ def withdrawal_cascade(
     the pre-outage baseline bit for bit, and
     ``metrics["time_to_recover_s"]`` measures the re-announce phase.
     """
-    victim = require_int(victim, "victim", RoutingError)
+    victim = _in_graph(graph, "victim", require_int(victim, "victim", RoutingError))
     engine, setup_s = _after_opening(graph, victim, config or DynamicsConfig())
     baseline = engine.best_routes(VICTIM_PREFIX)
     inject_s, blackout_s = _next_phase(engine, engine.schedule_withdraw, victim)

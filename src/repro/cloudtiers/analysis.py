@@ -8,6 +8,7 @@ Tier (BGP on the public Internet) performed better.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -220,8 +221,13 @@ def goodput_comparison(
     so the RTT difference only moves the slow-start ramp — a small part
     of a 10 MB transfer.
     """
-    if transfer_mb <= 0 or bottleneck_mbps <= 0:
-        raise AnalysisError("transfer size and bottleneck must be positive")
+    for name, value in (
+        ("transfer_mb", transfer_mb),
+        ("bottleneck_mbps", bottleneck_mbps),
+        ("initial_window_kb", initial_window_kb),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise AnalysisError(f"{name} must be finite and positive, got {value}")
     per_vp: Dict[str, Dict[Tier, List[float]]] = {}
     for record in dataset.eligible_records():
         bucket = per_vp.setdefault(

@@ -93,70 +93,108 @@ class CongestionConfig:
             raise MeasurementError("event_magnitude_sigma must be non-negative")
 
 
-class _EventSeries(NamedTuple):
-    """One key's events as arrays, sorted by (start, duration, extra).
+class _Process(NamedTuple):
+    """One congestion process: Poisson-many events per key over the
+    horizon, with exponential durations and log-normal magnitudes."""
 
-    ``end`` is ``start + duration``, added once here instead of on
-    every lookup.
-    """
-
-    start: np.ndarray
-    duration: np.ndarray
-    end: np.ndarray
-    magnitude: np.ndarray
+    rate_per_day: float
+    mean_duration_hours: float
+    magnitude_median_ms: float
+    magnitude_sigma: float
 
 
-#: The empty series: a key whose Poisson count is 0 shares this one.
-_NO_EVENTS = _EventSeries(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+#: The baseline-shift process every model shares.
+_SHIFTS = _Process(
+    SHIFT_RATE_PER_DAY,
+    SHIFT_MEAN_DURATION_HOURS,
+    SHIFT_MAGNITUDE_MEDIAN_MS,
+    SHIFT_MAGNITUDE_SIGMA,
+)
+
+#: The empty draw: a key whose Poisson count is 0 shares this one.
+_NO_EVENTS = np.empty((3, 0))
 
 
-def _series_delays(series: Sequence[_EventSeries], times: np.ndarray) -> np.ndarray:
-    """Summed magnitude of each series' active events, ``(len(series), T)``.
+def _series_delays(
+    horizon: float,
+    segments: Sequence[Tuple[_Process, Sequence[np.ndarray]]],
+    times: np.ndarray,
+) -> np.ndarray:
+    """Summed magnitude of each series' active events, ``(rows, T)``.
 
-    ``times`` is read flat, ``T = times.size``.  An event is active on
-    ``[start, end)``, which on the sorted times is one run of
-    positions, ``[searchsorted(start), searchsorted(end))`` (both
-    ``"left"``).  A NaN time sorts last and lies in no run, as it fails
-    the comparisons of a full scan.  An event that ends by the earliest
-    non-NaN time or starts after the latest has an empty run, so it is
-    dropped before the search; with no such time every run is empty.
+    The rows are the draws of ``segments`` in order, each segment a
+    process and its keys' draws (:meth:`CongestionModel._draw_series`).
+    ``times`` is read flat, ``T = times.size``.
 
-    Every (event, active time) pair is one weight of a ``np.bincount``,
-    the pairs laid out in stored event order.  Work is O(E + E' log T +
-    pairs + len(series) * T) for E events, E' of them in the window.
+    A draw holds the variates ``U``, ``E`` and ``Z`` as the stream made
+    them, and an event's ``start = U·horizon``, ``duration =
+    E·mean_duration_hours`` and ``magnitude = median·exp(sigma·Z)`` are
+    the bits of numpy's ``uniform(0, horizon)``, ``exponential(mean)``
+    and ``median·exp(normal(0, sigma))``: numpy computes ``0.0 +
+    horizon·U``, ``mean·E`` and ``0.0 + sigma·Z``, ``0.0 + x`` is ``x``
+    for ``x >= +0`` and ``exp(-0.0) == exp(+0.0)``.
+
+    An event is active on ``[start, end)``, which on the sorted times is
+    one run of positions, ``[searchsorted(start), searchsorted(end))``
+    (both ``"left"``).  A NaN time sorts last and lies in no run, as it
+    fails the comparisons of a full scan.  An event that ends by the
+    earliest non-NaN time or starts after the latest has an empty run,
+    so it is dropped before its magnitude is taken; with no such time
+    every run is empty.
+
+    The events left are put in (row, start, duration, magnitude) order,
+    the order in which a full scan of each row's sorted series adds
+    them: one argsort of ``start + row·2^k`` with ``2^k >= 2·horizon``,
+    whose rounding is monotone in ``start`` and keeps the rows apart,
+    or, when two neighbours tie, the exact lexsort.  Every (event,
+    active time) pair is then one weight of a ``np.bincount``.  Work is
+    O(E + E' log E' + E' log T + pairs + rows·T) for E events, E' of
+    them in the window.
     """
     times = times.ravel()
     size = times.size
     order = np.argsort(times)
     ranked = times[order]
     priced = size - int(np.count_nonzero(np.isnan(ranked)))
-    if not series or not priced:
-        return np.zeros((len(series), size))
-    start = np.concatenate([s.start for s in series])
-    end = np.concatenate([s.end for s in series])
-    magnitude = np.concatenate([s.magnitude for s in series])
-    row_base = np.repeat(np.arange(len(series)) * size, [s.start.size for s in series])
-    # The dropped events add no pair; the rest keep their stored order.
-    window = (end > ranked[0]) & (start <= ranked[priced - 1])
-    start, end, magnitude, row_base = (
-        start[window],
-        end[window],
-        magnitude[window],
-        row_base[window],
-    )
+    draws = [draw for _, block in segments for draw in block]
+    if not draws or not priced:
+        return np.zeros((len(draws), size))
+    uniform, exponential, normal = np.concatenate(draws, axis=1)
+    row = np.repeat(np.arange(len(draws)), [draw.shape[1] for draw in draws])
+    # Each row's process parameters.
+    mean, median, sigma = np.repeat(
+        [
+            [p.mean_duration_hours, p.magnitude_median_ms, p.magnitude_sigma]
+            for p, _ in segments
+        ],
+        [len(block) for _, block in segments],
+        axis=0,
+    ).T
+    start = uniform * horizon
+    duration = exponential * mean[row]
+    end = start + duration
+    kept = np.flatnonzero((end > ranked[0]) & (start <= ranked[priced - 1]))
+    start, end, row = start[kept], end[kept], row[kept]
+    magnitude = median[row] * np.exp(sigma[row] * normal[kept])
+    key = start + row * 2.0 ** (math.frexp(horizon)[1] + 1)
+    rank = np.argsort(key)
+    key = key[rank]
+    if np.any(key[1:] == key[:-1]):
+        rank = np.lexsort((magnitude, duration[kept], start, row))
+    start, end, magnitude, row = start[rank], end[rank], magnitude[rank], row[rank]
     first = np.searchsorted(ranked, start, side="left")
     length = np.searchsorted(ranked, end, side="left") - first
     # Pair j of event i sits at sorted position first[i] + j.
     begin = np.cumsum(length) - length
     position = np.arange(int(length.sum())) + np.repeat(first - begin, length)
-    cells = np.repeat(row_base, length) + order[position]
+    cells = np.repeat(row * size, length) + order[position]
     # bincount adds the weights in index order onto zeros, so each cell
-    # is 0.0 + m_a + m_b + ... in stored event order: the += steps of a
-    # full scan, bit for bit.  With no pair it returns integer zeros.
+    # is 0.0 + m_a + m_b + ... in event order: the += steps of a full
+    # scan, bit for bit.  With no pair it returns integer zeros.
     delay = np.bincount(
-        cells, np.repeat(magnitude, length), minlength=len(series) * size
+        cells, np.repeat(magnitude, length), minlength=len(draws) * size
     )
-    return delay.astype(float, copy=False).reshape(len(series), size)
+    return delay.astype(float, copy=False).reshape(len(draws), size)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -253,8 +291,14 @@ class CongestionModel:
     def __init__(self, seed: int, config: CongestionConfig) -> None:
         self.seed = require_int(seed, "seed", MeasurementError)
         self.config = config
-        self._events: Dict[str, _EventSeries] = {}
-        self._shifts: Dict[str, _EventSeries] = {}
+        self._process = _Process(
+            config.event_rate_per_day,
+            config.event_mean_duration_hours,
+            config.event_magnitude_median_ms,
+            config.event_magnitude_sigma,
+        )
+        self._events: Dict[str, np.ndarray] = {}
+        self._shifts: Dict[str, np.ndarray] = {}
 
     def _rngs(self, streams: Sequence[str]) -> List[np.random.Generator]:
         """One generator per stream, seeded from ``(seed, crc32(stream))``.
@@ -269,34 +313,23 @@ class CongestionModel:
             for words in _seed_words(self.seed, np.array(crcs, dtype=np.uint32))
         ]
 
-    def _draw_series(
-        self,
-        rng: np.random.Generator,
-        rate_per_day: float,
-        mean_duration_hours: float,
-        magnitude_median_ms: float,
-        magnitude_sigma: float,
-    ) -> _EventSeries:
+    def _draw_series(self, rng: np.random.Generator, process: _Process) -> np.ndarray:
         """Poisson-many events over the horizon from one key's stream.
 
-        One array draw per attribute; the lexsort gives the order of
-        ``sorted(zip(starts, durations, magnitudes))``.  With no events
-        the key's stream is dropped after the count, so every empty
-        series is the shared :data:`_NO_EVENTS`.
+        The rows are the events' standard uniform, exponential and
+        normal variates, as drawn; :func:`_series_delays` scales them.
+        With no events the key's stream is dropped after the count, so
+        every empty draw is the shared :data:`_NO_EVENTS`.
         """
         horizon = self.config.horizon_hours
-        count = int(rng.poisson(rate_per_day * horizon / 24.0))
+        count = int(rng.poisson(process.rate_per_day * horizon / 24.0))
         if count == 0:
             return _NO_EVENTS
-        starts = rng.uniform(0.0, horizon, size=count)
-        durations = rng.exponential(mean_duration_hours, size=count)
-        magnitudes = magnitude_median_ms * np.exp(
-            rng.normal(0.0, magnitude_sigma, size=count)
-        )
-        order = np.lexsort((magnitudes, durations, starts))
-        start = starts[order]
-        duration = durations[order]
-        return _EventSeries(start, duration, start + duration, magnitudes[order])
+        draw = np.empty((3, count))
+        rng.random(out=draw[0])
+        rng.standard_exponential(out=draw[1])
+        rng.standard_normal(out=draw[2])
+        return draw
 
     def _draw(self, event_keys: Sequence[str], shift_keys: Sequence[str]) -> None:
         """Draw and cache the series of every key not drawn yet.
@@ -312,25 +345,12 @@ class CongestionModel:
         streams = ["events:" + key for key in events]
         streams += ["shifts:" + key for key in shifts]
         rngs = iter(self._rngs(streams))
-        cfg = self.config
         for key in events:
-            series = self._events[key] = self._draw_series(
-                next(rngs),
-                cfg.event_rate_per_day,
-                cfg.event_mean_duration_hours,
-                cfg.event_magnitude_median_ms,
-                cfg.event_magnitude_sigma,
-            )
+            draw = self._events[key] = self._draw_series(next(rngs), self._process)
             counter("netmodel.congestion.entities")
-            counter("netmodel.congestion.events", series.start.size)
+            counter("netmodel.congestion.events", draw.shape[1])
         for key in shifts:
-            self._shifts[key] = self._draw_series(
-                next(rngs),
-                SHIFT_RATE_PER_DAY,
-                SHIFT_MEAN_DURATION_HOURS,
-                SHIFT_MAGNITUDE_MEDIAN_MS,
-                SHIFT_MAGNITUDE_SIGMA,
-            )
+            self._shifts[key] = self._draw_series(next(rngs), _SHIFTS)
 
     def event_and_shift_delays(
         self,
@@ -346,15 +366,20 @@ class CongestionModel:
         baseline shifts are slow level shifts (interdomain path churn,
         the module's ``SHIFT_*`` parameters) that last days, which is
         what makes measurement-driven predictions go stale.  Every row
-        is the exact sum of its key's active events in stored order,
+        is the exact sum of its key's active events in start order,
         whatever the other keys and times (:func:`_series_delays`).  The
         series not drawn yet are drawn from one batch of seed words, and
-        cached.
+        cached as drawn.
         """
         self._draw(event_keys, shift_keys)
-        series = [self._events[key] for key in event_keys]
-        series += [self._shifts[key] for key in shift_keys]
-        delay = _series_delays(series, np.asarray(times_h, dtype=float))
+        delay = _series_delays(
+            self.config.horizon_hours,
+            (
+                (self._process, [self._events[key] for key in event_keys]),
+                (_SHIFTS, [self._shifts[key] for key in shift_keys]),
+            ),
+            np.asarray(times_h, dtype=float),
+        )
         return delay[: len(event_keys)], delay[len(event_keys) :]
 
     def diurnal_delay(

@@ -65,8 +65,12 @@ def transfer_time_s(
             the bottleneck rate with no handshake — how a split
             terminator's pooled backend connections behave.
     """
-    if size_mb <= 0:
-        raise AnalysisError(f"size must be positive, got {size_mb}")
+    # A size or window that is not finite and positive gives no
+    # meaningful time: the slow-start loop never ends on a zero or
+    # negative window.
+    for name, value in (("size", size_mb), ("initial window", iw_kb)):
+        if not (math.isfinite(value) and value > 0):
+            raise AnalysisError(f"{name} must be finite and positive, got {value}")
     rtt_s = path.rtt_ms / 1e3
     rate_bps = path.bottleneck_mbps * 1e6
     remaining_bits = size_mb * 8e6

@@ -1,7 +1,7 @@
 """The original scalar loops, kept as test oracles.
 
 Synthesis, episode extraction, catchment geometry, redirection
-training, the beacon and cloudtiers campaigns, congestion-delay
+training, the beacon and cloudtiers campaigns, congestion draws and
 lookups, nearest-PoP lookups, city-pair distances, the WAN's
 shortest paths and the figure analyses each run one batched, pruned or
 memoised implementation, and the hashed unit draw builds its sha256
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
@@ -520,9 +521,35 @@ def key_delay(
     return (shifts if shift else events)[0].reshape(times.shape)
 
 
-def _as_list(series) -> List[Tuple[float, float, float]]:
+def draw_series_reference(
+    rng: np.random.Generator,
+    horizon: float,
+    rate_per_day: float,
+    mean_duration_hours: float,
+    magnitude_median_ms: float,
+    magnitude_sigma: float,
+) -> List[Tuple[float, float, float]]:
+    """Poisson-many events over the horizon from one key's stream, as
+    ``(start_h, duration_h, extra_ms)`` tuples in start order: the draw
+    the model made before it stored its variates as drawn.
+
+    One array draw per attribute; the lexsort gives the order of
+    ``sorted(zip(starts, durations, magnitudes))``."""
+    count = int(rng.poisson(rate_per_day * horizon / 24.0))
+    if count == 0:
+        return []
+    starts = rng.uniform(0.0, horizon, size=count)
+    durations = rng.exponential(mean_duration_hours, size=count)
+    magnitudes = magnitude_median_ms * np.exp(
+        rng.normal(0.0, magnitude_sigma, size=count)
+    )
+    order = np.lexsort((magnitudes, durations, starts))
     return list(
-        zip(series.start.tolist(), series.duration.tolist(), series.magnitude.tolist())
+        zip(
+            starts[order].tolist(),
+            durations[order].tolist(),
+            magnitudes[order].tolist(),
+        )
     )
 
 
@@ -530,10 +557,51 @@ def key_events(
     model: CongestionModel, key: str, shift: bool = False
 ) -> List[Tuple[float, float, float]]:
     """One key's events, or with ``shift`` its baseline shifts, as
-    ``(start_h, duration_h, extra_ms)`` tuples in stored order, drawn
-    first if need be."""
+    :func:`draw_series_reference` draws them from the key's own
+    ``default_rng`` stream; the model's storage is not read."""
+    stream = ("shifts:" if shift else "events:") + key
+    rng = np.random.default_rng(
+        [model.seed & 0xFFFFFFFF, zlib.crc32(stream.encode("utf-8"))]
+    )
+    cfg = model.config
+    if shift:
+        process = (
+            congestion_module.SHIFT_RATE_PER_DAY,
+            congestion_module.SHIFT_MEAN_DURATION_HOURS,
+            congestion_module.SHIFT_MAGNITUDE_MEDIAN_MS,
+            congestion_module.SHIFT_MAGNITUDE_SIGMA,
+        )
+    else:
+        process = (
+            cfg.event_rate_per_day,
+            cfg.event_mean_duration_hours,
+            cfg.event_magnitude_median_ms,
+            cfg.event_magnitude_sigma,
+        )
+    return draw_series_reference(rng, cfg.horizon_hours, *process)
+
+
+def _scaled_events(draw, horizon, process) -> List[Tuple[float, float, float]]:
+    """A stored draw's events as ``(start_h, duration_h, extra_ms)``
+    tuples, scaled by ``process`` and put in start order by ``sorted``."""
+    uniform, exponential, normal = draw
+    starts = uniform * horizon
+    durations = exponential * process.mean_duration_hours
+    magnitudes = process.magnitude_median_ms * np.exp(
+        process.magnitude_sigma * normal
+    )
+    return sorted(zip(starts.tolist(), durations.tolist(), magnitudes.tolist()))
+
+
+def stored_events(
+    model: CongestionModel, key: str, shift: bool = False
+) -> List[Tuple[float, float, float]]:
+    """The events the model stores for one key (its baseline shifts with
+    ``shift``), scaled and sorted here, drawn first if need be."""
     key_delay(model, key, (), shift)
-    return _as_list((model._shifts if shift else model._events)[key])
+    draws = model._shifts if shift else model._events
+    process = congestion_module._SHIFTS if shift else model._process
+    return _scaled_events(draws[key], model.config.horizon_hours, process)
 
 
 def scan_events(events, times_h) -> np.ndarray:
@@ -548,12 +616,13 @@ def scan_events(events, times_h) -> np.ndarray:
     return delay
 
 
-def _scan_series(series, times) -> np.ndarray:
+def _scan_series(horizon, segments, times) -> np.ndarray:
     """``_series_delays`` by one full :func:`scan_events` per row."""
     flat = np.asarray(times, dtype=float).ravel()
-    delay = np.zeros((len(series), flat.size))
-    for row, one in zip(delay, series):
-        row[:] = scan_events(_as_list(one), flat)
+    rows = [(process, draw) for process, block in segments for draw in block]
+    delay = np.zeros((len(rows), flat.size))
+    for row, (process, draw) in zip(delay, rows):
+        row[:] = scan_events(_scaled_events(draw, horizon, process), flat)
     return delay
 
 

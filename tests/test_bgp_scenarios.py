@@ -223,9 +223,9 @@ class TestSharedBaseline:
             prefix_hijack(graph, 999999, 999999)
         with pytest.raises(RoutingError, match="must differ"):
             more_specific_hijack(graph, 999999, 999999)
-        with pytest.raises(RoutingError, match="origin AS 999999 not in graph"):
+        with pytest.raises(RoutingError, match="victim AS 999999 not in graph"):
             withdrawal_cascade(graph, 999999)
-        with pytest.raises(RoutingError, match="origin AS 999999 not in graph"):
+        with pytest.raises(RoutingError, match="victim AS 999999 not in graph"):
             prefix_hijack(graph, 999999, PROVIDER)
         assert not graph._baselines
         assert withdrawal_cascade(graph, PROVIDER).to_json() == (
@@ -267,6 +267,31 @@ class TestSharedBaseline:
                 call()
             assert str(caught.value) == f"{role} must be an integer, got {value!r}"
         assert list(graph._baselines) == kept
+
+    @pytest.mark.parametrize("role", ["victim", "attacker"])
+    def test_asn_not_in_graph_refused_before_opening(self, role):
+        """An attacker outside the graph was refused by the engine only
+        after the victim's opening phase had converged and been kept,
+        with an error that named no attacker."""
+        graph = build_toy_graph()
+        missing = 999999
+        assert missing not in graph
+        if role == "victim":
+            calls = [
+                lambda: prefix_hijack(graph, missing, E2),
+                lambda: more_specific_hijack(graph, missing, E2),
+                lambda: withdrawal_cascade(graph, missing),
+            ]
+        else:
+            calls = [
+                lambda: prefix_hijack(graph, PROVIDER, missing),
+                lambda: more_specific_hijack(graph, PROVIDER, missing),
+            ]
+        for call in calls:
+            with pytest.raises(RoutingError) as caught:
+                call()
+            assert str(caught.value) == f"{role} AS {missing} not in graph"
+        assert not graph._baselines
 
     def test_numpy_integer_asns_are_stored_as_int(self):
         """A numpy-integer victim or attacker was stored as given, and

@@ -109,6 +109,14 @@ class TestGoodput:
         with pytest.raises(AnalysisError):
             goodput_comparison(dataset, transfer_mb=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["transfer_mb", "initial_window_kb"])
+    def test_bad_transfer_or_window_refused(self, dataset, field, value):
+        """A NaN or infinite transfer gave NaN goodputs, and a zero or
+        negative window never returned."""
+        with pytest.raises(AnalysisError, match=f"{field} must be finite"):
+            goodput_comparison(dataset, **{field: value})
+
     def test_infinite_standard_median_rejected(self, dataset):
         """A Standard median of +inf gave goodput 0.0, and the tier
         ratio then divided by it."""

@@ -59,6 +59,7 @@ from scalar_oracles import (
     run_beacon_campaign_reference,
     run_campaign_reference,
     scan_events,
+    stored_events,
     train_redirection_reference,
     uncached_distances,
     unmemoised_nearest_pops,
@@ -567,6 +568,146 @@ class TestCongestionLookupLanes:
         ]
         searched = search.call_args_list[0].args[1].tolist() if search.called else []
         assert searched == in_window
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        horizon=st.sampled_from([24.0, 72.0, 240.0, 2400.0, 7200.0]),
+        median=st.sampled_from([0.0, 8.0]),
+        sigma=st.sampled_from([0.0, 0.6]),
+        keys=st.lists(
+            st.text(alphabet="abcdef:0123456789", max_size=12),
+            min_size=1,
+            max_size=20,
+        ),
+        one_day=st.booleans(),
+        tied=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_variates_price_as_reference_draw(
+        self, seed, horizon, median, sigma, keys, one_day, tied, data
+    ):
+        """The model keeps each key's variates as the stream drew them
+        and scales and orders only the events a call reaches.  Every
+        row of a block of event and shift rows is still the full scan
+        of the sorted reference draw (``key_events``), bit for bit: over
+        a spread of times with NaN, +-inf and event edges, or over one
+        day of the horizon (of 300 days at 7,200 h), with zero
+        magnitudes (median 0) and equal ones (sigma 0).  A hand-built
+        draw whose first three events start together, two of them
+        lasting as long, takes the exact lexsort."""
+        config = dataclasses.replace(
+            SCAN_CONFIG,
+            horizon_hours=horizon,
+            event_magnitude_median_ms=median,
+            event_magnitude_sigma=sigma,
+        )
+        model = CongestionModel(seed, config)
+        shift_keys = data.draw(st.lists(st.sampled_from(keys), max_size=20))
+        if one_day:
+            opens = data.draw(
+                st.floats(min_value=0.0, max_value=max(horizon - 24.0, 0.0))
+            )
+            offsets = data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=24.0), min_size=1, max_size=30
+                )
+            )
+            times = opens + np.array(offsets)
+        else:
+            block = [
+                event
+                for series in [key_events(model, key) for key in keys]
+                + [key_events(model, key, shift=True) for key in shift_keys]
+                for event in series
+            ]
+            special = [np.nan, np.inf, -np.inf, 0.0, horizon] + _edges(block)
+            point = st.one_of(
+                st.floats(min_value=-100.0, max_value=horizon + 100.0),
+                st.sampled_from(special),
+            )
+            times = np.array(data.draw(st.lists(point, max_size=30)), dtype=float)
+        if tied:
+            start = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+            # Magnitudes far apart, so that the order of a sum shows.
+            normal = st.floats(min_value=-40.0, max_value=40.0)
+            model._events[keys[0]] = np.array(
+                [
+                    [start, start, start, start / 2],
+                    [0.5, 0.25, 0.5, 1.0],
+                    data.draw(st.lists(normal, min_size=4, max_size=4)),
+                ]
+            )
+            times = np.append(times, start * horizon)
+        reference = {key: key_events(model, key) for key in keys}
+        if tied:
+            reference[keys[0]] = stored_events(model, keys[0])
+        events = [reference[key] for key in keys]
+        shifts = [key_events(model, key, shift=True) for key in shift_keys]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            event_rows, shift_rows = model.event_and_shift_delays(
+                keys, shift_keys, times
+            )
+        assert lexsort.called or not tied
+        for row, series in zip(event_rows, events):
+            assert_same_bits(row, scan_events(series, times))
+        for row, series in zip(shift_rows, shifts):
+            assert_same_bits(row, scan_events(series, times))
+
+    def test_equal_starts_take_the_exact_order(self):
+        """Events that start together are added in (duration, magnitude)
+        order, as the sorted reference adds them.  A magnitude of
+        exp(37), about 1.2e16 (float spacing 2 there), swallows a 1 added
+        after it but not 1 + 1 + 1 added before it, so the stored order,
+        or the reversed one, gives other bits."""
+        config = CongestionConfig(
+            horizon_hours=240.0,
+            event_mean_duration_hours=4.0,
+            event_magnitude_median_ms=1.0,
+            event_magnitude_sigma=1.0,
+        )
+        model = CongestionModel(0, config)
+        model._events["tied"] = np.array(
+            [
+                [0.5, 0.5, 0.5, 0.5, 0.25],
+                [1.0, 1.0, 0.5, 1.0, 1.0],
+                [37.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        times = np.array([120.0, 121.0, 123.0, 60.0])
+        expected = stored_events(model, "tied")
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            row = key_delay(model, "tied", times)
+        assert lexsort.called
+        assert_same_bits(row, scan_events(expected, times))
+        assert row[0] != scan_events(expected[::-1], times)[0]
+
+    def test_pricing_scales_and_sorts_only_the_window(self):
+        """A one-day window of a key drawn over 300 days exponentiates
+        and sorts only the events that overlap the window, and drawing
+        the key does neither: as with ``searchsorted``'s needles in
+        :meth:`test_block_rows_equal_full_scan`, every size is the
+        window's.  The first argsort orders the times."""
+        model = CongestionModel(4, CongestionConfig(horizon_hours=7200.0))
+        key = "tierpath:vp-1:premium"
+        events = key_events(model, key)
+        # The day around the two closest starts.
+        gaps = [b[0] - a[0] for a, b in zip(events, events[1:])]
+        start = events[gaps.index(min(gaps))][0]
+        times = start - 12.0 + np.linspace(0.0, 24.0, 97)
+        window = [e for e in events if e[0] + e[1] > times[0] and e[0] <= times[-1]]
+        assert len(events) > 100 and 1 < len(window) < 10
+        with mock.patch.object(
+            np, "argsort", wraps=np.argsort
+        ) as argsort, mock.patch.object(
+            np, "lexsort", wraps=np.lexsort
+        ) as lexsort, mock.patch.object(np, "exp", wraps=np.exp) as exp:
+            row = key_delay(model, key, times)
+        assert_same_bits(row, scan_events(events, times))
+        sorted_sizes = [call.args[0].size for call in argsort.call_args_list]
+        assert sorted_sizes == [times.size, len(window)]
+        assert not lexsort.called
+        assert [call.args[0].size for call in exp.call_args_list] == [len(window)]
 
 
 @contextlib.contextmanager

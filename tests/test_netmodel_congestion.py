@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_oracles import key_events
+from scalar_oracles import key_events, scan_events
 
 from repro import obs
 from repro.errors import MeasurementError
@@ -79,6 +79,15 @@ def shift_rows(model, keys, times):
     return model.event_and_shift_delays((), keys, times)[1]
 
 
+def assert_rows_equal_reference(model, keys, times, shift=False):
+    """The model's rows of ``keys`` are the full scans of the reference
+    draw's events (``key_events``), bit for bit."""
+    rows = (shift_rows if shift else event_rows)(model, keys, times)
+    for row, key in zip(rows, keys):
+        expected = scan_events(key_events(model, key, shift=shift), times)
+        assert row.tobytes() == expected.tobytes()
+
+
 #: Ten days at quarter-hour windows.
 GRID = np.arange(0.0, 240.0, 0.25)
 
@@ -88,6 +97,7 @@ class TestEvents:
         assert key_events(model, "link:a") == key_events(model, "link:a")
         first = event_rows(model, ["link:a"], GRID)
         assert first.tobytes() == event_rows(model, ["link:a"], GRID).tobytes()
+        assert_rows_equal_reference(model, ["link:a"], GRID)
 
     def test_different_keys_differ(self, model):
         # With a 10-day horizon the event lists almost surely differ.
@@ -96,27 +106,34 @@ class TestEvents:
         assert len(set(lists)) > 1
         rows = event_rows(model, keys, GRID)
         assert len({row.tobytes() for row in rows}) > 1
+        assert_rows_equal_reference(model, keys, GRID)
 
     def test_same_seed_same_events_across_instances(self):
         cfg = CongestionConfig(horizon_hours=240.0)
         a = CongestionModel(5, cfg)
         b = CongestionModel(5, cfg)
-        assert key_events(a, "x") == key_events(b, "x")
         assert event_rows(a, ["x"], GRID).tobytes() == (
             event_rows(b, ["x"], GRID).tobytes()
         )
+        assert_rows_equal_reference(b, ["x"], GRID)
 
     def test_different_seed_differs(self):
         cfg = CongestionConfig(horizon_hours=2400.0, event_rate_per_day=2.0)
-        a = key_events(CongestionModel(1, cfg), "x")
-        b = key_events(CongestionModel(2, cfg), "x")
-        assert a != b
+        a, b = CongestionModel(1, cfg), CongestionModel(2, cfg)
+        assert key_events(a, "x") != key_events(b, "x")
+        times = np.arange(0.0, 2400.0, 0.25)
+        assert event_rows(a, ["x"], times).tobytes() != (
+            event_rows(b, ["x"], times).tobytes()
+        )
+        assert_rows_equal_reference(a, ["x"], times)
+        assert_rows_equal_reference(b, ["x"], times)
 
     def test_events_within_horizon(self, model):
         for start, duration, magnitude in key_events(model, "link:z"):
             assert 0.0 <= start <= 240.0
             assert duration > 0
             assert magnitude > 0
+        assert_rows_equal_reference(model, ["link:z"], GRID)
 
     def test_event_delay_matches_events(self, model):
         events = key_events(model, "link:y")
@@ -127,6 +144,7 @@ class TestEvents:
         inside, outside = event_rows(model, ["link:y"], times)[0]
         assert inside >= magnitude - 1e-9
         assert outside < inside
+        assert_rows_equal_reference(model, ["link:y"], times)
 
     def test_zero_rate_no_events(self):
         cfg = CongestionConfig(horizon_hours=240.0, event_rate_per_day=0.0)
@@ -134,6 +152,7 @@ class TestEvents:
         assert key_events(model, "anything") == []
         times = np.linspace(0, 240, 100)
         assert np.all(event_rows(model, ["anything"], times) == 0.0)
+        assert_rows_equal_reference(model, ["anything"], times)
 
 
 class TestDiurnal:
@@ -162,6 +181,7 @@ class TestBaselineShifts:
         assert key_events(model, "p", shift=True) == key_events(model, "p", shift=True)
         first = shift_rows(model, ["p"], GRID)
         assert first.tobytes() == shift_rows(model, ["p"], GRID).tobytes()
+        assert_rows_equal_reference(model, ["p"], GRID, shift=True)
 
     def test_delay_nonnegative(self, model):
         times = np.linspace(0, 240, 500)
@@ -209,19 +229,19 @@ class TestBatchSeeding:
     @settings(max_examples=50, deadline=None)
     def test_batch_draws_equal_lone_draws(self, seed, keys, lone_first):
         """A key drawn in a batch of one has the series it has when drawn
-        among many, whichever of the two draws it first."""
+        among many, whichever of the two draws it first: either way its
+        rows are the full scans of its own ``default_rng`` stream's
+        events."""
         config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=2.0)
-        lone = CongestionModel(seed, config)
         mixed = CongestionModel(seed, config)
         for key in lone_first:
             mixed.event_and_shift_delays((key,), (), np.array([12.0]))
             mixed.event_and_shift_delays((), (key,), np.array([12.0]))
         mixed.event_and_shift_delays(keys, keys[::-1], np.array([12.0]))
-        for key in keys + lone_first:
-            assert key_events(mixed, key) == key_events(lone, key)
-            assert key_events(mixed, key, shift=True) == key_events(
-                lone, key, shift=True
-            )
+        drawn = list(dict.fromkeys(keys + lone_first))
+        assert set(mixed._events) == set(mixed._shifts) == set(drawn)
+        assert_rows_equal_reference(mixed, drawn, GRID)
+        assert_rows_equal_reference(mixed, drawn, GRID, shift=True)
 
     def test_counters_tally_drawn_event_keys(self):
         model = CongestionModel(4, CongestionConfig(horizon_hours=72.0))
@@ -242,3 +262,4 @@ class TestBatchSeeding:
         assert totals["netmodel.congestion.events"] == sum(
             len(key_events(model, key)) for key in drawn
         )
+        assert_rows_equal_reference(model, drawn, times)

@@ -30,10 +30,25 @@ class TestTcpPath:
             TcpPath(rtt_ms=10.0, bottleneck_mbps=value)
 
 
+#: Sizes and windows that are not finite and positive.
+BAD_AMOUNTS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
 class TestTransferTime:
     def test_size_validation(self):
         with pytest.raises(AnalysisError):
             transfer_time_s(TcpPath(50.0, 10.0), 0.0)
+
+    @pytest.mark.parametrize("value", BAD_AMOUNTS)
+    def test_bad_size_or_window_refused(self, value):
+        """A NaN size returned the handshake alone (0.05 s on this path)
+        and an infinite one inf; a zero or negative window never left
+        the slow-start loop, and a NaN one returned 0.1 s."""
+        path = TcpPath(rtt_ms=50.0, bottleneck_mbps=50.0)
+        with pytest.raises(AnalysisError, match="size must be finite"):
+            transfer_time_s(path, value)
+        with pytest.raises(AnalysisError, match="initial window must be finite"):
+            transfer_time_s(path, 10.0, iw_kb=value)
 
     def test_warm_is_pure_drain(self):
         path = TcpPath(rtt_ms=100.0, bottleneck_mbps=8.0)
